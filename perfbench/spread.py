@@ -2,10 +2,10 @@
 
     python3 perfbench/spread.py --workload eating --seeds 1-10 --seconds 25
 
-For every metric of the final JSON line it prints the median of the runs, the
-first and third quartiles (``statistics.quantiles(values, n=4)``) and their
-distance as a share of the median, and writes all runs to
-``.perfbench_out/spread-<workload>-trace<t>.json``.
+It prints each run's wall time and final JSON line. For every metric it then
+prints the median of the runs, the first and third quartiles
+(``statistics.quantiles(values, n=4)``) and their distance as a share of the
+median, and writes all runs to ``.perfbench_out/spread-<workload>-trace<t>.json``.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -38,14 +39,16 @@ def main() -> int:
     for seed in args.seeds:
         argv = [sys.executable, str(HERE / "run.py"), "--workload", args.workload, "--seed", str(seed)]
         argv += ["--seconds", str(args.seconds), "--trace", str(args.trace)]
+        start = time.perf_counter()
         proc = subprocess.run(argv, capture_output=True, text=True, check=False)
+        wall = time.perf_counter() - start
         if proc.returncode != 0:
             print(proc.stdout + proc.stderr, file=sys.stderr)
             return proc.returncode
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        runs.append({"seed": seed, **result})
+        runs.append({"seed": seed, "wall_s": wall, **result})
         summary = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
-        print(f"seed {seed}: correct={result['correct']} attempted={result['attempted']} failed={result['failed']} {summary}", flush=True)
+        print(f"seed {seed}: wall={wall:.1f}s correct={result['correct']} attempted={result['attempted']} failed={result['failed']} {summary}", flush=True)
     print(f"{'metric':<28} {'median':>12} {'q1':>12} {'q3':>12} {'iqr/median':>10}")
     for name in runs[0]["metrics"]:
         values = [r["metrics"][name]["value"] for r in runs]

@@ -196,7 +196,7 @@ def in_layer(layer: str) -> Callable[[str], bool]:
     return lambda name: _layer(name) == layer
 
 
-# Reported again, prefixed "probe.", for a workload's traced time-bounded probe.
+# Reported again, prefixed "probe.", for the eating traced run's mid-size probe.
 PROBE_METRICS = (
     "trace.instances",
     "trace.wall_s",

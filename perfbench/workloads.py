@@ -88,10 +88,13 @@ class Workload:
     run: Callable[[SimpleNamespace, dict, "Context"], list[str]]
     shape: Callable[[dict], str]
     pool_per_second: float
+    # the first this many instances of the seed's input stream are the traced
+    # run's inputs, so that its per-layer totals count the same work whatever
+    # the library's speed
+    trace_instances: int
     # a run ends on a multiple of this many instances, so that every run
     # measures whole rounds of a stratified input mix
     round_size: int = 1
-    probe: Callable[[random.Random], Iterator[dict]] | None = None
 
 
 @dataclass
@@ -136,9 +139,9 @@ EATING_ROUND = ("goods", "goods", "bads", "goods", "goods", "mixed")
 # then lp.basic_feasible_point takes nearly all the time. One such instance
 # costs from 0.02 s to 5 s at 5-6 agents x 9-12 items (and 49 s at 8 x 18),
 # which would swamp a fixed-length run, so they run only as a probe of the
-# traced run: seeded instances until PROBE_SECONDS have passed.
-PROBE_SECONDS = 8.0
-PROBE_MAX = 40
+# eating traced run: the first PROBE_INSTANCES of a seeded stream, 1.4-6 s in
+# all on seeds 1-10.
+PROBE_INSTANCES = 30
 
 
 def _eating_inputs(rng: random.Random) -> Iterator[dict]:
@@ -154,7 +157,7 @@ def _eating_inputs(rng: random.Random) -> Iterator[dict]:
             yield {"kind": kind, "values": rows, "seed": rng.randrange(2**31)}
 
 
-def _mid_inputs(rng: random.Random) -> Iterator[dict]:
+def mid_inputs(rng: random.Random) -> Iterator[dict]:
     while True:
         yield {"kind": "mid", "values": _goods_rows(rng, rng.randint(5, 6), rng.randint(9, 12))}
 
@@ -216,8 +219,8 @@ EATING = Workload(
     _eating_run,
     _shape_of("values"),
     pool_per_second=80,
+    trace_instances=120 * len(EATING_ROUND),
     round_size=len(EATING_ROUND),
-    probe=_mid_inputs,
 )
 
 
@@ -273,7 +276,14 @@ def _gf_run(lib: SimpleNamespace, spec: dict, ctx: Context) -> list[str]:
 
 
 GF_AUDIT = Workload(
-    "gf-audit", _gf_inputs, _gf_warmup, _gf_run, _shape_of("values"), pool_per_second=8, round_size=len(GF_SHAPES)
+    "gf-audit",
+    _gf_inputs,
+    _gf_warmup,
+    _gf_run,
+    _shape_of("values"),
+    pool_per_second=8,
+    trace_instances=2 * len(GF_SHAPES),
+    round_size=len(GF_SHAPES),
 )
 
 
@@ -331,7 +341,7 @@ def _scale_shape(spec: dict) -> str:
     return f"mnw:{len(spec['values'])}x{len(spec['values'][0])}+bvn:" + "+".join(str(len(b)) for b in spec["bvn"])
 
 
-SCALE = Workload("scale", _scale_inputs, _scale_warmup, _scale_run, _scale_shape, pool_per_second=0.3)
+SCALE = Workload("scale", _scale_inputs, _scale_warmup, _scale_run, _scale_shape, pool_per_second=0.3, trace_instances=2)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +394,10 @@ def _cli_run(lib: SimpleNamespace, spec: dict, ctx: Context) -> list[str]:
     poly_text = core.dump_json(core.lottery_to_json(poly), paths["lottery"])
     lottery = core.load_lottery(paths["lottery"], n=goods.n, m=goods.m)
     report = props.audit_lottery(goods, lottery, ex_post=["ef1", "prop1"])
-    drawn = lib.cli._draw(core.load_lottery(paths["lottery"]), spec["seed"])
+    bvn = lib.decomp.bvn_decompose(alloc)
+    # drawn from the in-process lottery, whose shape does not depend on the
+    # JSON loader; `sample` of the poly lottery must match it and be n x m
+    drawn = lib.cli._draw(poly, spec["seed"])
     commands = (
         ("rps", ["rps", str(paths["goods"]), "--mode", "poly"], poly_text, 0),
         ("rps-bads", ["rps-bads", str(paths["bads"])], core.dump_json(core.lottery_to_json(lib.rps.rps_bads(bads))), 0),
@@ -392,7 +405,7 @@ def _cli_run(lib: SimpleNamespace, spec: dict, ctx: Context) -> list[str]:
         (
             "decompose",
             ["decompose", str(paths["alloc"]), "--instance", str(paths["goods"]), "--bvn"],
-            core.dump_json(core.lottery_to_json(lib.decomp.bvn_decompose(alloc))),
+            core.dump_json(core.lottery_to_json(bvn)),
             0,
         ),
         (
@@ -409,12 +422,12 @@ def _cli_run(lib: SimpleNamespace, spec: dict, ctx: Context) -> list[str]:
     for name, argv, expected, code in commands:
         ctx.tick()
         child = ctx.spawn_cli(name, argv, code)
-        ok = child.returncode == code and child.stdout == expected.encode()
-        if name == "sample" and ok:
-            matrix = json.loads(child.stdout)["matrix"]
-            ok = len(matrix) == goods.n and all(len(row) == goods.m for row in matrix)
-        if not ok:
+        if child.returncode != code or child.stdout != expected.encode():
             failed.append(f"cli_{name}")
+        if name == "sample" and child.returncode == 0:
+            matrix = json.loads(child.stdout)["matrix"]
+            if len(matrix) != goods.n or any(len(row) != goods.m for row in matrix):
+                failed.append("cli_sample_shape")
     return failed
 
 
@@ -425,6 +438,7 @@ CLI = Workload(
     _cli_run,
     lambda s: f"cli:{len(s['goods'])}x{len(s['goods'][0])}",
     pool_per_second=1,
+    trace_instances=5,
 )
 
 
