@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import __version__
 from .core import (
     FairlotError,
-    FractionalAllocation,
     InputError,
     IntegralAllocation,
     Lottery,
@@ -100,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mnw", help="exact Nash-welfare-maximizing fractional allocation")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float, default=1e-10, help="float-stage residual target")
     output_flag(p)
 
     p = sub.add_parser("mnw-v", help="Nash-welfare allocation with single-bidder items carved out")
@@ -109,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf-lottery", help="group-fair marginal over one-item-tolerant parts")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float, default=1e-10)
     output_flag(p)
 
     p = sub.add_parser("prop1-lottery", help="implement a proportional fractional allocation")
@@ -167,13 +164,8 @@ def _run_round_robin(args: argparse.Namespace) -> int:
 
 def _run_mnw(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    solution = solve_mnw(instance, tol=args.tol)
-    print(
-        f"fairlot: log Nash welfare {solution.log_nash_welfare:.12g},"
-        f" float residual {solution.float_residual:.3e},"
-        f" exact {str(solution.exact).lower()}",
-        file=sys.stderr,
-    )
+    solution = solve_mnw(instance)
+    print(f"fairlot: log Nash welfare {solution.log_nash_welfare:.12g}", file=sys.stderr)
     _emit(allocation_to_json(solution.allocation), args.output)
     return 0
 
@@ -186,7 +178,7 @@ def _run_mnw_v(args: argparse.Namespace) -> int:
 
 def _run_gf_lottery(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    _emit(lottery_to_json(gf_lottery(instance, tol=args.tol)), args.output)
+    _emit(lottery_to_json(gf_lottery(instance)), args.output)
     return 0
 
 

@@ -158,10 +158,6 @@ class Instance:
         return self.total_value(i) / self.n
 
 
-def utility(instance: Instance, i: int, bundle: Sequence[Fraction]) -> Fraction:
-    return instance.utility(i, bundle)
-
-
 def sd_dominates(
     prefs: Sequence[Sequence[int]], i: int, p: Sequence[Fraction], q: Sequence[Fraction]
 ) -> bool:

@@ -414,7 +414,7 @@ def bvn_decompose(x: FractionalAllocation) -> Lottery:
     >>> h = Fraction(1, 2)
     >>> parts = bvn_decompose(FractionalAllocation(((h, h, 0, 0), (h, 0, h, 0))))
     >>> [(str(w), a.bundles) for w, a in parts.support]
-    [('1/2', ((0,), (2,))), ('1/2', ((1,), (0,)))]
+    [('1/2', ((1,), (0,))), ('1/2', ((0,), (2,)))]
     """
     for i in range(x.n):
         if sum(x.matrix[i], ZERO) > 1:

@@ -3,8 +3,8 @@
 A dense two-phase primal simplex with Bland's anti-cycling rule. Every number is a
 ``fractions.Fraction``; there is no floating point anywhere, so feasibility and
 optimality answers are exact. Intended for the small systems this library builds
-(support reduction, welfare improvement searches, equilibrium refinement), not for
-large-scale optimization.
+(support reduction, welfare improvement searches), not for large-scale
+optimization.
 
 When ``VERIFY_OPTIMALITY`` is enabled (the test suite turns it on), every optimal
 solve also reconstructs an exact dual certificate and checks strong duality, so a

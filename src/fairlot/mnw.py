@@ -1,29 +1,31 @@
-"""Maximum Nash welfare over divisible goods, verified through competitive equilibrium.
+"""Maximum Nash welfare over divisible goods, certified as a competitive equilibrium.
 
-The solver contract is the verified equilibrium condition, not any particular
-algorithm: a fractional allocation maximizes the product of utilities iff it is a
-competitive equilibrium from equal incomes (CEEI), i.e. every unit an agent holds
-gives her the market-best value per unit of price. We find one in three steps:
+A fractional allocation maximizes the product of utilities iff it is a
+competitive equilibrium from equal incomes (CEEI): at some item prices, every
+agent spends her unit budget only on items of market-best value per unit of
+price. A linear Fisher market has unique equilibrium prices; we find them in two
+stages:
 
 1. float stage: proportional-response dynamics (each agent splits her budget over
-   items in proportion to the value they deliver), cheap and dimension-free;
-2. exact stage: read off the near-tied item/agent structure, then solve one exact
-   rational feasibility program that pins the equilibrium conditions on that
-   structure; any feasible point is an exact equilibrium, which we verify;
-3. fallback: if no structure round succeeds, snap the float matrix to rationals
-   (continued fractions, column repair) and verify the condition with a small
-   slack derived from the tolerance.
+   items in proportion to the value they deliver) on exactly normalised rows;
+2. exact stage, every ``CERTIFY_EVERY`` float iterations: take the near-tied
+   agent/item edges (float rate within ``THETA`` of the item's best, then also
+   within a finer cut halved every ``THETA_HALF_LIFE`` iterations) as the
+   equality graph, fix exact prices along it, check exactly that no agent
+   prefers an item off her tight edges, and route the budgets over the tight
+   edges by an integer max flow. A saturating flow is an exact CEEI.
+
+There is no approximate fallback: without a certificate after ``FLOAT_ITER_CAP``
+iterations the solver raises SolveError.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from . import lp
 from .core import (
     BADS,
     GOODS,
@@ -38,192 +40,120 @@ from .core import (
     ZeroUtilityError,
     format_rational,
 )
+from .decomp import _MaxFlow
 from .properties import PropertyVerdict
 
-SNAP_DENOMINATOR = 10**6
-REFINE_THRESHOLDS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
+THETA = 1e-3  # an edge's float rate is within this relative gap of its item's best
+THETA_HALF_LIFE = 4096  # iterations per halving of the second, finer cut
+CERTIFY_EVERY = 64
 FLOAT_ITER_CAP = 60_000
 
 
 @dataclass(frozen=True)
 class MnwSolution:
-    """An exact Nash-welfare-maximizing allocation with its equilibrium certificate."""
+    """An exact Nash-welfare-maximizing allocation with its equilibrium prices."""
 
     allocation: FractionalAllocation
     utilities: tuple[Fraction, ...]
     prices: tuple[Fraction, ...]
     log_nash_welfare: float
-    kkt_residual: float
-    float_residual: float
-    exact: bool
 
 
 def _active_agents(instance: Instance) -> list[int]:
     return [i for i in range(instance.n) if any(v != 0 for v in instance.values[i])]
 
 
-def _float_residual(values: np.ndarray, x: np.ndarray) -> float:
-    """Largest violation of the per-unit-value optimality condition on a float matrix."""
-    utils = (values * x).sum(axis=1)
-    if (utils <= 0).any():
-        return math.inf
-    ratios = values / utils[:, None]
-    held = x > 1e-12
-    worst = 0.0
-    for g in range(values.shape[1]):
-        best = ratios[:, g].max()
-        holders = np.nonzero(held[:, g])[0]
-        for i in holders:
-            worst = max(worst, best - ratios[i, g])
-    return worst
+def _certificate(
+    rows: list[list[Fraction]], rates: np.ndarray, theta: float
+) -> list[list[Fraction]] | None:
+    """Exact equilibrium shares x[a][g] on the near-tied structure of ``rates``, or None.
+
+    ``rows`` are the active agents' values, each summing to 1, and ``rates`` the
+    float values per unit of utility. Prices come from a BFS over each component
+    of the near-tied edges, scaled so a component's prices sum to its number of
+    agents; once no agent gets more than her rate alpha anywhere, the exactly
+    tight edges carry the budgets by an integer max flow.
+    """
+    k, m = len(rows), len(rows[0])
+    near = rates >= rates.max(axis=0) * (1.0 - theta)
+    edge = [[rows[a][g] > 0 and bool(near[a, g]) for g in range(m)] for a in range(k)]
+    alpha: list[Fraction] = [ZERO] * k
+    price: list[Fraction] = [ZERO] * m
+    for root in range(k):
+        if alpha[root]:
+            continue
+        alpha[root] = ONE
+        agents, goods = [root], []
+        for a in agents:  # grows while it is walked: a BFS in index order
+            for g in range(m):
+                if edge[a][g] and not price[g]:
+                    price[g] = rows[a][g] / alpha[a]
+                    goods.append(g)
+                    for h in range(k):
+                        if edge[h][g] and not alpha[h]:
+                            alpha[h] = rows[h][g] / price[g]
+                            agents.append(h)
+        if not goods:
+            return None
+        scale = len(agents) / sum(price[g] for g in goods)
+        for g in goods:
+            price[g] *= scale
+        for a in agents:
+            alpha[a] /= scale
+    tight = []  # an item left at price zero fails here: someone values it
+    for a in range(k):
+        for g in range(m):
+            if rows[a][g] > 0:
+                bought = alpha[a] * price[g]
+                if rows[a][g] > bought:
+                    return None
+                if rows[a][g] == bought:
+                    tight.append((a, g))
+
+    denominator = math.lcm(*(p.denominator for p in price))
+    src, snk = k + m, k + m + 1
+    flow = _MaxFlow(k + m + 2)
+    for a in range(k):
+        flow.add(src, a, denominator)
+    arcs = [flow.add(a, k + g, denominator) for a, g in tight]
+    for g in range(m):
+        flow.add(k + g, snk, int(price[g] * denominator))
+    if flow.solve(src, snk) != k * denominator:
+        return None
+    shares = [[ZERO] * m for _ in range(k)]
+    for (a, g), eid in zip(tight, arcs):
+        shares[a][g] = Fraction(flow.cap[eid ^ 1], denominator) / price[g]
+    return shares
 
 
-def _proportional_response(values: np.ndarray, target: float) -> tuple[np.ndarray, float]:
-    """Run the spend-update dynamics until the equilibrium residual meets target."""
-    spend = values / values.sum(axis=1, keepdims=True)
-    x = np.zeros_like(values)
-    residual = math.inf
-    check_every = 32
+def _equilibrium_shares(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Proportional response on the float rows until the exact certificate holds."""
+    values = np.array([[float(v) for v in row] for row in rows])
+    spend = values.copy()
     for it in range(FLOAT_ITER_CAP):
         prices = spend.sum(axis=0)
-        x = spend / prices
+        x = np.divide(spend, prices, out=np.zeros_like(spend), where=prices > 0)
         utils = (values * x).sum(axis=1)
         spend = values * x / utils[:, None]
-        if it % check_every == 0 or it == FLOAT_ITER_CAP - 1:
-            residual = _float_residual(values, x)
-            if residual <= target:
-                break
-    return x, residual
+        if it % CERTIFY_EVERY == 0:
+            rates = values / utils[:, None]
+            # rates tied closer than THETA at equilibrium need the finer cut
+            for theta in sorted({THETA, THETA / 2 ** (it // THETA_HALF_LIFE)}, reverse=True):
+                shares = _certificate(rows, rates, theta)
+                if shares is not None:
+                    return shares
+    raise SolveError(f"no equilibrium certificate within {FLOAT_ITER_CAP} float iterations")
 
 
-def _refine_exact(
-    instance: Instance, active: list[int], x_float: np.ndarray, theta: float
-) -> FractionalAllocation | None:
-    """Solve the equilibrium conditions exactly on the float solution's tie structure.
-
-    Returns an exact CEEI allocation, or None if this structure is infeasible.
-    Feasibility is sufficient: the program literally encodes the first-order
-    conditions, so any solution is a true equilibrium regardless of how the
-    structure was guessed.
-    """
-    m = instance.m
-    values = np.array([[float(instance.values[i][j]) for j in range(m)] for i in active])
-    utils = (values * x_float).sum(axis=1)
-    ratios = values / utils[:, None]
-    # holders of g must attain the best value-per-utility rate on g across agents
-    item_best = ratios.max(axis=0)
-    members: list[list[int]] = []
-    for g in range(m):
-        rows = [
-            a for a in range(len(active)) if ratios[a, g] >= item_best[g] * (1.0 - theta)
-        ]
-        if not rows:
-            return None
-        members.append(rows)
-
-    variables: list[tuple[int, int]] = []  # (position in active, good)
-    index: dict[tuple[int, int], int] = {}
-    for g in range(m):
-        for a in members[g]:
-            index[(a, g)] = len(variables)
-            variables.append((a, g))
-    nvars = len(variables)
-
-    def utility_coeffs(a: int, scale: Fraction) -> list[Fraction]:
-        row = [ZERO] * nvars
-        for g in range(m):
-            if (a, g) in index:
-                row[index[(a, g)]] = scale * instance.values[active[a]][g]
-        return row
-
-    constraints = []
-    for g in range(m):
-        row = [ZERO] * nvars
-        for a in members[g]:
-            row[index[(a, g)]] = ONE
-        constraints.append(lp.Constraint(row, lp.EQ, ONE))
-    for g in range(m):
-        pivot = members[g][0]
-        vp = instance.values[active[pivot]][g]
-        for a in range(len(active)):
-            va = instance.values[active[a]][g]
-            if a == pivot:
-                continue
-            if a in members[g]:
-                row = utility_coeffs(a, vp)
-                for pos, coeff in enumerate(utility_coeffs(pivot, -va)):
-                    row[pos] += coeff
-                constraints.append(lp.Constraint(row, lp.EQ, ZERO))
-            elif va > 0:
-                # a's value per unit price of g must not beat her own bundle rate
-                row = utility_coeffs(a, vp)
-                for pos, coeff in enumerate(utility_coeffs(pivot, -va)):
-                    row[pos] += coeff
-                constraints.append(lp.Constraint(row, lp.GE, ZERO))
-    for a in range(len(active)):
-        i = active[a]
-        share = instance.total_value(i) / instance.n
-        constraints.append(lp.Constraint(utility_coeffs(a, ONE), lp.GE, share))
-
-    objective = [ZERO] * nvars
-    for pos, (a, g) in enumerate(variables):
-        objective[pos] = instance.values[active[a]][g]
-    sol = lp.solve(lp.LinearProgram(objective, "max", constraints))
-    if sol.status != lp.OPTIMAL:
-        return None
-    matrix = [[ZERO] * m for _ in range(instance.n)]
-    for pos, (a, g) in enumerate(variables):
-        matrix[active[a]][g] = sol.values[pos]
-    return FractionalAllocation(tuple(tuple(row) for row in matrix))
-
-
-def _snap(instance: Instance, active: list[int], x_float: np.ndarray, tol: float) -> FractionalAllocation:
-    """Rationalize a float matrix: snap near-0/1 cells, bound denominators, repair columns."""
-    m = instance.m
-    matrix = [[ZERO] * m for _ in range(instance.n)]
-    for a, i in enumerate(active):
-        for g in range(m):
-            v = float(x_float[a, g])
-            if abs(v) <= tol:
-                cell = ZERO
-            elif abs(v - 1.0) <= tol:
-                cell = ONE
-            else:
-                cell = Fraction(v).limit_denominator(SNAP_DENOMINATOR)
-            matrix[i][g] = cell
-    for g in range(m):
-        total = sum((matrix[i][g] for i in range(instance.n)), ZERO)
-        if total != 1:
-            largest = max(range(instance.n), key=lambda i: matrix[i][g])
-            matrix[largest][g] += 1 - total
-            if not 0 <= matrix[largest][g] <= 1:
-                raise SolveError("column repair pushed a cell outside [0, 1]")
-    return FractionalAllocation(tuple(tuple(row) for row in matrix))
-
-
-def _exact_slack(instance: Instance, x: FractionalAllocation, active: list[int]) -> Fraction:
-    """Smallest slack at which the goods equilibrium condition holds, exactly."""
-    utils = {i: instance.utility(i, x.row(i)) for i in active}
-    if any(utils[i] <= 0 for i in active):
-        return Fraction(10**9)
-    worst = ZERO
-    for g in range(instance.m):
-        best = max(Fraction(instance.values[h][g]) / utils[h] for h in active)
-        for i in active:
-            if x.matrix[i][g] > 0:
-                gap = best - Fraction(instance.values[i][g]) / utils[i]
-                if gap > worst:
-                    worst = gap
-    return worst
-
-
-def solve_mnw(instance: Instance, tol: float = 1e-10) -> MnwSolution:
+def solve_mnw(instance: Instance) -> MnwSolution:
     """Maximize the product of agents' utilities over complete fractional allocations.
 
     Only goods instances are supported. Agents with all-zero value rows are left
-    out of the product and receive nothing. The returned allocation is exact; the
-    ``exact`` flag records whether the equilibrium condition verified with zero
-    slack (the refinement path) or within ``10^4 * tol`` (the snapping path).
+    out of the product and receive nothing. The returned allocation is an exact
+    equilibrium (it passes ``ceei_verify`` with zero slack). Utilities and prices
+    are unique; where several allocations attain them, the one returned is the
+    Edmonds-Karp flow in agent/item index order on the equality graph of those
+    prices, so it does not depend on the float stage.
 
     >>> sol = solve_mnw(Instance.from_rows([[1, 2], [1, 3]]))
     >>> [[str(v) for v in row] for row in sol.allocation.matrix]
@@ -231,45 +161,23 @@ def solve_mnw(instance: Instance, tol: float = 1e-10) -> MnwSolution:
     """
     if instance.kind != GOODS:
         raise KindMismatchError("solve_mnw handles goods instances only")
-    if tol <= 0:
-        raise InputError("tol must be positive")
     n, m = instance.n, instance.m
     active = _active_agents(instance)
     if m == 0 or not active:
         empty = FractionalAllocation(tuple(tuple([ZERO] * m) for _ in range(n)))
         if m > 0:
             raise InputError("a goods instance with items needs at least one interested agent")
-        return MnwSolution(empty, (ZERO,) * n, (), 0.0, 0.0, 0.0, True)
+        return MnwSolution(empty, (ZERO,) * n, (), 0.0)
 
-    values = np.array([[float(instance.values[i][j]) for j in range(m)] for i in active])
-    target = max(min(tol, 1e-9), 1e-13)
-    x_float, float_res = _proportional_response(values, target)
-
-    exact_x: FractionalAllocation | None = None
-    for theta in REFINE_THRESHOLDS:
-        exact_x = _refine_exact(instance, active, x_float, theta)
-        if exact_x is not None:
-            break
-    if exact_x is not None:
-        slack = _exact_slack(instance, exact_x, active)
-        if slack != 0:  # pragma: no cover - feasibility implies the condition
-            raise SolveError("refined allocation failed exact equilibrium verification")
-        # a genuinely converged float matrix for reporting
-        refreshed = np.array(
-            [[float(exact_x.matrix[i][j]) for j in range(m)] for i in active]
-        )
-        float_res = min(float_res, _float_residual(values, refreshed))
-        x = exact_x
-        exact = True
-    else:
-        x = _snap(instance, active, x_float, max(tol, 1e-9))
-        slack = _exact_slack(instance, x, active)
-        allowed = Fraction(10**4) * Fraction(str(tol))
-        if slack > allowed:
-            raise SolveError(
-                f"snapped allocation misses the equilibrium condition by {float(slack):.3g}"
-            )
-        exact = slack == 0
+    rows = []
+    for i in active:
+        total = instance.total_value(i)
+        rows.append([Fraction(v) / total for v in instance.values[i]])
+    shares = _equilibrium_shares(rows)
+    matrix = [[ZERO] * m for _ in range(n)]
+    for a, i in enumerate(active):
+        matrix[i] = shares[a]
+    x = FractionalAllocation(tuple(tuple(row) for row in matrix))
 
     utilities = tuple(
         instance.utility(i, x.row(i)) if i in active else ZERO for i in range(n)
@@ -278,8 +186,9 @@ def solve_mnw(instance: Instance, tol: float = 1e-10) -> MnwSolution:
         max(Fraction(instance.values[h][g]) / utilities[h] for h in active)
         for g in range(m)
     )
-    log_nw = float(sum(math.log(utilities[i]) for i in active))
-    return MnwSolution(x, utilities, prices, log_nw, float(slack), float_res, exact)
+    # logs of the integer parts: a float of the utility itself may overflow
+    log_nw = sum(math.log(utilities[i].numerator) - math.log(utilities[i].denominator) for i in active)
+    return MnwSolution(x, utilities, prices, log_nw)
 
 
 def ceei_verify(

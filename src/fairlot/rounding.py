@@ -177,12 +177,12 @@ def prop1_lottery(instance: Instance, x: FractionalAllocation) -> Lottery:
     return implement_with_utility_guarantee(instance, x)
 
 
-def gf_lottery(instance: Instance, tol: float = 1e-10) -> Lottery:
+def gf_lottery(instance: Instance) -> Lottery:
     """Lottery whose marginal is a group fair (Nash-optimal) allocation and whose
     parts are each proportional up to one good, envy-free up to one good
     more-and-less, and fractionally Pareto optimal.
     """
-    solution = solve_mnw(instance, tol=tol)
+    solution = solve_mnw(instance)
     return implement_with_utility_guarantee(instance, solution.allocation)
 
 

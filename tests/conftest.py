@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from fairlot import lp
 from fairlot.core import FractionalAllocation, Instance, IntegralAllocation
+
+
+@pytest.fixture(autouse=True)
+def dual_certificates(monkeypatch):
+    # every optimal solve in the suite must also pass the strong-duality check
+    monkeypatch.setattr(lp, "VERIFY_OPTIMALITY", True)
 
 
 @pytest.fixture

