@@ -7,8 +7,7 @@ so ``0.6`` becomes 3/5, not the nearest binary float.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -68,19 +67,6 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational value: {value!r}") from exc
     raise InputError(f"not a rational value: {value!r}")
-
-
-def format_rational(q: Fraction) -> str:
-    """Render a rational as ``"p/q"`` (or ``"p"`` for integers); inverse of parse_rational."""
-    return str(q)
-
-
-def floor(q: Fraction) -> int:
-    return math.floor(q)
-
-
-def ceil(q: Fraction) -> int:
-    return math.ceil(q)
 
 
 def ordinal_preferences(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
@@ -361,7 +347,8 @@ class Lottery:
 #
 # Instance:   {"agents": n, "items": m, "values": [[int|decimal|"p/q", ...], ...]}
 # Allocation: {"matrix": [["p/q", ...], ...]}
-# Lottery:    {"support": [{"weight": "p/q", "bundles": [[item, ...], ...]}, ...]}
+# Lottery:    {"agents": n, "items": m,
+#              "support": [{"weight": "p/q", "bundles": [[item, ...], ...]}, ...]}
 # ---------------------------------------------------------------------------
 
 
@@ -403,7 +390,7 @@ def instance_to_json(instance: Instance) -> dict:
     return {
         "agents": instance.n,
         "items": instance.m,
-        "values": [[format_rational(v) for v in row] for row in instance.values],
+        "values": [[str(v) for v in row] for row in instance.values],
     }
 
 
@@ -422,19 +409,37 @@ def allocation_from_json(obj: object) -> FractionalAllocation:
 def allocation_to_json(alloc: FractionalAllocation | IntegralAllocation) -> dict:
     if isinstance(alloc, IntegralAllocation):
         alloc = alloc.to_fractional()
-    return {"matrix": [[format_rational(x) for x in row] for row in alloc.matrix]}
+    return {"matrix": [[str(x) for x in row] for row in alloc.matrix]}
+
+
+def _lottery_size(obj: dict, key: str, given: int | None) -> int | None:
+    """The lottery's stated agent or item count, checked against the caller's."""
+    if key not in obj:
+        return given
+    stated = obj[key]
+    if not isinstance(stated, int) or isinstance(stated, bool) or stated < 0:
+        raise InputError(f"lottery: {key!r} must be a nonnegative integer")
+    if given is not None and stated != given:
+        raise InputError(f"lottery: {key!r} is {stated}, expected {given}")
+    return stated
 
 
 def lottery_from_json(obj: object, n: int | None = None, m: int | None = None) -> Lottery:
+    """Load a lottery. Its shape comes from the ``agents``/``items`` fields when
+    present (they must agree with ``n``/``m`` when both are given), else from
+    ``n``/``m``, else from the bundles, which cannot show a trailing item that no
+    allocation assigns."""
     support = _require(obj, "support", "lottery")
     if not isinstance(support, list) or not support:
         raise InputError("lottery: 'support' must be a nonempty list")
+    n = _lottery_size(obj, "agents", n)
+    m = _lottery_size(obj, "items", m)
     raw: list[tuple[Fraction, list[list[int]]]] = []
     for entry in support:
         weight = parse_rational(_require(entry, "weight", "lottery entry"))
         bundles = _require(entry, "bundles", "lottery entry")
-        if not isinstance(bundles, list):
-            raise InputError("lottery entry: 'bundles' must be a list per agent")
+        if not isinstance(bundles, list) or not all(isinstance(b, list) for b in bundles):
+            raise InputError("lottery entry: 'bundles' must be a list of item lists, one per agent")
         raw.append((weight, bundles))
     if n is None:
         n = len(raw[0][1])
@@ -453,13 +458,15 @@ def lottery_from_json(obj: object, n: int | None = None, m: int | None = None) -
 
 def lottery_to_json(lottery: Lottery) -> dict:
     return {
+        "agents": lottery.n,
+        "items": lottery.m,
         "support": [
             {
-                "weight": format_rational(w),
+                "weight": str(w),
                 "bundles": [list(b) for b in alloc.bundles],
             }
             for w, alloc in lottery.support
-        ]
+        ],
     }
 
 

@@ -15,6 +15,7 @@ fractional cells plus one and guarantees termination.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -26,9 +27,8 @@ from .core import (
     InputError,
     Lottery,
     ONE,
+    SolveError,
     ZERO,
-    ceil,
-    floor,
 )
 from . import lp
 
@@ -119,13 +119,13 @@ def bvn_constraints(x: FractionalAllocation) -> Bihierarchy:
     column sum and cell within the floor/ceiling of its value in ``x``."""
     n, m = x.n, x.m
     h2 = [
-        (frozenset((i, j) for i in range(n)), floor(x.column_sum(j)), ceil(x.column_sum(j)))
+        (frozenset((i, j) for i in range(n)), math.floor(x.column_sum(j)), math.ceil(x.column_sum(j)))
         for j in range(m)
     ]
     h1: list[tuple[frozenset[Cell], int, int]] = []
     for i in range(n):
         row_sum = sum(x.matrix[i], ZERO)
-        h1.append((frozenset((i, j) for j in range(m)), floor(row_sum), ceil(row_sum)))
+        h1.append((frozenset((i, j) for j in range(m)), math.floor(row_sum), math.ceil(row_sum)))
         for j in range(m):
             h1.append((frozenset([(i, j)]), 0, 1))
     fam1, fam2 = _merge_candidates(h1, h2)
@@ -156,7 +156,7 @@ def prefix_constraints(
         for j in order[i]:
             run += x.matrix[i][j]
             prefix.append((i, j))
-            h1.append((frozenset(prefix), floor(run), ceil(run)))
+            h1.append((frozenset(prefix), math.floor(run), math.ceil(run)))
         for j in range(m):
             h1.append((frozenset([(i, j)]), 0, 1))
     h2 = [(frozenset((i, j) for i in range(n)), 1, 1) for j in range(m)]
@@ -422,26 +422,30 @@ def bvn_decompose(x: FractionalAllocation) -> Lottery:
     return bihierarchy_decompose(x, bvn_constraints(x))
 
 
+def caratheodory_weights(
+    columns: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    """Convex weights over ``columns`` with the same mix ``sum_t weights[t] * columns[t]``
+    and at most ``len(columns[0]) + 1`` nonzeros: a vertex of that system."""
+    k = len(columns)
+    rows = [
+        (coeffs, sum((w * c for w, c in zip(weights, coeffs)), ZERO))
+        for coeffs in zip(*columns)
+    ]
+    rows.append(([ONE] * k, ONE))
+    sol = lp.basic_feasible_point(rows, k)
+    if sol.status != lp.OPTIMAL:  # pragma: no cover - the current weights are feasible
+        raise SolveError("support reduction system unexpectedly infeasible")
+    return sol.values
+
+
 def reduce_support(lottery: Lottery) -> Lottery:
     """Shrink a lottery's support to at most n*m + 1 allocations, keeping the
     marginal exactly equal, using only allocations already in the support."""
-    k = len(lottery.support)
-    if k <= 1:
+    if len(lottery.support) <= 1:
         return lottery
-    n, m = lottery.n, lottery.m
-    marg = lottery.marginal
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    for i in range(n):
-        for j in range(m):
-            coeffs = [Fraction(alloc.matrix[i][j]) for _, alloc in lottery.support]
-            rows.append((coeffs, marg.matrix[i][j]))
-    rows.append(([ONE] * k, ONE))
-    sol = lp.basic_feasible_point(rows, k)
-    if sol.status != lp.OPTIMAL:  # pragma: no cover - current weights are feasible
-        raise InputError("support reduction system unexpectedly infeasible")
-    entries = [
-        (sol.values[t], lottery.support[t][1])
-        for t in range(k)
-        if sol.values[t] > 0
-    ]
-    return Lottery(tuple(entries))
+    columns = [[v for row in alloc.matrix for v in row] for _, alloc in lottery.support]
+    weights = caratheodory_weights(columns, [w for w, _ in lottery.support])
+    return Lottery(
+        tuple((w, alloc) for w, (_, alloc) in zip(weights, lottery.support) if w > 0)
+    )

@@ -8,6 +8,7 @@ never in discretized steps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,7 +18,6 @@ from .core import (
     Instance,
     InputError,
     ZERO,
-    ceil,
     parse_rational,
 )
 
@@ -132,5 +132,5 @@ def eat_full(
         else [Fraction(1)] * instance.m
     )
     total = sum(avail, ZERO)
-    duration = Fraction(ceil(total / instance.n))
+    duration = Fraction(math.ceil(total / instance.n))
     return eat(instance, avail, duration, prefs=prefs)

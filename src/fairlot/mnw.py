@@ -38,7 +38,6 @@ from .core import (
     SolveError,
     ZERO,
     ZeroUtilityError,
-    format_rational,
 )
 from .decomp import _MaxFlow
 from .properties import PropertyVerdict
@@ -239,8 +238,8 @@ def ceei_verify(
                             "holder": i,
                             "rival": h,
                             "item": g,
-                            "holder_rate": format_rational(mine),
-                            "rival_rate": format_rational(other),
+                            "holder_rate": str(mine),
+                            "rival_rate": str(other),
                         },
                     )
     return PropertyVerdict(label, True)

@@ -18,7 +18,6 @@ from .core import (
     IntegralAllocation,
     KindMismatchError,
     Lottery,
-    format_rational,
     ordinal_preferences,
 )
 from .decomp import bihierarchy_decompose, prefix_constraints
@@ -93,8 +92,8 @@ def check_utility_guarantee(
                 {
                     "agent": i,
                     "case": "deficit" if have < want else "surplus",
-                    "value": format_rational(have),
-                    "target": format_rational(want),
+                    "value": str(have),
+                    "target": str(want),
                 },
             )
     return PropertyVerdict("utility_guarantee", True)

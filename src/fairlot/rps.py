@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import lp
 from .core import (
     BADS,
     GOODS,
@@ -38,11 +37,10 @@ from .core import (
     Lottery,
     ONE,
     SizeLimitError,
-    SolveError,
     ZERO,
     ordinal_preferences,
 )
-from .decomp import bvn_decompose
+from .decomp import bvn_decompose, caratheodory_weights
 from .eating import EatingState
 
 FULL_DISTRIBUTION = "full_distribution"
@@ -183,26 +181,13 @@ class _StageEngine:
         )
 
     def _trim(self, branches: dict[Matrix, Fraction]) -> dict[Matrix, Fraction]:
-        keys = list(branches.keys())
-        contributions = []
+        keys = list(branches)
+        columns = []
         for mat in keys:
             sub = self.marginal(self._unassigned(mat))
-            contributions.append(
-                [Fraction(mat[i][j]) + sub[i][j] for i in range(self.n) for j in range(self.m)]
-            )
-        weights = [branches[mat] for mat in keys]
-        rows = []
-        for cell in range(self.n * self.m):
-            coeffs = [contributions[b][cell] for b in range(len(keys))]
-            target = sum((weights[b] * coeffs[b] for b in range(len(keys))), ZERO)
-            rows.append((coeffs, target))
-        rows.append(([ONE] * len(keys), ONE))
-        sol = lp.basic_feasible_point(rows, len(keys))
-        if sol.status != lp.OPTIMAL:  # pragma: no cover - current weights are feasible
-            raise SolveError("branch trim system unexpectedly infeasible")
-        return {
-            keys[b]: sol.values[b] for b in range(len(keys)) if sol.values[b] > 0
-        }
+            columns.append([mat[i][j] + sub[i][j] for i in range(self.n) for j in range(self.m)])
+        weights = caratheodory_weights(columns, [branches[mat] for mat in keys])
+        return {mat: w for mat, w in zip(keys, weights) if w > 0}
 
     def sample_walk(
         self, rng: random.Random

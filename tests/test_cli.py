@@ -325,6 +325,39 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_gf_past_agent_limit_exits_three(self, capsys, files):
+        seven = {"agents": 7, "items": 7, "values": [[1] * 7 for _ in range(7)]}
+        identity = {"matrix": [[str(int(i == j)) for j in range(7)] for i in range(7)]}
+        code, out, err = run(
+            capsys,
+            "check",
+            files("seven.json", seven),
+            "--alloc",
+            files("x.json", identity),
+            "--ex-ante",
+            "gf",
+        )
+        assert code == 3
+        assert out == ""
+        assert "group fairness" in err
+
+    def test_lottery_items_must_match_instance(self, capsys, files):
+        lottery = {"agents": 2, "items": 3, "support": [{"weight": "1", "bundles": [[0], [1]]}]}
+        code, out, err = run(
+            capsys, "check", files("tilt2.json", TILT2), "--lottery", files("lot.json", lottery), "--ex-post", "ef1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "'items' is 3, expected 2" in err
+
+    def test_non_list_bundles_are_input_errors(self, capsys, files):
+        lottery = files("lot.json", {"support": [{"weight": "1", "bundles": [5, 6]}]})
+        for argv in (("sample", lottery), ("check", files("tilt2.json", TILT2), "--lottery", lottery, "--ex-post", "ef1")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "bundles" in err
+
     def test_unknown_property(self, capsys, files):
         code, _, err = run(
             capsys,
@@ -400,6 +433,32 @@ class TestSampleAndPipes:
         )
         assert code == 0
         assert len(json.loads(out)["support"]) == 2
+
+    def test_sample_keeps_never_assigned_last_item(self, capsys, files, tmp_path):
+        # item 1 goes to nobody, so only the lottery's "items" field knows it exists
+        lot_path = tmp_path / "lot.json"
+        code, _, _ = run(
+            capsys,
+            "decompose",
+            files("x.json", {"matrix": [["1", "0"], ["0", "0"]]}),
+            "--instance",
+            files("tilt2.json", TILT2),
+            "--bvn",
+            "-o",
+            str(lot_path),
+        )
+        assert code == 0
+        lottery = json.loads(lot_path.read_text())
+        assert (lottery["agents"], lottery["items"]) == (2, 2)
+        code, out, _ = run(capsys, "sample", str(lot_path), "--seed", "3")
+        assert code == 0
+        assert json.loads(out)["matrix"] == [["1", "0"], ["0", "0"]]
+
+    def test_sample_reads_shape_fields(self, capsys, files):
+        lottery = {"agents": 2, "items": 2, "support": [{"weight": "1", "bundles": [[0], []]}]}
+        code, out, _ = run(capsys, "sample", files("lot.json", lottery))
+        assert code == 0
+        assert json.loads(out)["matrix"] == [["1", "0"], ["0", "0"]]
 
     def test_rule_output_feeds_sample(self, capsys, files, tmp_path):
         lot_path = tmp_path / "lot.json"

@@ -16,9 +16,6 @@ from fairlot.core import (
     Lottery,
     allocation_from_json,
     allocation_to_json,
-    ceil,
-    floor,
-    format_rational,
     instance_from_json,
     instance_to_json,
     lottery_from_json,
@@ -52,14 +49,7 @@ class TestRationals:
 
     def test_format_round_trip(self):
         for q in (Fraction(0), Fraction(7, 12), Fraction(-3, 4), Fraction(5)):
-            assert parse_rational(format_rational(q)) == q
-
-    def test_floor_ceil(self):
-        assert floor(Fraction(7, 5)) == 1
-        assert ceil(Fraction(7, 5)) == 2
-        assert floor(Fraction(2)) == ceil(Fraction(2)) == 2
-        assert floor(Fraction(-1, 2)) == -1
-        assert ceil(Fraction(-1, 2)) == 0
+            assert parse_rational(str(q)) == q
 
 
 class TestInstance:
@@ -208,6 +198,30 @@ class TestJson:
         lot = Lottery(((Fraction(2, 5), parts[0]), (Fraction(3, 5), parts[1])))
         again = lottery_from_json(lottery_to_json(lot), n=swap4.n, m=swap4.m)
         assert again == lot
+
+    def test_lottery_keeps_a_never_assigned_last_item(self):
+        lot = Lottery.single(IntegralAllocation.from_bundles(2, 3, [(0,), (1,)]))
+        obj = lottery_to_json(lot)
+        assert (obj["agents"], obj["items"]) == (2, 3)
+        assert lottery_from_json(obj) == lot
+        # files without the shape fields still load, sized from the bundles
+        del obj["agents"], obj["items"]
+        assert lottery_from_json(obj).m == 2
+        assert lottery_from_json(obj, n=2, m=3) == lot
+
+    def test_lottery_shape_must_match_caller(self):
+        obj = lottery_to_json(Lottery.single(IntegralAllocation.from_bundles(2, 3, [(0,), (1,)])))
+        for n, m in ((3, 3), (2, 2)):
+            with pytest.raises(InputError):
+                lottery_from_json(obj, n=n, m=m)
+        for bad in (-1, True, "3"):
+            with pytest.raises(InputError):
+                lottery_from_json({**obj, "items": bad})
+
+    def test_lottery_bundles_must_be_lists(self):
+        for bundles in ([5, 6], [[0], 1], [[0], None]):
+            with pytest.raises(InputError):
+                lottery_from_json({"support": [{"weight": "1", "bundles": bundles}]})
 
     def test_missing_field_reported(self):
         with pytest.raises(InputError):

@@ -7,16 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from fairlot.core import SolveError
+from fairlot.core import InputError, SolveError
 from fairlot.lp import (
-    EQ,
-    GE,
     INFEASIBLE,
-    LE,
     OPTIMAL,
     UNBOUNDED,
-    Constraint,
-    LinearProgram,
+    _certify_standard,
     basic_feasible_point,
     solve,
 )
@@ -27,82 +23,59 @@ def F(x):  # noqa: N802 - tiny test-local shorthand
 
 
 class TestSolve:
+    # a <= row is passed as its negation, -a.x >= -b
     def test_single_variable(self):
-        sol = solve(LinearProgram((F(1),), constraints=(Constraint((F(1),), LE, F(5)),)))
+        sol = solve((F(1),), at_least=[((F(-1),), F(-5))])
         assert sol.status == OPTIMAL
         assert sol.values == (F(5),)
         assert sol.objective_value == F(5)
 
     def test_basic_solution_has_one_nonzero(self):
-        sol = solve(
-            LinearProgram(
-                (F(1), F(1)),
-                constraints=(Constraint((F(1), F(1)), LE, F(1)),),
-            )
-        )
+        sol = solve((F(1), F(1)), at_least=[((F(-1), F(-1)), F(-1))])
         assert sol.status == OPTIMAL
         assert sol.objective_value == F(1)
         assert sum(1 for v in sol.values if v != 0) == 1
 
     def test_min_sense(self):
+        # min 2x+3y s.t. x+y >= 4, x >= 1 is max -2x-3y
         sol = solve(
-            LinearProgram(
-                (F(2), F(3)),
-                sense="min",
-                constraints=(
-                    Constraint((F(1), F(1)), GE, F(4)),
-                    Constraint((F(1), F(0)), GE, F(1)),
-                ),
-            )
+            (F(-2), F(-3)),
+            at_least=[((F(1), F(1)), F(4)), ((F(1), F(0)), F(1))],
         )
         assert sol.status == OPTIMAL
-        assert sol.objective_value == F(8)  # x covers the whole demand: (4, 0)
+        assert sol.objective_value == F(-8)  # x covers the whole demand: (4, 0)
         assert sol.values == (F(4), F(0))
 
     def test_equality_constraints(self):
-        sol = solve(
-            LinearProgram(
-                (F(1), F(2)),
-                constraints=(Constraint((F(1), F(1)), EQ, F(1)),),
-            )
-        )
+        sol = solve((F(1), F(2)), equalities=[((F(1), F(1)), F(1))])
         assert sol.status == OPTIMAL
         assert sol.values == (F(0), F(1))
 
     def test_infeasible(self):
-        sol = solve(
-            LinearProgram(
-                (F(1),),
-                constraints=(
-                    Constraint((F(1),), GE, F(3)),
-                    Constraint((F(1),), LE, F(2)),
-                ),
-            )
-        )
+        sol = solve((F(1),), at_least=[((F(1),), F(3)), ((F(-1),), F(-2))])
         assert sol.status == INFEASIBLE
+        assert sol.values == () and sol.objective_value is None
 
     def test_unbounded(self):
-        sol = solve(LinearProgram((F(1),), constraints=()))
+        sol = solve((F(1),))
         assert sol.status == UNBOUNDED
 
     def test_negative_lower_bounds(self):
+        # min x s.t. x >= -7, x >= -10: the free x is split as p - q with
+        # p, q >= 0 and the min is taken as max -(p - q)
         sol = solve(
-            LinearProgram(
-                (F(1),),
-                sense="min",
-                constraints=(Constraint((F(1),), GE, F(-7)),),
-                lower=(F(-10),),
-            )
+            (F(-1), F(1)),
+            at_least=[((F(1), F(-1)), F(-7)), ((F(1), F(-1)), F(-10))],
         )
         assert sol.status == OPTIMAL
-        assert sol.objective_value == F(-7)
+        assert -sol.objective_value == F(-7)
+        assert sol.values[0] - sol.values[1] == F(-7)
 
     def test_upper_bounds(self):
+        # x <= 1/3, y <= 1/4 written as -x >= -1/3, -y >= -1/4
         sol = solve(
-            LinearProgram(
-                (F(1), F(1)),
-                upper=(F("1/3"), F("1/4")),
-            )
+            (F(1), F(1)),
+            at_least=[((F(-1), F(0)), F("-1/3")), ((F(0), F(-1)), F("-1/4"))],
         )
         assert sol.status == OPTIMAL
         assert sol.objective_value == F("7/12")
@@ -110,39 +83,57 @@ class TestSolve:
     def test_exact_fractional_optimum(self):
         # max 3x+5y s.t. x+2y <= 7/3, 3x+y <= 2
         sol = solve(
-            LinearProgram(
-                (F(3), F(5)),
-                constraints=(
-                    Constraint((F(1), F(2)), LE, F("7/3")),
-                    Constraint((F(3), F(1)), LE, F(2)),
-                ),
-            )
+            (F(3), F(5)),
+            at_least=[((F(-1), F(-2)), F("-7/3")), ((F(-3), F(-1)), F(-2))],
         )
         assert sol.status == OPTIMAL
         assert sol.values == (F("1/3"), F(1))
         assert sol.objective_value == F(6)
 
-    def test_beale_cycling_fixture_terminates(self):
-        # degenerate pivot-cycling instance; Bland's rule must exit at -1/20
+    def test_negative_rhs_and_redundant_equality(self):
+        # the repeated equality is dropped in phase one and the x - y >= -1 row
+        # is sign-flipped; the dual certificate checks the remaining system
         sol = solve(
-            LinearProgram(
-                (F("-3/4"), F(150), F("-1/50"), F(6)),
-                sense="min",
-                constraints=(
-                    Constraint((F("1/4"), F(-60), F("-1/25"), F(9)), LE, F(0)),
-                    Constraint((F("1/2"), F(-90), F("-1/50"), F(3)), LE, F(0)),
-                    Constraint((F(0), F(0), F(1), F(0)), LE, F(1)),
-                ),
-            )
+            (F(1), F(2)),
+            equalities=[((F(1), F(1)), F(2)), ((F(1), F(1)), F(2))],
+            at_least=[((F(1), F(-1)), F(-1))],
         )
         assert sol.status == OPTIMAL
-        assert sol.objective_value == F("-1/20")
+        assert sol.values == (F("1/2"), F("3/2"))
+        assert sol.objective_value == F("7/2")
+
+    def test_integer_and_string_entries_parse(self):
+        sol = solve([1, "1/2"], at_least=[([-1, -1], -3), ([0, -1], "-1/2")])
+        assert sol.status == OPTIMAL
+        assert sol.values == (F(3), F(0))
+
+    def test_beale_cycling_fixture_terminates(self):
+        # degenerate pivot-cycling instance (a min with <= rows, negated);
+        # Bland's rule must exit at 1/20
+        sol = solve(
+            (F("3/4"), F(-150), F("1/50"), F(-6)),
+            at_least=[
+                ((F("-1/4"), F(60), F("1/25"), F(-9)), F(0)),
+                ((F("-1/2"), F(90), F("1/50"), F(-3)), F(0)),
+                ((F(0), F(0), F(-1), F(0)), F(-1)),
+            ],
+        )
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == F("1/20")
 
     def test_width_mismatch_rejected(self):
-        from fairlot.core import InputError
-
         with pytest.raises(InputError):
-            LinearProgram((F(1),), constraints=(Constraint((F(1), F(2)), LE, F(1)),))
+            solve((F(1),), at_least=[((F(1), F(2)), F(1))])
+        with pytest.raises(InputError):
+            solve((F(1),), equalities=[((F(1), F(2)), F(1))])
+        with pytest.raises(InputError):
+            basic_feasible_point([((F(1), F(2)), F(1))], 1)
+
+    def test_certificate_rejects_suboptimal_basis(self):
+        # min x + 2y s.t. x + y = 1: the basis {y} is feasible but not optimal
+        with pytest.raises(SolveError):
+            _certify_standard([[F(1), F(1)]], [F(1)], [F(1), F(2)], [1], [F(0), F(1)])
+        _certify_standard([[F(1), F(1)]], [F(1)], [F(1), F(2)], [0], [F(1), F(0)])
 
     def test_random_lps_agree_with_vertex_enumeration(self):
         # 2-var LPs with small integer data: compare against brute-force over
@@ -160,12 +151,9 @@ class TestSolve:
                 )
             obj = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
             cap = Fraction(5)
-            program = LinearProgram(
-                obj,
-                constraints=tuple(Constraint((a, b), LE, c) for a, b, c in rows),
-                upper=(cap, cap),
-            )
-            sol = solve(program)
+            at_least = [((-a, -b), -c) for a, b, c in rows]
+            at_least += [((F(-1), F(0)), -cap), ((F(0), F(-1)), -cap)]
+            sol = solve(obj, at_least=at_least)
             assert sol.status == OPTIMAL  # box-bounded and 0 feasible
             lines = [(a, b, c) for a, b, c in rows]
             lines += [(Fraction(1), Fraction(0), cap), (Fraction(0), Fraction(1), cap)]
@@ -240,13 +228,6 @@ class TestBasicFeasiblePoint:
         weights = [w for w, _ in shift4_certificate]
         for coeffs, b in eqs:
             assert sum(c * w for c, w in zip(coeffs, weights)) == b
-
-
-def test_constraint_relation_validated():
-    from fairlot.core import InputError
-
-    with pytest.raises(InputError):
-        Constraint((Fraction(1),), "<", Fraction(1))
 
 
 def test_solve_error_is_catchable_fairlot_error():

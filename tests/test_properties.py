@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairlot import lp
 from fairlot.core import (
     FractionalAllocation,
     InputError,
@@ -213,6 +214,18 @@ class TestGroupFairness:
     def test_for_less_passes_where_full_fails(self, weak3):
         x = mnw_v(weak3)
         assert check_gf(weak3, x, restrict="s_le_t").holds
+
+    def test_seven_agents_hit_the_limit_before_any_lp(self, monkeypatch):
+        # the sweep solves (2^n - 1)^2 exact LPs, 16,129 at 7 agents
+        def no_lp(*args):
+            raise AssertionError("check_gf solved an LP before checking its agent limit")
+
+        monkeypatch.setattr(lp, "solve", no_lp)
+        inst = Instance.from_rows([[1] * 7 for _ in range(7)])
+        x = FractionalAllocation.from_rows([[int(i == j) for j in range(7)] for i in range(7)])
+        for restrict in ("full", "s_le_t"):
+            with pytest.raises(SizeLimitError):
+                check_gf(inst, x, restrict=restrict)
 
     def test_input_validation(self, tilt2):
         x = FractionalAllocation.from_rows([["1", "1/4"], ["0", "3/4"]])

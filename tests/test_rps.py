@@ -34,6 +34,20 @@ F = Fraction
 
 # full-mode support is 30 here, above the 3*7+1 cap, so poly mode must trim
 TRIM_ROWS = [[2, 6, 5, 6, 3, 0, 0], [3, 6, 3, 1, 6, 5, 2], [1, 1, 4, 6, 2, 0, 1]]
+# its poly-mode lottery (weight, bundles), in canonical order; the trim's vertex
+# depends on the row order and pivot rule, so this pins both
+TRIM_POLY_SUPPORT = (
+    (F(1, 12), ((2, 5, 6), (1, 4), (0, 3))),
+    (F(1, 9), ((2, 4), (1, 5, 6), (0, 3))),
+    (F(1, 18), ((2, 4, 6), (1, 5), (0, 3))),
+    (F(1, 18), ((1, 2), (4, 5), (0, 3, 6))),
+    (F(7, 36), ((1, 2), (4, 5, 6), (0, 3))),
+    (F(1, 36), ((0, 3), (1, 4), (2, 5, 6))),
+    (F(1, 36), ((0, 3), (1, 4, 5), (2, 6))),
+    (F(1, 6), ((0, 3, 6), (1, 5), (2, 4))),
+    (F(1, 36), ((0, 3, 5), (1, 4), (2, 6))),
+    (F(1, 4), ((0, 1), (4, 5), (2, 3, 6))),
+)
 
 
 class TestGoods:
@@ -57,6 +71,7 @@ class TestGoods:
         assert poly.marginal == full.marginal
         full_keys = {part.matrix for _, part in full.support}
         assert {part.matrix for _, part in poly.support} <= full_keys
+        assert tuple((w, part.bundles) for w, part in poly.support) == TRIM_POLY_SUPPORT
 
     def test_sample_deterministic_and_in_support(self, swap4):
         first = rps(swap4, RpsConfig(mode=SAMPLE, seed=5))
