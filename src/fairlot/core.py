@@ -371,7 +371,7 @@ def instance_from_json(obj: object) -> Instance:
     agents = _require(obj, "agents", "instance")
     items = _require(obj, "items", "instance")
     values = _require(obj, "values", "instance")
-    if not isinstance(agents, int) or not isinstance(items, int):
+    if any(not isinstance(k, int) or isinstance(k, bool) for k in (agents, items)):
         raise InputError("instance: 'agents' and 'items' must be integers")
     if not isinstance(values, list) or len(values) != agents:
         raise InputError(

@@ -8,17 +8,18 @@ combination constructively.
 The engine repeatedly peels off an integral vertex of the quota polytope restricted
 to the minimal face containing the current matrix (tight constraints stay tight),
 shifting as much weight onto it as feasibility allows. Vertices are found by an
-integer circulation over the two laminar forests, so the hot loop is pure integer
-arithmetic; exact rationals appear only in the weight updates. Each extraction
-makes at least one new constraint tight, which bounds the support by the number of
-fractional cells plus one and guarantees termination.
+integer circulation over the two laminar forests. The residual is kept as integers
+over one common denominator (rescaled when a step needs a finer one), so the whole
+loop is integer arithmetic; Fractions appear only in the output weights. Each
+extraction makes at least one new constraint tight, which bounds the support by the
+number of fractional cells plus one and guarantees termination.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     FractionalAllocation,
@@ -53,18 +54,36 @@ class ConstraintSet:
             raise InputError(f"quota lower bound {self.lower} exceeds upper bound {self.upper}")
 
 
+def _forest(
+    sets: Sequence[frozenset[Cell]],
+) -> tuple[list[int | None], dict[Cell, int]] | None:
+    """The laminar forest of distinct ``sets``: each set's parent (its smallest strict
+    superset, else None) and each cell's innermost set, as indices into ``sets``.
+
+    Sets are claimed largest first, so a set is laminar with every larger one iff
+    all its cells have the same innermost earlier set (or none). Returns None when
+    the family is not laminar.
+    """
+    parent: list[int | None] = [None] * len(sets)
+    owner: dict[Cell, int] = {}
+    for k in sorted(range(len(sets)), key=lambda k: -len(sets[k])):
+        holders = {owner.get(cell) for cell in sets[k]}
+        if len(holders) > 1:
+            return None
+        (parent[k],) = holders
+        for cell in sets[k]:
+            owner[cell] = k
+    return parent, owner
+
+
 def _check_laminar(family: Sequence[ConstraintSet], name: str) -> None:
     seen: set[frozenset[Cell]] = set()
     for cs in family:
         if cs.cells in seen:
             raise InputError(f"{name} contains duplicate constraint sets")
         seen.add(cs.cells)
-    sets = [cs.cells for cs in family]
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            inter = sets[a] & sets[b]
-            if inter and inter != sets[a] and inter != sets[b]:
-                raise InputError(f"{name} is not laminar")
+    if _forest([cs.cells for cs in family]) is None:
+        raise InputError(f"{name} is not laminar")
 
 
 @dataclass(frozen=True)
@@ -220,15 +239,19 @@ class _MaxFlow:
 def _feasible_circulation(
     nodes: int, arcs: list[tuple[int, int, int, int]]
 ) -> list[int] | None:
-    """Integer flows for arcs (u, v, lower, upper) with conservation everywhere."""
+    """Integer flows for arcs (u, v, lower, upper) with conservation everywhere.
+
+    A fixed arc (lower == upper) carries no slack flow and gets no max-flow edge:
+    Edmonds-Karp never traverses a zero-capacity edge, so no augmenting path changes.
+    """
     excess = [0] * nodes
     flow = _MaxFlow(nodes + 2)
     src, snk = nodes, nodes + 1
-    ids: list[int] = []
+    ids: list[int | None] = []
     for u, v, lo, hi in arcs:
         if lo > hi:
             return None
-        ids.append(flow.add(u, v, hi - lo))
+        ids.append(flow.add(u, v, hi - lo) if hi > lo else None)
         excess[v] += lo
         excess[u] -= lo
     need = 0
@@ -240,33 +263,14 @@ def _feasible_circulation(
             flow.add(w, snk, -excess[w])
     if flow.solve(src, snk) != need:
         return None
-    return [arcs[k][2] + (flow.cap[ids[k] ^ 1]) for k in range(len(arcs))]
+    return [
+        arc[2] if eid is None else arc[2] + flow.cap[eid ^ 1] for arc, eid in zip(arcs, ids)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # The extraction engine.
 # ---------------------------------------------------------------------------
-
-
-def _innermost_map(
-    sets: list[tuple[int, frozenset[Cell]]], cells: Iterable[Cell]
-) -> dict[Cell, int]:
-    """Map each cell to its smallest containing set node (laminar families)."""
-    owner: dict[Cell, int] = {}
-    for node, members in sorted(sets, key=lambda s: -len(s[1])):
-        for cell in members:
-            owner[cell] = node
-    return {c: owner[c] for c in cells if c in owner}
-
-
-def _quota_violation(
-    x: list[list[Fraction]], sets: Sequence[ConstraintSet]
-) -> ConstraintSet | None:
-    for cs in sets:
-        total = sum((x[i][j] for i, j in cs.cells), ZERO)
-        if total < cs.lower or total > cs.upper:
-            return cs
-    return None
 
 
 def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lottery:
@@ -281,127 +285,95 @@ def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lo
         for i, j in cs.cells:
             if not (0 <= i < n and 0 <= j < m):
                 raise InputError(f"constraint cell {(i, j)} outside the matrix")
-    work = [list(row) for row in x.matrix]
-    bad = _quota_violation(work, hierarchy.all_sets())
-    if bad is not None:
-        raise InputError(
-            f"allocation violates quota [{bad.lower}, {bad.upper}] on {sorted(bad.cells)}"
-        )
+    # Integer residual over one common denominator: r / den is the part of x not
+    # yet assigned and c / den its weight, so the normalised residual is r / c.
+    den = math.lcm(*(v.denominator for row in x.matrix for v in row))
+    r = [[v.numerator * (den // v.denominator) for v in row] for row in x.matrix]
+    c = den
+    for cs in hierarchy.all_sets():
+        total = sum(r[i][j] for i, j in cs.cells)
+        if total < cs.lower * c or total > cs.upper * c:
+            raise InputError(
+                f"allocation violates quota [{cs.lower}, {cs.upper}] on {sorted(cs.cells)}"
+            )
 
-    # Singleton sets become per-cell bounds; larger sets become forest arcs.
-    cell_lo = {(i, j): 0 for i in range(n) for j in range(m)}
-    cell_hi = {(i, j): 1 for i in range(n) for j in range(m)}
-    families: list[list[tuple[int, frozenset[Cell]]]] = [[], []]
-    set_bounds: dict[int, tuple[int, int]] = {}
-    node_count = 2  # 0 and 1 are the virtual roots of the two forests
+    # Once the quotas hold, a singleton set only restates the [0, 1] bounds of its
+    # cell; larger sets become arcs of two forests whose roots are nodes 0 and 1.
+    inner: list[dict[Cell, int]] = []
+    sets: list[tuple[int, int, ConstraintSet]] = []
+    node_count = 2
     for side, fam in ((0, hierarchy.h1), (1, hierarchy.h2)):
-        for cs in fam:
-            if len(cs.cells) == 1:
-                (cell,) = cs.cells
-                cell_lo[cell] = max(cell_lo[cell], cs.lower)
-                cell_hi[cell] = min(cell_hi[cell], cs.upper)
-            else:
-                families[side].append((node_count, cs.cells))
-                set_bounds[node_count] = (cs.lower, cs.upper)
-                node_count += 1
+        big = [cs for cs in fam if len(cs.cells) > 1]
+        parent, owner = _forest([cs.cells for cs in big])  # type: ignore[misc]
+        inner.append({cell: node_count + k for cell, k in owner.items()})
+        for k, cs in enumerate(big):
+            up = side if parent[k] is None else node_count + parent[k]
+            sets.append((up, node_count + k, cs) if side == 0 else (node_count + k, up, cs))
+        node_count += len(big)
     all_cells = [(i, j) for i in range(n) for j in range(m)]
-    inner1 = _innermost_map(families[0], all_cells)
-    inner2 = _innermost_map(families[1], all_cells)
-    # Parent arcs within each forest (to the smallest strict superset, else the root).
-    parent: dict[int, int] = {}
-    for side, fam in enumerate(families):
-        for node, members in fam:
-            best: tuple[int, frozenset[Cell]] | None = None
-            for other, omembers in fam:
-                if other != node and members < omembers:
-                    if best is None or len(omembers) < len(best[1]):
-                        best = (other, omembers)
-            parent[node] = best[0] if best else side
+    cell_ends = [(inner[0].get(cell, 0), inner[1].get(cell, 1)) for cell in all_cells]
 
     support: list[tuple[Fraction, IntegralAllocation]] = []
-    carried = ONE
-    max_iters = n * m + len(set_bounds) + 2
-    for _ in range(max_iters):
-        fractional = [(i, j) for i, j in all_cells if work[i][j] != 0 and work[i][j] != 1]
+    # Parts share equal row tuples: a dense lottery has far fewer distinct rows
+    # than parts, so it holds about support * n pointers, not support * n * m ints.
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for _ in range(n * m + len(sets) + 2):
+        fractional = [(i, j) for i, j in all_cells if r[i][j] % c]
         if not fractional:
-            support.append(
-                (carried, IntegralAllocation(tuple(tuple(int(v) for v in row) for row in work)))
-            )
+            part = tuple(tuple(v // c for v in row) for row in r)
+            support.append((Fraction(c, den), IntegralAllocation(part)))
             break
 
         # Minimal-face bounds: anything tight at the current matrix stays tight.
         arcs: list[tuple[int, int, int, int]] = []
-        arc_info: list[tuple[str, object]] = []
-        for cell in all_cells:
-            xv = work[cell[0]][cell[1]]
-            if xv.denominator == 1:
-                lo = hi = int(xv)
+        for (i, j), (u, v) in zip(all_cells, cell_ends):
+            q = r[i][j]
+            arcs.append((u, v, 0, 1) if q % c else (u, v, q // c, q // c))
+        sigmas = []
+        for u, v, cs in sets:
+            sigma = sum(r[i][j] for i, j in cs.cells)
+            sigmas.append(sigma)
+            if sigma == cs.lower * c or sigma == cs.upper * c:
+                arcs.append((u, v, sigma // c, sigma // c))
             else:
-                lo, hi = cell_lo[cell], cell_hi[cell]
-            u = inner1.get(cell, 0)
-            v = inner2.get(cell, 1)
-            arcs.append((u, v, lo, hi))
-            arc_info.append(("cell", cell))
-        for side, fam in enumerate(families):
-            for node, members in fam:
-                sigma = sum((work[i][j] for i, j in members), ZERO)
-                lo, hi = set_bounds[node]
-                if sigma == lo:
-                    lo = hi = int(sigma)
-                elif sigma == hi:
-                    lo = hi = int(sigma)
-                pnode = parent[node]
-                if side == 0:
-                    arcs.append((pnode, node, lo, hi))
-                else:
-                    arcs.append((node, pnode, lo, hi))
-                arc_info.append(("set", node))
+                arcs.append((u, v, cs.lower, cs.upper))
         arcs.append((1, 0, 0, m + 1))
-        arc_info.append(("root", None))
 
         flows = _feasible_circulation(node_count, arcs)
         if flows is None:
             raise InputError("constraint families do not form a decomposable bihierarchy")
-        part = [[0] * m for _ in range(n)]
-        for k, (kind, key) in enumerate(arc_info):
-            if kind == "cell":
-                i, j = key  # type: ignore[misc]
-                part[i][j] = flows[k]
+        part = [flows[i * m : (i + 1) * m] for i in range(n)]
 
-        # Largest weight that keeps (x - w*part) / (1 - w) inside all quotas.
-        w: Fraction | None = None
-
-        def tighten(q: Fraction, a: int, lo: int, hi: int) -> None:
-            nonlocal w
-            if a > lo:
-                bound = (q - lo) / (a - lo)
-                if w is None or bound < w:
-                    w = bound
-            if a < hi:
-                bound = (hi - q) / (hi - a)
-                if w is None or bound < w:
-                    w = bound
-
-        for cell in all_cells:
-            xv = work[cell[0]][cell[1]]
-            if xv.denominator != 1:
-                tighten(xv, part[cell[0]][cell[1]], cell_lo[cell], cell_hi[cell])
-        for node, members in ((nd, mb) for fam in families for nd, mb in fam):
-            sigma = sum((work[i][j] for i, j in members), ZERO)
-            lo, hi = set_bounds[node]
-            if sigma != lo and sigma != hi:
-                a = sum(part[i][j] for i, j in members)
-                tighten(sigma, a, lo, hi)
-        if w is None or w <= 0 or w >= 1:  # pragma: no cover - guards the face logic
+        # Largest step s = num / dnm (weight s / den) that keeps (r - s*part) / (c - s)
+        # inside all quotas, compared by cross-multiplication. Fractional cells have
+        # bounds [0, 1] and part values 0 or 1, so only a set's quota gap can make s
+        # non-integral; then r, c and den are rescaled by its reduced denominator.
+        num = min(r[i][j] if part[i][j] else c - r[i][j] for i, j in fractional)
+        dnm = 1
+        for (_, _, cs), sigma in zip(sets, sigmas):
+            lo, hi = cs.lower, cs.upper
+            if sigma == lo * c or sigma == hi * c:
+                continue
+            a = sum(part[i][j] for i, j in cs.cells)
+            if a > lo and (sigma - lo * c) * dnm < num * (a - lo):
+                num, dnm = sigma - lo * c, a - lo
+            if a < hi and (hi * c - sigma) * dnm < num * (hi - a):
+                num, dnm = hi * c - sigma, hi - a
+        if num <= 0 or num >= c * dnm:  # pragma: no cover - guards the face logic
             raise InputError("decomposition failed to make progress")
+        g = math.gcd(num, dnm)
+        step, scale = num // g, dnm // g
+        if scale > 1:
+            r = [[v * scale for v in row] for row in r]
+            c *= scale
+            den *= scale
 
-        support.append(
-            (carried * w, IntegralAllocation(tuple(tuple(row) for row in part)))
-        )
-        scale = ONE / (ONE - w)
+        part_rows = tuple(rows.setdefault(row, row) for row in map(tuple, part))
+        support.append((Fraction(step, den), IntegralAllocation(part_rows)))
         for i, j in all_cells:
-            work[i][j] = (work[i][j] - w * part[i][j]) * scale
-        carried *= ONE - w
+            if part[i][j]:
+                r[i][j] -= step
+        c -= step
     else:  # pragma: no cover - the dimension argument bounds the loop
         raise InputError("decomposition did not terminate")
     return Lottery(tuple(support))

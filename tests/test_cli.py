@@ -65,6 +65,13 @@ class TestBasics:
         assert code == 2
         assert "invalid JSON" in err
 
+    def test_boolean_agent_count_is_input_error(self, capsys, files):
+        path = files("bool.json", {"agents": True, "items": 2, "values": [[1, 2]]})
+        code, out, err = run(capsys, "rps", path)
+        assert code == 2
+        assert out == ""
+        assert "integers" in err
+
     def test_kind_mismatch(self, capsys, files):
         code, _, err = run(capsys, "rps", files("bads.json", BADS))
         assert code == 2

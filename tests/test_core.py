@@ -223,6 +223,12 @@ class TestJson:
             with pytest.raises(InputError):
                 lottery_from_json({"support": [{"weight": "1", "bundles": bundles}]})
 
+    def test_instance_counts_reject_booleans(self):
+        # bool is an int subclass: true would otherwise read as one agent or item
+        for agents, items, values in ((True, 2, [[1, 2]]), (1, True, [[5]])):
+            with pytest.raises(InputError):
+                instance_from_json({"agents": agents, "items": items, "values": values})
+
     def test_missing_field_reported(self):
         with pytest.raises(InputError):
             instance_from_json({"agents": 1, "items": 1})

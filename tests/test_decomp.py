@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from fairlot.core import (
     Instance,
     IntegralAllocation,
     Lottery,
+    lottery_to_json,
 )
 from fairlot.decomp import (
     Bihierarchy,
@@ -24,6 +26,7 @@ from fairlot.decomp import (
     prefix_constraints,
     reduce_support,
 )
+from fairlot.mnw import solve_mnw
 
 from conftest import random_goods, random_integral
 
@@ -53,6 +56,22 @@ def random_substochastic(rng: random.Random, n: int, m: int) -> FractionalAlloca
     return FractionalAllocation(tuple(tuple(v / scale for v in row) for row in raw))
 
 
+def random_doubly_stochastic(rng: random.Random, n: int) -> FractionalAllocation:
+    """Dense doubly stochastic matrix: a random weighted mix of 2n permutation matrices."""
+    counts = [[0] * n for _ in range(n)]
+    total = 0
+    for _ in range(2 * n):
+        w = rng.randint(1, 9)
+        total += w
+        for i, j in enumerate(rng.sample(range(n), n)):
+            counts[i][j] += w
+    return FractionalAllocation(tuple(tuple(F(v, total) for v in row) for row in counts))
+
+
+def lottery_line(lot: Lottery) -> str:
+    return json.dumps(lottery_to_json(lot), separators=(",", ":"))
+
+
 class TestConstraintSet:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
@@ -79,6 +98,19 @@ class TestBihierarchy:
         b = ConstraintSet(frozenset({(0, 0)}), 0, 1)
         c = ConstraintSet(frozenset({(1, 0), (1, 1)}), 0, 1)
         Bihierarchy((a, b, c), ())
+
+    def test_crossing_inside_a_common_superset_rejected(self):
+        # {01, 02} lies inside the row set but crosses both halves of it
+        row = ConstraintSet(frozenset({(0, 0), (0, 1), (0, 2), (0, 3)}), 0, 4)
+        left = ConstraintSet(frozenset({(0, 0), (0, 1)}), 0, 2)
+        right = ConstraintSet(frozenset({(0, 2), (0, 3)}), 0, 2)
+        cross = ConstraintSet(frozenset({(0, 1), (0, 2)}), 0, 2)
+        Bihierarchy((cross, row), ())
+        Bihierarchy((left, right, row), ())
+        with pytest.raises(InputError, match="H1 is not laminar"):
+            Bihierarchy((cross, left, right, row), ())
+        with pytest.raises(InputError, match="H2 is not laminar"):
+            Bihierarchy((), (row, right, left, cross))
 
     def test_cross_family_duplicate_rejected(self):
         a = ConstraintSet(frozenset({(0, 0)}), 0, 1)
@@ -240,3 +272,78 @@ def test_prefix_decompose_random_complete(seed):
     out = bihierarchy_decompose(x, hierarchy)
     assert out.marginal == x
     assert all(quota_satisfied(part, hierarchy) for _, part in out.support)
+
+
+def _gap_case() -> tuple[FractionalAllocation, Bihierarchy]:
+    # Row 0 has quota [0, 3] over four halves: with the empty part first, its step
+    # is (3 - 2) / 3 of the mass, a denominator the input's halves do not have.
+    h, z = F(1, 2), F(0)
+    x = FractionalAllocation(((h, h, h, h, z, z, z, z), (z, z, z, z, h, h, h, h)))
+    cells = [(i, j) for i in range(2) for j in range(8)]
+    h1 = [ConstraintSet(frozenset([cell]), 0, 1) for cell in cells]
+    h1.append(ConstraintSet(frozenset((0, j) for j in range(8)), 0, 3))
+    h1.append(ConstraintSet(frozenset((1, j) for j in range(8)), 1, 4))
+    h2 = [ConstraintSet(frozenset({(0, j), (1, j)}), 0, 1) for j in range(8)]
+    return x, Bihierarchy(tuple(h1), tuple(h2))
+
+
+class TestNonUnitStep:
+    def test_quota_gap_above_one(self):
+        x, hierarchy = _gap_case()
+        lot = bihierarchy_decompose(x, hierarchy)
+        assert lot.marginal == x
+        assert all(quota_satisfied(part, hierarchy) for _, part in lot.support)
+        # a weight in thirds shows the residual was rescaled by the step's denominator
+        assert any(w.denominator % 3 == 0 for w, _ in lot.support)
+        assert lottery_line(lot) == GAP_LOTTERY
+
+
+def _pinned_inputs():
+    rng = random.Random(404)
+    for n in (6, 8, 10):
+        x = random_doubly_stochastic(rng, n)
+        yield x, bvn_constraints(x)
+    for _ in range(12):
+        x = random_substochastic(rng, rng.randint(2, 6), rng.randint(2, 9))
+        yield x, bvn_constraints(x)
+    for _ in range(8):
+        inst = random_goods(rng, n_max=5, m_max=9)
+        x = solve_mnw(inst).allocation
+        yield x, prefix_constraints(inst, x)
+
+
+def test_matches_pinned_lotteries():
+    # lottery JSON recorded from the Fraction-residual engine this one replaced:
+    # dense doubly stochastic, substochastic, and prefix-quota rounding of MNW
+    for (x, hierarchy), expected in zip(
+        _pinned_inputs(), PINNED_LOTTERIES.split("\n"), strict=True
+    ):
+        assert lottery_line(bihierarchy_decompose(x, hierarchy)) == expected
+
+
+GAP_LOTTERY = '{"agents":2,"items":8,"support":[{"weight":"1/3","bundles":[[],[4]]},{"weight":"1/6","bundles":[[1,2,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,2,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,1,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,1,2],[4]]}]}'
+
+PINNED_LOTTERIES = """\
+{"agents":6,"items":6,"support":[{"weight":"1/27","bundles":[[5],[3],[0],[4],[2],[1]]},{"weight":"1/18","bundles":[[4],[3],[0],[5],[2],[1]]},{"weight":"1/54","bundles":[[3],[4],[0],[5],[2],[1]]},{"weight":"1/54","bundles":[[3],[2],[5],[1],[4],[0]]},{"weight":"7/54","bundles":[[3],[2],[0],[5],[4],[1]]},{"weight":"1/18","bundles":[[3],[1],[0],[4],[2],[5]]},{"weight":"1/27","bundles":[[3],[0],[1],[4],[2],[5]]},{"weight":"1/9","bundles":[[2],[3],[5],[1],[4],[0]]},{"weight":"1/54","bundles":[[2],[3],[0],[1],[4],[5]]},{"weight":"1/27","bundles":[[2],[0],[1],[3],[4],[5]]},{"weight":"1/27","bundles":[[1],[3],[5],[2],[4],[0]]},{"weight":"5/54","bundles":[[1],[0],[4],[3],[2],[5]]},{"weight":"2/27","bundles":[[0],[3],[4],[2],[1],[5]]},{"weight":"1/9","bundles":[[0],[1],[4],[5],[2],[3]]},{"weight":"1/27","bundles":[[0],[1],[4],[3],[2],[5]]},{"weight":"5/54","bundles":[[0],[1],[4],[2],[5],[3]]},{"weight":"1/54","bundles":[[0],[1],[4],[2],[3],[5]]},{"weight":"1/54","bundles":[[0],[1],[2],[3],[4],[5]]}]}
+{"agents":8,"items":8,"support":[{"weight":"1/40","bundles":[[7],[6],[5],[1],[3],[4],[0],[2]]},{"weight":"1/80","bundles":[[7],[6],[4],[1],[3],[0],[5],[2]]},{"weight":"1/20","bundles":[[7],[5],[4],[6],[1],[0],[2],[3]]},{"weight":"1/40","bundles":[[7],[3],[4],[5],[1],[0],[6],[2]]},{"weight":"1/40","bundles":[[7],[3],[4],[5],[0],[1],[6],[2]]},{"weight":"1/20","bundles":[[7],[3],[4],[0],[1],[2],[6],[5]]},{"weight":"1/40","bundles":[[7],[0],[3],[2],[5],[4],[6],[1]]},{"weight":"1/80","bundles":[[7],[0],[3],[2],[4],[6],[5],[1]]},{"weight":"1/20","bundles":[[7],[0],[2],[3],[4],[6],[5],[1]]},{"weight":"1/80","bundles":[[6],[5],[7],[1],[3],[4],[0],[2]]},{"weight":"1/80","bundles":[[6],[3],[7],[1],[0],[4],[5],[2]]},{"weight":"1/80","bundles":[[6],[3],[7],[0],[1],[4],[2],[5]]},{"weight":"1/40","bundles":[[6],[3],[4],[5],[0],[1],[7],[2]]},{"weight":"3/80","bundles":[[6],[3],[4],[1],[5],[0],[7],[2]]},{"weight":"1/16","bundles":[[5],[3],[4],[6],[1],[0],[7],[2]]},{"weight":"1/80","bundles":[[5],[2],[7],[0],[1],[4],[6],[3]]},{"weight":"1/16","bundles":[[5],[2],[4],[7],[1],[0],[6],[3]]},{"weight":"3/80","bundles":[[5],[1],[7],[6],[3],[2],[4],[0]]},{"weight":"3/80","bundles":[[5],[1],[4],[0],[7],[2],[6],[3]]},{"weight":"1/80","bundles":[[5],[1],[3],[0],[7],[4],[6],[2]]},{"weight":"1/40","bundles":[[5],[1],[3],[0],[6],[2],[7],[4]]},{"weight":"1/80","bundles":[[5],[1],[0],[6],[7],[2],[4],[3]]},{"weight":"3/40","bundles":[[5],[1],[0],[6],[3],[2],[7],[4]]},{"weight":"1/20","bundles":[[3],[6],[0],[4],[2],[7],[5],[1]]},{"weight":"3/80","bundles":[[3],[1],[7],[5],[6],[2],[4],[0]]},{"weight":"1/80","bundles":[[3],[1],[7],[5],[2],[4],[6],[0]]},{"weight":"1/40","bundles":[[3],[1],[7],[4],[6],[0],[5],[2]]},{"weight":"1/40","bundles":[[3],[1],[7],[2],[5],[4],[6],[0]]},{"weight":"1/80","bundles":[[3],[1],[0],[4],[2],[7],[5],[6]]},{"weight":"1/80","bundles":[[1],[7],[2],[3],[4],[6],[5],[0]]},{"weight":"3/80","bundles":[[1],[7],[2],[3],[4],[5],[6],[0]]},{"weight":"1/40","bundles":[[1],[2],[0],[4],[3],[7],[5],[6]]},{"weight":"1/20","bundles":[[1],[0],[3],[2],[4],[7],[5],[6]]}]}
+{"agents":10,"items":10,"support":[{"weight":"1/21","bundles":[[9],[8],[7],[0],[6],[2],[1],[5],[3],[4]]},{"weight":"2/105","bundles":[[9],[8],[7],[0],[6],[2],[1],[3],[5],[4]]},{"weight":"2/105","bundles":[[9],[8],[5],[7],[6],[1],[2],[3],[4],[0]]},{"weight":"1/21","bundles":[[9],[7],[8],[5],[6],[3],[4],[2],[1],[0]]},{"weight":"1/105","bundles":[[9],[7],[8],[5],[6],[3],[4],[0],[2],[1]]},{"weight":"1/105","bundles":[[9],[7],[8],[1],[6],[3],[4],[5],[2],[0]]},{"weight":"1/105","bundles":[[8],[9],[7],[6],[0],[3],[4],[2],[1],[5]]},{"weight":"1/35","bundles":[[8],[9],[7],[1],[6],[3],[4],[5],[2],[0]]},{"weight":"1/105","bundles":[[8],[9],[7],[1],[6],[3],[4],[0],[2],[5]]},{"weight":"1/35","bundles":[[8],[9],[7],[1],[6],[0],[4],[2],[3],[5]]},{"weight":"2/105","bundles":[[8],[9],[7],[0],[6],[2],[4],[5],[3],[1]]},{"weight":"1/105","bundles":[[8],[9],[7],[0],[6],[2],[3],[5],[1],[4]]},{"weight":"1/105","bundles":[[8],[9],[6],[1],[0],[3],[4],[7],[5],[2]]},{"weight":"1/105","bundles":[[8],[9],[6],[1],[0],[3],[4],[7],[2],[5]]},{"weight":"1/105","bundles":[[7],[9],[8],[0],[6],[2],[3],[5],[1],[4]]},{"weight":"1/35","bundles":[[7],[9],[6],[0],[8],[2],[1],[3],[5],[4]]},{"weight":"1/105","bundles":[[7],[9],[6],[0],[8],[1],[3],[2],[4],[5]]},{"weight":"1/35","bundles":[[7],[9],[6],[0],[8],[1],[2],[3],[4],[5]]},{"weight":"1/21","bundles":[[7],[8],[6],[5],[0],[2],[1],[9],[3],[4]]},{"weight":"1/105","bundles":[[7],[8],[6],[0],[5],[3],[2],[9],[4],[1]]},{"weight":"1/35","bundles":[[7],[8],[4],[6],[5],[9],[2],[3],[1],[0]]},{"weight":"1/35","bundles":[[7],[8],[4],[6],[5],[1],[2],[9],[3],[0]]},{"weight":"1/105","bundles":[[7],[6],[8],[0],[5],[9],[2],[3],[1],[4]]},{"weight":"2/105","bundles":[[7],[6],[3],[8],[5],[9],[2],[4],[1],[0]]},{"weight":"4/105","bundles":[[7],[6],[3],[8],[5],[1],[2],[9],[4],[0]]},{"weight":"1/105","bundles":[[7],[6],[3],[8],[4],[9],[2],[5],[1],[0]]},{"weight":"2/105","bundles":[[7],[6],[3],[0],[8],[1],[2],[9],[4],[5]]},{"weight":"2/105","bundles":[[6],[7],[3],[8],[1],[9],[4],[5],[0],[2]]},{"weight":"1/105","bundles":[[6],[7],[2],[8],[1],[3],[4],[9],[0],[5]]},{"weight":"1/105","bundles":[[6],[5],[2],[8],[1],[9],[4],[7],[0],[3]]},{"weight":"2/105","bundles":[[6],[5],[2],[0],[9],[3],[4],[7],[1],[8]]},{"weight":"2/105","bundles":[[6],[5],[2],[0],[1],[9],[4],[7],[3],[8]]},{"weight":"2/105","bundles":[[5],[6],[2],[9],[1],[3],[4],[7],[0],[8]]},{"weight":"1/105","bundles":[[4],[5],[9],[6],[2],[3],[1],[7],[8],[0]]},{"weight":"1/35","bundles":[[4],[5],[6],[9],[2],[3],[0],[7],[8],[1]]},{"weight":"1/105","bundles":[[4],[5],[0],[9],[6],[2],[3],[7],[8],[1]]},{"weight":"1/105","bundles":[[4],[3],[7],[1],[2],[9],[0],[5],[8],[6]]},{"weight":"1/35","bundles":[[4],[3],[6],[1],[2],[9],[0],[5],[8],[7]]},{"weight":"1/35","bundles":[[3],[5],[9],[1],[2],[4],[0],[7],[8],[6]]},{"weight":"1/105","bundles":[[3],[5],[9],[1],[2],[4],[0],[6],[8],[7]]},{"weight":"2/105","bundles":[[3],[5],[0],[1],[2],[9],[4],[7],[8],[6]]},{"weight":"1/105","bundles":[[2],[3],[9],[1],[4],[7],[0],[5],[8],[6]]},{"weight":"1/105","bundles":[[2],[3],[9],[1],[4],[6],[0],[5],[8],[7]]},{"weight":"1/105","bundles":[[1],[2],[9],[5],[4],[3],[8],[6],[7],[0]]},{"weight":"2/105","bundles":[[1],[2],[9],[5],[4],[3],[8],[6],[0],[7]]},{"weight":"1/35","bundles":[[1],[2],[9],[5],[3],[4],[8],[6],[7],[0]]},{"weight":"1/105","bundles":[[1],[2],[0],[4],[3],[6],[8],[5],[7],[9]]},{"weight":"4/105","bundles":[[1],[0],[2],[4],[3],[6],[8],[5],[7],[9]]},{"weight":"8/105","bundles":[[1],[0],[2],[4],[3],[5],[8],[6],[7],[9]]}]}
+{"agents":6,"items":8,"support":[{"weight":"1/20","bundles":[[7],[1],[2],[4],[6],[3]]},{"weight":"1/20","bundles":[[6],[7],[1],[5],[3],[4]]},{"weight":"1/20","bundles":[[4],[],[],[6],[1],[]]},{"weight":"1/20","bundles":[[4],[],[6],[1],[2],[]]},{"weight":"1/20","bundles":[[4],[6],[0],[3],[7],[2]]},{"weight":"1/20","bundles":[[4],[3],[7],[5],[6],[1]]},{"weight":"1/20","bundles":[[3],[6],[4],[7],[5],[1]]},{"weight":"1/20","bundles":[[3],[6],[4],[1],[2],[0]]},{"weight":"1/10","bundles":[[3],[4],[0],[6],[1],[]]},{"weight":"1/20","bundles":[[2],[],[],[1],[],[]]},{"weight":"1/20","bundles":[[2],[6],[1],[4],[3],[7]]},{"weight":"1/20","bundles":[[2],[1],[4],[3],[6],[7]]},{"weight":"1/20","bundles":[[2],[0],[4],[3],[6],[7]]},{"weight":"1/10","bundles":[[1],[],[],[0],[],[]]},{"weight":"1/5","bundles":[[0],[],[],[],[],[]]}]}
+{"agents":6,"items":6,"support":[{"weight":"1/15","bundles":[[5],[],[3],[4],[2],[]]},{"weight":"1/15","bundles":[[5],[],[1],[2],[4],[3]]},{"weight":"1/15","bundles":[[5],[4],[1],[2],[3],[0]]},{"weight":"1/15","bundles":[[5],[4],[0],[1],[3],[2]]},{"weight":"1/15","bundles":[[4],[],[1],[2],[3],[5]]},{"weight":"1/15","bundles":[[3],[],[],[1],[],[]]},{"weight":"1/15","bundles":[[2],[],[5],[3],[],[]]},{"weight":"1/15","bundles":[[2],[],[3],[5],[4],[]]},{"weight":"2/15","bundles":[[2],[3],[],[4],[],[5]]},{"weight":"1/15","bundles":[[1],[],[4],[5],[3],[2]]},{"weight":"2/15","bundles":[[0],[],[],[],[],[]]},{"weight":"1/15","bundles":[[0],[4],[3],[5],[1],[2]]},{"weight":"1/15","bundles":[[0],[1],[2],[5],[4],[3]]}]}
+{"agents":2,"items":5,"support":[{"weight":"1/3","bundles":[[],[]]},{"weight":"1/6","bundles":[[4],[3]]},{"weight":"1/12","bundles":[[2],[3]]},{"weight":"1/12","bundles":[[2],[1]]},{"weight":"1/12","bundles":[[1],[]]},{"weight":"1/12","bundles":[[1],[3]]},{"weight":"1/12","bundles":[[1],[0]]},{"weight":"1/12","bundles":[[0],[]]}]}
+{"agents":3,"items":7,"support":[{"weight":"3/19","bundles":[[],[0],[]]},{"weight":"1/19","bundles":[[],[0],[1]]},{"weight":"1/19","bundles":[[6],[4],[5]]},{"weight":"1/19","bundles":[[6],[3],[4]]},{"weight":"1/19","bundles":[[5],[6],[4]]},{"weight":"1/19","bundles":[[5],[4],[6]]},{"weight":"1/19","bundles":[[3],[6],[5]]},{"weight":"2/19","bundles":[[3],[5],[6]]},{"weight":"1/19","bundles":[[1],[6],[4]]},{"weight":"1/19","bundles":[[1],[2],[4]]},{"weight":"2/19","bundles":[[1],[2],[3]]},{"weight":"1/19","bundles":[[0],[2],[3]]},{"weight":"3/19","bundles":[[0],[1],[2]]}]}
+{"agents":6,"items":5,"support":[{"weight":"2/17","bundles":[[],[],[],[3],[4],[0]]},{"weight":"2/17","bundles":[[],[4],[2],[1],[3],[0]]},{"weight":"1/17","bundles":[[],[4],[1],[2],[0],[3]]},{"weight":"1/17","bundles":[[],[4],[0],[1],[3],[2]]},{"weight":"2/17","bundles":[[],[3],[0],[4],[1],[2]]},{"weight":"1/17","bundles":[[],[2],[],[4],[0],[3]]},{"weight":"1/17","bundles":[[],[0],[],[3],[4],[1]]},{"weight":"1/17","bundles":[[4],[],[],[0],[3],[]]},{"weight":"1/17","bundles":[[4],[1],[],[2],[0],[3]]},{"weight":"3/17","bundles":[[3],[0],[4],[],[],[]]},{"weight":"2/17","bundles":[[0],[3],[],[],[],[]]}]}
+{"agents":3,"items":6,"support":[{"weight":"1/17","bundles":[[],[],[3]]},{"weight":"3/17","bundles":[[],[],[1]]},{"weight":"3/17","bundles":[[],[],[0]]},{"weight":"3/17","bundles":[[5],[0],[4]]},{"weight":"2/17","bundles":[[2],[4],[5]]},{"weight":"1/17","bundles":[[1],[0],[5]]},{"weight":"3/17","bundles":[[0],[],[3]]},{"weight":"1/17","bundles":[[0],[1],[5]]}]}
+{"agents":3,"items":6,"support":[{"weight":"2/19","bundles":[[],[1],[]]},{"weight":"1/19","bundles":[[],[0],[]]},{"weight":"2/19","bundles":[[5],[4],[]]},{"weight":"1/19","bundles":[[5],[4],[0]]},{"weight":"1/19","bundles":[[4],[5],[1]]},{"weight":"1/19","bundles":[[3],[5],[4]]},{"weight":"1/19","bundles":[[3],[5],[1]]},{"weight":"1/19","bundles":[[3],[5],[0]]},{"weight":"1/19","bundles":[[3],[2],[]]},{"weight":"1/19","bundles":[[2],[4],[]]},{"weight":"3/19","bundles":[[2],[3],[]]},{"weight":"3/19","bundles":[[0],[2],[]]},{"weight":"1/19","bundles":[[0],[1],[]]}]}
+{"agents":5,"items":3,"support":[{"weight":"1/13","bundles":[[],[],[],[0],[1]]},{"weight":"2/13","bundles":[[],[],[1],[],[0]]},{"weight":"1/13","bundles":[[],[],[1],[2],[0]]},{"weight":"1/13","bundles":[[],[],[0],[1],[]]},{"weight":"1/13","bundles":[[],[],[0],[1],[2]]},{"weight":"1/13","bundles":[[],[2],[],[1],[0]]},{"weight":"1/13","bundles":[[],[0],[],[],[]]},{"weight":"2/13","bundles":[[1],[],[0],[],[]]},{"weight":"3/13","bundles":[[0],[],[],[],[]]}]}
+{"agents":2,"items":6,"support":[{"weight":"1/12","bundles":[[5],[2]]},{"weight":"1/12","bundles":[[4],[5]]},{"weight":"1/12","bundles":[[3],[2]]},{"weight":"1/6","bundles":[[2],[5]]},{"weight":"1/12","bundles":[[2],[4]]},{"weight":"1/12","bundles":[[1],[2]]},{"weight":"1/12","bundles":[[1],[0]]},{"weight":"1/4","bundles":[[0],[]]},{"weight":"1/12","bundles":[[0],[1]]}]}
+{"agents":6,"items":7,"support":[{"weight":"1/23","bundles":[[6],[5],[0],[1],[2],[4]]},{"weight":"1/23","bundles":[[6],[2],[0],[1],[4],[5]]},{"weight":"1/23","bundles":[[5],[2],[6],[0],[1],[4]]},{"weight":"1/23","bundles":[[5],[2],[1],[4],[3],[6]]},{"weight":"1/23","bundles":[[5],[1],[4],[2],[3],[6]]},{"weight":"1/23","bundles":[[5],[0],[1],[4],[3],[2]]},{"weight":"1/23","bundles":[[4],[],[],[],[],[]]},{"weight":"2/23","bundles":[[4],[],[],[],[0],[]]},{"weight":"2/23","bundles":[[3],[4],[5],[6],[1],[2]]},{"weight":"1/23","bundles":[[3],[2],[4],[0],[1],[5]]},{"weight":"1/23","bundles":[[3],[0],[5],[1],[4],[2]]},{"weight":"1/23","bundles":[[2],[],[],[4],[0],[]]},{"weight":"1/23","bundles":[[2],[],[],[1],[4],[5]]},{"weight":"1/23","bundles":[[2],[1],[4],[5],[0],[3]]},{"weight":"1/23","bundles":[[2],[1],[4],[0],[5],[3]]},{"weight":"2/23","bundles":[[1],[],[],[],[],[]]},{"weight":"1/23","bundles":[[1],[],[],[2],[4],[]]},{"weight":"3/23","bundles":[[0],[],[],[],[],[]]}]}
+{"agents":6,"items":2,"support":[{"weight":"1/12","bundles":[[],[],[],[],[1],[0]]},{"weight":"1/12","bundles":[[],[],[],[],[0],[1]]},{"weight":"1/12","bundles":[[],[],[],[1],[],[0]]},{"weight":"1/6","bundles":[[],[],[1],[],[],[0]]},{"weight":"1/12","bundles":[[],[],[1],[],[0],[]]},{"weight":"1/12","bundles":[[],[1],[],[],[0],[]]},{"weight":"1/12","bundles":[[],[1],[],[0],[],[]]},{"weight":"1/6","bundles":[[],[1],[0],[],[],[]]},{"weight":"1/12","bundles":[[],[0],[],[],[],[]]},{"weight":"1/12","bundles":[[0],[],[],[],[],[]]}]}
+{"agents":4,"items":4,"support":[{"weight":"1/4","bundles":[[],[],[],[]]},{"weight":"1/12","bundles":[[],[],[1],[]]},{"weight":"1/6","bundles":[[],[3],[2],[1]]},{"weight":"1/12","bundles":[[],[3],[1],[]]},{"weight":"1/12","bundles":[[],[1],[3],[2]]},{"weight":"1/12","bundles":[[2],[],[3],[1]]},{"weight":"1/12","bundles":[[2],[1],[0],[3]]},{"weight":"1/12","bundles":[[1],[3],[2],[]]},{"weight":"1/12","bundles":[[1],[2],[0],[3]]}]}
+{"agents":3,"items":8,"support":[{"weight":"1","bundles":[[1,2,3],[6,7],[0,4,5]]}]}
+{"agents":3,"items":7,"support":[{"weight":"1/120","bundles":[[2,3],[1,4],[0,5,6]]},{"weight":"5/12","bundles":[[2,3],[0,1,4],[5,6]]},{"weight":"23/40","bundles":[[2,3,5],[1,4],[0,6]]}]}
+{"agents":4,"items":4,"support":[{"weight":"17/180","bundles":[[2],[],[0,3],[1]]},{"weight":"121/135","bundles":[[2],[3],[0],[1]]},{"weight":"1/108","bundles":[[0,2],[],[3],[1]]}]}
+{"agents":5,"items":2,"support":[{"weight":"1/10","bundles":[[],[],[],[0],[1]]},{"weight":"7/25","bundles":[[],[],[1],[],[0]]},{"weight":"17/100","bundles":[[],[],[1],[0],[]]},{"weight":"9/100","bundles":[[1],[],[],[0],[]]},{"weight":"9/25","bundles":[[1],[0],[],[],[]]}]}
+{"agents":2,"items":4,"support":[{"weight":"127/144","bundles":[[0,1],[2,3]]},{"weight":"17/144","bundles":[[0,1,2],[3]]}]}
+{"agents":5,"items":4,"support":[{"weight":"1/20","bundles":[[],[2],[3],[0],[1]]},{"weight":"6/25","bundles":[[1],[],[3],[2],[0]]},{"weight":"6/25","bundles":[[1],[2],[],[3],[0]]},{"weight":"6/25","bundles":[[1],[2],[3],[],[0]]},{"weight":"19/100","bundles":[[1],[2],[3],[0],[]]},{"weight":"1/25","bundles":[[1],[2],[0],[3],[]]}]}
+{"agents":5,"items":4,"support":[{"weight":"53/175","bundles":[[],[1],[3],[0],[2]]},{"weight":"1/25","bundles":[[3],[1],[],[0],[2]]},{"weight":"9/35","bundles":[[1],[],[3],[0],[2]]},{"weight":"1/5","bundles":[[1],[0],[3],[],[2]]},{"weight":"1/5","bundles":[[1],[0],[3],[2],[]]}]}
+{"agents":4,"items":6,"support":[{"weight":"29/280","bundles":[[5],[2],[0,4],[1,3]]},{"weight":"51/140","bundles":[[5],[2,3],[0,4],[1]]},{"weight":"9/140","bundles":[[0,5],[2],[3,4],[1]]},{"weight":"131/280","bundles":[[0,5],[2,3],[4],[1]]}]}"""
