@@ -7,6 +7,7 @@ so ``0.6`` becomes 3/5, not the nearest binary float.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -48,6 +49,10 @@ class SolveError(FairlotError):
 def parse_rational(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, a ``"p/q"`` string, or a decimal string.
 
+    A decimal exponent may not exceed ``sys.get_int_max_str_digits()`` in
+    magnitude, the limit Python already puts on the digits of an int literal:
+    ``"1e3000000"`` would otherwise cost seconds, and more without bound.
+
     >>> parse_rational("3/5"), parse_rational("0.6"), parse_rational(2)
     (Fraction(3, 5), Fraction(3, 5), Fraction(2, 1))
     """
@@ -62,7 +67,11 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         # repr so a stray 0.6 still means 3/5 rather than its binary neighbour.
         return Fraction(str(value))
     if isinstance(value, str):
+        _, _, exponent = value.lower().partition("e")
+        limit = sys.get_int_max_str_digits()
         try:
+            if exponent and limit and abs(int(exponent)) > limit:
+                raise InputError(f"decimal exponent above {limit} in magnitude: {value[:40]!r}")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational value: {value!r}") from exc
@@ -296,18 +305,18 @@ class Lottery:
             raise InputError("lottery needs a nonempty support")
         n, m = self.support[0][1].n, self.support[0][1].m
         merged: dict[tuple[tuple[int, ...], ...], Fraction] = {}
+        first: dict[tuple[tuple[int, ...], ...], IntegralAllocation] = {}
         for w, alloc in self.support:
             if alloc.n != n or alloc.m != m:
                 raise InputError("lottery allocations have inconsistent shapes")
             if w <= 0:
                 raise InputError(f"lottery weight {w} not positive")
             merged[alloc.matrix] = merged.get(alloc.matrix, ZERO) + w
+            first.setdefault(alloc.matrix, alloc)
         total = sum(merged.values(), ZERO)
         if total != 1:
             raise InputError(f"lottery weights sum to {total}, expected 1")
-        canonical = tuple(
-            (merged[mat], IntegralAllocation(mat)) for mat in sorted(merged)
-        )
+        canonical = tuple((merged[mat], first[mat]) for mat in sorted(merged))
         object.__setattr__(self, "support", canonical)
 
     @classmethod
@@ -354,10 +363,10 @@ class Lottery:
 
 def _loads(text: str) -> object:
     try:
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(text, parse_float=parse_rational)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
-    except ValueError as exc:  # Fraction failed on a float literal
+    except ValueError as exc:  # an int literal past sys.get_int_max_str_digits()
         raise InputError(f"invalid numeric literal in JSON: {exc}") from exc
 
 

@@ -7,7 +7,8 @@ price. A linear Fisher market has unique equilibrium prices; we find them in two
 stages:
 
 1. float stage: proportional-response dynamics (each agent splits her budget over
-   items in proportion to the value they deliver) on exactly normalised rows;
+   items in proportion to the value they deliver) on exactly normalised rows, in
+   lists of Python floats;
 2. exact stage, every ``CERTIFY_EVERY`` float iterations: take the near-tied
    agent/item edges (float rate within ``THETA`` of the item's best, then also
    within a finer cut halved every ``THETA_HALF_LIFE`` iterations) as the
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .core import (
     BADS,
@@ -63,7 +62,7 @@ def _active_agents(instance: Instance) -> list[int]:
 
 
 def _certificate(
-    rows: list[list[Fraction]], rates: np.ndarray, theta: float
+    rows: list[list[Fraction]], rates: list[list[float]], theta: float
 ) -> list[list[Fraction]] | None:
     """Exact equilibrium shares x[a][g] on the near-tied structure of ``rates``, or None.
 
@@ -74,8 +73,8 @@ def _certificate(
     tight edges carry the budgets by an integer max flow.
     """
     k, m = len(rows), len(rows[0])
-    near = rates >= rates.max(axis=0) * (1.0 - theta)
-    edge = [[rows[a][g] > 0 and bool(near[a, g]) for g in range(m)] for a in range(k)]
+    cut = [max(column) * (1.0 - theta) for column in zip(*rates)]
+    edge = [[rows[a][g] > 0 and rates[a][g] >= cut[g] for g in range(m)] for a in range(k)]
     alpha: list[Fraction] = [ZERO] * k
     price: list[Fraction] = [ZERO] * m
     for root in range(k):
@@ -127,15 +126,18 @@ def _certificate(
 
 def _equilibrium_shares(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Proportional response on the float rows until the exact certificate holds."""
-    values = np.array([[float(v) for v in row] for row in rows])
-    spend = values.copy()
+    values = [[float(v) for v in row] for row in rows]
+    spend = values
     for it in range(FLOAT_ITER_CAP):
-        prices = spend.sum(axis=0)
-        x = np.divide(spend, prices, out=np.zeros_like(spend), where=prices > 0)
-        utils = (values * x).sum(axis=1)
-        spend = values * x / utils[:, None]
+        prices = [sum(column) for column in zip(*spend)]
+        gains = [
+            [v * s / p if p else 0.0 for v, s, p in zip(vrow, srow, prices)]
+            for vrow, srow in zip(values, spend)
+        ]
+        utils = [sum(row) for row in gains]
+        spend = [[gain / u for gain in row] for row, u in zip(gains, utils)]
         if it % CERTIFY_EVERY == 0:
-            rates = values / utils[:, None]
+            rates = [[v / u for v in row] for row, u in zip(values, utils)]
             # rates tied closer than THETA at equilibrium need the finer cut
             for theta in sorted({THETA, THETA / 2 ** (it // THETA_HALF_LIFE)}, reverse=True):
                 shares = _certificate(rows, rates, theta)

@@ -133,28 +133,6 @@ def check_share(
 # ---------------------------------------------------------------------------
 
 
-def _ef1_pair_ok(instance: Instance, a: IntegralAllocation, i: int, h: int) -> bool:
-    # goods: drop i's best good from the envied bundle
-    if not a.bundles[h]:
-        return True
-    own = instance.bundle_value(i, a.bundles[i])
-    other = instance.bundle_value(i, a.bundles[h])
-    drop = max(instance.values[i][j] for j in a.bundles[h])
-    return own >= other - drop
-
-
-def _ef1_bads_pair_ok(instance: Instance, a: IntegralAllocation, i: int, h: int) -> bool:
-    # bads: drop i's worst own bad
-    own = instance.bundle_value(i, a.bundles[i])
-    other = instance.bundle_value(i, a.bundles[h])
-    if own >= other:
-        return True
-    if not a.bundles[i]:
-        return False
-    drop = min(instance.values[i][j] for j in a.bundles[i])
-    return own - drop >= other
-
-
 def check_envy(
     instance: Instance,
     alloc: IntegralAllocation | FractionalAllocation,
@@ -472,10 +450,6 @@ def _gf_pair(
 # ---------------------------------------------------------------------------
 # Lottery audits.
 # ---------------------------------------------------------------------------
-
-EX_ANTE_CHECKS = ("prop", "ef", "sdef", "fpo", "gf", "gfless")
-EX_POST_CHECKS = ("prop", "prop1", "ef", "sdef", "ef1", "sdef1", "ef2", "ef11", "wef1", "po", "fpo")
-
 
 def _run_named_check(
     instance: Instance, alloc: IntegralAllocation | FractionalAllocation, name: str

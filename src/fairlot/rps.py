@@ -5,8 +5,8 @@ preference order, the stage matrix is decomposed into integral stage assignments
 and the rule recurses on the items a branch leaves unassigned. Three modes share
 the stage engine:
 
-- ``full_distribution`` expands every branch and merges identical leaves into one
-  exact lottery;
+- ``full_distribution`` expands every branch and merges branches that reach the
+  same partial allocation, stage by stage, into one exact lottery;
 - ``poly_support`` keeps the branch list no larger than n*m + 1 by re-solving for
   weights that pin every branch's contribution to the final marginal, so the
   trimmed lottery implements exactly the same fractional allocation;
@@ -79,7 +79,6 @@ class _StageEngine:
         self.max_support = max_support
         self._parts: dict[frozenset[int], tuple[tuple[Fraction, tuple[tuple[int, int], ...], frozenset[int]], ...]] = {}
         self._marginals: dict[frozenset[int], tuple[tuple[Fraction, ...], ...]] = {}
-        self._full: dict[frozenset[int], dict[Matrix, Fraction]] = {}
 
     def stages(self) -> int:
         return math.ceil(self.m / self.n) if self.m else 0
@@ -128,36 +127,16 @@ class _StageEngine:
         self._marginals[mask] = result
         return result
 
-    def full(self, mask: frozenset[int]) -> dict[Matrix, Fraction]:
-        """The exact branch distribution of the subgame on ``mask``, leaves merged."""
-        cached = self._full.get(mask)
-        if cached is not None:
-            return cached
-        if not mask:
-            empty: Matrix = tuple((0,) * self.m for _ in range(self.n))
-            result = {empty: ONE}
-        else:
-            result = {}
-            for weight, cells, rest in self.expand(mask):
-                for submat, sw in self.full(rest).items():
-                    rows = [list(r) for r in submat]
-                    for i, j in cells:
-                        rows[i][j] = 1
-                    key: Matrix = tuple(tuple(r) for r in rows)
-                    result[key] = result.get(key, ZERO) + weight * sw
-            if len(result) > self.max_support:
-                raise SizeLimitError(
-                    f"support grew to {len(result)} allocations; use poly_support mode"
-                )
-        self._full[mask] = result
-        return result
+    def distribution(self, trim: bool) -> dict[Matrix, Fraction]:
+        """The branch distribution, expanded one stage at a time.
 
-    def poly(self) -> dict[Matrix, Fraction]:
-        """Branch distribution trimmed to at most n*m + 1 entries after every stage.
-
-        The trim re-solves branch weights subject to keeping every branch's final
-        contribution (assigned part plus the exact marginal of its remaining
-        subgame) fixed, so the implemented fractional allocation never moves.
+        Branches that reach the same partial matrix merge before the next stage.
+        Without ``trim`` the result is the exact full distribution, and a frontier
+        above ``max_support`` entries raises SizeLimitError. With ``trim`` every
+        frontier above n*m + 1 entries is re-solved for branch weights that keep
+        each branch's final contribution (assigned part plus the exact marginal of
+        its remaining subgame) fixed, so the implemented fractional allocation
+        never moves.
         """
         cap = self.n * self.m + 1
         zero: Matrix = tuple((0,) * self.m for _ in range(self.n))
@@ -172,7 +151,11 @@ class _StageEngine:
                         rows[i][j] = 1
                     key: Matrix = tuple(tuple(r) for r in rows)
                     expanded[key] = expanded.get(key, ZERO) + weight * w
-            frontier = self._trim(expanded) if len(expanded) > cap else expanded
+            if not trim and len(expanded) > self.max_support:
+                raise SizeLimitError(
+                    f"support grew to {len(expanded)} allocations; use poly_support mode"
+                )
+            frontier = self._trim(expanded) if trim and len(expanded) > cap else expanded
         return frontier
 
     def _unassigned(self, mat: Matrix) -> frozenset[int]:
@@ -221,7 +204,7 @@ def _run_engine(
     if cfg.mode == SAMPLE:
         matrix, _ = engine.sample_walk(random.Random(cfg.seed))
         return IntegralAllocation(matrix)
-    table = engine.full(frozenset(range(m))) if cfg.mode == FULL_DISTRIBUTION else engine.poly()
+    table = engine.distribution(trim=cfg.mode == POLY_SUPPORT)
     return Lottery(tuple((w, IntegralAllocation(mat)) for mat, w in table.items()))
 
 

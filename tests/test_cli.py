@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +52,19 @@ class TestBasics:
         assert code == 0
         assert out.strip() == "fairlot 0.1.0"
 
+    def test_imports_leave_numpy_out(self):
+        # the library runs on the standard library alone; a fresh interpreter
+        # shows what importing it really loads
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        script = "import sys, fairlot, fairlot.cli; print('numpy' in sys.modules)"
+        child = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
+
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 2
@@ -64,6 +82,17 @@ class TestBasics:
         code, _, err = run(capsys, "rps", str(path))
         assert code == 2
         assert "invalid JSON" in err
+
+    @pytest.mark.parametrize("literal", ['"1e3000000"', "1e3000000"], ids=["string", "number"])
+    def test_huge_decimal_exponent_is_input_error(self, capsys, tmp_path, literal):
+        path = tmp_path / "exponent.json"
+        path.write_text(f'{{"agents": 2, "items": 2, "values": [[1, {literal}], [1, 1]]}}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rps", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "exponent" in err
 
     def test_boolean_agent_count_is_input_error(self, capsys, files):
         path = files("bool.json", {"agents": True, "items": 2, "values": [[1, 2]]})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,15 @@ class TestRationals:
     def test_parse_garbage(self):
         with pytest.raises(InputError):
             parse_rational("one half")
+
+    def test_decimal_exponent_bounded(self):
+        # the bound is the digit limit Python puts on int literals
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1e{limit}") == 10**limit
+        assert parse_rational(f"1e-{limit}") == Fraction(1, 10**limit)
+        for text in (f"1e{limit + 1}", f"-2.5E-{limit + 1}", "1e3000000"):
+            with pytest.raises(InputError, match="exponent"):
+                parse_rational(text)
 
     def test_format_round_trip(self):
         for q in (Fraction(0), Fraction(7, 12), Fraction(-3, 4), Fraction(5)):
@@ -146,6 +156,10 @@ class TestLottery:
         assert len(lot) == 2
         assert [w for w, _ in lot.support] == [Fraction(1, 2), Fraction(1, 2)]
         assert lot.support[0][1].matrix < lot.support[1][1].matrix
+
+    def test_keeps_the_allocation_it_was_given(self):
+        a = IntegralAllocation.from_bundles(2, 2, [(0,), (1,)])
+        assert Lottery(((Fraction(1), a),)).support[0][1] is a
 
     def test_weights_must_sum_to_one(self):
         a = IntegralAllocation.from_bundles(1, 1, [(0,)])

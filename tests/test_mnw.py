@@ -94,10 +94,19 @@ class TestSolveMnw:
         assert ceei_verify(inst, sol.allocation, slack=0).holds
 
     def test_matches_pinned_utilities(self):
-        # exact utilities recorded from the LP-refine solver this one replaced
-        for inst, expected in zip(_pinned_instances(), PINNED_UTILITIES.split("\n"), strict=True):
+        # exact utilities recorded from the LP-refine solver this one replaced,
+        # allocations from the numpy float stage before the list one
+        table = zip(
+            _pinned_instances(),
+            PINNED_UTILITIES.split("\n"),
+            PINNED_ALLOCATIONS.split("\n"),
+            strict=True,
+        )
+        for inst, utilities, allocation in table:
             sol = solve_mnw(inst)
-            assert " ".join(str(u) for u in sol.utilities) == expected
+            assert " ".join(str(u) for u in sol.utilities) == utilities
+            matrix = ", ".join(" ".join(str(v) for v in row) for row in sol.allocation.matrix)
+            assert matrix == allocation
             assert ceei_verify(inst, sol.allocation, slack=0).holds
 
 
@@ -132,6 +141,39 @@ PINNED_UTILITIES = """\
 137/8 137/10
 25/12 25/8 25/6 25/8
 6 6 6 3"""
+
+# one line per instance, rows separated by ", "
+PINNED_ALLOCATIONS = """\
+1 0 0, 0 1 0, 0 0 1
+0 2/5 0 53/60 1 0, 0 31/60 1 7/60 0 0, 1 1/12 0 0 0 1
+1 0 1 0 1 1 0, 0 1 0 1 0 0 1
+0 0 0 1 0 0 1, 0 2/3 1 0 1 0 0, 1 1/3 0 0 0 1 0
+0 1 0, 1 0 1
+0 1 1 7/18 0 0, 0 0 0 5/9 1 1, 1 0 0 1/18 0 0
+1 1 7/12 0, 0 0 5/12 1
+0 0 0 0, 0 1 9/10 1, 1 0 1/10 0
+0 0 1 0 0 0 0, 1 0 0 0 0 0 1, 0 0 0 1 1 0 0, 0 1 0 0 0 1 0
+0 0 1 1/10, 1 1 0 0, 0 0 0 9/10
+0 11/12 0, 0 0 1, 1 1/12 0
+0 0 167/240 1 0 0 0, 0 0 0 0 1 0 119/240, 11/80 0 73/240 0 0 1 121/240, 69/80 1 0 0 0 0 0
+1 5/8 1 0 0 1, 0 3/8 0 1 1 0
+1/4 1, 3/4 0
+1 0 0, 0 4/9 1/6, 0 5/9 0, 0 0 5/6
+0 3/20 9/20, 0 33/40 0, 1 1/40 0, 0 0 11/20
+1 0 0, 0 1 0, 0 0 1
+0 1 1, 1 0 0
+0 17/32 0 23/32 0, 15/16 0 0 9/32 0, 1/16 0 1 0 0, 0 15/32 0 0 1
+2/3 0, 0 2/3, 1/3 1/3
+0 0 1 1 0, 1/12 1 0 0 0, 11/12 0 0 0 1
+1 0 0, 0 7/15 1/9, 0 8/15 0, 0 0 8/9
+0 0 29/80 73/240 0 17/20, 0 1 0 121/240 0 0, 1 0 51/80 0 0 0, 0 0 0 23/120 1 3/20
+1/6 0 3/4 1 0 0, 5/6 0 1/4 0 1 0, 0 1 0 0 0 1
+1 1/6 0 0, 0 5/6 1/3 0, 0 0 2/3 1
+0 11/15 2/15 0, 1 4/15 0 0, 0 0 13/15 0, 0 0 0 1
+1 0 1 0 13/24 0 1, 0 1 0 1 11/24 1 0
+1 1 33/40 0 0 0 1, 0 0 7/40 1 1 1 0
+0 11/36 7/24, 1 0 3/16, 0 25/36 0, 0 0 25/48
+0 1 0 0, 1 0 0 0, 0 0 0 1, 0 0 1 0"""
 
 
 def _pinned_instances():

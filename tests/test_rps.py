@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -100,6 +102,19 @@ class TestGoods:
             for cells, rest in trace:
                 for i, j in cells:
                     assert all(swap4.values[i][j] >= swap4.values[i][r] for r in rest)
+
+    def test_stage_count_does_not_grow_the_stack(self):
+        # one agent takes one item per stage, so 300 items make 300 stages; the
+        # stack allowed here is 200 frames deeper than this test's own
+        m = 300
+        inst = Instance.from_rows([list(range(m, 0, -1))])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+        try:
+            lot = rps(inst)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert lot == Lottery.single(IntegralAllocation.from_bundles(1, m, [tuple(range(m))]))
 
     def test_kind_routing(self, bads3):
         with pytest.raises(KindMismatchError):
