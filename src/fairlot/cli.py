@@ -3,7 +3,9 @@ properties, and sample lotteries, all as JSON on stdout (or -o FILE).
 
 Exit codes: 0 success and every requested property holds; 1 a requested
 property failed (witness in the report); 2 usage or input error; 3 a size or
-iteration limit was hit.  Diagnostics go to stderr; stdout carries only JSON.
+iteration limit was hit; 4 an internal error (a bug: any other exception, reported
+on one stderr line as ``fairlot: internal error: <Type>: <message>``).
+Diagnostics go to stderr; stdout carries only JSON.
 """
 
 from __future__ import annotations
@@ -256,15 +258,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except SizeLimitError as exc:
-        print(f"fairlot: {exc}", file=sys.stderr)
-        return 3
-    except SolveError as exc:
+    except (SizeLimitError, SolveError) as exc:
         print(f"fairlot: {exc}", file=sys.stderr)
         return 3
     except (FairlotError, OSError) as exc:
         print(f"fairlot: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"fairlot: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

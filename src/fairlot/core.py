@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 GOODS = "goods"
 BADS = "bads"
@@ -64,8 +64,9 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         # Floats should not appear (the JSON loaders intercept them); go through the
-        # repr so a stray 0.6 still means 3/5 rather than its binary neighbour.
-        return Fraction(str(value))
+        # repr so a stray 0.6 still means 3/5 rather than its binary neighbour, and
+        # nan or inf fail like any other string that is not a rational.
+        value = repr(value)
     if isinstance(value, str):
         _, _, exponent = value.lower().partition("e")
         limit = sys.get_int_max_str_digits()
@@ -159,12 +160,12 @@ def sd_dominates(
     """Whether bundle vector ``p`` stochastically dominates ``q`` for agent i.
 
     Prefix masses are compared along agent i's ordinal order: every prefix of p
-    must carry at least as much mass as the same prefix of q.
+    must carry at least as much mass as the same prefix of q. The sums start at
+    int 0, so 0/1 rows of an integral allocation compare in int arithmetic.
     """
     if len(p) != len(q) or len(p) != len(prefs[i]):
         raise InputError("bundle length does not match item count")
-    cp = ZERO
-    cq = ZERO
+    cp = cq = 0
     for j in prefs[i]:
         cp += p[j]
         cq += q[j]
@@ -361,9 +362,13 @@ class Lottery:
 # ---------------------------------------------------------------------------
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise InputError(f"not a rational value: {name}")
+
+
 def _loads(text: str) -> object:
     try:
-        return json.loads(text, parse_float=parse_rational)
+        return json.loads(text, parse_float=parse_rational, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     except ValueError as exc:  # an int literal past sys.get_int_max_str_digits()

@@ -63,12 +63,6 @@ def _as_integral(alloc: IntegralAllocation | FractionalAllocation, notion: str) 
     raise InputError(f"{notion} is defined for integral allocations only")
 
 
-def _rows(alloc: IntegralAllocation | FractionalAllocation) -> list[Sequence[Fraction]]:
-    if isinstance(alloc, IntegralAllocation):
-        return [alloc.fractional_row(i) for i in range(alloc.n)]
-    return [alloc.row(i) for i in range(alloc.n)]
-
-
 # ---------------------------------------------------------------------------
 # Share-based notions.
 # ---------------------------------------------------------------------------
@@ -91,9 +85,8 @@ def check_share(
     if alloc.n != instance.n or alloc.m != instance.m:
         raise InputError("allocation shape does not match instance")
     if notion == "prop":
-        rows = _rows(alloc)
         for i in range(instance.n):
-            value = instance.utility(i, rows[i])
+            value = instance.utility(i, alloc.matrix[i])
             share = instance.proportional_share(i)
             if value < share:
                 return PropertyVerdict(
@@ -148,11 +141,10 @@ def check_envy(
     label = f"ef{k}" if notion == "efk" else notion
 
     if notion == "ef":
-        rows = _rows(alloc)
         for i in range(n):
-            own = instance.utility(i, rows[i])
+            own = instance.utility(i, alloc.matrix[i])
             for h in range(n):
-                if h != i and own < instance.utility(i, rows[h]):
+                if h != i and own < instance.utility(i, alloc.matrix[h]):
                     return PropertyVerdict(
                         "ef",
                         False,
@@ -160,16 +152,15 @@ def check_envy(
                             "envious": i,
                             "envied": h,
                             "own": str(own),
-                            "other": str(instance.utility(i, rows[h])),
+                            "other": str(instance.utility(i, alloc.matrix[h])),
                         },
                     )
         return PropertyVerdict("ef", True)
 
     if notion == "sd_ef":
-        rows = _rows(alloc)
         for i in range(n):
             for h in range(n):
-                if h != i and not sd_dominates(instance.prefs, i, rows[i], rows[h]):
+                if h != i and not sd_dominates(instance.prefs, i, alloc.matrix[i], alloc.matrix[h]):
                     return PropertyVerdict("sd_ef", False, {"envious": i, "envied": h})
         return PropertyVerdict("sd_ef", True)
 
@@ -236,14 +227,14 @@ def check_envy(
             raise KindMismatchError("sd_ef1 is defined for goods instances")
         a = _as_integral(alloc, notion)
         for i in range(n):
-            mine = a.fractional_row(i)
+            mine = a.matrix[i]
             for h in range(n):
                 if h == i or not a.bundles[h]:
                     continue
                 ok = False
                 for j in a.bundles[h]:
-                    reduced = list(a.fractional_row(h))
-                    reduced[j] = ZERO
+                    reduced = list(a.matrix[h])
+                    reduced[j] = 0
                     if sd_dominates(instance.prefs, i, mine, reduced):
                         ok = True
                         break
@@ -340,8 +331,7 @@ def check_efficiency(
 
     if not alloc.complete:
         raise InputError("fpo requires a complete allocation")
-    rows = _rows(alloc)
-    current = [instance.utility(i, rows[i]) for i in range(n)]
+    current = [instance.utility(i, alloc.matrix[i]) for i in range(n)]
     # max total utility subject to every agent keeping her current utility
     objective = [instance.values[i][j] for i in range(n) for j in range(m)]
     # every item fully assigned; every agent keeps at least her current utility
@@ -553,11 +543,10 @@ def enumerate_integral_allocations(instance: Instance) -> Iterator[IntegralAlloc
 
 def nash_product(instance: Instance, alloc: IntegralAllocation | FractionalAllocation) -> Fraction:
     """Product of utilities over agents that value something; zero-value rows are skipped."""
-    rows = _rows(alloc)
     product = ONE
     for i in range(instance.n):
         if any(v != 0 for v in instance.values[i]):
-            product *= instance.utility(i, rows[i])
+            product *= instance.utility(i, alloc.matrix[i])
     return product
 
 

@@ -1,9 +1,10 @@
 """Lottery-producing allocation rules built on eating plus stagewise decomposition.
 
 The recursive rule runs in stages: every agent eats one unit of probability mass in
-preference order, the stage matrix is decomposed into integral stage assignments,
-and the rule recurses on the items a branch leaves unassigned. Three modes share
-the stage engine:
+preference order from the items a branch has left, the stage matrix is decomposed
+on its eaten columns (the items someone ate in that stage) into integral stage
+assignments, and the rule recurses on the items a branch leaves unassigned. A
+stage's cost therefore shrinks as items run out. Three modes share the stage engine:
 
 - ``full_distribution`` expands every branch and merges branches that reach the
   same partial allocation, stage by stage, into one exact lottery;
@@ -86,20 +87,27 @@ class _StageEngine:
     def expand(
         self, mask: frozenset[int]
     ) -> tuple[tuple[Fraction, tuple[tuple[int, int], ...], frozenset[int]], ...]:
-        """One stage from ``mask``: (weight, assigned cells, remaining items) per branch."""
+        """One stage from ``mask``: (weight, assigned cells, remaining items) per branch.
+
+        The agents eat the items of ``mask`` only, and the stage matrix handed to
+        ``bvn_decompose`` keeps only its eaten columns (those with a nonzero cell),
+        in item order. A zero column would add only fixed arcs with no max-flow
+        edge, so the extracted parts are the full-width parts without those
+        columns; each part's cells are mapped back to item indices.
+        """
         cached = self._parts.get(mask)
         if cached is not None:
             return cached
-        available = tuple(ONE if j in mask else ZERO for j in range(self.m))
-        state = EatingState.start(self.prefs, available).run(ONE)
-        stage = FractionalAllocation(state.eaten)
+        items = sorted(mask)
+        local = {j: k for k, j in enumerate(items)}
+        prefs = tuple(tuple(local[j] for j in order if j in local) for order in self.prefs)
+        eaten = EatingState.start(prefs, (ONE,) * len(items)).run(ONE).eaten
+        cols = [k for k in range(len(items)) if any(row[k] for row in eaten)]
+        stage = FractionalAllocation(tuple(tuple(row[k] for k in cols) for row in eaten))
         parts = []
         for weight, alloc in bvn_decompose(stage).support:
             cells = tuple(
-                (i, j)
-                for i in range(self.n)
-                for j in range(self.m)
-                if alloc.matrix[i][j] == 1
+                (i, items[cols[k]]) for i, row in enumerate(alloc.matrix) for k, x in enumerate(row) if x
             )
             taken = frozenset(j for _, j in cells)
             parts.append((weight, cells, mask - taken))

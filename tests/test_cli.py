@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fairlot import cli
 from fairlot.cli import main
 from fairlot.core import FractionalAllocation, dump_json, load_instance
 from fairlot.mnw import ceei_verify
@@ -100,6 +101,43 @@ class TestBasics:
         assert code == 2
         assert out == ""
         assert "integers" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_are_input_errors(self, capsys, files, tmp_path, literal):
+        # an instance value, an allocation cell and a lottery weight
+        def write(name, text):
+            path = tmp_path / name
+            path.write_text(text % literal)
+            return str(path)
+
+        instance = write("inst.json", '{"agents": 2, "items": 2, "values": [[1, %s], [1, 1]]}')
+        tilt2 = files("tilt2.json", TILT2)
+        alloc = write("alloc.json", '{"matrix": [["1", %s], ["0", "0"]]}')
+        lottery = write("lot.json", '{"support": [{"weight": %s, "bundles": [[0], [1]]}]}')
+        for argv in (
+            ("rps", instance),
+            ("mnw", instance),
+            ("round-robin", instance),
+            ("check", tilt2, "--alloc", alloc, "--ex-ante", "prop"),
+            ("decompose", alloc, "--instance", tilt2),
+            ("check", tilt2, "--lottery", lottery, "--ex-post", "ef1"),
+            ("sample", lottery),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err == f"fairlot: not a rational value: {literal}\n"
+
+    def test_unexpected_exception_exits_four(self, capsys, files, monkeypatch):
+        def broken(args):
+            raise RuntimeError("stage table\ncorrupt")
+
+        monkeypatch.setitem(cli._DISPATCH, "rps", broken)
+        code, out, err = run(capsys, "rps", files("swap4.json", SWAP4))
+        assert code == 4
+        assert out == ""
+        assert err == "fairlot: internal error: RuntimeError: stage table corrupt\n"
+        assert "Traceback" not in err
 
     def test_kind_mismatch(self, capsys, files):
         code, _, err = run(capsys, "rps", files("bads.json", BADS))

@@ -15,6 +15,7 @@ from fairlot.core import (
     Instance,
     IntegralAllocation,
     Lottery,
+    _loads,
     allocation_from_json,
     allocation_to_json,
     instance_from_json,
@@ -56,6 +57,11 @@ class TestRationals:
         for text in (f"1e{limit + 1}", f"-2.5E-{limit + 1}", "1e3000000"):
             with pytest.raises(InputError, match="exponent"):
                 parse_rational(text)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_is_input_error(self, value):
+        with pytest.raises(InputError):
+            parse_rational(value)
 
     def test_format_round_trip(self):
         for q in (Fraction(0), Fraction(7, 12), Fraction(-3, 4), Fraction(5)):
@@ -242,6 +248,18 @@ class TestJson:
         for agents, items, values in ((True, 2, [[1, 2]]), (1, True, [[5]])):
             with pytest.raises(InputError):
                 instance_from_json({"agents": agents, "items": items, "values": values})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_are_input_errors(self, literal):
+        # json.loads accepts these constants; the loaders must not
+        texts = (
+            ('{"agents": 1, "items": 2, "values": [[1, %s]]}', instance_from_json),
+            ('{"matrix": [["1/2", %s]]}', allocation_from_json),
+            ('{"support": [{"weight": %s, "bundles": [[0]]}]}', lottery_from_json),
+        )
+        for text, loader in texts:
+            with pytest.raises(InputError, match=literal):
+                loader(_loads(text % literal))
 
     def test_missing_field_reported(self):
         with pytest.raises(InputError):

@@ -107,6 +107,21 @@ class TestEnvy:
         assert not verdict.holds
         assert verdict.witness == {"envious": 0, "envied": 1}
 
+    def test_integral_and_fractional_forms_agree(self):
+        # integral rows compare in int arithmetic; the verdict and witness must be
+        # those of the same allocation written with Fraction cells
+        rng = random.Random(71)
+        failing = {"sd_ef": 0, "sd_ef1": 0}
+        for _ in range(150):
+            inst = random_goods(rng, n_max=4, m_max=7)
+            owners = [rng.randrange(-1, inst.n) for _ in range(inst.m)]
+            a = IntegralAllocation(tuple(tuple(int(o == i) for o in owners) for i in range(inst.n)))
+            for notion in failing:
+                verdict = check_envy(inst, a, notion)
+                assert check_envy(inst, a.to_fractional(), notion) == verdict
+                failing[notion] += not verdict.holds
+        assert all(failing.values())
+
     def test_wef1_double_sided_removal(self):
         inst = Instance.from_rows([[2, -1], [2, -1]])
         part = IntegralAllocation.from_bundles(2, 2, [(0,), (1,)])

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import inspect
+import json
 import random
 import sys
 from fractions import Fraction
@@ -10,11 +13,14 @@ from fractions import Fraction
 import pytest
 
 from fairlot.core import (
+    FractionalAllocation,
     Instance,
     IntegralAllocation,
     KindMismatchError,
     Lottery,
     SizeLimitError,
+    allocation_to_json,
+    lottery_to_json,
 )
 from fairlot.properties import check_envy
 from fairlot.rps import (
@@ -33,6 +39,8 @@ from fairlot.rps import (
 from conftest import SWAP4_SUPPORT
 
 F = Fraction
+# the package attribute fairlot.rps is the rps function, not this module
+RPS_MODULE = importlib.import_module("fairlot.rps")
 
 # full-mode support is 30 here, above the 3*7+1 cap, so poly mode must trim
 TRIM_ROWS = [[2, 6, 5, 6, 3, 0, 0], [3, 6, 3, 1, 6, 5, 2], [1, 1, 4, 6, 2, 0, 1]]
@@ -257,3 +265,113 @@ class TestRoundRobin:
     def test_kind_routing(self, bads3):
         with pytest.raises(KindMismatchError):
             randomized_round_robin(bads3)
+
+
+def _pinned_cases():
+    rng = random.Random(606)
+    yield "trim", rps, TRIM_ROWS
+    for kind, rule, agents, items, draw in (
+        ("goods", rps, (3, 4), (5, 8), lambda: rng.randint(1, 9)),
+        ("bads", rps_bads, (2, 3), (3, 7), lambda: -rng.randint(0, 9)),
+        ("mixed", rps_mixed, (2, 3), (3, 6), lambda: rng.choice([-3, -2, -1, 1, 2, 3])),
+    ):
+        for k in range(6):
+            n, m = rng.randint(*agents), rng.randint(*items)
+            yield f"{kind}{k}", rule, [[draw() for _ in range(m)] for _ in range(n)]
+
+
+def _digest(result: Lottery | IntegralAllocation) -> str:
+    obj = lottery_to_json(result) if isinstance(result, Lottery) else allocation_to_json(result)
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()[:16]
+
+
+def test_matches_pinned_lotteries():
+    # sha256 prefixes of the compact lottery JSON, recorded by running the
+    # full-width stage engine this one replaced; the poly runs of "trim" and
+    # "goods0" trim their support
+    got = []
+    for label, rule, rows in _pinned_cases():
+        inst = Instance.from_rows(rows)
+        for mode in (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE):
+            got.append(f"{label} {mode} {_digest(rule(inst, RpsConfig(mode=mode, seed=7)))}")
+    assert got == PINNED_DIGESTS.splitlines()
+
+
+PINNED_DIGESTS = """\
+trim full_distribution 1fb554db21b8b835
+trim poly_support fc740fe2d8871e79
+trim sample d547d077d6b1df76
+goods0 full_distribution c8b9c2f3d4517bae
+goods0 poly_support 84642c4572d181a5
+goods0 sample b1d030a9c9073418
+goods1 full_distribution ef426254865634c5
+goods1 poly_support ef426254865634c5
+goods1 sample e65ee0cac9684da3
+goods2 full_distribution 7a2f6d6210b00d39
+goods2 poly_support 7a2f6d6210b00d39
+goods2 sample 2d852eb020194837
+goods3 full_distribution 45188e80b8178869
+goods3 poly_support 45188e80b8178869
+goods3 sample 2231c10f73bd0207
+goods4 full_distribution bb9645e2f6c109b3
+goods4 poly_support bb9645e2f6c109b3
+goods4 sample a5071a9b1fda8475
+goods5 full_distribution a6f532efb9c7aea8
+goods5 poly_support a6f532efb9c7aea8
+goods5 sample 9ff72e39f61bbb5c
+bads0 full_distribution 0dc94714ebfaa83a
+bads0 poly_support 0dc94714ebfaa83a
+bads0 sample e51780fd087f67f0
+bads1 full_distribution 929b58af9e0acc41
+bads1 poly_support 929b58af9e0acc41
+bads1 sample d3c5f6c5b6026bf5
+bads2 full_distribution 55c4299dc6560f70
+bads2 poly_support 55c4299dc6560f70
+bads2 sample 47d31dab9ca8f0fa
+bads3 full_distribution 15912dc88393e7c8
+bads3 poly_support 15912dc88393e7c8
+bads3 sample dc6aacf2b49e2cdc
+bads4 full_distribution fdaa7dca55fe5c02
+bads4 poly_support fdaa7dca55fe5c02
+bads4 sample 3eaf186f5e319cfc
+bads5 full_distribution 10b4a73cc990f8c0
+bads5 poly_support 10b4a73cc990f8c0
+bads5 sample 30235dc4bba7986b
+mixed0 full_distribution 1aac0ea36bdb8de1
+mixed0 poly_support 1aac0ea36bdb8de1
+mixed0 sample b3d0ea9af3f5d34e
+mixed1 full_distribution c4bedaec4abdb207
+mixed1 poly_support c4bedaec4abdb207
+mixed1 sample 39fb495d14e2a934
+mixed2 full_distribution b50fa024c1de9c2e
+mixed2 poly_support b50fa024c1de9c2e
+mixed2 sample cab0021062a7b17e
+mixed3 full_distribution 06e549ffa7670a95
+mixed3 poly_support 06e549ffa7670a95
+mixed3 sample c2b9d27686802515
+mixed4 full_distribution b79654572b13b83a
+mixed4 poly_support b79654572b13b83a
+mixed4 sample 484967952b922c6c
+mixed5 full_distribution 464cbb7d39a0937b
+mixed5 poly_support 464cbb7d39a0937b
+mixed5 sample f19bb5997f362370
+"""
+
+
+def test_stage_matrices_have_no_zero_column(monkeypatch):
+    # every stage is decomposed on its eaten columns only
+    stages = []
+    original = RPS_MODULE.bvn_decompose
+
+    def recording(x: FractionalAllocation) -> Lottery:
+        stages.append(x)
+        return original(x)
+
+    monkeypatch.setattr(RPS_MODULE, "bvn_decompose", recording)
+    for _, rule, rows in _pinned_cases():
+        inst = Instance.from_rows(rows)
+        for mode in (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE):
+            rule(inst, RpsConfig(mode=mode, seed=7))
+    assert len(stages) > 50
+    for x in stages:
+        assert all(x.column_sum(j) > 0 for j in range(x.m))
