@@ -137,10 +137,10 @@ def bvn_constraints(x: FractionalAllocation) -> Bihierarchy:
     """Quotas for generalized Birkhoff-von Neumann: every part keeps each row sum,
     column sum and cell within the floor/ceiling of its value in ``x``."""
     n, m = x.n, x.m
-    h2 = [
-        (frozenset((i, j) for i in range(n)), math.floor(x.column_sum(j)), math.ceil(x.column_sum(j)))
-        for j in range(m)
-    ]
+    h2: list[tuple[frozenset[Cell], int, int]] = []
+    for j in range(m):
+        col_sum = x.column_sum(j)
+        h2.append((frozenset((i, j) for i in range(n)), math.floor(col_sum), math.ceil(col_sum)))
     h1: list[tuple[frozenset[Cell], int, int]] = []
     for i in range(n):
         row_sum = sum(x.matrix[i], ZERO)

@@ -30,7 +30,9 @@ from .core import (
 )
 
 PO_LIMIT = 2_000_000
-# check_gf solves (2^n - 1)^2 exact LPs: 3,969 at 6 agents, 16,129 at 7
+# check_gf falls back to (2^n - 1)^2 exact LPs when its price certificate does
+# not apply: 3,969 at 6 agents, 16,129 at 7. The cap comes before the
+# certificate, so whether `check --ex-ante gf` exits 3 depends on n alone.
 GF_AGENT_LIMIT = 6
 
 SHARE_NOTIONS = ("prop", "prop1_goods", "prop1_bads")
@@ -363,7 +365,20 @@ def check_gf(instance: Instance, x: FractionalAllocation, restrict: str = "full"
     scale by |S|/|T|, and make all of S weakly better off, one strictly.
 
     ``restrict="s_le_t"`` checks only pairs with |S| <= |T| (the for-less variant).
-    One exact LP per (S, T) pair; violation iff some optimum is positive.
+
+    A price certificate decides "holds" in O(n*m): with utilities u_i > 0 and
+    prices p_g = max_h v_hg / u_h (the prices ``solve_mnw`` reports), every
+    v_ig <= p_g * u_i. If every bundle costs exactly 1 at p, a Y that leaves
+    each member of S weakly better off spends at least |T|/|S| per member, so
+    at least |T| in all; the pool of T costs exactly |T|, so every inequality
+    is tight and nobody in S is strictly better off. The argument holds for
+    any value signs and both restrictions. It covers every ``solve_mnw``
+    allocation in which each agent values some item.
+
+    Otherwise (a zero or negative utility, or a bundle off budget) one exact
+    LP runs per (S, T) pair, in coalition-size order; x is a violation iff
+    some optimum is positive, and the first such pair is the witness. Above
+    ``GF_AGENT_LIMIT`` agents the check raises SizeLimitError before either.
     """
     if restrict not in ("full", "s_le_t"):
         raise InputError(f"unknown restriction: {restrict}")
@@ -376,6 +391,8 @@ def check_gf(instance: Instance, x: FractionalAllocation, restrict: str = "full"
         raise SizeLimitError(f"group fairness sweep caps at {GF_AGENT_LIMIT} agents")
     label = "gf" if restrict == "full" else "gf_for_less"
     current = [instance.utility(i, x.row(i)) for i in range(n)]
+    if _priced_at_one(instance, x, current):
+        return PropertyVerdict(label, True)
     agents = list(range(n))
     for s_size in range(1, n + 1):
         for s_tuple in itertools.combinations(agents, s_size):
@@ -387,6 +404,16 @@ def check_gf(instance: Instance, x: FractionalAllocation, restrict: str = "full"
                     if verdict is not None:
                         return verdict
     return PropertyVerdict(label, True)
+
+
+def _priced_at_one(
+    instance: Instance, x: FractionalAllocation, current: Sequence[Fraction]
+) -> bool:
+    """Whether every u_i > 0 and every bundle costs 1 at p_g = max_h v_hg / u_h."""
+    if any(u <= 0 for u in current):
+        return False
+    prices = [max(row[g] / u for row, u in zip(instance.values, current)) for g in range(instance.m)]
+    return all(sum((p * c for p, c in zip(prices, row) if c), ZERO) == 1 for row in x.matrix)
 
 
 def _gf_pair(

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from fairlot import lp
+from fairlot import lp, properties
 from fairlot.core import (
     FractionalAllocation,
     InputError,
@@ -17,7 +18,7 @@ from fairlot.core import (
     Lottery,
     SizeLimitError,
 )
-from fairlot.mnw import mnw_v
+from fairlot.mnw import mnw_v, solve_mnw
 from fairlot.properties import (
     AuditReport,
     audit_lottery,
@@ -32,7 +33,7 @@ from fairlot.properties import (
 from fairlot.rounding import gf_lottery
 from fairlot.rps import rps
 
-from conftest import random_bads, random_goods, random_integral
+from conftest import random_bads, random_goods, random_integral, random_positive_goods
 
 F = Fraction
 
@@ -204,6 +205,28 @@ class TestEfficiency:
             list(enumerate_integral_allocations(inst))
 
 
+def _lp_sweep(instance, x):
+    """Both GF verdicts from the plain LP sweep: _gf_pair on each (S, T) pair in
+    check_gf's order; gf_for_less keeps the first failure with |S| <= |T|."""
+    agents = range(instance.n)
+    current = [instance.utility(i, x.row(i)) for i in agents]
+    coalitions = [c for size in range(1, instance.n + 1) for c in itertools.combinations(agents, size)]
+    found = {}
+    for s_tuple, t_tuple in itertools.product(coalitions, repeat=2):
+        labels = [
+            label
+            for label in ("gf", "gf_for_less")
+            if label not in found and (label == "gf" or len(s_tuple) <= len(t_tuple))
+        ]
+        if not labels:
+            continue
+        verdict = properties._gf_pair(instance, x, current, s_tuple, t_tuple, "gf")
+        if verdict is not None:
+            for label in labels:
+                found[label] = {**verdict.to_json(), "property": label}
+    return {label: found.get(label, {"property": label, "holds": True}) for label in ("gf", "gf_for_less")}
+
+
 class TestGroupFairness:
     def test_witness_recheck(self, weak3):
         x = mnw_v(weak3)
@@ -231,7 +254,8 @@ class TestGroupFairness:
         assert check_gf(weak3, x, restrict="s_le_t").holds
 
     def test_seven_agents_hit_the_limit_before_any_lp(self, monkeypatch):
-        # the sweep solves (2^n - 1)^2 exact LPs, 16,129 at 7 agents
+        # the cap comes before the price certificate (which this identity
+        # allocation would pass) and before the (2^n - 1)^2 LP sweep
         def no_lp(*args):
             raise AssertionError("check_gf solved an LP before checking its agent limit")
 
@@ -241,6 +265,115 @@ class TestGroupFairness:
         for restrict in ("full", "s_le_t"):
             with pytest.raises(SizeLimitError):
                 check_gf(inst, x, restrict=restrict)
+
+    def test_mnw_allocations_are_certified_without_lp(self, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("check_gf solved an LP on a CEEI allocation")
+
+        rng = random.Random(71)
+        cases = [random_positive_goods(rng, n_max=6, m_max=8) for _ in range(30)]
+        cases += [random_goods(rng, n_max=6, m_max=8) for _ in range(30)]
+        cases = [inst for inst in cases if all(any(row) for row in inst.values)]
+        allocations = [solve_mnw(inst).allocation for inst in cases]
+        monkeypatch.setattr(lp, "solve", no_lp)
+        for inst, x in zip(cases, allocations):
+            for restrict in ("full", "s_le_t"):
+                assert check_gf(inst, x, restrict=restrict).holds
+
+    @pytest.mark.parametrize(
+        "rows, make, pinned",
+        [
+            # mnw_v carves the weak good out, so agent 2's bundle costs 7/4
+            (
+                [[1, 0], [1, 0], [1, 1]],
+                mnw_v,
+                {
+                    "full": {"S": [0, 2], "T": [2], "Y": [["1/3", "0"], ["0", "1"]], "delta": ["1/3", "2/3"]},
+                    "s_le_t": None,
+                },
+            ),
+            # agent 2 values nothing: utility 0, so no prices exist
+            (
+                [[3, 1, 0], [1, 2, 2], [0, 0, 0]],
+                lambda inst: solve_mnw(inst).allocation,
+                {
+                    "full": {"S": [0, 2], "T": [0], "Y": [["1", "0", "0"], ["0", "0", "0"]], "delta": ["3", "0"]},
+                    "s_le_t": {
+                        "S": [0, 2],
+                        "T": [0, 1],
+                        "Y": [["1", "1", "1"], ["0", "0", "0"]],
+                        "delta": ["1", "0"],
+                    },
+                },
+            ),
+        ],
+    )
+    def test_uncertified_inputs_run_the_lp_sweep(self, monkeypatch, rows, make, pinned):
+        inst = Instance.from_rows(rows)
+        x = make(inst)
+        calls = []
+        solve = lp.solve
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "solve", counting_solve)
+        for restrict, witness in pinned.items():
+            calls.clear()
+            verdict = check_gf(inst, x, restrict=restrict)
+            assert calls
+            assert verdict.holds is (witness is None)
+            assert verdict.witness == witness
+
+    def test_certificate_matches_lp_sweep(self):
+        rng = random.Random(29)
+
+        def goods(n_max=4):
+            return random_goods(rng, n_max=n_max, m_max=6)
+
+        def zero_row():
+            rows = list(goods(n_max=3).values)
+            rows.insert(rng.randint(0, len(rows)), [0] * len(rows[0]))
+            return Instance.from_rows(rows)
+
+        def bads_or_mixed():
+            if rng.random() < 0.5:
+                return random_bads(rng, n_max=4)
+            n, m = rng.randint(2, 4), rng.randint(2, 6)
+            return Instance.from_rows([[rng.randint(-10, 10) for _ in range(m)] for _ in range(n)])
+
+        def mnw(inst):
+            return inst, solve_mnw(inst).allocation
+
+        def perturbed(inst):
+            # near-CEEI: the allocation is MNW for values one or two units away
+            near = Instance.from_rows([[max(0, v + rng.randint(-2, 2)) for v in row] for row in inst.values])
+            return near, solve_mnw(inst).allocation
+
+        def sixths(inst):
+            cells = [[0] * inst.m for _ in range(inst.n)]
+            for j in range(inst.m):
+                for _ in range(6):
+                    cells[rng.randrange(inst.n)][j] += 1
+            return inst, FractionalAllocation(tuple(tuple(F(c, 6) for c in row) for row in cells))
+
+        cases = [mnw(goods()) for _ in range(20)]
+        cases += [perturbed(goods()) for _ in range(35)]
+        cases += [sixths(goods()) for _ in range(50)]
+        cases += [mnw(zero_row()) if k % 2 else sixths(zero_row()) for k in range(45)]
+        cases += [sixths(bads_or_mixed()) for _ in range(50)]
+
+        certified = failing = 0
+        for inst, x in cases:
+            oracle = _lp_sweep(inst, x)
+            for restrict, label in (("full", "gf"), ("s_le_t", "gf_for_less")):
+                assert check_gf(inst, x, restrict=restrict).to_json() == oracle[label]
+                failing += not oracle[label]["holds"]
+            current = [inst.utility(i, x.row(i)) for i in range(inst.n)]
+            certified += properties._priced_at_one(inst, x, current)
+        # 29 certified instances and 329 failing verdicts at this seed
+        assert certified >= 25 and failing >= 300
 
     def test_input_validation(self, tilt2):
         x = FractionalAllocation.from_rows([["1", "1/4"], ["0", "3/4"]])
