@@ -3,99 +3,99 @@
 Exact-arithmetic implementations of eating-based lotteries, Nash-welfare
 allocation, utility-preserving lottery decompositions, and a property audit
 toolkit, with a JSON command-line front end.
+
+``import fairlot`` loads only ``fairlot.core``; every other public name loads
+its home module on first access, so a process pays only for the layers it uses.
 """
 
-from .core import (
-    FairlotError,
-    FractionalAllocation,
-    InputError,
-    Instance,
-    IntegralAllocation,
-    KindMismatchError,
-    Lottery,
-    SizeLimitError,
-    SolveError,
-    ZeroUtilityError,
-    load_allocation,
-    load_instance,
-    load_lottery,
-)
-from .decomp import Bihierarchy, bihierarchy_decompose, bvn_constraints, bvn_decompose, prefix_constraints, reduce_support
-from .eating import eat, eat_full
-from .mnw import MnwSolution, ceei_verify, mnw_deviation_witness, mnw_v, replicate, replicate_allocation, solve_mnw
-from .properties import (
-    AuditReport,
-    PropertyVerdict,
-    audit_lottery,
-    check_efficiency,
-    check_envy,
-    check_gf,
-    check_share,
-    enumerate_integral_allocations,
-    integral_nash_argmax,
-    nash_product,
-)
-from .rounding import (
-    check_adjusted_envy_chain,
-    check_utility_guarantee,
-    gf_lottery,
-    implement_with_utility_guarantee,
-    prop1_ef11_lottery_bads,
-    prop1_lottery,
-)
-from .rps import RpsConfig, randomized_round_robin, rps, rps_bads, rps_mixed
+import sys
+import types
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "Bihierarchy",
-    "FairlotError",
-    "FractionalAllocation",
-    "InputError",
-    "Instance",
-    "IntegralAllocation",
-    "KindMismatchError",
-    "Lottery",
-    "MnwSolution",
-    "PropertyVerdict",
-    "RpsConfig",
-    "SizeLimitError",
-    "SolveError",
-    "ZeroUtilityError",
-    "audit_lottery",
-    "bihierarchy_decompose",
-    "bvn_constraints",
-    "bvn_decompose",
-    "ceei_verify",
-    "check_adjusted_envy_chain",
-    "check_efficiency",
-    "check_envy",
-    "check_gf",
-    "check_share",
-    "check_utility_guarantee",
-    "eat",
-    "eat_full",
-    "enumerate_integral_allocations",
-    "gf_lottery",
-    "implement_with_utility_guarantee",
-    "integral_nash_argmax",
-    "load_allocation",
-    "load_instance",
-    "load_lottery",
-    "mnw_deviation_witness",
-    "mnw_v",
-    "nash_product",
-    "prefix_constraints",
-    "prop1_ef11_lottery_bads",
-    "prop1_lottery",
-    "randomized_round_robin",
-    "reduce_support",
-    "replicate",
-    "replicate_allocation",
-    "rps",
-    "rps_bads",
-    "rps_mixed",
-    "solve_mnw",
-    "__version__",
-]
+# the home module of every public name; only core is imported with the package
+_HOMES = {
+    "core": (
+        "FairlotError",
+        "FractionalAllocation",
+        "InputError",
+        "Instance",
+        "IntegralAllocation",
+        "KindMismatchError",
+        "Lottery",
+        "SizeLimitError",
+        "SolveError",
+        "ZeroUtilityError",
+        "load_allocation",
+        "load_instance",
+        "load_lottery",
+    ),
+    "decomp": (
+        "Bihierarchy",
+        "bihierarchy_decompose",
+        "bvn_constraints",
+        "bvn_decompose",
+        "prefix_constraints",
+        "reduce_support",
+    ),
+    "eating": ("eat", "eat_full"),
+    "mnw": (
+        "MnwSolution",
+        "ceei_verify",
+        "mnw_deviation_witness",
+        "mnw_v",
+        "replicate",
+        "replicate_allocation",
+        "solve_mnw",
+    ),
+    "properties": (
+        "AuditReport",
+        "PropertyVerdict",
+        "audit_lottery",
+        "check_efficiency",
+        "check_envy",
+        "check_gf",
+        "check_share",
+        "enumerate_integral_allocations",
+        "integral_nash_argmax",
+        "nash_product",
+    ),
+    "rounding": (
+        "check_adjusted_envy_chain",
+        "check_utility_guarantee",
+        "gf_lottery",
+        "implement_with_utility_guarantee",
+        "prop1_ef11_lottery_bads",
+        "prop1_lottery",
+    ),
+    "rps": ("RpsConfig", "randomized_round_robin", "rps", "rps_bads", "rps_mixed"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name: str) -> object:
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+for _name in _HOMES["core"]:
+    __getattr__(_name)
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value: object) -> None:
+        # importing the submodule fairlot.rps binds it here; the package name is the rps function
+        if name == "rps" and isinstance(value, types.ModuleType):
+            value = value.rps
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+__all__ = [*sorted(_HOME), "__version__"]

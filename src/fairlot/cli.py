@@ -6,6 +6,11 @@ property failed (witness in the report); 2 usage or input error; 3 a size or
 iteration limit was hit; 4 an internal error (a bug: any other exception, reported
 on one stderr line as ``fairlot: internal error: <Type>: <message>``).
 Diagnostics go to stderr; stdout carries only JSON.
+
+Each command imports only the layers it runs, inside its handler: ``sample``
+loads nothing beyond ``core``, and ``decompose --bvn`` only ``decomp`` and ``lp``.
+Handlers import by submodule (``from .rps import rps``), because the package
+attribute ``fairlot.rps`` is the function, not the module.
 """
 
 from __future__ import annotations
@@ -31,14 +36,6 @@ from .core import (
     load_lottery,
     lottery_to_json,
 )
-from .decomp import bvn_decompose
-from .mnw import mnw_v, solve_mnw
-from .properties import AuditReport, _run_named_check, audit_lottery
-from .rounding import gf_lottery, implement_with_utility_guarantee, prop1_ef11_lottery_bads, prop1_lottery
-from .rps import FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE, RpsConfig, randomized_round_robin, rps, rps_bads, rps_mixed
-
-_RPS_MODES = {"full": FULL_DISTRIBUTION, "poly": POLY_SUPPORT, "sample": SAMPLE}
-_RPS_RULES = {"rps": rps, "rps-bads": rps_bads, "rps-mixed": rps_mixed}
 
 
 def _emit(obj: dict, path: str | None) -> None:
@@ -88,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("instance", help="instance JSON file")
-        p.add_argument("--mode", choices=sorted(_RPS_MODES), default="full")
+        p.add_argument("--mode", choices=("full", "poly", "sample"), default="full")
         p.add_argument("--seed", type=int, default=0, help="RNG seed for --mode sample")
         output_flag(p)
 
@@ -147,14 +144,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_rps(args: argparse.Namespace) -> int:
+    from .rps import FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE, RpsConfig, rps, rps_bads, rps_mixed
+
     instance = load_instance(args.instance)
-    cfg = RpsConfig(mode=_RPS_MODES[args.mode], seed=args.seed)
-    result = _RPS_RULES[args.command](instance, cfg)
+    mode = {"full": FULL_DISTRIBUTION, "poly": POLY_SUPPORT, "sample": SAMPLE}[args.mode]
+    rule = {"rps": rps, "rps-bads": rps_bads, "rps-mixed": rps_mixed}[args.command]
+    result = rule(instance, RpsConfig(mode=mode, seed=args.seed))
     _emit(_result_json(result), args.output)
     return 0
 
 
 def _run_round_robin(args: argparse.Namespace) -> int:
+    from .rps import randomized_round_robin
+
     instance = load_instance(args.instance)
     if args.seed is None:
         result = randomized_round_robin(instance, mode="exact")
@@ -165,6 +167,8 @@ def _run_round_robin(args: argparse.Namespace) -> int:
 
 
 def _run_mnw(args: argparse.Namespace) -> int:
+    from .mnw import solve_mnw
+
     instance = load_instance(args.instance)
     solution = solve_mnw(instance)
     print(f"fairlot: log Nash welfare {solution.log_nash_welfare:.12g}", file=sys.stderr)
@@ -173,18 +177,24 @@ def _run_mnw(args: argparse.Namespace) -> int:
 
 
 def _run_mnw_v(args: argparse.Namespace) -> int:
+    from .mnw import mnw_v
+
     instance = load_instance(args.instance)
     _emit(allocation_to_json(mnw_v(instance)), args.output)
     return 0
 
 
 def _run_gf_lottery(args: argparse.Namespace) -> int:
+    from .rounding import gf_lottery
+
     instance = load_instance(args.instance)
     _emit(lottery_to_json(gf_lottery(instance)), args.output)
     return 0
 
 
 def _run_prop1_lottery(args: argparse.Namespace) -> int:
+    from .rounding import prop1_lottery
+
     instance = load_instance(args.instance)
     x = load_allocation(args.frac)
     _emit(lottery_to_json(prop1_lottery(instance, x)), args.output)
@@ -192,6 +202,8 @@ def _run_prop1_lottery(args: argparse.Namespace) -> int:
 
 
 def _run_bads_lottery(args: argparse.Namespace) -> int:
+    from .rounding import prop1_ef11_lottery_bads
+
     instance = load_instance(args.instance)
     x = load_allocation(args.ceei)
     _emit(lottery_to_json(prop1_ef11_lottery_bads(instance, x)), args.output)
@@ -203,12 +215,21 @@ def _run_decompose(args: argparse.Namespace) -> int:
     x = load_allocation(args.allocation)
     if x.n != instance.n or x.m != instance.m:
         raise InputError("allocation shape does not match instance")
-    lottery = implement_with_utility_guarantee(instance, x) if args.bihierarchy else bvn_decompose(x)
+    if args.bihierarchy:
+        from .rounding import implement_with_utility_guarantee
+
+        lottery = implement_with_utility_guarantee(instance, x)
+    else:
+        from .decomp import bvn_decompose
+
+        lottery = bvn_decompose(x)
     _emit(lottery_to_json(lottery), args.output)
     return 0
 
 
 def _run_check(args: argparse.Namespace) -> int:
+    from .properties import AuditReport, _run_named_check, audit_lottery
+
     instance = load_instance(args.instance)
     ex_ante = _names(args.ex_ante)
     ex_post = _names(args.ex_post)

@@ -177,9 +177,13 @@ def prop1_lottery(instance: Instance, x: FractionalAllocation) -> Lottery:
 
 
 def gf_lottery(instance: Instance) -> Lottery:
-    """Lottery whose marginal is a group fair (Nash-optimal) allocation and whose
-    parts are each proportional up to one good, envy-free up to one good
-    more-and-less, and fractionally Pareto optimal.
+    """Lottery whose marginal is a Nash-optimal allocation and whose parts are
+    each proportional up to one good, envy-free up to one good more-and-less,
+    and fractionally Pareto optimal.
+
+    The marginal is group fair when every agent values some item. An agent who
+    values nothing keeps an empty bundle and can still join a deviating
+    coalition S, which raises its |S|/|T| scale, so the marginal can fail GF.
     """
     solution = solve_mnw(instance)
     return implement_with_utility_guarantee(instance, solution.allocation)

@@ -47,6 +47,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_python(*args):
+    """Run ``python ARGS`` in a new interpreter on this checkout's sources, so
+    the modules it loads are its own and not the test session's."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestBasics:
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
@@ -56,13 +65,8 @@ class TestBasics:
     def test_imports_leave_numpy_out(self):
         # the library runs on the standard library alone; a fresh interpreter
         # shows what importing it really loads
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         script = "import sys, fairlot, fairlot.cli; print('numpy' in sys.modules)"
-        child = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
+        child = fresh_python("-c", script)
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == "False"
 
@@ -541,3 +545,107 @@ class TestSampleAndPipes:
         assert code == 0
         matrix = json.loads(out)["matrix"]
         assert len(matrix) == 3 and all(len(row) == 3 for row in matrix)
+
+
+def imported_fairlot_modules(importtime_stderr):
+    """The ``fairlot.*`` modules a ``python -X importtime`` child loaded."""
+    names = set()
+    for line in importtime_stderr.splitlines():
+        if line.startswith("import time:"):
+            name = line.rsplit("|", 1)[1].strip()
+            if name.startswith("fairlot."):
+                names.add(name.removeprefix("fairlot."))
+    return names
+
+
+class TestFreshProcess:
+    """Each command run as ``python -m fairlot.cli`` in a new interpreter, where
+    only the imports its own handler makes have happened."""
+
+    HALVES = {"matrix": [["1/2", "1/2"], ["1/2", "1/2"]]}
+    BADS_CEEI = {"matrix": [["1", "1/2", "0"], ["0", "1/2", "1"]]}
+    LOTTERY = {
+        "agents": 2,
+        "items": 2,
+        "support": [{"weight": "3/4", "bundles": [[0], [1]]}, {"weight": "1/4", "bundles": [[0, 1], []]}],
+    }
+
+    @pytest.fixture
+    def paths(self, files):
+        return {
+            "goods": files("tilt2.json", TILT2),
+            "bads": files("bads.json", BADS),
+            "alloc": files("x.json", self.HALVES),
+            "ceei": files("ceei.json", self.BADS_CEEI),
+            "lottery": files("lot.json", self.LOTTERY),
+        }
+
+    @pytest.mark.parametrize(
+        "argv, needed, forbidden",
+        [
+            (["--version"], set(), {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
+            (["sample", "lottery"], set(), {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
+            (["rps", "goods"], {"rps"}, {"mnw", "properties", "rounding"}),
+            (["rps-bads", "bads"], {"rps"}, {"mnw", "properties", "rounding"}),
+            (
+                ["decompose", "alloc", "--instance", "goods", "--bvn"],
+                {"decomp"},
+                {"mnw", "properties", "rounding", "rps", "eating"},
+            ),
+        ],
+        ids=["version", "sample", "rps", "rps-bads", "decompose-bvn"],
+    )
+    def test_command_loads_only_its_layers(self, paths, argv, needed, forbidden):
+        child = fresh_python("-X", "importtime", "-m", "fairlot.cli", *(paths.get(a, a) for a in argv))
+        assert child.returncode == 0, child.stderr
+        loaded = imported_fairlot_modules(child.stderr)
+        assert needed <= loaded
+        assert loaded & forbidden == set()
+
+    @pytest.mark.parametrize("statement", ["from fairlot.rps import RpsConfig", "import fairlot.rps"])
+    def test_package_rps_is_the_function_after_submodule_import(self, statement):
+        script = f"{statement}\nimport sys, fairlot\nassert fairlot.rps is sys.modules['fairlot.rps'].rps, fairlot.rps"
+        child = fresh_python("-c", script)
+        assert child.returncode == 0, child.stderr
+
+    def test_star_import_binds_each_name_to_its_home_module(self):
+        script = """
+import sys, fairlot
+from fairlot import *
+assert __version__ == fairlot.__version__
+for name in set(fairlot.__all__) - {"__version__"}:
+    obj = globals()[name]
+    assert obj.__name__ == name, name
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert getattr(fairlot, name) is obj, name
+try:
+    fairlot.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'fairlot' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("unknown name resolved")
+"""
+        child = fresh_python("-c", script)
+        assert child.returncode == 0, child.stderr
+
+    def test_every_command_matches_in_process(self, capsys, paths):
+        commands = [
+            ["rps", "goods", "--mode", "poly"],
+            ["rps-bads", "bads"],
+            ["rps-mixed", "goods"],
+            ["round-robin", "goods"],
+            ["mnw", "goods"],
+            ["mnw-v", "goods"],
+            ["gf-lottery", "goods"],
+            ["prop1-lottery", "goods", "--frac", "alloc"],
+            ["bads-lottery", "bads", "--ceei", "ceei"],
+            ["decompose", "alloc", "--instance", "goods", "--bvn"],
+            ["decompose", "alloc", "--instance", "goods", "--bihierarchy"],
+            ["check", "goods", "--lottery", "lottery", "--ex-ante", "gf,sdef", "--ex-post", "ef1,fpo"],
+            ["sample", "lottery", "--seed", "3"],
+        ]
+        for command in commands:
+            argv = [paths.get(a, a) for a in command]
+            child = fresh_python("-m", "fairlot.cli", *argv)
+            assert (child.returncode, child.stdout, child.stderr) == run(capsys, *argv), command
+            assert child.returncode in (0, 1), child.stderr

@@ -146,6 +146,15 @@ class TestGfLottery:
         for _, part in lot.support:
             assert check_envy(tilt2, part, "ef11_goods").holds
 
+    def test_null_agent_can_break_group_fairness(self):
+        # group fairness needs every agent to value some item: with the null
+        # agent 2 in S = {0, 2}, the pool of T = {0} scales by |S|/|T| = 2
+        inst = Instance.from_rows([[3, 1, 0], [1, 2, 2], [0, 0, 0]])
+        verdict = check_gf(inst, gf_lottery(inst).marginal)
+        assert not verdict.holds
+        witness = verdict.witness
+        assert (witness["S"], witness["T"], witness["delta"]) == ([0, 2], [0], ["3", "0"])
+
     def test_chain_weakens_at_integral_optimum(self):
         inst = Instance.from_rows([[2, 1], [1, 2]])
         lot = gf_lottery(inst)
