@@ -8,9 +8,9 @@ toolkit, with a JSON command-line front end.
 its home module on first access, so a process pays only for the layers it uses.
 """
 
-import sys
-import types
-from importlib import import_module
+from importlib import import_module as _import_module
+from sys import modules as _modules
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -72,30 +72,37 @@ _HOMES = {
     "rps": ("RpsConfig", "randomized_round_robin", "rps", "rps_bads", "rps_mixed"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
+# library layers reachable as package attributes, as when the package imported them all
+_LAYERS = {*_HOMES, "lp"}
 
 
 def __getattr__(name: str) -> object:
-    try:
-        home = _HOME[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(import_module(f"{__name__}.{home}"), name)
-    globals()[name] = value
-    return value
+    if name in _HOME:
+        value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _LAYERS:
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_LAYERS})
 
 
 for _name in _HOMES["core"]:
     __getattr__(_name)
+del _name
 
 
-class _Package(types.ModuleType):
+class _Package(_ModuleType):
     def __setattr__(self, name: str, value: object) -> None:
         # importing the submodule fairlot.rps binds it here; the package name is the rps function
-        if name == "rps" and isinstance(value, types.ModuleType):
+        if name == "rps" and isinstance(value, _ModuleType):
             value = value.rps
         super().__setattr__(name, value)
 
 
-sys.modules[__name__].__class__ = _Package
+_modules[__name__].__class__ = _Package
 
 __all__ = [*sorted(_HOME), "__version__"]

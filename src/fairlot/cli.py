@@ -38,6 +38,10 @@ from .core import (
 )
 
 
+# the rps --mode names, in the order of the rps module's FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE
+_RPS_MODE_NAMES = ("full", "poly", "sample")
+
+
 def _emit(obj: dict, path: str | None) -> None:
     if path is None:
         sys.stdout.write(dump_json(obj))
@@ -85,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("instance", help="instance JSON file")
-        p.add_argument("--mode", choices=("full", "poly", "sample"), default="full")
+        p.add_argument("--mode", choices=_RPS_MODE_NAMES, default="full")
         p.add_argument("--seed", type=int, default=0, help="RNG seed for --mode sample")
         output_flag(p)
 
@@ -147,7 +151,7 @@ def _run_rps(args: argparse.Namespace) -> int:
     from .rps import FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE, RpsConfig, rps, rps_bads, rps_mixed
 
     instance = load_instance(args.instance)
-    mode = {"full": FULL_DISTRIBUTION, "poly": POLY_SUPPORT, "sample": SAMPLE}[args.mode]
+    mode = dict(zip(_RPS_MODE_NAMES, (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE)))[args.mode]
     rule = {"rps": rps, "rps-bads": rps_bads, "rps-mixed": rps_mixed}[args.command]
     result = rule(instance, RpsConfig(mode=mode, seed=args.seed))
     _emit(_result_json(result), args.output)

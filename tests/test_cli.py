@@ -64,8 +64,14 @@ class TestBasics:
 
     def test_imports_leave_numpy_out(self):
         # the library runs on the standard library alone; a fresh interpreter
-        # shows what importing it really loads
-        script = "import sys, fairlot, fairlot.cli; print('numpy' in sys.modules)"
+        # shows what loading every layer really imports
+        script = (
+            "import sys, fairlot, fairlot.cli, fairlot.lp\n"
+            "from fairlot import *\n"
+            "layers = ('cli', 'core', 'decomp', 'eating', 'lp', 'mnw', 'properties', 'rounding', 'rps')\n"
+            "assert all(f'fairlot.{m}' in sys.modules for m in layers)\n"
+            "print('numpy' in sys.modules)"
+        )
         child = fresh_python("-c", script)
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == "False"
@@ -624,6 +630,19 @@ except AttributeError as exc:
     assert str(exc) == "module 'fairlot' has no attribute 'no_such_name'", exc
 else:
     raise AssertionError("unknown name resolved")
+"""
+        child = fresh_python("-c", script)
+        assert child.returncode == 0, child.stderr
+
+    def test_bare_package_lists_exports_and_reaches_layers(self):
+        script = """
+import sys, fairlot
+names = set(dir(fairlot))
+assert set(fairlot.__all__) <= names, set(fairlot.__all__) - names
+assert not names & {"sys", "types", "import_module", "_name"}, names
+for layer in ("decomp", "eating", "lp", "mnw", "properties", "rounding"):
+    assert getattr(fairlot, layer) is sys.modules["fairlot." + layer], layer
+assert fairlot.rps is sys.modules["fairlot.rps"].rps
 """
         child = fresh_python("-c", script)
         assert child.returncode == 0, child.stderr
