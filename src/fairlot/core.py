@@ -1,14 +1,15 @@
 """Exact-rational data model: instances, allocations, lotteries and their JSON forms.
 
 Everything in this module is immutable and arithmetically exact (``fractions.Fraction``).
-Floats never enter through the JSON loaders: decimal literals are parsed digit-exactly,
-so ``0.6`` becomes 3/5, not the nearest binary float.
+The value types here and in the other layers are plain classes on one immutable
+base, ``_Frozen``, which generates no code at import. Floats never enter through the
+JSON loaders: decimal literals are parsed digit-exactly, so ``0.6`` becomes 3/5, not
+the nearest binary float.
 """
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -44,6 +45,40 @@ class SizeLimitError(FairlotError):
 
 class SolveError(FairlotError):
     """A numeric solve failed to reach its tolerance or verification failed."""
+
+
+class _Frozen:
+    """Base of the library's immutable value types.
+
+    A subclass names its fields in ``_fields``, in declaration order, and sets them
+    in its own ``__init__`` with ``object.__setattr__``. Equality (same class only),
+    hashing and repr run over those fields in that order; every assignment or
+    deletion raises AttributeError. Instances keep a ``__dict__``, so
+    ``cached_property`` works.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -86,8 +121,7 @@ def ordinal_preferences(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, 
     )
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Frozen):
     """A fair-division instance: additive valuations of n agents over m items.
 
     The kind is derived from the signs of the values: all nonnegative means goods
@@ -95,15 +129,17 @@ class Instance:
     all nonpositive means bads, anything else is mixed manna.
     """
 
+    _fields = ("values",)
     values: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[tuple[Fraction, ...], ...]) -> None:
+        if not values:
             raise InputError("instance needs at least one agent")
-        m = len(self.values[0])
-        for row in self.values:
+        m = len(values[0])
+        for row in values:
             if len(row) != m:
                 raise InputError("value rows have inconsistent lengths")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
@@ -174,30 +210,34 @@ def sd_dominates(
     return True
 
 
-@dataclass(frozen=True)
-class FractionalAllocation:
+class FractionalAllocation(_Frozen):
     """An n-by-m matrix of item shares; cell (i, j) is agent i's share of item j.
 
     Cells lie in [0, 1] and column sums never exceed 1. The allocation is complete
-    when every column sums to exactly 1.
+    when every column sums to exactly 1. ``column_sums`` keeps the sums that
+    validation computed; equality, hashing and repr use ``matrix`` alone.
     """
 
+    _fields = ("matrix",)
     matrix: tuple[tuple[Fraction, ...], ...]
+    column_sums: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.matrix:
+    def __init__(self, matrix: tuple[tuple[Fraction, ...], ...]) -> None:
+        if not matrix:
             raise InputError("allocation needs at least one agent row")
-        m = len(self.matrix[0])
-        for row in self.matrix:
+        m = len(matrix[0])
+        for row in matrix:
             if len(row) != m:
                 raise InputError("allocation rows have inconsistent lengths")
             for x in row:
                 if x < 0 or x > 1:
                     raise InputError(f"allocation cell {x} outside [0, 1]")
-        for j in range(m):
-            s = sum((row[j] for row in self.matrix), ZERO)
+        sums = tuple([sum(column, ZERO) for column in zip(*matrix)])
+        for j, s in enumerate(sums):
             if s > 1:
                 raise InputError(f"column {j} allocates more than the whole item ({s})")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "column_sums", sums)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "FractionalAllocation":
@@ -215,11 +255,11 @@ class FractionalAllocation:
         return self.matrix[i]
 
     def column_sum(self, j: int) -> Fraction:
-        return sum((row[j] for row in self.matrix), ZERO)
+        return self.column_sums[j]
 
     @property
     def complete(self) -> bool:
-        return all(self.column_sum(j) == 1 for j in range(self.m))
+        return all(s == 1 for s in self.column_sums)
 
     @property
     def is_integral(self) -> bool:
@@ -231,25 +271,26 @@ class FractionalAllocation:
         return IntegralAllocation(tuple(tuple(int(x) for x in row) for row in self.matrix))
 
 
-@dataclass(frozen=True)
-class IntegralAllocation:
+class IntegralAllocation(_Frozen):
     """A 0/1 allocation matrix; each item goes to at most one agent."""
 
+    _fields = ("matrix",)
     matrix: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.matrix:
+    def __init__(self, matrix: tuple[tuple[int, ...], ...]) -> None:
+        if not matrix:
             raise InputError("allocation needs at least one agent row")
-        m = len(self.matrix[0])
-        for row in self.matrix:
+        m = len(matrix[0])
+        for row in matrix:
             if len(row) != m:
                 raise InputError("allocation rows have inconsistent lengths")
             for x in row:
                 if x not in (0, 1):
                     raise InputError(f"integral allocation cell {x} not 0/1")
         for j in range(m):
-            if sum(row[j] for row in self.matrix) > 1:
+            if sum(row[j] for row in matrix) > 1:
                 raise InputError(f"item {j} assigned to more than one agent")
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def from_bundles(cls, n: int, m: int, bundles: Sequence[Iterable[int]]) -> "IntegralAllocation":
@@ -258,7 +299,7 @@ class IntegralAllocation:
         matrix = [[0] * m for _ in range(n)]
         for i, bundle in enumerate(bundles):
             for j in bundle:
-                if not isinstance(j, int) or j < 0 or j >= m:
+                if not isinstance(j, int) or isinstance(j, bool) or j < 0 or j >= m:
                     raise InputError(f"item index {j!r} out of range")
                 matrix[i][j] = 1
         return cls(tuple(tuple(row) for row in matrix))
@@ -290,8 +331,7 @@ class IntegralAllocation:
         return all(sum(row[j] for row in self.matrix) == 1 for j in range(self.m))
 
 
-@dataclass(frozen=True)
-class Lottery:
+class Lottery(_Frozen):
     """A probability distribution over integral allocations.
 
     Construction canonicalizes: duplicate allocations are merged, weights must be
@@ -299,15 +339,16 @@ class Lottery:
     so equal lotteries compare equal.
     """
 
+    _fields = ("support",)
     support: tuple[tuple[Fraction, IntegralAllocation], ...]
 
-    def __post_init__(self) -> None:
-        if not self.support:
+    def __init__(self, support: Sequence[tuple[Fraction, IntegralAllocation]]) -> None:
+        if not support:
             raise InputError("lottery needs a nonempty support")
-        n, m = self.support[0][1].n, self.support[0][1].m
+        n, m = support[0][1].n, support[0][1].m
         merged: dict[tuple[tuple[int, ...], ...], Fraction] = {}
         first: dict[tuple[tuple[int, ...], ...], IntegralAllocation] = {}
-        for w, alloc in self.support:
+        for w, alloc in support:
             if alloc.n != n or alloc.m != m:
                 raise InputError("lottery allocations have inconsistent shapes")
             if w <= 0:

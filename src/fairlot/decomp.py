@@ -17,9 +17,8 @@ number of fractional cells plus one and guarantees termination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     FractionalAllocation,
@@ -30,28 +29,31 @@ from .core import (
     ONE,
     SolveError,
     ZERO,
+    _Frozen,
 )
-from . import lp
 
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(_Frozen):
     """A set of matrix cells whose total must stay within [lower, upper] in every part."""
 
+    _fields = ("cells", "lower", "upper")
     cells: frozenset[Cell]
     lower: int
     upper: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", frozenset(self.cells))
-        if not self.cells:
+    def __init__(self, cells: Iterable[Cell], lower: int, upper: int) -> None:
+        cells = frozenset(cells)
+        if not cells:
             raise InputError("constraint set must cover at least one cell")
-        if not isinstance(self.lower, int) or not isinstance(self.upper, int):
+        if not isinstance(lower, int) or not isinstance(upper, int):
             raise InputError("quotas must be integers")
-        if self.lower > self.upper:
-            raise InputError(f"quota lower bound {self.lower} exceeds upper bound {self.upper}")
+        if lower > upper:
+            raise InputError(f"quota lower bound {lower} exceeds upper bound {upper}")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 def _forest(
@@ -86,21 +88,22 @@ def _check_laminar(family: Sequence[ConstraintSet], name: str) -> None:
         raise InputError(f"{name} is not laminar")
 
 
-@dataclass(frozen=True)
-class Bihierarchy:
+class Bihierarchy(_Frozen):
     """Two disjoint laminar families of quota constraints over the same matrix."""
 
+    _fields = ("h1", "h2")
     h1: tuple[ConstraintSet, ...]
     h2: tuple[ConstraintSet, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h1", tuple(self.h1))
-        object.__setattr__(self, "h2", tuple(self.h2))
-        _check_laminar(self.h1, "H1")
-        _check_laminar(self.h2, "H2")
-        overlap = {cs.cells for cs in self.h1} & {cs.cells for cs in self.h2}
+    def __init__(self, h1: Iterable[ConstraintSet], h2: Iterable[ConstraintSet]) -> None:
+        h1, h2 = tuple(h1), tuple(h2)
+        _check_laminar(h1, "H1")
+        _check_laminar(h2, "H2")
+        overlap = {cs.cells for cs in h1} & {cs.cells for cs in h2}
         if overlap:
             raise InputError("a constraint set appears in both hierarchies")
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
 
     def all_sets(self) -> tuple[ConstraintSet, ...]:
         return self.h1 + self.h2
@@ -138,8 +141,7 @@ def bvn_constraints(x: FractionalAllocation) -> Bihierarchy:
     column sum and cell within the floor/ceiling of its value in ``x``."""
     n, m = x.n, x.m
     h2: list[tuple[frozenset[Cell], int, int]] = []
-    for j in range(m):
-        col_sum = x.column_sum(j)
+    for j, col_sum in enumerate(x.column_sums):
         h2.append((frozenset((i, j) for i in range(n)), math.floor(col_sum), math.ceil(col_sum)))
     h1: list[tuple[frozenset[Cell], int, int]] = []
     for i in range(n):
@@ -399,6 +401,8 @@ def caratheodory_weights(
 ) -> tuple[Fraction, ...]:
     """Convex weights over ``columns`` with the same mix ``sum_t weights[t] * columns[t]``
     and at most ``len(columns[0]) + 1`` nonzeros: a vertex of that system."""
+    from . import lp  # imported here, its one use, so a command that trims no support never loads it
+
     k = len(columns)
     rows = [
         (coeffs, sum((w * c for w, c in zip(weights, coeffs)), ZERO))

@@ -9,7 +9,6 @@ never in discretized steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,18 +17,31 @@ from .core import (
     Instance,
     InputError,
     ZERO,
+    _Frozen,
     parse_rational,
 )
 
 
-@dataclass(frozen=True)
-class EatingState:
+class EatingState(_Frozen):
     """Snapshot of the protocol between events: remaining mass, eaten mass, clock."""
 
+    _fields = ("prefs", "remaining", "eaten", "clock")
     prefs: tuple[tuple[int, ...], ...]
     remaining: tuple[Fraction, ...]
     eaten: tuple[tuple[Fraction, ...], ...]
     clock: Fraction
+
+    def __init__(
+        self,
+        prefs: tuple[tuple[int, ...], ...],
+        remaining: tuple[Fraction, ...],
+        eaten: tuple[tuple[Fraction, ...], ...],
+        clock: Fraction,
+    ) -> None:
+        object.__setattr__(self, "prefs", prefs)
+        object.__setattr__(self, "remaining", remaining)
+        object.__setattr__(self, "eaten", eaten)
+        object.__setattr__(self, "clock", clock)
 
     @classmethod
     def start(

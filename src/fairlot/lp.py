@@ -14,11 +14,10 @@ so a wrong pivot cannot silently produce a wrong optimum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import InputError, SolveError, parse_rational
+from .core import InputError, SolveError, _Frozen, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,11 +33,16 @@ VERIFY_OPTIMALITY = False
 Row = tuple[Sequence[Fraction], Fraction]
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(_Frozen):
+    _fields = ("status", "values", "objective_value")
     status: str
     values: tuple[Fraction, ...]
     objective_value: Fraction | None
+
+    def __init__(self, status: str, values: tuple[Fraction, ...], objective_value: Fraction | None) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "objective_value", objective_value)
 
 
 def _pivot(rows: list[list[Fraction]], rhs: list[Fraction], r: int, c: int) -> None:

@@ -22,7 +22,6 @@ iterations the solver raises SolveError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -37,6 +36,7 @@ from .core import (
     SolveError,
     ZERO,
     ZeroUtilityError,
+    _Frozen,
 )
 from .decomp import _MaxFlow
 from .properties import PropertyVerdict
@@ -47,14 +47,26 @@ CERTIFY_EVERY = 64
 FLOAT_ITER_CAP = 60_000
 
 
-@dataclass(frozen=True)
-class MnwSolution:
+class MnwSolution(_Frozen):
     """An exact Nash-welfare-maximizing allocation with its equilibrium prices."""
 
+    _fields = ("allocation", "utilities", "prices", "log_nash_welfare")
     allocation: FractionalAllocation
     utilities: tuple[Fraction, ...]
     prices: tuple[Fraction, ...]
     log_nash_welfare: float
+
+    def __init__(
+        self,
+        allocation: FractionalAllocation,
+        utilities: tuple[Fraction, ...],
+        prices: tuple[Fraction, ...],
+        log_nash_welfare: float,
+    ) -> None:
+        object.__setattr__(self, "allocation", allocation)
+        object.__setattr__(self, "utilities", utilities)
+        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "log_nash_welfare", log_nash_welfare)
 
 
 def _active_agents(instance: Instance) -> list[int]:

@@ -8,7 +8,6 @@ oracles for tests and for the deviation machinery.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -26,6 +25,7 @@ from .core import (
     ONE,
     SizeLimitError,
     ZERO,
+    _Frozen,
     sd_dominates,
 )
 
@@ -40,15 +40,18 @@ ENVY_NOTIONS = ("ef", "sd_ef", "ef1", "sd_ef1", "efk", "ef11_goods", "ef11_bads"
 EFFICIENCY_NOTIONS = ("po_integral", "fpo")
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(_Frozen):
+    _fields = ("property", "holds", "witness")
     property: str
     holds: bool
-    witness: dict | None = None
+    witness: dict | None
 
-    def __post_init__(self) -> None:
-        if not self.holds and self.witness is None:
+    def __init__(self, property: str, holds: bool, witness: dict | None = None) -> None:
+        if not holds and witness is None:
             raise InputError("failing verdict requires a witness")
+        object.__setattr__(self, "property", property)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
 
     def to_json(self) -> dict:
         out: dict = {"property": self.property, "holds": self.holds}
@@ -509,10 +512,16 @@ def _run_named_check(
     raise InputError(f"unknown property name: {name}")
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(_Frozen):
+    _fields = ("ex_ante", "ex_post")
     ex_ante: dict[str, PropertyVerdict]
     ex_post: dict[str, tuple[PropertyVerdict, ...]]
+
+    def __init__(
+        self, ex_ante: dict[str, PropertyVerdict], ex_post: dict[str, tuple[PropertyVerdict, ...]]
+    ) -> None:
+        object.__setattr__(self, "ex_ante", ex_ante)
+        object.__setattr__(self, "ex_post", ex_post)
 
     @property
     def ok(self) -> bool:

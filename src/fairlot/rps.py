@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,6 +38,7 @@ from .core import (
     ONE,
     SizeLimitError,
     ZERO,
+    _Frozen,
     ordinal_preferences,
 )
 from .decomp import bvn_decompose, caratheodory_weights
@@ -52,17 +52,20 @@ _MODES = (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE)
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class RpsConfig:
-    mode: str = FULL_DISTRIBUTION
-    seed: int = 0
-    max_support: int = 50_000
+class RpsConfig(_Frozen):
+    _fields = ("mode", "seed", "max_support")
+    mode: str
+    seed: int
+    max_support: int
 
-    def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise InputError(f"unknown mode: {self.mode}")
-        if self.max_support < 1:
+    def __init__(self, mode: str = FULL_DISTRIBUTION, seed: int = 0, max_support: int = 50_000) -> None:
+        if mode not in _MODES:
+            raise InputError(f"unknown mode: {mode}")
+        if max_support < 1:
             raise InputError("max_support must be at least 1")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_support", max_support)
 
 
 def _uniform(rng: random.Random) -> Fraction:

@@ -64,17 +64,22 @@ class TestBasics:
 
     def test_imports_leave_numpy_out(self):
         # the library runs on the standard library alone; a fresh interpreter
-        # shows what loading every layer really imports
+        # shows what loading every layer really imports. The value types are
+        # plain classes, so dataclasses (and the inspect it loads) stay out too,
+        # unless the interpreter had them before the library, as a site hook may.
         script = (
-            "import sys, fairlot, fairlot.cli, fairlot.lp\n"
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import fairlot, fairlot.cli, fairlot.lp\n"
             "from fairlot import *\n"
             "layers = ('cli', 'core', 'decomp', 'eating', 'lp', 'mnw', 'properties', 'rounding', 'rps')\n"
             "assert all(f'fairlot.{m}' in sys.modules for m in layers)\n"
-            "print('numpy' in sys.modules)"
+            "print('numpy' in sys.modules)\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
         )
         child = fresh_python("-c", script)
         assert child.returncode == 0, child.stderr
-        assert child.stdout.strip() == "False"
+        assert child.stdout.split("\n") == ["False", "[]", ""]
 
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = run(capsys)
@@ -544,6 +549,13 @@ class TestSampleAndPipes:
         assert code == 0
         assert json.loads(out)["matrix"] == [["1", "0"], ["0", "0"]]
 
+    def test_sample_rejects_boolean_item_index(self, capsys, files):
+        # bool is an int subclass: true in a bundle would otherwise read as item 1
+        lottery = {"agents": 2, "items": 2, "support": [{"weight": "1", "bundles": [[True], [0]]}]}
+        code, out, err = run(capsys, "sample", files("lot.json", lottery))
+        assert code == 2 and out == ""
+        assert "item index True" in err
+
     def test_rule_output_feeds_sample(self, capsys, files, tmp_path):
         lot_path = tmp_path / "lot.json"
         run(capsys, "round-robin", files("cycle3.json", CYCLE3), "-o", str(lot_path))
@@ -553,15 +565,19 @@ class TestSampleAndPipes:
         assert len(matrix) == 3 and all(len(row) == 3 for row in matrix)
 
 
-def imported_fairlot_modules(importtime_stderr):
-    """The ``fairlot.*`` modules a ``python -X importtime`` child loaded."""
-    names = set()
-    for line in importtime_stderr.splitlines():
-        if line.startswith("import time:"):
-            name = line.rsplit("|", 1)[1].strip()
-            if name.startswith("fairlot."):
-                names.add(name.removeprefix("fairlot."))
-    return names
+# Runs fairlot.cli as ``python -m`` does, then lists on the last stderr line every
+# fairlot submodule the process holds. sys.modules also shows the layers the lazy
+# package imports through importlib, which ``-X importtime`` does not log.
+RUN_CLI_LISTING_MODULES = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('fairlot.')), file=sys.stderr))\n"
+    "runpy.run_module('fairlot.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def loaded_fairlot_modules(stderr):
+    """The ``fairlot.*`` modules a ``RUN_CLI_LISTING_MODULES`` child held at exit."""
+    return {name.removeprefix("fairlot.") for name in stderr.splitlines()[-1].split()}
 
 
 class TestFreshProcess:
@@ -589,22 +605,22 @@ class TestFreshProcess:
     @pytest.mark.parametrize(
         "argv, needed, forbidden",
         [
-            (["--version"], set(), {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
-            (["sample", "lottery"], set(), {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
-            (["rps", "goods"], {"rps"}, {"mnw", "properties", "rounding"}),
-            (["rps-bads", "bads"], {"rps"}, {"mnw", "properties", "rounding"}),
+            (["--version"], {"core"}, {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
+            (["sample", "lottery"], {"core"}, {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
+            (["rps", "goods"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
+            (["rps-bads", "bads"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
             (
                 ["decompose", "alloc", "--instance", "goods", "--bvn"],
                 {"decomp"},
-                {"mnw", "properties", "rounding", "rps", "eating"},
+                {"lp", "mnw", "properties", "rounding", "rps", "eating"},
             ),
         ],
         ids=["version", "sample", "rps", "rps-bads", "decompose-bvn"],
     )
     def test_command_loads_only_its_layers(self, paths, argv, needed, forbidden):
-        child = fresh_python("-X", "importtime", "-m", "fairlot.cli", *(paths.get(a, a) for a in argv))
+        child = fresh_python("-c", RUN_CLI_LISTING_MODULES, *(paths.get(a, a) for a in argv))
         assert child.returncode == 0, child.stderr
-        loaded = imported_fairlot_modules(child.stderr)
+        loaded = loaded_fairlot_modules(child.stderr)
         assert needed <= loaded
         assert loaded & forbidden == set()
 

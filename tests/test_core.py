@@ -26,6 +26,12 @@ from fairlot.core import (
     parse_rational,
     sd_dominates,
 )
+from fairlot.decomp import Bihierarchy, ConstraintSet
+from fairlot.eating import EatingState
+from fairlot.lp import LpSolution
+from fairlot.mnw import MnwSolution
+from fairlot.properties import AuditReport, PropertyVerdict
+from fairlot.rps import RpsConfig
 
 from conftest import random_goods, random_integral
 
@@ -147,6 +153,21 @@ class TestAllocations:
         with pytest.raises(InputError):
             IntegralAllocation.from_bundles(2, 2, [(0,), (0,)])
 
+    def test_from_bundles_rejects_boolean_index(self):
+        # bool is an int subclass: true would otherwise read as item 1
+        for bundles in ([[True], [0]], [[0], [False]]):
+            with pytest.raises(InputError, match="item index"):
+                IntegralAllocation.from_bundles(2, 2, bundles)
+
+    def test_column_sums_kept_from_validation(self):
+        x = FractionalAllocation.from_rows([["1/2", "0", "1/3"], ["1/2", "0", "1/3"]])
+        assert x.column_sums == (Fraction(1), Fraction(0), Fraction(2, 3))
+        assert [x.column_sum(j) for j in range(3)] == list(x.column_sums)
+        assert not x.complete
+        # equal matrices stay equal values; the sums are not a field
+        assert "column_sums" not in repr(x)
+        assert x == FractionalAllocation(x.matrix) and hash(x) == hash((x.matrix,))
+
 
 class TestLottery:
     def test_merges_duplicates_and_sorts(self):
@@ -264,6 +285,118 @@ class TestJson:
     def test_missing_field_reported(self):
         with pytest.raises(InputError):
             instance_from_json({"agents": 1, "items": 1})
+
+
+_H = Fraction(1, 2)
+
+# (build, field names in order, repr) for every value type of the library
+VALUE_TYPES = [
+    (
+        lambda: Instance(values=((Fraction(1), Fraction(2)), (Fraction(3), Fraction(0)))),
+        ("values",),
+        "Instance(values=((Fraction(1, 1), Fraction(2, 1)), (Fraction(3, 1), Fraction(0, 1))))",
+    ),
+    (
+        lambda: FractionalAllocation(matrix=((_H, Fraction(1)), (_H, Fraction(0)))),
+        ("matrix",),
+        "FractionalAllocation(matrix=((Fraction(1, 2), Fraction(1, 1)), (Fraction(1, 2), Fraction(0, 1))))",
+    ),
+    (
+        lambda: IntegralAllocation(matrix=((1, 0), (0, 1))),
+        ("matrix",),
+        "IntegralAllocation(matrix=((1, 0), (0, 1)))",
+    ),
+    (
+        lambda: Lottery(
+            support=[(_H, IntegralAllocation(((1, 0), (0, 1)))), (_H, IntegralAllocation(((0, 1), (1, 0))))]
+        ),
+        ("support",),
+        "Lottery(support=((Fraction(1, 2), IntegralAllocation(matrix=((0, 1), (1, 0)))), "
+        "(Fraction(1, 2), IntegralAllocation(matrix=((1, 0), (0, 1))))))",
+    ),
+    (
+        lambda: ConstraintSet(cells=[(0, 1)], lower=0, upper=1),
+        ("cells", "lower", "upper"),
+        "ConstraintSet(cells=frozenset({(0, 1)}), lower=0, upper=1)",
+    ),
+    (
+        lambda: Bihierarchy(h1=[ConstraintSet(frozenset({(0, 0)}), 0, 1)], h2=[]),
+        ("h1", "h2"),
+        "Bihierarchy(h1=(ConstraintSet(cells=frozenset({(0, 0)}), lower=0, upper=1),), h2=())",
+    ),
+    (
+        lambda: EatingState(prefs=((0, 1),), remaining=(_H, Fraction(1)), eaten=((_H, Fraction(0)),), clock=_H),
+        ("prefs", "remaining", "eaten", "clock"),
+        "EatingState(prefs=((0, 1),), remaining=(Fraction(1, 2), Fraction(1, 1)), "
+        "eaten=((Fraction(1, 2), Fraction(0, 1)),), clock=Fraction(1, 2))",
+    ),
+    (
+        lambda: LpSolution(status="optimal", values=(Fraction(1), _H), objective_value=Fraction(3, 2)),
+        ("status", "values", "objective_value"),
+        "LpSolution(status='optimal', values=(Fraction(1, 1), Fraction(1, 2)), objective_value=Fraction(3, 2))",
+    ),
+    (
+        lambda: MnwSolution(
+            allocation=FractionalAllocation(((Fraction(1),),)),
+            utilities=(Fraction(2),),
+            prices=(Fraction(1),),
+            log_nash_welfare=0.5,
+        ),
+        ("allocation", "utilities", "prices", "log_nash_welfare"),
+        "MnwSolution(allocation=FractionalAllocation(matrix=((Fraction(1, 1),),)), "
+        "utilities=(Fraction(2, 1),), prices=(Fraction(1, 1),), log_nash_welfare=0.5)",
+    ),
+    (
+        RpsConfig,
+        ("mode", "seed", "max_support"),
+        "RpsConfig(mode='full_distribution', seed=0, max_support=50000)",
+    ),
+    (
+        lambda: PropertyVerdict("ef", True),
+        ("property", "holds", "witness"),
+        "PropertyVerdict(property='ef', holds=True, witness=None)",
+    ),
+    (
+        lambda: PropertyVerdict("ef", False, {"i": 0}),
+        ("property", "holds", "witness"),
+        "PropertyVerdict(property='ef', holds=False, witness={'i': 0})",
+    ),
+    (
+        lambda: AuditReport(
+            ex_ante={"ef": PropertyVerdict("ef", True)}, ex_post={"ef1": (PropertyVerdict("ef1", True),)}
+        ),
+        ("ex_ante", "ex_post"),
+        "AuditReport(ex_ante={'ef': PropertyVerdict(property='ef', holds=True, witness=None)}, "
+        "ex_post={'ef1': (PropertyVerdict(property='ef1', holds=True, witness=None),)})",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, fields, text", VALUE_TYPES, ids=[text.split("(")[0] + str(k) for k, (_, _, text) in enumerate(VALUE_TYPES)]
+)
+def test_value_type_is_a_frozen_record(build, fields, text):
+    a, b = build(), build()
+    cls = type(a)
+    values = tuple(getattr(a, name) for name in fields)
+    assert repr(a) == text
+    # positional and keyword construction agree, field by field in declaration order
+    assert a is not b and a == b and not a != b
+    assert cls(*values) == a == cls(**dict(zip(fields, values)))
+    # equality is per class: not a tuple of the fields, not another value type
+    assert a.__eq__(values) is NotImplemented and a != values
+    assert all(a != other() for other, _, _ in VALUE_TYPES if type(other()) is not cls)
+    if any(isinstance(v, dict) for v in values):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(values)
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(a, name)
+    assert tuple(getattr(a, name) for name in fields) == values
 
 
 @given(st.integers(min_value=0, max_value=10_000))
