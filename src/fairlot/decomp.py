@@ -195,6 +195,7 @@ class _MaxFlow:
         self.adj: list[list[int]] = [[] for _ in range(nodes)]
         self.to: list[int] = []
         self.cap: list[int] = []
+        self.reach: list[int] = []  # after solve: -1 marks the nodes the source cannot reach
 
     def add(self, u: int, v: int, cap: int) -> int:
         eid = len(self.to)
@@ -222,6 +223,7 @@ class _MaxFlow:
                         parent_edge[v] = eid
                         queue.append(v)
             if parent_edge[t] == -1:
+                self.reach = parent_edge
                 return total
             bottleneck = None
             v = t

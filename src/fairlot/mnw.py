@@ -3,21 +3,11 @@
 A fractional allocation maximizes the product of utilities iff it is a
 competitive equilibrium from equal incomes (CEEI): at some item prices, every
 agent spends her unit budget only on items of market-best value per unit of
-price. A linear Fisher market has unique equilibrium prices; we find them in two
-stages:
-
-1. float stage: proportional-response dynamics (each agent splits her budget over
-   items in proportion to the value they deliver) on exactly normalised rows, in
-   lists of Python floats;
-2. exact stage, every ``CERTIFY_EVERY`` float iterations: take the near-tied
-   agent/item edges (float rate within ``THETA`` of the item's best, then also
-   within a finer cut halved every ``THETA_HALF_LIFE`` iterations) as the
-   equality graph, fix exact prices along it, check exactly that no agent
-   prefers an item off her tight edges, and route the budgets over the tight
-   edges by an integer max flow. A saturating flow is an exact CEEI.
-
-There is no approximate fallback: without a certificate after ``FLOAT_ITER_CAP``
-iterations the solver raises SolveError.
+price. A linear Fisher market has unique equilibrium prices. We find them in
+exact rationals by the ascending-price primal-dual algorithm of Devanur,
+Papadimitriou, Saberi and Vazirani (JACM 2008): prices start low enough that
+the agents' budgets, sent along best buys by an integer max flow, can buy out
+every item, and rise until the budgets are spent. The flow then is the CEEI.
 """
 from __future__ import annotations
 
@@ -40,11 +30,6 @@ from .core import (
 )
 from .decomp import _MaxFlow
 from .properties import PropertyVerdict
-
-THETA = 1e-3  # an edge's float rate is within this relative gap of its item's best
-THETA_HALF_LIFE = 4096  # iterations per halving of the second, finer cut
-CERTIFY_EVERY = 64
-FLOAT_ITER_CAP = 60_000
 
 
 class MnwSolution(_Frozen):
@@ -73,89 +58,69 @@ def _active_agents(instance: Instance) -> list[int]:
     return [i for i in range(instance.n) if any(v != 0 for v in instance.values[i])]
 
 
-def _certificate(
-    rows: list[list[Fraction]], rates: list[list[float]], theta: float
-) -> list[list[Fraction]] | None:
-    """Exact equilibrium shares x[a][g] on the near-tied structure of ``rates``, or None.
+def _spend(
+    k: int, m: int, agents: list[int], edges: list[tuple[int, int]], price: dict[int, Fraction]
+) -> tuple[_MaxFlow, list[int], int, Fraction]:
+    """Route unit budgets of ``agents`` along ``edges`` to the items priced in ``price``.
 
-    ``rows`` are the active agents' values, each summing to 1, and ``rates`` the
-    float values per unit of utility. Prices come from a BFS over each component
-    of the near-tied edges, scaled so a component's prices sum to its number of
-    agents; once no agent gets more than her rate alpha anywhere, the exactly
-    tight edges carry the budgets by an integer max flow.
+    Nodes are agents 0..k-1, items k..k+m-1, then source and sink; capacities are
+    scaled by the common denominator of the prices. Returns the solved network,
+    the arc of each edge, that denominator and the value left unsold.
     """
-    k, m = len(rows), len(rows[0])
-    cut = [max(column) * (1.0 - theta) for column in zip(*rates)]
-    edge = [[rows[a][g] > 0 and rates[a][g] >= cut[g] for g in range(m)] for a in range(k)]
-    alpha: list[Fraction] = [ZERO] * k
-    price: list[Fraction] = [ZERO] * m
-    for root in range(k):
-        if alpha[root]:
-            continue
-        alpha[root] = ONE
-        agents, goods = [root], []
-        for a in agents:  # grows while it is walked: a BFS in index order
-            for g in range(m):
-                if edge[a][g] and not price[g]:
-                    price[g] = rows[a][g] / alpha[a]
-                    goods.append(g)
-                    for h in range(k):
-                        if edge[h][g] and not alpha[h]:
-                            alpha[h] = rows[h][g] / price[g]
-                            agents.append(h)
-        if not goods:
-            return None
-        scale = len(agents) / sum(price[g] for g in goods)
-        for g in goods:
-            price[g] *= scale
-        for a in agents:
-            alpha[a] /= scale
-    tight = []  # an item left at price zero fails here: someone values it
-    for a in range(k):
-        for g in range(m):
-            if rows[a][g] > 0:
-                bought = alpha[a] * price[g]
-                if rows[a][g] > bought:
-                    return None
-                if rows[a][g] == bought:
-                    tight.append((a, g))
-
-    denominator = math.lcm(*(p.denominator for p in price))
+    denominator = math.lcm(*(p.denominator for p in price.values()))
     src, snk = k + m, k + m + 1
     flow = _MaxFlow(k + m + 2)
-    for a in range(k):
+    for a in agents:
         flow.add(src, a, denominator)
-    arcs = [flow.add(a, k + g, denominator) for a, g in tight]
-    for g in range(m):
-        flow.add(k + g, snk, int(price[g] * denominator))
-    if flow.solve(src, snk) != k * denominator:
-        return None
-    shares = [[ZERO] * m for _ in range(k)]
-    for (a, g), eid in zip(tight, arcs):
-        shares[a][g] = Fraction(flow.cap[eid ^ 1], denominator) / price[g]
-    return shares
+    arcs = [flow.add(a, k + g, denominator) for a, g in edges]
+    for g, p in price.items():
+        flow.add(k + g, snk, int(p * denominator))
+    sold = Fraction(flow.solve(src, snk), denominator)
+    return flow, arcs, denominator, sum(price.values()) - sold
 
 
 def _equilibrium_shares(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Proportional response on the float rows until the exact certificate holds."""
-    values = [[float(v) for v in row] for row in rows]
-    spend = values
-    for it in range(FLOAT_ITER_CAP):
-        prices = [sum(column) for column in zip(*spend)]
-        gains = [
-            [v * s / p if p else 0.0 for v, s, p in zip(vrow, srow, prices)]
-            for vrow, srow in zip(values, spend)
-        ]
-        utils = [sum(row) for row in gains]
-        spend = [[gain / u for gain in row] for row, u in zip(gains, utils)]
-        if it % CERTIFY_EVERY == 0:
-            rates = [[v / u for v in row] for row, u in zip(values, utils)]
-            # rates tied closer than THETA at equilibrium need the finer cut
-            for theta in sorted({THETA, THETA / 2 ** (it // THETA_HALF_LIFE)}, reverse=True):
-                shares = _certificate(rows, rates, theta)
-                if shares is not None:
-                    return shares
-    raise SolveError(f"no equilibrium certificate within {FLOAT_ITER_CAP} float iterations")
+    """Exact equilibrium shares x[a][g] of the active agents' ``rows``, each summing to 1.
+
+    Prices start low: every item is some agent's best buy, and a flow of the unit
+    budgets along best buys sells every item. While budget is left, the agents and
+    items the source reaches in the residual network are live. Their prices rise
+    by the largest factor that keeps every live item sold and no other item a live
+    agent's best buy, so prices stay low; a round that cannot sell every item
+    raises instead of looping.
+    """
+    k, m = len(rows), len(rows[0])
+    alpha = [m * max(row) for row in rows]  # value per unit of price of a best buy
+    price = [max(row[g] / best for row, best in zip(rows, alpha)) for g in range(m)]
+    while True:
+        edges = [(a, g) for a in range(k) for g in range(m) if rows[a][g] == alpha[a] * price[g]]
+        flow, arcs, denominator, unsold = _spend(k, m, list(range(k)), edges, dict(enumerate(price)))
+        if unsold:
+            raise RuntimeError("ascending prices left an item unsold")
+        if sum(price) == k:
+            shares = [[ZERO] * m for _ in range(k)]
+            for (a, g), eid in zip(edges, arcs):
+                shares[a][g] = Fraction(flow.cap[eid ^ 1], denominator) / price[g]
+            return shares
+        live_agents = [a for a in range(k) if flow.reach[a] != -1]
+        live_items = {g for g in range(m) if flow.reach[k + g] != -1}
+        live_edges = [(a, g) for a, g in edges if flow.reach[a] != -1]
+        tight = live_items
+        while True:  # min |buyers(S)| / price(S) over live S, by shrinking the violated set
+            x = len({a for a, g in live_edges if g in tight}) / sum(price[g] for g in tight)
+            raised = {g: x * price[g] for g in live_items}
+            flow, _, _, unsold = _spend(k, m, live_agents, live_edges, raised)
+            if not unsold:
+                break
+            tight = {g for g in live_items if flow.reach[k + g] == -1}
+        for a in live_agents:
+            for g, value in enumerate(rows[a]):
+                if value and g not in live_items:
+                    x = min(x, alpha[a] * price[g] / value)
+        for a in live_agents:
+            alpha[a] /= x
+        for g in live_items:
+            price[g] *= x
 
 
 def solve_mnw(instance: Instance) -> MnwSolution:
@@ -166,11 +131,16 @@ def solve_mnw(instance: Instance) -> MnwSolution:
     equilibrium (it passes ``ceei_verify`` with zero slack). Utilities and prices
     are unique; where several allocations attain them, the one returned is the
     Edmonds-Karp flow in agent/item index order on the equality graph of those
-    prices, so it does not depend on the float stage.
+    prices, so it does not depend on the path the prices took. Rates tied closer
+    than any float can tell apart are still told apart.
 
     >>> sol = solve_mnw(Instance.from_rows([[1, 2], [1, 3]]))
     >>> [[str(v) for v in row] for row in sol.allocation.matrix]
     [['1', '1/4'], ['0', '3/4']]
+    >>> v = 10**17
+    >>> sol = solve_mnw(Instance.from_rows([[v, v + 1], [v + 1, v]]))
+    >>> [[str(x) for x in row] for row in sol.allocation.matrix]
+    [['0', '1'], ['1', '0']]
     """
     if instance.kind != GOODS:
         raise KindMismatchError("solve_mnw handles goods instances only")
@@ -208,7 +178,6 @@ def ceei_verify(
     instance: Instance,
     x: FractionalAllocation,
     slack: Fraction | int = 0,
-    kind: str | None = None,
 ) -> PropertyVerdict:
     """Check the competitive-equilibrium condition on a complete allocation.
 
@@ -216,7 +185,7 @@ def ceei_verify(
     v_i(g)/v_i(X_i) >= v_h(g)/v_h(X_h) - slack whenever X_{i,g} > 0. Bads mirror it
     with <= and +slack. Agents with all-zero value rows are outside the condition.
     """
-    kind = instance.kind if kind is None else kind
+    kind = instance.kind
     if kind not in (GOODS, BADS):
         raise KindMismatchError(f"equilibrium condition is defined for goods or bads, got {kind}")
     if x.n != instance.n or x.m != instance.m:

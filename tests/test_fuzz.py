@@ -4,6 +4,8 @@ code (0-3), never in a traceback, and stdout holds JSON only on success.
 Each example draws a well-formed instance, allocation and lottery of one shape (at
 most 3 agents x 4 items), then breaks each file at most once: one value, row or
 field replaced by junk, one field or list entry dropped, or the whole file junk.
+Well-formed goods instances with near-tied values must solve: the Nash-welfare
+commands exit 0 on them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fairlot.cli import main
+from fairlot.core import Instance, allocation_from_json
+from fairlot.mnw import ceei_verify
 
 # JSON a hostile file can hold where a number or a list belongs; the floats are
 # written as NaN, Infinity and -Infinity, which json.loads accepts
@@ -129,23 +133,43 @@ def _write(workdir, name: str, obj: object) -> str:
     return str(path)
 
 
-def _run(argv: list[str]) -> None:
+def _run(argv: list[str]) -> tuple[int, object]:
+    """The exit code and, on 0 or 1, the JSON written to stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code in (0, 1):
-        json.loads(out.getvalue())
-    else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("fairlot: ")
+        return code, json.loads(out.getvalue())
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("fairlot: ")
+    return code, None
 
 
 @FUZZ
 @given(case=cases(), rule=RULES)
 def test_instance_files(workdir, case, rule):
     _run([*rule[:1], _write(workdir, "instance.json", case[0]), *rule[1:]])
+
+
+@st.composite
+def near_ties(draw) -> dict:
+    """Goods values within 10 of one power of ten up to 10**17: equilibrium rates
+    that tie closer than a float can tell apart."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    base = 10 ** draw(st.integers(2, 17))
+    return {"agents": n, "items": m, "values": [[base + draw(st.integers(0, 10)) for _ in range(m)] for _ in range(n)]}
+
+
+@FUZZ
+@given(instance=near_ties(), rule=st.sampled_from(["mnw", "mnw-v", "gf-lottery"]))
+def test_near_tied_goods_solve(workdir, instance, rule):
+    code, out = _run([rule, _write(workdir, "instance.json", instance)])
+    assert code == 0
+    if rule == "mnw":
+        inst = Instance.from_rows(instance["values"])
+        assert ceei_verify(inst, allocation_from_json(out), slack=0).holds
 
 
 @FUZZ

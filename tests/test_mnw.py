@@ -85,13 +85,26 @@ class TestSolveMnw:
         inst = Instance.from_rows(rows)
         assert ceei_verify(inst, solve_mnw(inst).allocation, slack=0).holds
 
-    @pytest.mark.parametrize("scale", [10**3, 10**4])
-    def test_rates_tied_closer_than_theta(self, scale):
+    @pytest.mark.parametrize("scale", [10**3, 10**4, 10**8, 10**17])
+    def test_near_tied_rates(self, scale):
         # at equilibrium the unbought cells sit within 1/scale of the best rate
         inst = Instance.from_rows([[scale, scale + 1], [scale + 1, scale]])
         sol = solve_mnw(inst)
         assert sol.allocation == FractionalAllocation.from_rows([["0", "1"], ["1", "0"]])
         assert ceei_verify(inst, sol.allocation, slack=0).holds
+
+    @pytest.mark.parametrize("v", [100, 1000, 10**6])
+    def test_near_tied_three_agents(self, v):
+        inst = Instance.from_rows([[v, v + 1, v + 2], [v + 1, v, v + 1], [v, v, v + 1]])
+        assert ceei_verify(inst, solve_mnw(inst).allocation, slack=0).holds
+
+    @pytest.mark.parametrize("base", [100, 1000])
+    def test_near_tied_random(self, base):
+        rng = random.Random(base)
+        for _ in range(60):
+            n, m = rng.randint(2, 5), rng.randint(2, 8)
+            inst = Instance.from_rows([[base + rng.randint(1, 10) for _ in range(m)] for _ in range(n)])
+            assert ceei_verify(inst, solve_mnw(inst).allocation, slack=0).holds
 
     def test_matches_pinned_utilities(self):
         # exact utilities recorded from the LP-refine solver this one replaced,
