@@ -2,9 +2,11 @@
 
 Everything in this module is immutable and arithmetically exact (``fractions.Fraction``).
 The value types here and in the other layers are plain classes on one immutable
-base, ``_Frozen``, which generates no code at import. Floats never enter through the
-JSON loaders: decimal literals are parsed digit-exactly, so ``0.6`` becomes 3/5, not
-the nearest binary float.
+base, ``_Frozen``: each declares its fields once, as class annotations, and gets a
+constructor compiled once per class at import; the library imports no
+``dataclasses`` or ``inspect``. Floats never enter through the JSON loaders:
+decimal literals are parsed digit-exactly, so ``0.6`` becomes 3/5, not the nearest
+binary float.
 """
 from __future__ import annotations
 
@@ -44,20 +46,44 @@ class SizeLimitError(FairlotError):
 
 
 class SolveError(FairlotError):
-    """A numeric solve failed to reach its tolerance or verification failed."""
+    """An exact solve failed: the simplex hit its iteration cap, phase one or the dual
+    certificate of an optimum failed, or an MNW solution failed its own deviation check."""
 
 
 class _Frozen:
     """Base of the library's immutable value types.
 
-    A subclass names its fields in ``_fields``, in declaration order, and sets them
-    in its own ``__init__`` with ``object.__setattr__``. Equality (same class only),
-    hashing and repr run over those fields in that order; every assignment or
-    deletion raises AttributeError. Instances keep a ``__dict__``, so
-    ``cached_property`` works.
+    A subclass declares its fields once, as class annotations, in order, after any
+    its base declared; a class attribute with a field's name is that field's
+    default. ``__init_subclass__`` records the names in ``_fields`` and compiles,
+    once per class at import, an ``__init__`` whose parameters are the fields: it
+    stores them with ``_store`` and then calls the class's ``_check``, which
+    validates and may normalise a field through ``self._store``. Equality
+    (same class only), hashing and repr run over the fields in order; every
+    assignment or deletion raises AttributeError. Instances keep a ``__dict__``,
+    so ``cached_property`` works.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = (*cls._fields, *cls.__annotations__)
+        params = ", ".join(f"{f}=_d.{f}" if hasattr(cls, f) else f for f in fields)
+        body = [f"_store(self, {f!r}, {f})" for f in fields]
+        if cls._check is not _Frozen._check:
+            body.append("self._check()")
+        namespace = {"_d": cls, "_store": _Frozen._store}
+        exec(f"def __init__(self, {params}):\n    " + "\n    ".join(body), namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+
+    # The one way to set a field: a store through __dict__ would materialise the
+    # instance dict, and on CPython 3.11+ every later field read would be slower.
+    _store = object.__setattr__
+
+    def _check(self) -> None:
+        """Validate (and normalise) the fields just stored; the base accepts any."""
 
     def __setattr__(self, name: str, value: object) -> NoReturn:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -129,17 +155,16 @@ class Instance(_Frozen):
     all nonpositive means bads, anything else is mixed manna.
     """
 
-    _fields = ("values",)
     values: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, values: tuple[tuple[Fraction, ...], ...]) -> None:
+    def _check(self) -> None:
+        values = self.values
         if not values:
             raise InputError("instance needs at least one agent")
         m = len(values[0])
         for row in values:
             if len(row) != m:
                 raise InputError("value rows have inconsistent lengths")
-        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
@@ -215,14 +240,14 @@ class FractionalAllocation(_Frozen):
 
     Cells lie in [0, 1] and column sums never exceed 1. The allocation is complete
     when every column sums to exactly 1. ``column_sums`` keeps the sums that
-    validation computed; equality, hashing and repr use ``matrix`` alone.
+    validation computed; it is not a field, so equality, hashing and repr use
+    ``matrix`` alone.
     """
 
-    _fields = ("matrix",)
     matrix: tuple[tuple[Fraction, ...], ...]
-    column_sums: tuple[Fraction, ...]
 
-    def __init__(self, matrix: tuple[tuple[Fraction, ...], ...]) -> None:
+    def _check(self) -> None:
+        matrix = self.matrix
         if not matrix:
             raise InputError("allocation needs at least one agent row")
         m = len(matrix[0])
@@ -236,8 +261,7 @@ class FractionalAllocation(_Frozen):
         for j, s in enumerate(sums):
             if s > 1:
                 raise InputError(f"column {j} allocates more than the whole item ({s})")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "column_sums", sums)
+        self._store("column_sums", sums)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "FractionalAllocation":
@@ -274,10 +298,10 @@ class FractionalAllocation(_Frozen):
 class IntegralAllocation(_Frozen):
     """A 0/1 allocation matrix; each item goes to at most one agent."""
 
-    _fields = ("matrix",)
     matrix: tuple[tuple[int, ...], ...]
 
-    def __init__(self, matrix: tuple[tuple[int, ...], ...]) -> None:
+    def _check(self) -> None:
+        matrix = self.matrix
         if not matrix:
             raise InputError("allocation needs at least one agent row")
         m = len(matrix[0])
@@ -290,7 +314,6 @@ class IntegralAllocation(_Frozen):
         for j in range(m):
             if sum(row[j] for row in matrix) > 1:
                 raise InputError(f"item {j} assigned to more than one agent")
-        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def from_bundles(cls, n: int, m: int, bundles: Sequence[Iterable[int]]) -> "IntegralAllocation":
@@ -339,10 +362,10 @@ class Lottery(_Frozen):
     so equal lotteries compare equal.
     """
 
-    _fields = ("support",)
     support: tuple[tuple[Fraction, IntegralAllocation], ...]
 
-    def __init__(self, support: Sequence[tuple[Fraction, IntegralAllocation]]) -> None:
+    def _check(self) -> None:
+        support = self.support
         if not support:
             raise InputError("lottery needs a nonempty support")
         n, m = support[0][1].n, support[0][1].m
@@ -358,8 +381,7 @@ class Lottery(_Frozen):
         total = sum(merged.values(), ZERO)
         if total != 1:
             raise InputError(f"lottery weights sum to {total}, expected 1")
-        canonical = tuple((merged[mat], first[mat]) for mat in sorted(merged))
-        object.__setattr__(self, "support", canonical)
+        self._store("support", tuple((merged[mat], first[mat]) for mat in sorted(merged)))
 
     @classmethod
     def single(cls, alloc: IntegralAllocation) -> "Lottery":

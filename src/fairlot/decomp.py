@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     FractionalAllocation,
@@ -38,22 +38,21 @@ Cell = tuple[int, int]
 class ConstraintSet(_Frozen):
     """A set of matrix cells whose total must stay within [lower, upper] in every part."""
 
-    _fields = ("cells", "lower", "upper")
     cells: frozenset[Cell]
     lower: int
     upper: int
 
-    def __init__(self, cells: Iterable[Cell], lower: int, upper: int) -> None:
-        cells = frozenset(cells)
+    def _check(self) -> None:
+        cells = frozenset(self.cells)
+        if cells is not self.cells:  # the decomposition already passes frozensets
+            self._store("cells", cells)
+        lower, upper = self.lower, self.upper
         if not cells:
             raise InputError("constraint set must cover at least one cell")
         if not isinstance(lower, int) or not isinstance(upper, int):
             raise InputError("quotas must be integers")
         if lower > upper:
             raise InputError(f"quota lower bound {lower} exceeds upper bound {upper}")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
 
 def _forest(
@@ -91,19 +90,18 @@ def _check_laminar(family: Sequence[ConstraintSet], name: str) -> None:
 class Bihierarchy(_Frozen):
     """Two disjoint laminar families of quota constraints over the same matrix."""
 
-    _fields = ("h1", "h2")
     h1: tuple[ConstraintSet, ...]
     h2: tuple[ConstraintSet, ...]
 
-    def __init__(self, h1: Iterable[ConstraintSet], h2: Iterable[ConstraintSet]) -> None:
-        h1, h2 = tuple(h1), tuple(h2)
+    def _check(self) -> None:
+        h1, h2 = tuple(self.h1), tuple(self.h2)
+        self._store("h1", h1)
+        self._store("h2", h2)
         _check_laminar(h1, "H1")
         _check_laminar(h2, "H2")
         overlap = {cs.cells for cs in h1} & {cs.cells for cs in h2}
         if overlap:
             raise InputError("a constraint set appears in both hierarchies")
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
 
     def all_sets(self) -> tuple[ConstraintSet, ...]:
         return self.h1 + self.h2

@@ -25,23 +25,10 @@ from .core import (
 class EatingState(_Frozen):
     """Snapshot of the protocol between events: remaining mass, eaten mass, clock."""
 
-    _fields = ("prefs", "remaining", "eaten", "clock")
     prefs: tuple[tuple[int, ...], ...]
     remaining: tuple[Fraction, ...]
     eaten: tuple[tuple[Fraction, ...], ...]
     clock: Fraction
-
-    def __init__(
-        self,
-        prefs: tuple[tuple[int, ...], ...],
-        remaining: tuple[Fraction, ...],
-        eaten: tuple[tuple[Fraction, ...], ...],
-        clock: Fraction,
-    ) -> None:
-        object.__setattr__(self, "prefs", prefs)
-        object.__setattr__(self, "remaining", remaining)
-        object.__setattr__(self, "eaten", eaten)
-        object.__setattr__(self, "clock", clock)
 
     @classmethod
     def start(

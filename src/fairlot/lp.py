@@ -34,15 +34,9 @@ Row = tuple[Sequence[Fraction], Fraction]
 
 
 class LpSolution(_Frozen):
-    _fields = ("status", "values", "objective_value")
     status: str
     values: tuple[Fraction, ...]
     objective_value: Fraction | None
-
-    def __init__(self, status: str, values: tuple[Fraction, ...], objective_value: Fraction | None) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "objective_value", objective_value)
 
 
 def _pivot(rows: list[list[Fraction]], rhs: list[Fraction], r: int, c: int) -> None:

@@ -35,23 +35,10 @@ from .properties import PropertyVerdict
 class MnwSolution(_Frozen):
     """An exact Nash-welfare-maximizing allocation with its equilibrium prices."""
 
-    _fields = ("allocation", "utilities", "prices", "log_nash_welfare")
     allocation: FractionalAllocation
     utilities: tuple[Fraction, ...]
     prices: tuple[Fraction, ...]
     log_nash_welfare: float
-
-    def __init__(
-        self,
-        allocation: FractionalAllocation,
-        utilities: tuple[Fraction, ...],
-        prices: tuple[Fraction, ...],
-        log_nash_welfare: float,
-    ) -> None:
-        object.__setattr__(self, "allocation", allocation)
-        object.__setattr__(self, "utilities", utilities)
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "log_nash_welfare", log_nash_welfare)
 
 
 def _active_agents(instance: Instance) -> list[int]:

@@ -41,17 +41,13 @@ EFFICIENCY_NOTIONS = ("po_integral", "fpo")
 
 
 class PropertyVerdict(_Frozen):
-    _fields = ("property", "holds", "witness")
     property: str
     holds: bool
-    witness: dict | None
+    witness: dict | None = None
 
-    def __init__(self, property: str, holds: bool, witness: dict | None = None) -> None:
-        if not holds and witness is None:
+    def _check(self) -> None:
+        if not self.holds and self.witness is None:
             raise InputError("failing verdict requires a witness")
-        object.__setattr__(self, "property", property)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "witness", witness)
 
     def to_json(self) -> dict:
         out: dict = {"property": self.property, "holds": self.holds}
@@ -501,27 +497,16 @@ def _run_named_check(
         return check_efficiency(instance, alloc, "po_integral")
     if name == "fpo":
         return check_efficiency(instance, alloc, "fpo")
-    if name == "gf":
+    if name in ("gf", "gfless"):
         if not isinstance(alloc, FractionalAllocation):
             alloc = alloc.to_fractional()
-        return check_gf(instance, alloc, "full")
-    if name == "gfless":
-        if not isinstance(alloc, FractionalAllocation):
-            alloc = alloc.to_fractional()
-        return check_gf(instance, alloc, "s_le_t")
+        return check_gf(instance, alloc, "full" if name == "gf" else "s_le_t")
     raise InputError(f"unknown property name: {name}")
 
 
 class AuditReport(_Frozen):
-    _fields = ("ex_ante", "ex_post")
     ex_ante: dict[str, PropertyVerdict]
     ex_post: dict[str, tuple[PropertyVerdict, ...]]
-
-    def __init__(
-        self, ex_ante: dict[str, PropertyVerdict], ex_post: dict[str, tuple[PropertyVerdict, ...]]
-    ) -> None:
-        object.__setattr__(self, "ex_ante", ex_ante)
-        object.__setattr__(self, "ex_post", ex_post)
 
     @property
     def ok(self) -> bool:

@@ -53,19 +53,15 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 class RpsConfig(_Frozen):
-    _fields = ("mode", "seed", "max_support")
-    mode: str
-    seed: int
-    max_support: int
+    mode: str = FULL_DISTRIBUTION
+    seed: int = 0
+    max_support: int = 50_000
 
-    def __init__(self, mode: str = FULL_DISTRIBUTION, seed: int = 0, max_support: int = 50_000) -> None:
-        if mode not in _MODES:
-            raise InputError(f"unknown mode: {mode}")
-        if max_support < 1:
+    def _check(self) -> None:
+        if self.mode not in _MODES:
+            raise InputError(f"unknown mode: {self.mode}")
+        if self.max_support < 1:
             raise InputError("max_support must be at least 1")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "max_support", max_support)
 
 
 def _uniform(rng: random.Random) -> Fraction:

@@ -397,6 +397,21 @@ def test_value_type_is_a_frozen_record(build, fields, text):
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(a, name)
     assert tuple(getattr(a, name) for name in fields) == values
+    # the fields are the class annotations, in order; derived caches are not fields
+    assert cls._fields == fields == tuple(cls.__annotations__)
+    assert "column_sums" not in fields
+    # Python binds the arguments, so misuse raises the TypeErrors of a written signature
+    init = rf"^{cls.__qualname__}\.__init__\(\) "
+    with pytest.raises(TypeError, match=init + "got an unexpected keyword argument 'extra'"):
+        cls(*values, extra=None)
+    required = len(fields) - len(cls.__init__.__defaults__ or ())
+    if required:
+        with pytest.raises(TypeError, match=init + "missing 1 required positional argument"):
+            cls(*values[: required - 1])
+    with pytest.raises(TypeError, match=init + "takes .* positional arguments but"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=init + f"got multiple values for argument '{fields[0]}'"):
+        cls(*values, **{fields[0]: values[0]})
 
 
 @given(st.integers(min_value=0, max_value=10_000))
