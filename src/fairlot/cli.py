@@ -20,7 +20,6 @@ import argparse
 import random
 import sys
 from collections.abc import Sequence
-from fractions import Fraction
 
 from . import __version__
 from .core import (
@@ -32,6 +31,7 @@ from .core import (
     SolveError,
     allocation_to_json,
     dump_json,
+    exact_draw,
     load_allocation,
     load_instance,
     load_lottery,
@@ -61,14 +61,7 @@ def _names(csv: str | None) -> list[str]:
 
 
 def _draw(lottery: Lottery, seed: int) -> IntegralAllocation:
-    # exact inverse-CDF draw; the 63-bit numerator keeps thresholds rational
-    r = Fraction(random.Random(seed).getrandbits(63), 2**63)
-    acc = Fraction(0)
-    for weight, alloc in lottery.support:
-        acc += weight
-        if r < acc:
-            return alloc
-    return lottery.support[-1][1]
+    return exact_draw(lottery.support, random.Random(seed))[1]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ binary float.
 from __future__ import annotations
 
 import json
+import random
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -413,6 +414,18 @@ class Lottery(_Frozen):
 
     def expected_utility(self, instance: Instance, i: int) -> Fraction:
         return instance.utility(i, self.marginal.row(i))
+
+
+def exact_draw(entries: Sequence[tuple], rng: random.Random) -> tuple:
+    """One entry by exact inverse CDF, where ``entry[0]`` is its weight and the
+    weights sum to 1. The uniform is 63 fair bits over 2**63, so every comparison
+    is exact and a seed draws the same entry on every platform."""
+    r = Fraction(rng.getrandbits(63), 2**63)
+    for entry in entries[:-1]:
+        r -= entry[0]
+        if r < 0:
+            return entry
+    return entries[-1]
 
 
 # ---------------------------------------------------------------------------

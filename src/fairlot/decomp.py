@@ -13,12 +13,16 @@ over one common denominator (rescaled when a step needs a finer one), so the who
 loop is integer arithmetic; Fractions appear only in the output weights. Each
 extraction makes at least one new constraint tight, which bounds the support by the
 number of fractional cells plus one and guarantees termination.
+
+The two builders emit only sets of two or more cells, in the engine's node order: a
+one-cell set restates its cell's [floor, ceiling], which every part keeps anyway.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     FractionalAllocation,
@@ -107,48 +111,20 @@ class Bihierarchy(_Frozen):
         return self.h1 + self.h2
 
 
-def _merge_candidates(
-    primary: list[tuple[frozenset[Cell], int, int]],
-    secondary: list[tuple[frozenset[Cell], int, int]],
-) -> tuple[list[ConstraintSet], list[ConstraintSet]]:
-    """Build two disjoint families, folding duplicate sets by intersecting quotas."""
-    acc1: dict[frozenset[Cell], tuple[int, int]] = {}
-    for cells, lo, hi in primary:
-        cur = acc1.get(cells)
-        acc1[cells] = (max(lo, cur[0]), min(hi, cur[1])) if cur else (lo, hi)
-    acc2: dict[frozenset[Cell], tuple[int, int]] = {}
-    for cells, lo, hi in secondary:
-        if cells in acc1:
-            lo0, hi0 = acc1[cells]
-            acc1[cells] = (max(lo, lo0), min(hi, hi0))
-            continue
-        cur = acc2.get(cells)
-        acc2[cells] = (max(lo, cur[0]), min(hi, cur[1])) if cur else (lo, hi)
-    for acc in (acc1, acc2):
-        for cells, (lo, hi) in acc.items():
-            if lo > hi:
-                raise InputError("conflicting quotas for one constraint set")
-    key = lambda kv: (len(kv[0]), sorted(kv[0]))
-    fam1 = [ConstraintSet(c, lo, hi) for c, (lo, hi) in sorted(acc1.items(), key=key)]
-    fam2 = [ConstraintSet(c, lo, hi) for c, (lo, hi) in sorted(acc2.items(), key=key)]
-    return fam1, fam2
+def _floor_ceil(cells: Iterable[Cell], total: Fraction) -> ConstraintSet:
+    return ConstraintSet(frozenset(cells), math.floor(total), math.ceil(total))
 
 
 def bvn_constraints(x: FractionalAllocation) -> Bihierarchy:
-    """Quotas for generalized Birkhoff-von Neumann: every part keeps each row sum,
-    column sum and cell within the floor/ceiling of its value in ``x``."""
+    """Quotas for generalized Birkhoff-von Neumann: every part keeps each row sum
+    and column sum within the floor/ceiling of its value in ``x``. H1 is the rows,
+    H2 the columns, each in index order; a row or column of one cell is not built."""
     n, m = x.n, x.m
-    h2: list[tuple[frozenset[Cell], int, int]] = []
-    for j, col_sum in enumerate(x.column_sums):
-        h2.append((frozenset((i, j) for i in range(n)), math.floor(col_sum), math.ceil(col_sum)))
-    h1: list[tuple[frozenset[Cell], int, int]] = []
-    for i in range(n):
-        row_sum = sum(x.matrix[i], ZERO)
-        h1.append((frozenset((i, j) for j in range(m)), math.floor(row_sum), math.ceil(row_sum)))
-        for j in range(m):
-            h1.append((frozenset([(i, j)]), 0, 1))
-    fam1, fam2 = _merge_candidates(h1, h2)
-    return Bihierarchy(tuple(fam1), tuple(fam2))
+    rows = [sum(row, ZERO) for row in x.matrix] if m > 1 else []
+    cols = x.column_sums if n > 1 else ()
+    h1 = [_floor_ceil(((i, j) for j in range(m)), s) for i, s in enumerate(rows)]
+    h2 = [_floor_ceil(((i, j) for i in range(n)), s) for j, s in enumerate(cols)]
+    return Bihierarchy(h1, h2)
 
 
 def prefix_constraints(
@@ -158,6 +134,8 @@ def prefix_constraints(
 ) -> Bihierarchy:
     """Ordinal prefix quotas: for each agent, every prefix of her preference order
     keeps its cumulative share within floor/ceiling; every column is fully assigned.
+    H1 is the prefixes, shortest first and agents in index order within a length,
+    and H2 the columns; one-item prefixes and one-cell columns are not built.
 
     Rounding a complete fractional allocation under these quotas preserves each
     agent's utility up to one item in either direction.
@@ -168,19 +146,14 @@ def prefix_constraints(
         raise InputError("prefix constraints need a complete allocation")
     order = prefs if prefs is not None else instance.prefs
     n, m = x.n, x.m
-    h1: list[tuple[frozenset[Cell], int, int]] = []
-    for i in range(n):
-        run = ZERO
-        prefix: list[Cell] = []
-        for j in order[i]:
-            run += x.matrix[i][j]
-            prefix.append((i, j))
-            h1.append((frozenset(prefix), math.floor(run), math.ceil(run)))
-        for j in range(m):
-            h1.append((frozenset([(i, j)]), 0, 1))
-    h2 = [(frozenset((i, j) for i in range(n)), 1, 1) for j in range(m)]
-    fam1, fam2 = _merge_candidates(h1, h2)
-    return Bihierarchy(tuple(fam1), tuple(fam2))
+    runs = [list(itertools.accumulate(x.matrix[i][j] for j in order[i])) for i in range(n)]
+    h1 = [
+        _floor_ceil(((i, j) for j in order[i][: k + 1]), runs[i][k])
+        for k in range(1, m)
+        for i in range(n)
+    ]
+    cols = [frozenset((i, j) for i in range(n)) for j in range(m)] if n > 1 else []
+    return Bihierarchy(h1, [ConstraintSet(cells, 1, 1) for cells in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +238,7 @@ def _feasible_circulation(
             flow.add(w, snk, -excess[w])
     if flow.solve(src, snk) != need:
         return None
-    return [
-        arc[2] if eid is None else arc[2] + flow.cap[eid ^ 1] for arc, eid in zip(arcs, ids)
-    ]
+    return [lo if eid is None else lo + flow.cap[eid ^ 1] for (_, _, lo, _), eid in zip(arcs, ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +306,8 @@ def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lo
         for u, v, cs in sets:
             sigma = sum(r[i][j] for i, j in cs.cells)
             sigmas.append(sigma)
-            if sigma == cs.lower * c or sigma == cs.upper * c:
-                arcs.append((u, v, sigma // c, sigma // c))
-            else:
-                arcs.append((u, v, cs.lower, cs.upper))
+            tight = sigma == cs.lower * c or sigma == cs.upper * c
+            arcs.append((u, v, sigma // c, sigma // c) if tight else (u, v, cs.lower, cs.upper))
         arcs.append((1, 0, 0, m + 1))
 
         flows = _feasible_circulation(node_count, arcs)
@@ -390,10 +359,11 @@ def bvn_decompose(x: FractionalAllocation) -> Lottery:
     >>> [(str(w), a.bundles) for w, a in parts.support]
     [('1/2', ((1,), (0,))), ('1/2', ((0,), (2,)))]
     """
-    for i in range(x.n):
-        if sum(x.matrix[i], ZERO) > 1:
+    hierarchy = bvn_constraints(x)
+    for i, row in enumerate(hierarchy.h1):  # no row is built for m < 2, where no row can exceed 1
+        if row.upper > 1:
             raise InputError(f"row {i} sums above 1; not doubly substochastic")
-    return bihierarchy_decompose(x, bvn_constraints(x))
+    return bihierarchy_decompose(x, hierarchy)
 
 
 def caratheodory_weights(
@@ -422,6 +392,4 @@ def reduce_support(lottery: Lottery) -> Lottery:
         return lottery
     columns = [[v for row in alloc.matrix for v in row] for _, alloc in lottery.support]
     weights = caratheodory_weights(columns, [w for w, _ in lottery.support])
-    return Lottery(
-        tuple((w, alloc) for w, (_, alloc) in zip(weights, lottery.support) if w > 0)
-    )
+    return Lottery(tuple((w, alloc) for w, (_, alloc) in zip(weights, lottery.support) if w > 0))

@@ -133,11 +133,8 @@ def solve_mnw(instance: Instance) -> MnwSolution:
         raise KindMismatchError("solve_mnw handles goods instances only")
     n, m = instance.n, instance.m
     active = _active_agents(instance)
-    if m == 0 or not active:
-        empty = FractionalAllocation(tuple(tuple([ZERO] * m) for _ in range(n)))
-        if m > 0:
-            raise InputError("a goods instance with items needs at least one interested agent")
-        return MnwSolution(empty, (ZERO,) * n, (), 0.0)
+    if not active:  # no items: a goods instance values each of its items
+        return MnwSolution(FractionalAllocation(((),) * n), (ZERO,) * n, (), 0.0)
 
     rows = []
     for i in active:

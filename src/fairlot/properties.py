@@ -168,22 +168,12 @@ def check_envy(
     if notion == "wef1":
         a = _as_integral(alloc, notion)
         for i in range(n):
+            row = instance.values[i]
+            worth = [[row[j] for j in bundle] for bundle in a.bundles]
+            # the best single removals: i's worst own bad, and i's best good of h's
+            own = sum(worth[i], ZERO) - min([ZERO, *worth[i]])
             for h in range(n):
-                if h == i:
-                    continue
-                own = instance.bundle_value(i, a.bundles[i])
-                other = instance.bundle_value(i, a.bundles[h])
-                ok = False
-                for o_i in (None, *a.bundles[i]):
-                    for o_h in (None, *a.bundles[h]):
-                        left = own - (instance.values[i][o_i] if o_i is not None else ZERO)
-                        right = other - (instance.values[i][o_h] if o_h is not None else ZERO)
-                        if left >= right:
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if not ok:
+                if h != i and own < sum(worth[h], ZERO) - max([ZERO, *worth[h]]):
                     return PropertyVerdict("wef1", False, {"envious": i, "envied": h})
         return PropertyVerdict("wef1", True)
 
@@ -227,19 +217,15 @@ def check_envy(
         if instance.kind != GOODS:
             raise KindMismatchError("sd_ef1 is defined for goods instances")
         a = _as_integral(alloc, notion)
+        prefs = instance.prefs
         for i in range(n):
-            mine = a.matrix[i]
             for h in range(n):
                 if h == i or not a.bundles[h]:
                     continue
-                ok = False
-                for j in a.bundles[h]:
-                    reduced = list(a.matrix[h])
-                    reduced[j] = 0
-                    if sd_dominates(instance.prefs, i, mine, reduced):
-                        ok = True
-                        break
-                if not ok:
+                # removing h's item that i ranks first lowers every prefix sum the most
+                reduced = list(a.matrix[h])
+                reduced[next(j for j in prefs[i] if reduced[j])] = 0
+                if not sd_dominates(prefs, i, a.matrix[i], reduced):
                     return PropertyVerdict("sd_ef1", False, {"envious": i, "envied": h})
         return PropertyVerdict("sd_ef1", True)
 

@@ -39,6 +39,7 @@ from .core import (
     SizeLimitError,
     ZERO,
     _Frozen,
+    exact_draw,
     ordinal_preferences,
 )
 from .decomp import bvn_decompose, caratheodory_weights
@@ -62,11 +63,6 @@ class RpsConfig(_Frozen):
             raise InputError(f"unknown mode: {self.mode}")
         if self.max_support < 1:
             raise InputError("max_support must be at least 1")
-
-
-def _uniform(rng: random.Random) -> Fraction:
-    # 63 fair bits against exact cumulative weights keeps draws platform-stable
-    return Fraction(rng.getrandbits(63), 2**63)
 
 
 class _StageEngine:
@@ -187,16 +183,7 @@ class _StageEngine:
         mask = frozenset(range(self.m))
         trace = []
         while mask:
-            parts = self.expand(mask)
-            draw = _uniform(rng)
-            cumulative = ZERO
-            chosen = parts[-1]
-            for part in parts:
-                cumulative += part[0]
-                if draw < cumulative:
-                    chosen = part
-                    break
-            _, cells, rest = chosen
+            _, cells, rest = exact_draw(self.expand(mask), rng)
             for i, j in cells:
                 rows[i][j] = 1
             trace.append((cells, rest))

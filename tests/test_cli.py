@@ -29,6 +29,7 @@ CYCLE3 = {
 TILT2 = {"agents": 2, "items": 2, "values": [[1, 2], [1, 3]]}
 WEAK3 = {"agents": 3, "items": 2, "values": [[1, 0], [1, 0], [1, 1]]}
 BADS = {"agents": 2, "items": 3, "values": [[-1, -2, -3], [-3, -2, -1]]}
+NO_ITEMS = {"agents": 2, "items": 0, "values": [[], []]}
 
 
 @pytest.fixture
@@ -243,6 +244,17 @@ class TestSolvers:
         assert json.loads(out) == {
             "matrix": [["1/3", "0"], ["1/3", "0"], ["1/3", "1"]]
         }
+
+    def test_no_items(self, capsys, files):
+        path = files("empty.json", NO_ITEMS)
+        code, out, _ = run(capsys, "mnw", path)
+        assert (code, out) == (0, '{\n  "matrix": [\n    [],\n    []\n  ]\n}\n')
+        code, out, _ = run(capsys, "gf-lottery", path)
+        assert code == 0
+        assert out == (
+            '{\n  "agents": 2,\n  "items": 0,\n  "support": [\n    {\n      "weight": "1",\n'
+            '      "bundles": [\n        [],\n        []\n      ]\n    }\n  ]\n}\n'
+        )
 
     def test_gf_lottery(self, capsys, files):
         code, out, _ = run(capsys, "gf-lottery", files("tilt2.json", TILT2))

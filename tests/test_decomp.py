@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from fairlot.core import (
     IntegralAllocation,
     Lottery,
     lottery_to_json,
+    ordinal_preferences,
 )
 from fairlot.decomp import (
     Bihierarchy,
@@ -159,7 +161,7 @@ class TestPrefixConstraints:
             if {i for (i, _) in cs.cells} == {0}:
                 runs[len(cs.cells)] = (cs.lower, cs.upper)
         # agent 1 value order is item order; prefix sums 3/5, 1, 7/5, 2
-        assert runs[1] == (0, 1)
+        assert 1 not in runs  # a one-item prefix only restates its cell's [0, 1]
         assert runs[2] == (1, 1)
         assert runs[3] == (1, 2)
         assert runs[4] == (2, 2)
@@ -319,6 +321,105 @@ def test_matches_pinned_lotteries():
         _pinned_inputs(), PINNED_LOTTERIES.split("\n"), strict=True
     ):
         assert lottery_line(bihierarchy_decompose(x, hierarchy)) == expected
+
+
+# The builders before one-cell sets were dropped, kept as the oracle: one [0, 1] set
+# per cell, duplicates folded by intersecting quotas, each family sorted by
+# (size, sorted cells).
+def _oracle_merge(primary, secondary):
+    acc1: dict = {}
+    for cells, lo, hi in primary:
+        cur = acc1.get(cells)
+        acc1[cells] = (max(lo, cur[0]), min(hi, cur[1])) if cur else (lo, hi)
+    acc2: dict = {}
+    for cells, lo, hi in secondary:
+        if cells in acc1:
+            lo0, hi0 = acc1[cells]
+            acc1[cells] = (max(lo, lo0), min(hi, hi0))
+            continue
+        cur = acc2.get(cells)
+        acc2[cells] = (max(lo, cur[0]), min(hi, cur[1])) if cur else (lo, hi)
+    key = lambda kv: (len(kv[0]), sorted(kv[0]))
+    return Bihierarchy(
+        tuple(ConstraintSet(c, lo, hi) for c, (lo, hi) in sorted(acc1.items(), key=key)),
+        tuple(ConstraintSet(c, lo, hi) for c, (lo, hi) in sorted(acc2.items(), key=key)),
+    )
+
+
+def _oracle_bvn_constraints(x: FractionalAllocation) -> Bihierarchy:
+    n, m = x.n, x.m
+    h2 = []
+    for j, col_sum in enumerate(x.column_sums):
+        h2.append((frozenset((i, j) for i in range(n)), math.floor(col_sum), math.ceil(col_sum)))
+    h1 = []
+    for i in range(n):
+        row_sum = sum(x.matrix[i], F(0))
+        h1.append((frozenset((i, j) for j in range(m)), math.floor(row_sum), math.ceil(row_sum)))
+        for j in range(m):
+            h1.append((frozenset([(i, j)]), 0, 1))
+    return _oracle_merge(h1, h2)
+
+
+def _oracle_prefix_constraints(x: FractionalAllocation, order) -> Bihierarchy:
+    n, m = x.n, x.m
+    h1 = []
+    for i in range(n):
+        run = F(0)
+        prefix = []
+        for j in order[i]:
+            run += x.matrix[i][j]
+            prefix.append((i, j))
+            h1.append((frozenset(prefix), math.floor(run), math.ceil(run)))
+        for j in range(m):
+            h1.append((frozenset([(i, j)]), 0, 1))
+    h2 = [(frozenset((i, j) for i in range(n)), 1, 1) for j in range(m)]
+    return _oracle_merge(h1, h2)
+
+
+def _random_instance(rng: random.Random, sign: int) -> Instance:
+    n, m = rng.randint(1, 4), rng.randint(1, 6)
+    return Instance.from_rows([[sign * rng.randint(1, 9) for _ in range(m)] for _ in range(n)])
+
+
+def _random_marginal(rng: random.Random, inst: Instance) -> FractionalAllocation:
+    parts = [random_integral(rng, inst) for _ in range(3)]
+    return Lottery(((F(1, 2), parts[0]), (F(1, 3), parts[1]), (F(1, 6), parts[2]))).marginal
+
+
+def _builder_cases():
+    rng = random.Random(1213)
+    for n, m in [(1, 1), (1, 4), (4, 1)] + [(rng.randint(1, 5), rng.randint(1, 6)) for _ in range(40)]:
+        x = random_substochastic(rng, n, m)
+        yield x, bvn_constraints(x), _oracle_bvn_constraints(x)
+    for _ in range(15):
+        inst = random_goods(rng, n_max=4, m_max=6)
+        x = solve_mnw(inst).allocation
+        yield x, prefix_constraints(inst, x), _oracle_prefix_constraints(x, inst.prefs)
+    for _ in range(30):
+        inst = _random_instance(rng, 1)
+        x = _random_marginal(rng, inst)
+        yield x, prefix_constraints(inst, x), _oracle_prefix_constraints(x, inst.prefs)
+    for _ in range(30):
+        inst = _random_instance(rng, -1)
+        flipped = ordinal_preferences(tuple(tuple(-v for v in row) for row in inst.values))
+        x = _random_marginal(rng, inst)
+        yield x, prefix_constraints(inst, x, prefs=flipped), _oracle_prefix_constraints(x, flipped)
+
+
+def test_builders_match_oracle_without_one_cell_sets():
+    shapes = set()
+    for x, hierarchy, oracle in _builder_cases():
+        shapes.add((min(x.n, 2), min(x.m, 2)))
+        trimmed = Bihierarchy(
+            tuple(cs for cs in oracle.h1 if len(cs.cells) > 1),
+            tuple(cs for cs in oracle.h2 if len(cs.cells) > 1),
+        )
+        assert hierarchy == trimmed  # same sets, same quotas, same order
+        assert all(len(cs.cells) > 1 for cs in hierarchy.all_sets())
+        assert lottery_line(bihierarchy_decompose(x, hierarchy)) == lottery_line(
+            bihierarchy_decompose(x, oracle)
+        )
+    assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 GAP_LOTTERY = '{"agents":2,"items":8,"support":[{"weight":"1/3","bundles":[[],[4]]},{"weight":"1/6","bundles":[[1,2,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,2,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,1,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,1,2],[4]]}]}'

@@ -64,6 +64,13 @@ class TestSolveMnw:
         assert sol.utilities == (F(0), F(3))
         assert sol.prices == (F(1, 3), F(2, 3))
 
+    def test_no_items(self):
+        sol = solve_mnw(Instance.from_rows([[], []]))
+        assert sol.allocation == FractionalAllocation(((), ()))
+        assert sol.utilities == (F(0), F(0))
+        assert sol.prices == ()
+        assert sol.log_nash_welfare == 0.0
+
     def test_kind_and_tol_validation(self, bads3):
         with pytest.raises(KindMismatchError):
             solve_mnw(bads3)

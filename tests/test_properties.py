@@ -17,6 +17,7 @@ from fairlot.core import (
     KindMismatchError,
     Lottery,
     SizeLimitError,
+    sd_dominates,
 )
 from fairlot.mnw import mnw_v, solve_mnw
 from fairlot.properties import (
@@ -34,6 +35,38 @@ from fairlot.rounding import gf_lottery
 from fairlot.rps import rps
 
 from conftest import random_bads, random_goods, random_integral, random_positive_goods
+
+
+def _enumerated_wef1(inst: Instance, a: IntegralAllocation) -> tuple[int, int] | None:
+    """The first (envious, envied) pair that no removal of one own item and one
+    of the other's items (either may be none) clears, by trying every pair."""
+    for i in range(inst.n):
+        for h in range(inst.n):
+            if h == i:
+                continue
+            own = inst.bundle_value(i, a.bundles[i])
+            other = inst.bundle_value(i, a.bundles[h])
+            if not any(
+                own - (inst.values[i][o_i] if o_i is not None else 0)
+                >= other - (inst.values[i][o_h] if o_h is not None else 0)
+                for o_i in (None, *a.bundles[i])
+                for o_h in (None, *a.bundles[h])
+            ):
+                return i, h
+    return None
+
+
+def _enumerated_sd_ef1(inst: Instance, a: IntegralAllocation) -> tuple[int, int] | None:
+    """The first pair where removing no single item of the envied bundle makes the
+    envious agent's bundle stochastically dominate it, by trying every item."""
+    for i in range(inst.n):
+        for h in range(inst.n):
+            if h == i or not a.bundles[h]:
+                continue
+            reductions = [[0 if k == j else x for k, x in enumerate(a.matrix[h])] for j in a.bundles[h]]
+            if not any(sd_dominates(inst.prefs, i, a.matrix[i], q) for q in reductions):
+                return i, h
+    return None
 
 F = Fraction
 
@@ -130,6 +163,30 @@ class TestEnvy:
         wide = Instance.from_rows([[2, 2, -1], [2, 2, -1]])
         lopsided = IntegralAllocation.from_bundles(2, 3, [(0, 1), (2,)])
         assert not check_envy(wide, lopsided, "wef1").holds
+
+    def test_closed_forms_match_enumeration(self):
+        # wef1 and sd_ef1 take the single best removal; the enumerations they
+        # replaced try every removal, and must give the same verdicts and witnesses
+        rng = random.Random(1212)
+        failing = {"wef1": 0, "sd_ef1": 0}
+        for trial in range(600):
+            n, m = rng.randint(2, 4), rng.randint(1, 7)
+            low = 0 if trial % 2 else -3  # odd trials: goods with ties; even: mixed items
+            values = [[rng.randint(low, 3) for _ in range(m)] for _ in range(n)]
+            values[0] = [v if v else 1 for v in values[0]]  # every item has a positive valuer
+            inst = Instance.from_rows(values)
+            owners = [rng.randrange(-1, n) for _ in range(m)]  # -1 leaves an item unassigned
+            a = IntegralAllocation(tuple(tuple(int(o == i) for o in owners) for i in range(n)))
+            notions = ("wef1", "sd_ef1") if inst.kind == "goods" else ("wef1",)
+            for notion in notions:
+                oracle = _enumerated_wef1 if notion == "wef1" else _enumerated_sd_ef1
+                pair = oracle(inst, a)
+                verdict = check_envy(inst, a, notion)
+                assert verdict.holds == (pair is None)
+                if pair is not None:
+                    assert verdict.witness == {"envious": pair[0], "envied": pair[1]}
+                    failing[notion] += 1
+        assert min(failing.values()) > 50
 
     def test_ef11_bads_oracle(self):
         inst = Instance.from_rows([[-1, -1], [-1, -1]])

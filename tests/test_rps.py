@@ -59,6 +59,15 @@ TRIM_POLY_SUPPORT = (
     (F(1, 4), ((0, 1), (4, 5), (2, 3, 6))),
 )
 
+# 57 branches before the last of four stages: poly mode trims a frontier whose
+# branches still have items left
+EARLY_TRIM_ROWS = [
+    [9, 4, 8, 9, 8, 5, 7, 3, 6, 1, 6, 1, 8],
+    [5, 2, 8, 6, 10, 3, 3, 3, 3, 3, 5, 0, 6],
+    [4, 4, 0, 0, 8, 6, 4, 10, 8, 6, 9, 4, 9],
+    [10, 2, 7, 7, 7, 4, 6, 0, 1, 7, 9, 5, 2],
+]
+
 
 class TestGoods:
     def test_four_item_uniform_support(self, swap4):
@@ -82,6 +91,26 @@ class TestGoods:
         full_keys = {part.matrix for _, part in full.support}
         assert {part.matrix for _, part in poly.support} <= full_keys
         assert tuple((w, part.bundles) for w, part in poly.support) == TRIM_POLY_SUPPORT
+
+    def test_poly_trims_before_the_last_stage(self, monkeypatch):
+        # the early trim weighs branches by the exact marginals of their subgames
+        inst = Instance.from_rows(EARLY_TRIM_ROWS)
+        frontiers = []
+        original = _StageEngine._trim
+
+        def recording(engine, branches):
+            frontiers.append(branches)
+            return original(engine, branches)
+
+        monkeypatch.setattr(_StageEngine, "_trim", recording)
+        poly = rps(inst, RpsConfig(mode=POLY_SUPPORT))
+        engine = _StageEngine(inst.prefs, inst.m, 1)
+        assert any(engine._unassigned(mat) for branches in frontiers for mat in branches)
+        full = rps(inst)
+        assert len(full) > inst.n * inst.m + 1
+        assert len(poly) <= inst.n * inst.m + 1
+        assert poly.marginal == full.marginal
+        assert all(check_envy(inst, part, "sd_ef1").holds for _, part in poly.support)
 
     def test_sample_deterministic_and_in_support(self, swap4):
         first = rps(swap4, RpsConfig(mode=SAMPLE, seed=5))
