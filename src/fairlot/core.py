@@ -14,9 +14,8 @@ import json
 import random
 import sys
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 GOODS = "goods"
 BADS = "bads"
@@ -61,8 +60,8 @@ class _Frozen:
     stores them with ``_store`` and then calls the class's ``_check``, which
     validates and may normalise a field through ``self._store``. Equality
     (same class only), hashing and repr run over the fields in order; every
-    assignment or deletion raises AttributeError. Instances keep a ``__dict__``,
-    so ``cached_property`` works.
+    assignment or deletion raises AttributeError. A value derived from the fields
+    is a ``_computed_once`` attribute, stored with ``_store`` on first read.
     """
 
     _fields: tuple[str, ...] = ()
@@ -106,6 +105,25 @@ class _Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+class _computed_once:
+    """A method read as an attribute: computed on the first read, then stored with
+    ``_Frozen._store``, which shadows this non-data descriptor. Unlike
+    ``functools.cached_property`` it never materialises the instance ``__dict__``,
+    which would slow every later field read."""
+
+    def __init__(self, method: Callable) -> None:
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj: object, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = self.method(obj)
+        _Frozen._store(obj, self.name, value)
+        return value
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -179,7 +197,7 @@ class Instance(_Frozen):
     def m(self) -> int:
         return len(self.values[0])
 
-    @cached_property
+    @_computed_once
     def kind(self) -> str:
         has_pos = any(v > 0 for row in self.values for v in row)
         has_neg = any(v < 0 for row in self.values for v in row)
@@ -193,7 +211,7 @@ class Instance(_Frozen):
                 raise InputError(f"goods instance has no agent valuing item {j} positively")
         return GOODS
 
-    @cached_property
+    @_computed_once
     def prefs(self) -> tuple[tuple[int, ...], ...]:
         """Ordinal preferences induced by the values (value-descending, index tie-break)."""
         return ordinal_preferences(self.values)
@@ -336,7 +354,7 @@ class IntegralAllocation(_Frozen):
     def m(self) -> int:
         return len(self.matrix[0])
 
-    @cached_property
+    @_computed_once
     def bundles(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
             tuple(j for j in range(self.m) if row[j]) for row in self.matrix
@@ -399,7 +417,7 @@ class Lottery(_Frozen):
     def __len__(self) -> int:
         return len(self.support)
 
-    @cached_property
+    @_computed_once
     def marginal(self) -> FractionalAllocation:
         """The expected allocation matrix of the lottery."""
         n, m = self.n, self.m

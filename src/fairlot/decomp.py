@@ -81,18 +81,26 @@ def _forest(
     return parent, owner
 
 
-def _check_laminar(family: Sequence[ConstraintSet], name: str) -> None:
+def _laminar_forest(
+    family: Sequence[ConstraintSet], name: str
+) -> tuple[list[int | None], dict[Cell, int]]:
     seen: set[frozenset[Cell]] = set()
     for cs in family:
         if cs.cells in seen:
             raise InputError(f"{name} contains duplicate constraint sets")
         seen.add(cs.cells)
-    if _forest([cs.cells for cs in family]) is None:
+    forest = _forest([cs.cells for cs in family])
+    if forest is None:
         raise InputError(f"{name} is not laminar")
+    return forest
 
 
 class Bihierarchy(_Frozen):
-    """Two disjoint laminar families of quota constraints over the same matrix."""
+    """Two disjoint laminar families of quota constraints over the same matrix.
+
+    ``forests`` keeps the laminar forest of ``h1`` and of ``h2`` that validation
+    built (see ``_forest``); it is not a field.
+    """
 
     h1: tuple[ConstraintSet, ...]
     h2: tuple[ConstraintSet, ...]
@@ -101,8 +109,7 @@ class Bihierarchy(_Frozen):
         h1, h2 = tuple(self.h1), tuple(self.h2)
         self._store("h1", h1)
         self._store("h2", h2)
-        _check_laminar(h1, "H1")
-        _check_laminar(h2, "H2")
+        self._store("forests", (_laminar_forest(h1, "H1"), _laminar_forest(h2, "H2")))
         overlap = {cs.cells for cs in h1} & {cs.cells for cs in h2}
         if overlap:
             raise InputError("a constraint set appears in both hierarchies")
@@ -179,35 +186,64 @@ class _MaxFlow:
         return eid
 
     def solve(self, s: int, t: int) -> int:
+        """Push a maximum flow from ``s`` to ``t`` along shortest augmenting paths.
+
+        Each breadth-first search stops at the first node it discovers with a
+        residual arc into ``t`` and augments along that node's first such arc in
+        its adjacency order. The queue is FIFO, so nodes are processed in the order
+        they are discovered, and this is the node whose scan would label ``t`` in a
+        search run to the end: every path, residual capacity, the total and the
+        final ``reach`` are those of the full search. A search that finds no path
+        runs to completion.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        # The arcs into t of each node, in that node's adjacency order: arc e and
+        # its partner e ^ 1 enter their two lists in the same add call.
+        into_t: list[list[int]] = [[] for _ in adj]
+        for eid in adj[t]:
+            into_t[to[eid]].append(eid ^ 1)
         total = 0
         while True:
-            parent_edge = [-1] * len(self.adj)
+            parent_edge = [-1] * len(adj)
             parent_edge[s] = -2
+            last = -1
+            for e in into_t[s]:
+                if cap[e] > 0:
+                    last = e
+                    break
             queue = [s]
             qi = 0
-            while qi < len(queue) and parent_edge[t] == -1:
+            while last < 0 and qi < len(queue):
                 u = queue[qi]
                 qi += 1
-                for eid in self.adj[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and parent_edge[v] == -1:
-                        parent_edge[v] = eid
-                        queue.append(v)
-            if parent_edge[t] == -1:
+                for eid in adj[u]:
+                    if cap[eid] > 0:
+                        v = to[eid]
+                        if parent_edge[v] == -1:
+                            parent_edge[v] = eid
+                            queue.append(v)
+                            for e in into_t[v]:
+                                if cap[e] > 0:
+                                    last = e
+                                    break
+                            if last >= 0:
+                                break
+            if last < 0:
                 self.reach = parent_edge
                 return total
-            bottleneck = None
+            parent_edge[t] = last
+            bottleneck = cap[last]
             v = t
             while v != s:
                 eid = parent_edge[v]
-                bottleneck = self.cap[eid] if bottleneck is None else min(bottleneck, self.cap[eid])
-                v = self.to[eid ^ 1]
+                bottleneck = min(bottleneck, cap[eid])
+                v = to[eid ^ 1]
             v = t
             while v != s:
                 eid = parent_edge[v]
-                self.cap[eid] -= bottleneck
-                self.cap[eid ^ 1] += bottleneck
-                v = self.to[eid ^ 1]
+                cap[eid] -= bottleneck
+                cap[eid ^ 1] += bottleneck
+                v = to[eid ^ 1]
             total += bottleneck
 
 
@@ -272,16 +308,19 @@ def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lo
 
     # Once the quotas hold, a singleton set only restates the [0, 1] bounds of its
     # cell; larger sets become arcs of two forests whose roots are nodes 0 and 1.
+    # A singleton is a leaf of its family's forest, so its cell belongs to the
+    # singleton's parent, or to the root when it has none.
     inner: list[dict[Cell, int]] = []
     sets: list[tuple[int, int, ConstraintSet]] = []
     node_count = 2
-    for side, fam in ((0, hierarchy.h1), (1, hierarchy.h2)):
-        big = [cs for cs in fam if len(cs.cells) > 1]
-        parent, owner = _forest([cs.cells for cs in big])  # type: ignore[misc]
-        inner.append({cell: node_count + k for cell, k in owner.items()})
-        for k, cs in enumerate(big):
-            up = side if parent[k] is None else node_count + parent[k]
-            sets.append((up, node_count + k, cs) if side == 0 else (node_count + k, up, cs))
+    for side, fam, (parent, owner) in zip((0, 1), (hierarchy.h1, hierarchy.h2), hierarchy.forests):
+        big = [k for k, cs in enumerate(fam) if len(cs.cells) > 1]
+        node: dict[int | None, int] = {k: node_count + b for b, k in enumerate(big)}
+        node[None] = side
+        inner.append({cell: node[k if k in node else parent[k]] for cell, k in owner.items()})
+        for k in big:
+            up, down = node[parent[k]], node[k]
+            sets.append((up, down, fam[k]) if side == 0 else (down, up, fam[k]))
         node_count += len(big)
     all_cells = [(i, j) for i in range(n) for j in range(m)]
     cell_ends = [(inner[0].get(cell, 0), inner[1].get(cell, 1)) for cell in all_cells]

@@ -11,7 +11,6 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from . import lp
 from .core import (
     BADS,
     GOODS,
@@ -318,6 +317,8 @@ def check_efficiency(
 
     if not alloc.complete:
         raise InputError("fpo requires a complete allocation")
+    from . import lp  # imported where an LP runs, so a command that runs none never loads it
+
     current = [instance.utility(i, alloc.matrix[i]) for i in range(n)]
     # max total utility subject to every agent keeping her current utility
     objective = [instance.values[i][j] for i in range(n) for j in range(m)]
@@ -430,6 +431,8 @@ def _gf_pair(
         coeffs[ny + a] = -ONE
         gains.append((coeffs, current[i]))
     objective = [ZERO] * ny + [ONE] * len(s_tuple)
+    from . import lp  # see check_efficiency
+
     sol = lp.solve(objective, shares, gains)
     if sol.status != lp.OPTIMAL or sol.objective_value <= 0:
         return None

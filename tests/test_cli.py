@@ -603,6 +603,12 @@ class TestFreshProcess:
         "items": 2,
         "support": [{"weight": "3/4", "bundles": [[0], [1]]}, {"weight": "1/4", "bundles": [[0, 1], []]}],
     }
+    # every part gives each agent one item, so every part is EF1 and Prop1
+    FAIR_LOTTERY = {
+        "agents": 2,
+        "items": 2,
+        "support": [{"weight": "3/4", "bundles": [[0], [1]]}, {"weight": "1/4", "bundles": [[1], [0]]}],
+    }
 
     @pytest.fixture
     def paths(self, files):
@@ -612,6 +618,7 @@ class TestFreshProcess:
             "alloc": files("x.json", self.HALVES),
             "ceei": files("ceei.json", self.BADS_CEEI),
             "lottery": files("lot.json", self.LOTTERY),
+            "fair-lottery": files("fair.json", self.FAIR_LOTTERY),
         }
 
     @pytest.mark.parametrize(
@@ -626,8 +633,11 @@ class TestFreshProcess:
                 {"decomp"},
                 {"lp", "mnw", "properties", "rounding", "rps", "eating"},
             ),
+            (["gf-lottery", "goods"], {"mnw", "rounding"}, {"lp"}),
+            (["mnw", "goods"], {"mnw"}, {"lp"}),
+            (["check", "goods", "--lottery", "fair-lottery", "--ex-post", "ef1,prop1"], {"properties"}, {"lp"}),
         ],
-        ids=["version", "sample", "rps", "rps-bads", "decompose-bvn"],
+        ids=["version", "sample", "rps", "rps-bads", "decompose-bvn", "gf-lottery", "mnw", "check-ex-post"],
     )
     def test_command_loads_only_its_layers(self, paths, argv, needed, forbidden):
         child = fresh_python("-c", RUN_CLI_LISTING_MODULES, *(paths.get(a, a) for a in argv))

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import _thread
+import hashlib
 import json
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -16,12 +19,14 @@ from fairlot.core import (
     Instance,
     IntegralAllocation,
     Lottery,
+    allocation_to_json,
     lottery_to_json,
     ordinal_preferences,
 )
 from fairlot.decomp import (
     Bihierarchy,
     ConstraintSet,
+    _MaxFlow,
     bihierarchy_decompose,
     bvn_constraints,
     bvn_decompose,
@@ -420,6 +425,133 @@ def test_builders_match_oracle_without_one_cell_sets():
             bihierarchy_decompose(x, oracle)
         )
     assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+# Edmonds-Karp with each search run to the end, kept as the oracle for the early
+# stop in _MaxFlow.solve: it labels the sink from the first processed node with a
+# residual arc into it.
+def _oracle_solve(flow: _MaxFlow, s: int, t: int) -> int:
+    total = 0
+    while True:
+        parent_edge = [-1] * len(flow.adj)
+        parent_edge[s] = -2
+        queue = [s]
+        qi = 0
+        while qi < len(queue) and parent_edge[t] == -1:
+            u = queue[qi]
+            qi += 1
+            for eid in flow.adj[u]:
+                v = flow.to[eid]
+                if flow.cap[eid] > 0 and parent_edge[v] == -1:
+                    parent_edge[v] = eid
+                    queue.append(v)
+        if parent_edge[t] == -1:
+            flow.reach = parent_edge
+            return total
+        bottleneck = None
+        v = t
+        while v != s:
+            eid = parent_edge[v]
+            bottleneck = flow.cap[eid] if bottleneck is None else min(bottleneck, flow.cap[eid])
+            v = flow.to[eid ^ 1]
+        v = t
+        while v != s:
+            eid = parent_edge[v]
+            flow.cap[eid] -= bottleneck
+            flow.cap[eid ^ 1] += bottleneck
+            v = flow.to[eid ^ 1]
+        total += bottleneck
+
+
+def _random_network(rng: random.Random) -> tuple[int, list[tuple[int, int, int]], int, int]:
+    """Arcs over 2-9 nodes drawn from a few node pairs, so parallel arcs are common;
+    self-loops, arcs into the source, out of the sink and source-to-sink arcs all
+    occur, and about one capacity in five is zero."""
+    nodes = rng.randint(2, 9)
+    s, t = rng.sample(range(nodes), 2)
+    pairs = [(rng.randrange(nodes), rng.randrange(nodes)) for _ in range(rng.randint(1, 3 * nodes))]
+    pairs += [(s, t)] * rng.randint(0, 2) + [(t, rng.randrange(nodes)), (rng.randrange(nodes), s)]
+    arcs = [
+        (*rng.choice(pairs), 0 if rng.random() < 0.2 else rng.randint(1, 6))
+        for _ in range(rng.randint(0, 4 * nodes))
+    ]
+    return nodes, arcs, s, t
+
+
+def _recorded_networks() -> dict[str, list]:
+    """The networks that the decomposition and the MNW price rounds (``_spend``) solve."""
+    recorded: dict[str, list] = {"decomp": [], "spend": []}
+    original = _MaxFlow.solve
+    layer = "decomp"
+
+    def record(flow, s, t):
+        arcs = [(flow.to[e + 1], flow.to[e], flow.cap[e]) for e in range(0, len(flow.to), 2)]
+        recorded[layer].append((len(flow.adj), arcs, s, t))
+        return original(flow, s, t)
+
+    rng = random.Random(1313)
+    _MaxFlow.solve = record
+    try:
+        for n in (3, 5, 8, 12):
+            bvn_decompose(random_doubly_stochastic(rng, n))
+        for _ in range(10):
+            bvn_decompose(random_substochastic(rng, rng.randint(1, 5), rng.randint(1, 6)))
+        for _ in range(12):
+            inst = random_goods(rng, n_max=4, m_max=6)
+            layer = "spend"
+            x = solve_mnw(inst).allocation
+            layer = "decomp"
+            bihierarchy_decompose(x, prefix_constraints(inst, x))
+    finally:
+        _MaxFlow.solve = original
+    return recorded
+
+
+def _solved(solve, nodes: int, arcs: list[tuple[int, int, int]], s: int, t: int):
+    flow = _MaxFlow(nodes)
+    for u, v, c in arcs:
+        flow.add(u, v, c)
+    return solve(flow, s, t), flow.cap, flow.reach
+
+
+def test_max_flow_matches_full_search_oracle():
+    rng = random.Random(2013)
+    general = [_random_network(rng) for _ in range(5000)]
+    recorded = _recorded_networks()
+    assert len(recorded["decomp"]) > 150 and len(recorded["spend"]) > 50
+    nets = general + recorded["decomp"] + recorded["spend"]
+    # a search that labels the sink can walk a cycle of parent arcs forever: after
+    # 120 s (about 1 s is normal) interrupt it, which stops the run with its traceback
+    watchdog = threading.Timer(120, _thread.interrupt_main)
+    watchdog.start()
+    try:
+        mismatches = [net for net in nets if _solved(_MaxFlow.solve, *net) != _solved(_oracle_solve, *net)]
+    finally:
+        watchdog.cancel()
+    assert mismatches == []
+    # the general draw really holds the awkward cases
+    assert any(any(u == t for u, _, _ in arcs) for _, arcs, _, t in general)
+    assert any(any(u == v for u, v, _ in arcs) for _, arcs, _, _ in general)
+    assert any(sum((u, v) == (s, t) for u, v, _ in arcs) > 1 for _, arcs, s, t in general)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_pinned_digests_at_size():
+    # sha256 recorded before the max-flow search stopped at the first node next to
+    # the sink: a change of augmenting-path order moves these at once
+    rng = random.Random(1212)
+    lot = bvn_decompose(random_doubly_stochastic(rng, 12))
+    assert _digest(lottery_to_json(lot)) == BVN_12_DIGEST
+    rng = random.Random(510)
+    sol = solve_mnw(Instance.from_rows([[rng.randint(1, 20) for _ in range(10)] for _ in range(5)]))
+    assert _digest([allocation_to_json(sol.allocation), [str(p) for p in sol.prices]]) == MNW_5X10_DIGEST
+
+
+BVN_12_DIGEST = "6845f8f1b0018c36546a426193a4bd67deb8242c110959a7ca449eefe3213509"
+MNW_5X10_DIGEST = "4608e17734894bbad786f951b2e1cd0e6844bd10d0b4b6756594da5f915f095f"
 
 
 GAP_LOTTERY = '{"agents":2,"items":8,"support":[{"weight":"1/3","bundles":[[],[4]]},{"weight":"1/6","bundles":[[1,2,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,2,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,1,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,1,2],[4]]}]}'
