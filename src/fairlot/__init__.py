@@ -24,6 +24,7 @@ _HOMES = {
         "IntegralAllocation",
         "KindMismatchError",
         "Lottery",
+        "PropertyVerdict",
         "SizeLimitError",
         "SolveError",
         "ZeroUtilityError",
@@ -51,7 +52,6 @@ _HOMES = {
     ),
     "properties": (
         "AuditReport",
-        "PropertyVerdict",
         "audit_lottery",
         "check_efficiency",
         "check_envy",

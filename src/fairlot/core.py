@@ -1,4 +1,4 @@
-"""Exact-rational data model: instances, allocations, lotteries and their JSON forms.
+"""Exact-rational data model: instances, allocations, lotteries, verdicts and JSON forms.
 
 Everything in this module is immutable and arithmetically exact (``fractions.Fraction``).
 The value types here and in the other layers are plain classes on one immutable
@@ -432,6 +432,22 @@ class Lottery(_Frozen):
 
     def expected_utility(self, instance: Instance, i: int) -> Fraction:
         return instance.utility(i, self.marginal.row(i))
+
+
+class PropertyVerdict(_Frozen):
+    property: str
+    holds: bool
+    witness: dict | None = None
+
+    def _check(self) -> None:
+        if not self.holds and self.witness is None:
+            raise InputError("failing verdict requires a witness")
+
+    def to_json(self) -> dict:
+        out: dict = {"property": self.property, "holds": self.holds}
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 def exact_draw(entries: Sequence[tuple], rng: random.Random) -> tuple:

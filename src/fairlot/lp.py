@@ -2,9 +2,12 @@
 
 ``solve`` maximises c·x subject to A x = b, A x >= b and x >= 0;
 ``basic_feasible_point`` returns a vertex of {A x = b, x >= 0}. Both run a dense
-two-phase primal simplex with Bland's anti-cycling rule. Every number is a
-``fractions.Fraction``; there is no floating point anywhere, so feasibility and
-optimality answers are exact. The callers are small systems: the group-fairness
+two-phase primal simplex with Bland's anti-cycling rule on one integer tableau:
+the system is scaled by the lcm of its denominators, and each fraction-free
+(Edmonds/Bareiss) pivot keeps every entry an integer over one common
+denominator. Fractions appear only where the input is parsed and the values are
+returned; there is no floating point anywhere, so feasibility and optimality
+answers are exact. The callers are small systems: the group-fairness
 sweep and the fractional Pareto optimality check (``solve``), and support
 reduction of lotteries (``basic_feasible_point``).
 
@@ -15,6 +18,7 @@ so a wrong pivot cannot silently produce a wrong optimum.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .core import InputError, SolveError, _Frozen, parse_rational
@@ -39,68 +43,60 @@ class LpSolution(_Frozen):
     objective_value: Fraction | None
 
 
-def _pivot(rows: list[list[Fraction]], rhs: list[Fraction], r: int, c: int) -> None:
-    piv = rows[r][c]
-    if piv != 1:
-        inv = ONE / piv
-        rows[r] = [v * inv for v in rows[r]]
-        rhs[r] *= inv
-    prow = rows[r]
-    for k, row in enumerate(rows):
-        if k != r and row[c] != 0:
-            f = row[c]
-            rows[k] = [a - f * b for a, b in zip(row, prow)]
-            rhs[k] -= f * rhs[r]
+def _pivot(tab: list[list[int]], r: int, c: int, d: int) -> int:
+    """One fraction-free (Edmonds/Bareiss) pivot on (r, c); returns the new denominator.
 
-
-def _simplex(
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    cost: list[Fraction],
-    basis: list[int],
-    allowed: int,
-) -> str:
-    """Minimize cost over {Ax=b, x>=0} from a basic feasible start, Bland's rule.
-
-    ``allowed`` caps the entering columns (columns at or beyond it never enter).
-    Mutates rows/rhs/basis in place. Returns OPTIMAL or UNBOUNDED.
+    Every row k != r becomes (row_k * p - row_k[c] * row_r) / d, an exact integer
+    division, and row r stays; the tableau is negated when p < 0 so the new
+    common denominator |p| stays positive and every entry keeps its true sign.
     """
-    ncols = len(cost)
-    # Reduced costs for the starting basis.
-    zrow = list(cost)
-    for r, bi in enumerate(basis):
-        f = zrow[bi]
-        if f != 0:
-            prow = rows[r]
-            for j in range(ncols):
-                if prow[j] != 0:
-                    zrow[j] -= f * prow[j]
-    limit = 10_000 + 40 * (len(rows) + 2) * (ncols + 2)
+    prow = tab[r]
+    p = prow[c]
+    sign = -1 if p < 0 else 1
+    q = p * sign
+    for k, row in enumerate(tab):
+        if k != r:
+            f = row[c] * sign
+            if f:
+                tab[k] = [(a * q - f * b) // d for a, b in zip(row, prow)]
+            elif q != d:
+                tab[k] = [a * q // d for a in row]
+    if sign < 0:
+        tab[r] = [-a for a in prow]
+    return q
+
+
+def _simplex(tab: list[list[int]], basis: list[int], allowed: int, d: int) -> tuple[str, int]:
+    """Minimize over {Ax=b, x>=0} from a basic feasible start, Bland's rule.
+
+    ``tab`` holds one integer row [A | b] per basis position, then the
+    reduced-cost row; each true entry is the integer over the common
+    denominator ``d`` > 0 (the cost row also over the cost's own positive
+    scale), so every sign and ratio order is read from integers. ``allowed``
+    caps the entering columns (columns at or beyond it never enter). Mutates
+    tab/basis in place. Returns OPTIMAL or UNBOUNDED and the final denominator.
+    """
+    m = len(basis)
+    limit = 10_000 + 40 * (m + 2) * (len(tab[m]) + 1)
     for _ in range(limit):
-        enter = -1
-        for j in range(allowed):
-            if zrow[j] < 0:
-                enter = j
-                break
+        zrow = tab[m]
+        enter = next((j for j in range(allowed) if zrow[j] < 0), -1)
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, d
         leave = -1
-        best: Fraction | None = None
-        for r in range(len(rows)):
-            a = rows[r][enter]
+        for r in range(m):
+            a = tab[r][enter]
             if a > 0:
-                ratio = rhs[r] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = r
+                    continue
+                # rhs_r / a against rhs_leave / a_leave, both pivots positive
+                lhs, best = tab[r][-1] * tab[leave][enter], tab[leave][-1] * a
+                if lhs < best or (lhs == best and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:
-            return UNBOUNDED
-        _pivot(rows, rhs, leave, enter)
-        f = zrow[enter]
-        prow = rows[leave]
-        for j in range(ncols):
-            if prow[j] != 0:
-                zrow[j] -= f * prow[j]
+            return UNBOUNDED, d
+        d = _pivot(tab, leave, enter, d)
         basis[leave] = enter
     raise SolveError("simplex iteration limit exceeded")
 
@@ -120,38 +116,51 @@ def _solve_standard(
     nrows = len(rows)
     rows = [[-v for v in row] if b < 0 else row for row, b in zip(rows, rhs)]
     rhs = [abs(b) for b in rhs]
-    # One artificial per row; phase one minimizes their sum.
-    work = [row + [ONE if k == r else ZERO for k in range(nrows)] for r, row in enumerate(rows)]
-    work_rhs = list(rhs)
-    art_cost = [ZERO] * nvars + [ONE] * nrows
+    den = lcm(*(v.denominator for row in rows for v in row), *(b.denominator for b in rhs))
+    # [den*A | I | den*b] over denominator 1: one unit artificial column per row
+    tab = [
+        [v.numerator * (den // v.denominator) for v in row]
+        + [int(k == r) for k in range(nrows)]
+        + [b.numerator * (den // b.denominator)]
+        for r, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    # phase one minimizes the artificials' sum; their reduced costs start at 0
+    sums = [-sum(col) for col in zip(*tab)] or [0] * (nvars + nrows + 1)
+    tab.append(sums[:nvars] + [0] * nrows + sums[-1:])
     basis = [nvars + r for r in range(nrows)]
-    status = _simplex(work, work_rhs, art_cost, basis, nvars + nrows)
+    status, d = _simplex(tab, basis, nvars + nrows, 1)
     if status != OPTIMAL:  # pragma: no cover - phase one is always bounded below by 0
         raise SolveError("phase one failed")
-    phase1_value = sum(
-        (work_rhs[r] for r in range(len(work)) if basis[r] >= nvars), ZERO
-    )
-    if phase1_value != 0:
+    if any(tab[r][-1] for r in range(nrows) if basis[r] >= nvars):
         return INFEASIBLE, [], [], [], []
+    tab.pop()
     # Drive artificials out of the basis; drop rows that prove redundant.
     keep: list[int] = []
     for r in range(nrows):
         if basis[r] >= nvars:
-            pivot_col = next((j for j in range(nvars) if work[r][j] != 0), -1)
+            pivot_col = next((j for j in range(nvars) if tab[r][j] != 0), -1)
             if pivot_col < 0:
                 continue  # redundant row
-            _pivot(work, work_rhs, r, pivot_col)
+            d = _pivot(tab, r, pivot_col, d)
             basis[r] = pivot_col
         keep.append(r)
-    rows2 = [work[r][:nvars] for r in keep]
-    rhs2 = [work_rhs[r] for r in keep]
+    # phase two: the cost scaled to integers, priced out against the kept basis
+    scale = lcm(*(v.denominator for v in cost))
+    icost = [v.numerator * (scale // v.denominator) for v in cost]
+    tab2 = [tab[r][:nvars] + tab[r][-1:] for r in keep]
     basis2 = [basis[r] for r in keep]
-    status = _simplex(rows2, rhs2, list(cost), basis2, nvars)
+    zrow = [v * d for v in icost] + [0]
+    for bi, row in zip(basis2, tab2):
+        f = icost[bi]
+        if f:
+            zrow = [a - f * b for a, b in zip(zrow, row)]
+    tab2.append(zrow)
+    status, d = _simplex(tab2, basis2, nvars, d)
     if status != OPTIMAL:
         return status, [], [], [], []
     values = [ZERO] * nvars
     for r, bi in enumerate(basis2):
-        values[bi] = rhs2[r]
+        values[bi] = Fraction(tab2[r][-1], d)
     return OPTIMAL, values, basis2, [rows[r] for r in keep], [rhs[r] for r in keep]
 
 

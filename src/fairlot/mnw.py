@@ -23,13 +23,13 @@ from .core import (
     InputError,
     KindMismatchError,
     ONE,
+    PropertyVerdict,
     SolveError,
     ZERO,
     ZeroUtilityError,
     _Frozen,
 )
 from .decomp import _MaxFlow
-from .properties import PropertyVerdict
 
 
 class MnwSolution(_Frozen):

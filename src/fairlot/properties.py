@@ -22,6 +22,7 @@ from .core import (
     KindMismatchError,
     Lottery,
     ONE,
+    PropertyVerdict,
     SizeLimitError,
     ZERO,
     _Frozen,
@@ -37,22 +38,6 @@ GF_AGENT_LIMIT = 6
 SHARE_NOTIONS = ("prop", "prop1_goods", "prop1_bads")
 ENVY_NOTIONS = ("ef", "sd_ef", "ef1", "sd_ef1", "efk", "ef11_goods", "ef11_bads", "wef1")
 EFFICIENCY_NOTIONS = ("po_integral", "fpo")
-
-
-class PropertyVerdict(_Frozen):
-    property: str
-    holds: bool
-    witness: dict | None = None
-
-    def _check(self) -> None:
-        if not self.holds and self.witness is None:
-            raise InputError("failing verdict requires a witness")
-
-    def to_json(self) -> dict:
-        out: dict = {"property": self.property, "holds": self.holds}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 def _as_integral(alloc: IntegralAllocation | FractionalAllocation, notion: str) -> IntegralAllocation:

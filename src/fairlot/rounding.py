@@ -18,11 +18,11 @@ from .core import (
     IntegralAllocation,
     KindMismatchError,
     Lottery,
+    PropertyVerdict,
     ordinal_preferences,
 )
 from .decomp import bihierarchy_decompose, prefix_constraints
 from .mnw import solve_mnw
-from .properties import PropertyVerdict, check_share
 
 
 def implement_with_utility_guarantee(instance: Instance, x: FractionalAllocation) -> Lottery:
@@ -166,6 +166,8 @@ def prop1_lottery(instance: Instance, x: FractionalAllocation) -> Lottery:
     """
     if instance.kind != GOODS:
         raise KindMismatchError(f"prop1_lottery needs a goods instance, got {instance.kind}")
+    from .properties import check_share  # its one use, so the other lotteries never load the checkers
+
     verdict = check_share(instance, x, "prop")
     if not verdict.holds:
         w = verdict.witness
@@ -201,3 +203,13 @@ def prop1_ef11_lottery_bads(instance: Instance, x: FractionalAllocation) -> Lott
         raise KindMismatchError(f"bads rounding needs a bads instance, got {instance.kind}")
     flipped = ordinal_preferences(tuple(tuple(-v for v in row) for row in instance.values))
     return bihierarchy_decompose(x, prefix_constraints(instance, x, prefs=flipped))
+
+
+def __getattr__(name: str) -> object:
+    # rounding.check_share stays reachable by name, as when this module imported it,
+    # without loading the checkers until something asks for it
+    if name == "check_share":
+        from .properties import check_share
+
+        return check_share
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

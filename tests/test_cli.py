@@ -633,11 +633,14 @@ class TestFreshProcess:
                 {"decomp"},
                 {"lp", "mnw", "properties", "rounding", "rps", "eating"},
             ),
-            (["gf-lottery", "goods"], {"mnw", "rounding"}, {"lp"}),
-            (["mnw", "goods"], {"mnw"}, {"lp"}),
+            (["gf-lottery", "goods"], {"mnw", "rounding"}, {"lp", "properties"}),
+            (["mnw", "goods"], {"mnw"}, {"lp", "properties"}),
+            (["mnw-v", "goods"], {"mnw"}, {"lp", "properties"}),
             (["check", "goods", "--lottery", "fair-lottery", "--ex-post", "ef1,prop1"], {"properties"}, {"lp"}),
         ],
-        ids=["version", "sample", "rps", "rps-bads", "decompose-bvn", "gf-lottery", "mnw", "check-ex-post"],
+        ids=[
+            "version", "sample", "rps", "rps-bads", "decompose-bvn", "gf-lottery", "mnw", "mnw-v", "check-ex-post"
+        ],
     )
     def test_command_loads_only_its_layers(self, paths, argv, needed, forbidden):
         child = fresh_python("-c", RUN_CLI_LISTING_MODULES, *(paths.get(a, a) for a in argv))

@@ -431,3 +431,14 @@ def test_random_instance_marginal_consistency(seed):
     assert marginal.complete
     for i in range(inst.n):
         assert lot.expected_utility(inst, i) == inst.utility(i, marginal.row(i))
+
+
+def test_property_verdict_lives_in_core_under_every_old_name():
+    import fairlot
+    from fairlot import core, mnw, properties, rounding
+
+    assert fairlot.PropertyVerdict is core.PropertyVerdict is properties.PropertyVerdict
+    assert mnw.PropertyVerdict is rounding.PropertyVerdict is core.PropertyVerdict
+    assert rounding.check_share is properties.check_share
+    with pytest.raises(AttributeError):
+        rounding.no_such_name

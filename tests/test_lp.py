@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from fairlot.core import InputError, SolveError
+from fairlot import lp
+from fairlot.core import FractionalAllocation, Instance, InputError, SolveError
 from fairlot.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -16,6 +17,12 @@ from fairlot.lp import (
     basic_feasible_point,
     solve,
 )
+from fairlot.properties import _gf_pair, check_efficiency
+from fairlot.rounding import gf_lottery
+from fairlot.rps import POLY_SUPPORT, RpsConfig, rps
+
+from conftest import random_positive_goods
+from test_rps import EARLY_TRIM_ROWS
 
 
 def F(x):  # noqa: N802 - tiny test-local shorthand
@@ -234,3 +241,255 @@ def test_solve_error_is_catchable_fairlot_error():
     from fairlot.core import FairlotError
 
     assert issubclass(SolveError, FairlotError)
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize(
+        "call, status, values, objective",
+        [
+            (lambda: solve([]), OPTIMAL, (), "0"),
+            (lambda: solve([], equalities=[([], 0)]), OPTIMAL, (), "0"),
+            (lambda: solve([], equalities=[([], 1)]), INFEASIBLE, (), None),
+            (lambda: solve([-1, 0]), OPTIMAL, ("0", "0"), "0"),
+            (lambda: solve([0, 1]), UNBOUNDED, (), None),
+            (lambda: solve([-1, 2], equalities=[([0, 0], 0), ([1, 1], 1)]), OPTIMAL, ("0", "1"), "2"),
+            (lambda: solve([1, 1], equalities=[([0, 0], 1)]), INFEASIBLE, (), None),
+            (lambda: solve([1, 1], at_least=[([0, 0], 1)]), INFEASIBLE, (), None),
+            (lambda: solve([-1], at_least=[([0], -1)]), OPTIMAL, ("0",), "0"),
+            (
+                lambda: solve([0, 0, 0], equalities=[([1, 2, 3], 6)], at_least=[([1, 0, 0], "1/2")]),
+                OPTIMAL,
+                ("1/2", "11/4", "0"),
+                "0",
+            ),
+            (lambda: basic_feasible_point([], 3), OPTIMAL, ("0", "0", "0"), "0"),
+            (lambda: basic_feasible_point([], 0), OPTIMAL, (), "0"),
+            (lambda: basic_feasible_point([([0, 0], 0)], 2), OPTIMAL, ("0", "0"), "0"),
+            (lambda: basic_feasible_point([([0, 0], 0), ([1, 3], 3)], 2), OPTIMAL, ("3", "0"), "0"),
+            (lambda: basic_feasible_point([([0, 0], 1)], 2), INFEASIBLE, (), None),
+        ],
+        ids=[
+            "no-variables",
+            "no-variables-0=0",
+            "no-variables-0=1",
+            "no-rows-bounded",
+            "no-rows-unbounded",
+            "0=0-row",
+            "0=1-row",
+            "0>=1-row",
+            "0>=-1-row",
+            "zero-objective",
+            "bfp-no-rows",
+            "bfp-no-variables",
+            "bfp-only-zero-row",
+            "bfp-zero-row",
+            "bfp-0=1-row",
+        ],
+    )
+    def test_status_and_values_pinned(self, call, status, values, objective):
+        sol = call()
+        assert sol.status == status
+        assert sol.values == tuple(F(v) for v in values)
+        assert sol.objective_value == (None if objective is None else F(objective))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction tableau the integer tableau replaced, kept as the seeded oracle:
+# the same Bland pivots on the unscaled system, one Fraction row operation at a
+# time. The integer tableau must reproduce its status, values, basis and kept
+# system exactly.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_pivot(rows, rhs, r, c):
+    piv = rows[r][c]
+    if piv != 1:
+        inv = 1 / piv
+        rows[r] = [v * inv for v in rows[r]]
+        rhs[r] *= inv
+    prow = rows[r]
+    for k, row in enumerate(rows):
+        if k != r and row[c] != 0:
+            f = row[c]
+            rows[k] = [a - f * b for a, b in zip(row, prow)]
+            rhs[k] -= f * rhs[r]
+
+
+def _oracle_simplex(rows, rhs, cost, basis, allowed):
+    ncols = len(cost)
+    zrow = list(cost)
+    for r, bi in enumerate(basis):
+        f = zrow[bi]
+        if f != 0:
+            prow = rows[r]
+            for j in range(ncols):
+                if prow[j] != 0:
+                    zrow[j] -= f * prow[j]
+    limit = 10_000 + 40 * (len(rows) + 2) * (ncols + 2)
+    for _ in range(limit):
+        enter = -1
+        for j in range(allowed):
+            if zrow[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return OPTIMAL
+        leave = -1
+        best = None
+        for r in range(len(rows)):
+            a = rows[r][enter]
+            if a > 0:
+                ratio = rhs[r] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            return UNBOUNDED
+        _oracle_pivot(rows, rhs, leave, enter)
+        f = zrow[enter]
+        prow = rows[leave]
+        for j in range(ncols):
+            if prow[j] != 0:
+                zrow[j] -= f * prow[j]
+        basis[leave] = enter
+    raise SolveError("simplex iteration limit exceeded")
+
+
+def _oracle_solve_standard(rows, rhs, cost):
+    nvars = len(cost)
+    nrows = len(rows)
+    rows = [[-v for v in row] if b < 0 else row for row, b in zip(rows, rhs)]
+    rhs = [abs(b) for b in rhs]
+    work = [row + [F(k == r) for k in range(nrows)] for r, row in enumerate(rows)]
+    work_rhs = list(rhs)
+    art_cost = [F(0)] * nvars + [F(1)] * nrows
+    basis = [nvars + r for r in range(nrows)]
+    assert _oracle_simplex(work, work_rhs, art_cost, basis, nvars + nrows) == OPTIMAL
+    if sum((work_rhs[r] for r in range(nrows) if basis[r] >= nvars), F(0)) != 0:
+        return INFEASIBLE, [], [], [], []
+    keep = []
+    for r in range(nrows):
+        if basis[r] >= nvars:
+            pivot_col = next((j for j in range(nvars) if work[r][j] != 0), -1)
+            if pivot_col < 0:
+                continue
+            _oracle_pivot(work, work_rhs, r, pivot_col)
+            basis[r] = pivot_col
+        keep.append(r)
+    rows2 = [work[r][:nvars] for r in keep]
+    rhs2 = [work_rhs[r] for r in keep]
+    basis2 = [basis[r] for r in keep]
+    status = _oracle_simplex(rows2, rhs2, list(cost), basis2, nvars)
+    if status != OPTIMAL:
+        return status, [], [], [], []
+    values = [F(0)] * nvars
+    for r, bi in enumerate(basis2):
+        values[bi] = rhs2[r]
+    return OPTIMAL, values, basis2, [rows[r] for r in keep], [rhs[r] for r in keep]
+
+
+def _with_oracle(monkeypatch, call, *args):
+    """``call(*args)`` with the oracle tableau in place of the integer one."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_solve_standard", _oracle_solve_standard)
+        return call(*args)
+
+
+def _random_lp(rng):
+    """A small LP with signed rational data: redundant duplicate rows, negative
+    right-hand sides and zero rows included, so every status comes up."""
+    nvars = rng.randint(0, 6)
+
+    def entry():
+        return F(0) if rng.random() < 0.3 else Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4, 6)))
+
+    def row():
+        return [entry() for _ in range(nvars)], entry()
+
+    equalities = [row() for _ in range(rng.randint(0, 4))]
+    if equalities and rng.random() < 0.3:
+        equalities.append(equalities[rng.randrange(len(equalities))])
+    if rng.random() < 0.15:
+        equalities.append(([F(0)] * nvars, F(0)))
+    at_least = [row() for _ in range(rng.randint(0, 4))]
+    return [entry() for _ in range(nvars)], equalities, at_least
+
+
+def _recorded_systems(monkeypatch, run):
+    """Every standard-form system that ``run()`` hands to the simplex, with its result."""
+    systems = []
+    real = lp._solve_standard
+
+    def recording(rows, rhs, cost):
+        result = real(rows, rhs, cost)
+        systems.append(((rows, rhs, cost), result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_solve_standard", recording)
+        run()
+    return systems
+
+
+def _assert_systems_agree(systems):
+    for system, result in systems:
+        assert result == _oracle_solve_standard(*system)
+
+
+class TestIntegerTableauMatchesFractionOracle:
+    def test_random_lps(self, monkeypatch):
+        rng = random.Random(14)
+        statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+        for _ in range(800):
+            objective, equalities, at_least = _random_lp(rng)
+            sol = solve(objective, equalities, at_least)
+            assert sol == _with_oracle(monkeypatch, solve, objective, equalities, at_least)
+            statuses[sol.status] += 1
+            nvars = len(objective)
+            rows = equalities + at_least
+            point = basic_feasible_point(rows, nvars)
+            assert point == _with_oracle(monkeypatch, basic_feasible_point, rows, nvars)
+            coeffs, rhs = [r for r, _ in rows], [b for _, b in rows]
+            cost = [-v for v in objective]
+            assert lp._solve_standard(coeffs, rhs, cost) == _oracle_solve_standard(coeffs, rhs, cost)
+        assert min(statuses.values()) >= 100, statuses
+
+    def test_fpo_lps_of_acceptance_07(self, monkeypatch):
+        # the instances of test_acceptance_07, every part of each gf_lottery
+        rng = random.Random(7)
+        instances = [random_positive_goods(rng, n_max=4, m_max=7, vmax=10) for _ in range(100)]
+        lotteries = [gf_lottery(inst) for inst in instances]
+
+        def run():
+            for inst, lot in zip(instances, lotteries):
+                for _, part in lot.support:
+                    check_efficiency(inst, part, "fpo")
+
+        systems = _recorded_systems(monkeypatch, run)
+        assert len(systems) > 200
+        _assert_systems_agree(systems)
+
+    def test_gf_sweep_of_a_non_mnw_allocation(self, monkeypatch):
+        # the equal split among four agents: all 15 x 15 (S, T) pairs' LPs, violated or not
+        rng = random.Random(3)
+        inst = Instance.from_rows([[rng.randint(0, 10) for _ in range(5)] for _ in range(4)])
+        n, m = inst.n, inst.m
+        x = FractionalAllocation(tuple(tuple(Fraction(1, n) for _ in range(m)) for _ in range(n)))
+        current = [inst.utility(i, x.row(i)) for i in range(n)]
+        coalitions = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2**n)]
+
+        def run():
+            for s in coalitions:
+                for t in coalitions:
+                    _gf_pair(inst, x, current, s, t, "gf")
+
+        systems = _recorded_systems(monkeypatch, run)
+        assert len(systems) == len(coalitions) ** 2
+        _assert_systems_agree(systems)
+
+    def test_caratheodory_systems_of_the_early_trim(self, monkeypatch):
+        # the support-reduction systems behind test_poly_trims_before_the_last_stage
+        inst = Instance.from_rows(EARLY_TRIM_ROWS)
+        systems = _recorded_systems(monkeypatch, lambda: rps(inst, RpsConfig(mode=POLY_SUPPORT)))
+        assert systems
+        _assert_systems_agree(systems)
