@@ -4,9 +4,9 @@ Everything in this module is immutable and arithmetically exact (``fractions.Fra
 The value types here and in the other layers are plain classes on one immutable
 base, ``_Frozen``: each declares its fields once, as class annotations, and gets a
 constructor compiled once per class at import; the library imports no
-``dataclasses`` or ``inspect``. Floats never enter through the JSON loaders:
-decimal literals are parsed digit-exactly, so ``0.6`` becomes 3/5, not the nearest
-binary float.
+``dataclasses`` or ``inspect``. An ``IntegralAllocation`` is a ``FractionalAllocation``
+with int 0/1 cells. Floats never enter through the JSON loaders: decimal literals
+are parsed digit-exactly, so ``0.6`` becomes 3/5, not the nearest binary float.
 """
 from __future__ import annotations
 
@@ -276,7 +276,7 @@ class FractionalAllocation(_Frozen):
             for x in row:
                 if x < 0 or x > 1:
                     raise InputError(f"allocation cell {x} outside [0, 1]")
-        sums = tuple([sum(column, ZERO) for column in zip(*matrix)])
+        sums = tuple([sum(column, 0) for column in zip(*matrix)])
         for j, s in enumerate(sums):
             if s > 1:
                 raise InputError(f"column {j} allocates more than the whole item ({s})")
@@ -314,25 +314,16 @@ class FractionalAllocation(_Frozen):
         return IntegralAllocation(tuple(tuple(int(x) for x in row) for row in self.matrix))
 
 
-class IntegralAllocation(_Frozen):
-    """A 0/1 allocation matrix; each item goes to at most one agent."""
-
-    matrix: tuple[tuple[int, ...], ...]
+class IntegralAllocation(FractionalAllocation):
+    """A fractional allocation with int 0/1 cells; each item goes to at most one agent.
+    It declares no field; the base checks the shape and column sums, which stay ints."""
 
     def _check(self) -> None:
-        matrix = self.matrix
-        if not matrix:
-            raise InputError("allocation needs at least one agent row")
-        m = len(matrix[0])
-        for row in matrix:
-            if len(row) != m:
-                raise InputError("allocation rows have inconsistent lengths")
+        for row in self.matrix:
             for x in row:
                 if x not in (0, 1):
                     raise InputError(f"integral allocation cell {x} not 0/1")
-        for j in range(m):
-            if sum(row[j] for row in matrix) > 1:
-                raise InputError(f"item {j} assigned to more than one agent")
+        super()._check()
 
     @classmethod
     def from_bundles(cls, n: int, m: int, bundles: Sequence[Iterable[int]]) -> "IntegralAllocation":
@@ -345,14 +336,6 @@ class IntegralAllocation(_Frozen):
                     raise InputError(f"item index {j!r} out of range")
                 matrix[i][j] = 1
         return cls(tuple(tuple(row) for row in matrix))
-
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def m(self) -> int:
-        return len(self.matrix[0])
 
     @_computed_once
     def bundles(self) -> tuple[tuple[int, ...], ...]:
@@ -367,10 +350,6 @@ class IntegralAllocation(_Frozen):
         return FractionalAllocation(
             tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
         )
-
-    @property
-    def complete(self) -> bool:
-        return all(sum(row[j] for row in self.matrix) == 1 for j in range(self.m))
 
 
 class Lottery(_Frozen):
@@ -530,9 +509,7 @@ def allocation_from_json(obj: object) -> FractionalAllocation:
     return FractionalAllocation(tuple(rows))
 
 
-def allocation_to_json(alloc: FractionalAllocation | IntegralAllocation) -> dict:
-    if isinstance(alloc, IntegralAllocation):
-        alloc = alloc.to_fractional()
+def allocation_to_json(alloc: FractionalAllocation) -> dict:
     return {"matrix": [[str(x) for x in row] for row in alloc.matrix]}
 
 

@@ -66,8 +66,8 @@ def _spend(
     return flow, arcs, denominator, sum(price.values()) - sold
 
 
-def _equilibrium_shares(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact equilibrium shares x[a][g] of the active agents' ``rows``, each summing to 1.
+def _equilibrium_shares(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact equilibrium shares x[a][g] of the active agents' ``rows``, each summing to 1, and prices.
 
     Prices start low: every item is some agent's best buy, and a flow of the unit
     budgets along best buys sells every item. While budget is left, the agents and
@@ -88,7 +88,7 @@ def _equilibrium_shares(rows: list[list[Fraction]]) -> list[list[Fraction]]:
             shares = [[ZERO] * m for _ in range(k)]
             for (a, g), eid in zip(edges, arcs):
                 shares[a][g] = Fraction(flow.cap[eid ^ 1], denominator) / price[g]
-            return shares
+            return shares, price
         live_agents = [a for a in range(k) if flow.reach[a] != -1]
         live_items = {g for g in range(m) if flow.reach[k + g] != -1}
         live_edges = [(a, g) for a, g in edges if flow.reach[a] != -1]
@@ -140,7 +140,7 @@ def solve_mnw(instance: Instance) -> MnwSolution:
     for i in active:
         total = instance.total_value(i)
         rows.append([Fraction(v) / total for v in instance.values[i]])
-    shares = _equilibrium_shares(rows)
+    shares, prices = _equilibrium_shares(rows)
     matrix = [[ZERO] * m for _ in range(n)]
     for a, i in enumerate(active):
         matrix[i] = shares[a]
@@ -149,13 +149,9 @@ def solve_mnw(instance: Instance) -> MnwSolution:
     utilities = tuple(
         instance.utility(i, x.row(i)) if i in active else ZERO for i in range(n)
     )
-    prices = tuple(
-        max(Fraction(instance.values[h][g]) / utilities[h] for h in active)
-        for g in range(m)
-    )
     # logs of the integer parts: a float of the utility itself may overflow
     log_nw = sum(math.log(utilities[i].numerator) - math.log(utilities[i].denominator) for i in active)
-    return MnwSolution(x, utilities, prices, log_nw)
+    return MnwSolution(x, utilities, tuple(prices), log_nw)
 
 
 def ceei_verify(
@@ -287,7 +283,7 @@ def mnw_deviation_witness(
     z_product = ONE
     bundle_values = {}
     for i in active:
-        bundle_values[i] = instance.utility(i, alloc.fractional_row(i))
+        bundle_values[i] = instance.utility(i, alloc.row(i))
         a_product *= bundle_values[i]
         z_product *= z.utilities[i]
     if a_product >= z_product:

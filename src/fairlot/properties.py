@@ -40,7 +40,7 @@ ENVY_NOTIONS = ("ef", "sd_ef", "ef1", "sd_ef1", "efk", "ef11_goods", "ef11_bads"
 EFFICIENCY_NOTIONS = ("po_integral", "fpo")
 
 
-def _as_integral(alloc: IntegralAllocation | FractionalAllocation, notion: str) -> IntegralAllocation:
+def _as_integral(alloc: FractionalAllocation, notion: str) -> IntegralAllocation:
     if isinstance(alloc, IntegralAllocation):
         return alloc
     if alloc.is_integral:
@@ -55,7 +55,7 @@ def _as_integral(alloc: IntegralAllocation | FractionalAllocation, notion: str) 
 
 def check_share(
     instance: Instance,
-    alloc: IntegralAllocation | FractionalAllocation,
+    alloc: FractionalAllocation,
     notion: str,
     strict: bool = False,
 ) -> PropertyVerdict:
@@ -113,7 +113,7 @@ def check_share(
 
 def check_envy(
     instance: Instance,
-    alloc: IntegralAllocation | FractionalAllocation,
+    alloc: FractionalAllocation,
     notion: str,
     k: int | None = None,
 ) -> PropertyVerdict:
@@ -277,7 +277,7 @@ def check_envy(
 
 def check_efficiency(
     instance: Instance,
-    alloc: IntegralAllocation | FractionalAllocation,
+    alloc: FractionalAllocation,
     notion: str,
 ) -> PropertyVerdict:
     """Pareto optimality against integral (brute force) or fractional (exact LP) rivals."""
@@ -441,9 +441,7 @@ def _gf_pair(
 # Lottery audits.
 # ---------------------------------------------------------------------------
 
-def _run_named_check(
-    instance: Instance, alloc: IntegralAllocation | FractionalAllocation, name: str
-) -> PropertyVerdict:
+def _run_named_check(instance: Instance, alloc: FractionalAllocation, name: str) -> PropertyVerdict:
     kind = instance.kind
     if name == "prop":
         return check_share(instance, alloc, "prop")
@@ -472,8 +470,6 @@ def _run_named_check(
     if name == "fpo":
         return check_efficiency(instance, alloc, "fpo")
     if name in ("gf", "gfless"):
-        if not isinstance(alloc, FractionalAllocation):
-            alloc = alloc.to_fractional()
         return check_gf(instance, alloc, "full" if name == "gf" else "s_le_t")
     raise InputError(f"unknown property name: {name}")
 
@@ -536,7 +532,7 @@ def enumerate_integral_allocations(instance: Instance) -> Iterator[IntegralAlloc
         yield IntegralAllocation(matrix)
 
 
-def nash_product(instance: Instance, alloc: IntegralAllocation | FractionalAllocation) -> Fraction:
+def nash_product(instance: Instance, alloc: FractionalAllocation) -> Fraction:
     """Product of utilities over agents that value something; zero-value rows are skipped."""
     product = ONE
     for i in range(instance.n):

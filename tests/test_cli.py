@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,47 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["ok"] is False
         assert payload["ex_ante"]["prop"]["witness"]["agent"] == 0
+
+    def test_failing_wef1_part_exits_one_with_rechecked_witness(self, capsys, files):
+        values = [[2, 2, -1], [2, 2, -1]]
+        lottery = {
+            "support": [
+                {"weight": "1/2", "bundles": [[0, 1], [2]]},
+                {"weight": "1/2", "bundles": [[0, 2], [1]]},
+            ]
+        }
+        code, out, _ = run(
+            capsys,
+            "check",
+            files("mixed.json", {"agents": 2, "items": 3, "values": values}),
+            "--lottery",
+            files("lot.json", lottery),
+            "--ex-post",
+            "wef1",
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False and report["ex_post"]["wef1"]["holds"] is False
+
+        def envy_survives(bundles, i, h):
+            # no removal of one own item and one of the other's (either may be none) clears it
+            row = [Fraction(v) for v in values[i]]
+            own, other = sum(row[j] for j in bundles[i]), sum(row[j] for j in bundles[h])
+            return all(
+                own - (row[a] if a is not None else 0) < other - (row[b] if b is not None else 0)
+                for a in (None, *bundles[i])
+                for b in (None, *bundles[h])
+            )
+
+        # parts come in canonical order: [[0, 1], [2]] sorts after [[0, 2], [1]]
+        parts = [lottery["support"][1]["bundles"], lottery["support"][0]["bundles"]]
+        for bundles, verdict in zip(parts, report["ex_post"]["wef1"]["parts"], strict=True):
+            pairs = [(i, h) for i in range(2) for h in range(2) if i != h and envy_survives(bundles, i, h)]
+            if verdict["holds"]:
+                assert pairs == []
+            else:
+                assert verdict["witness"] == {"envious": pairs[0][0], "envied": pairs[0][1]}
+        assert [v["holds"] for v in report["ex_post"]["wef1"]["parts"]] == [True, False]
 
     def test_integral_alloc_promoted_to_point_lottery(self, capsys, files):
         code, out, _ = run(

@@ -15,6 +15,7 @@ from fairlot.core import (
     Instance,
     IntegralAllocation,
     Lottery,
+    _Frozen,
     _loads,
     allocation_from_json,
     allocation_to_json,
@@ -150,8 +151,25 @@ class TestAllocations:
         assert a.complete
 
     def test_from_bundles_rejects_double_assignment(self):
-        with pytest.raises(InputError):
+        # the base's column check rejects an item in two bundles
+        with pytest.raises(InputError, match=r"^column 0 allocates more than the whole item \(2\)$"):
             IntegralAllocation.from_bundles(2, 2, [(0,), (0,)])
+
+    def test_integral_is_the_zero_one_case_of_fractional(self):
+        a = IntegralAllocation(((1, 0, 0), (0, 1, 0)))
+        assert isinstance(a, FractionalAllocation) and a.row(1) == (0, 1, 0)
+        assert a.is_integral and not a.complete and a.to_integral() == a
+        # column sums start at int 0, so integral parts stay in int arithmetic
+        assert a.column_sums == (1, 1, 0) and all(type(s) is int for s in a.column_sums)
+        # equality stays per class: the same cells as a fractional allocation differ
+        assert a != a.to_fractional()
+        # the 0/1 rule runs before the base's range and shape checks
+        with pytest.raises(InputError, match=r"^integral allocation cell 2 not 0/1$"):
+            IntegralAllocation(((2,), (0, 0)))
+        with pytest.raises(InputError, match="allocation rows have inconsistent lengths"):
+            IntegralAllocation(((1,), (0, 0)))
+        with pytest.raises(InputError, match="allocation needs at least one agent row"):
+            IntegralAllocation(())
 
     def test_from_bundles_rejects_boolean_index(self):
         # bool is an int subclass: true would otherwise read as item 1
@@ -397,8 +415,10 @@ def test_value_type_is_a_frozen_record(build, fields, text):
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(a, name)
     assert tuple(getattr(a, name) for name in fields) == values
-    # the fields are the class annotations, in order; derived caches are not fields
-    assert cls._fields == fields == tuple(cls.__annotations__)
+    # the fields are the class annotations, base first along the MRO, in order;
+    # derived caches are not fields
+    declaring = reversed(cls.__mro__[: cls.__mro__.index(_Frozen)])
+    assert cls._fields == fields == tuple(name for k in declaring for name in k.__annotations__)
     assert "column_sums" not in fields
     # Python binds the arguments, so misuse raises the TypeErrors of a written signature
     init = rf"^{cls.__qualname__}\.__init__\(\) "

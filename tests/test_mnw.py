@@ -113,6 +113,21 @@ class TestSolveMnw:
             inst = Instance.from_rows([[base + rng.randint(1, 10) for _ in range(m)] for _ in range(n)])
             assert ceei_verify(inst, solve_mnw(inst).allocation, slack=0).holds
 
+    def test_prices_match_best_rate_formula(self):
+        # the ascending-price run reports its final prices; the formula it replaced,
+        # p_g = max_h v_hg / u_h over the agents who value something, is the oracle
+        rng = random.Random(2718)
+        for _ in range(120):
+            n, m = rng.randint(1, 5), rng.randint(1, 8)
+            rows = [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)]
+            for j in range(m):
+                rows[rng.randrange(n)][j] += 1  # every item has a positive valuer
+            inst = Instance.from_rows(rows)
+            sol = solve_mnw(inst)
+            active = [h for h in range(n) if any(inst.values[h])]
+            oracle = tuple(max(inst.values[h][g] / sol.utilities[h] for h in active) for g in range(m))
+            assert sol.prices == oracle
+
     def test_matches_pinned_utilities(self):
         # exact utilities recorded from the LP-refine solver this one replaced,
         # allocations from the numpy float stage before the list one

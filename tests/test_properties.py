@@ -68,6 +68,29 @@ def _enumerated_sd_ef1(inst: Instance, a: IntegralAllocation) -> tuple[int, int]
                 return i, h
     return None
 
+
+def _enumerated_ef11_goods(inst: Instance, a: IntegralAllocation) -> dict | None:
+    """The first (envious, envied) pair that no good added from outside the
+    envious bundle together with one good removed from the envied bundle clears,
+    by trying every item pair, with the best value of each side."""
+    for i in range(inst.n):
+        row = inst.values[i]
+        own = sum((row[j] for j in a.bundles[i]), Fraction(0))
+        added = [row[j] for j in range(inst.m) if j not in a.bundles[i]] or [Fraction(0)]
+        for h in range(inst.n):
+            if h == i or not a.bundles[h]:
+                continue
+            other = sum((row[j] for j in a.bundles[h]), Fraction(0))
+            removed = [row[j] for j in a.bundles[h]]
+            if not any(own + g >= other - d for g in added for d in removed):
+                return {
+                    "envious": i,
+                    "envied": h,
+                    "own_plus_best": str(own + max(added)),
+                    "other_minus_best": str(other - max(removed)),
+                }
+    return None
+
 F = Fraction
 
 
@@ -187,6 +210,24 @@ class TestEnvy:
                     assert verdict.witness == {"envious": pair[0], "envied": pair[1]}
                     failing[notion] += 1
         assert min(failing.values()) > 50
+
+    def test_ef11_goods_failures_match_enumeration(self):
+        rng = random.Random(1111)
+        failing = 0
+        for _ in range(300):
+            inst = random_goods(rng, n_max=4, m_max=6)
+            owners = [rng.randrange(-1, inst.n) for _ in range(inst.m)]  # -1: unassigned
+            a = IntegralAllocation(tuple(tuple(int(o == i) for o in owners) for i in range(inst.n)))
+            witness = _enumerated_ef11_goods(inst, a)
+            verdict = check_envy(inst, a, "ef11_goods")
+            assert verdict.holds == (witness is None)
+            assert verdict.witness == witness
+            failing += witness is not None
+        assert failing > 10
+        inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
+        hog = IntegralAllocation.from_bundles(2, 3, [(), (0, 1, 2)])
+        witness = {"envious": 0, "envied": 1, "own_plus_best": "1", "other_minus_best": "2"}
+        assert check_envy(inst, hog, "ef11_goods").witness == witness == _enumerated_ef11_goods(inst, hog)
 
     def test_ef11_bads_oracle(self):
         inst = Instance.from_rows([[-1, -1], [-1, -1]])

@@ -31,6 +31,45 @@ from conftest import random_goods
 F = Fraction
 
 
+def _chain_violation(inst: Instance, x: FractionalAllocation, part: IntegralAllocation) -> dict | None:
+    """The first leg of the adjusted envy chain that fails, by trying every item.
+
+    For each agent h in order: if h holds less than v_h(X_h), some item she does
+    not hold but partly held in X must lift her strictly above it (else
+    ``own_deficit``); then, for each rival i, v_h(A_i) must fall weakly under
+    v_h(X_h) when i holds at most v_i(X_i), and otherwise strictly under it after
+    removing one item j of A_i with X_ij < 1 whose removal also puts i strictly
+    under v_i(X_i) (else ``reduced_rival``).
+    """
+    n, m = inst.n, inst.m
+    fractional = [sum((inst.values[i][j] * x.matrix[i][j] for j in range(m)), F(0)) for i in range(n)]
+    held = [sum((inst.values[i][j] for j in range(m) if part.matrix[i][j]), F(0)) for i in range(n)]
+    for h in range(n):
+        lifts = [
+            j for j in range(m)
+            if not part.matrix[h][j] and x.matrix[h][j] > 0 and held[h] + inst.values[h][j] > fractional[h]
+        ]
+        if held[h] < fractional[h] and not lifts:
+            return {"agent": h, "case": "own_deficit"}
+        for i in range(n):
+            if i == h:
+                continue
+            rival_view = sum((inst.values[h][j] for j in range(m) if part.matrix[i][j]), F(0))
+            if held[i] <= fractional[i]:
+                ok = rival_view <= fractional[h]
+            else:
+                ok = any(
+                    part.matrix[i][j]
+                    and x.matrix[i][j] < 1
+                    and held[i] - inst.values[i][j] < fractional[i]
+                    and rival_view - inst.values[h][j] < fractional[h]
+                    for j in range(m)
+                )
+            if not ok:
+                return {"agent": h, "rival": i, "case": "reduced_rival"}
+    return None
+
+
 def assert_every_part(instance, lot, x, chain=False):
     assert lot.marginal == x
     for _, part in lot.support:
@@ -170,6 +209,44 @@ class TestGfLottery:
         lot = implement_with_utility_guarantee(inst, x)
         for _, part in lot.support:
             assert check_adjusted_envy_chain(inst, x, part).holds
+
+    def test_chain_own_deficit(self):
+        # agent 0 holds nothing, and either half-held item lifts her only to 1
+        inst = Instance.from_rows([[1, 1], [1, 1]])
+        x = FractionalAllocation.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+        part = IntegralAllocation.from_bundles(2, 2, [(), (0, 1)])
+        verdict = check_adjusted_envy_chain(inst, x, part)
+        assert verdict.witness == {"agent": 0, "case": "own_deficit"} == _chain_violation(inst, x, part)
+
+    def test_chain_reduced_rival(self):
+        # agent 1 sits at her fractional utility, so her bundle is not reduced, and
+        # agent 0 values it at 3, above her own fractional utility of 1
+        inst = Instance.from_rows([[1, 3], [1, 1]])
+        x = FractionalAllocation.from_rows([["1", "0"], ["0", "1"]])
+        part = x.to_integral()
+        verdict = check_adjusted_envy_chain(inst, x, part)
+        witness = {"agent": 0, "rival": 1, "case": "reduced_rival"}
+        assert verdict.witness == witness == _chain_violation(inst, x, part)
+
+    def test_chain_failures_match_enumeration(self):
+        rng = random.Random(919)
+        cases = {"own_deficit": 0, "reduced_rival": 0}
+        for _ in range(300):
+            inst = random_goods(rng, n_max=3, m_max=5)
+            shares = [[rng.randint(0, 2) for _ in range(inst.m)] for _ in range(inst.n)]
+            for j in range(inst.m):
+                shares[rng.randrange(inst.n)][j] += 1
+            totals = [sum(row[j] for row in shares) for j in range(inst.m)]
+            x = FractionalAllocation(tuple(tuple(F(row[j], totals[j]) for j in range(inst.m)) for row in shares))
+            owners = [rng.randrange(inst.n) for _ in range(inst.m)]
+            part = IntegralAllocation(tuple(tuple(int(o == i) for o in owners) for i in range(inst.n)))
+            witness = _chain_violation(inst, x, part)
+            verdict = check_adjusted_envy_chain(inst, x, part)
+            assert verdict.holds == (witness is None)
+            assert verdict.witness == witness
+            if witness is not None:
+                cases[witness["case"]] += 1
+        assert min(cases.values()) > 10
 
 
 class TestProp1Lottery:

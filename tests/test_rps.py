@@ -404,3 +404,16 @@ def test_stage_matrices_have_no_zero_column(monkeypatch):
     assert len(stages) > 50
     for x in stages:
         assert all(x.column_sum(j) > 0 for j in range(x.m))
+
+
+def test_engine_marginal_spans_every_stage():
+    # a subgame's marginal folds in the marginals of the subgames after it; the
+    # trims elsewhere run one stage before the end, where no later subgame is left
+    rng = random.Random(4242)
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        m = rng.randint(2 * n + 1, 3 * n + 2)
+        inst = Instance.from_rows([[rng.randint(1, 9) for _ in range(m)] for _ in range(n)])
+        engine = _StageEngine(inst.prefs, m, 50_000)
+        assert engine.stages() >= 3
+        assert engine.marginal(frozenset(range(m))) == rps(inst).marginal.matrix
