@@ -280,17 +280,29 @@ def check_efficiency(
     alloc: FractionalAllocation,
     notion: str,
 ) -> PropertyVerdict:
-    """Pareto optimality against integral (brute force) or fractional (exact LP) rivals."""
+    """Pareto optimality against complete integral (``po_integral``) or
+    fractional (``fpo``) rivals.
+
+    On an instance with no negative value both first try the trading-cycle
+    certificate (``_fpo_certified``); as fPO implies PO, a complete allocation
+    that passes it holds for either. Else ``fpo`` solves the exact LP of
+    ``_fpo_lp``, whose optimum is the witness, and ``po_integral`` reports the
+    first of its n^m rivals that dominates; above ``PO_LIMIT`` rivals it raises
+    SizeLimitError before the certificate.
+    """
     if notion not in EFFICIENCY_NOTIONS:
         raise InputError(f"unknown efficiency notion: {notion}")
     if alloc.n != instance.n or alloc.m != instance.m:
         raise InputError("allocation shape does not match instance")
-    n, m = instance.n, instance.m
 
     if notion == "po_integral":
         a = _as_integral(alloc, notion)
+        rivals = enumerate_integral_allocations(instance)  # raises above the cap
+        if a.complete and _fpo_certified(instance, a):
+            return PropertyVerdict("po_integral", True)
+        n = instance.n
         current = [instance.bundle_value(i, a.bundles[i]) for i in range(n)]
-        for rival in enumerate_integral_allocations(instance):
+        for rival in rivals:
             values = [instance.bundle_value(i, rival.bundles[i]) for i in range(n)]
             if all(values[i] >= current[i] for i in range(n)) and any(
                 values[i] > current[i] for i in range(n)
@@ -302,12 +314,61 @@ def check_efficiency(
 
     if not alloc.complete:
         raise InputError("fpo requires a complete allocation")
+    if _fpo_certified(instance, alloc):
+        return PropertyVerdict("fpo", True)
+    return _fpo_lp(instance, alloc)
+
+
+def _fpo_certified(instance: Instance, x: FractionalAllocation) -> bool:
+    """Whether the trading-cycle test proves the complete allocation x fPO.
+
+    It needs every value >= 0. Arc i -> h weighs the most v_hg / v_ig over the
+    items g that i holds. With no cycle above 1 (an exact max-product
+    Floyd-Warshall) and no held item worth 0 to i and more to h, lambda_i = the
+    best path product from i gives lambda_i * v_ig >= lambda_h * v_hg wherever
+    x_ig > 0, so x maximises sum lambda_i u_i and nothing dominates it
+    (Sandomirskiy and Segal-Halevi, arXiv 1908.01669).
+    """
+    values = instance.values
+    if any(v < 0 for row in values for v in row):
+        return False
+    n = instance.n
+    weight = [[ZERO] * n for _ in range(n)]
+    for i, (own, held) in enumerate(zip(values, x.matrix)):
+        out = weight[i]
+        for g, share in enumerate(held):
+            if not share:
+                continue
+            for h in range(n):
+                gain = values[h][g]
+                if gain > 0:
+                    if not own[g]:
+                        return False
+                    out[h] = max(out[h], gain / own[g])
+    for k in range(n):
+        # weight[k][k] is the best cycle through k and lower vertices; with none
+        # above 1 so far, every weight is a simple path's, so none grows unbounded
+        if weight[k][k] > 1:
+            return False
+        via = weight[k]
+        for row in weight:
+            if row[k]:
+                for h in range(n):
+                    row[h] = max(row[h], row[k] * via[h])
+    return True
+
+
+def _fpo_lp(instance: Instance, alloc: FractionalAllocation) -> PropertyVerdict:
+    """The fpo verdict from one exact LP: the most total utility over complete
+    fractional allocations that leave every agent at least its current utility.
+    The allocation is fPO iff that optimum is its own total; otherwise the
+    optimum is the dominator witness."""
     from . import lp  # imported where an LP runs, so a command that runs none never loads it
 
+    n, m = instance.n, instance.m
     current = [instance.utility(i, alloc.matrix[i]) for i in range(n)]
-    # max total utility subject to every agent keeping her current utility
     objective = [instance.values[i][j] for i in range(n) for j in range(m)]
-    # every item fully assigned; every agent keeps at least her current utility
+    # every item fully assigned; every agent keeps at least its current utility
     assigned = [
         ([ONE if jj == j else ZERO for i in range(n) for jj in range(m)], ONE) for j in range(m)
     ]
@@ -416,7 +477,7 @@ def _gf_pair(
         coeffs[ny + a] = -ONE
         gains.append((coeffs, current[i]))
     objective = [ZERO] * ny + [ONE] * len(s_tuple)
-    from . import lp  # see check_efficiency
+    from . import lp  # see _fpo_lp
 
     sol = lp.solve(objective, shares, gains)
     if sol.status != lp.OPTIMAL or sol.objective_value <= 0:
@@ -521,15 +582,15 @@ def audit_lottery(
 
 
 def enumerate_integral_allocations(instance: Instance) -> Iterator[IntegralAllocation]:
-    """All n^m complete integral allocations, item-major order."""
+    """All n^m complete integral allocations, item-major order; above
+    ``PO_LIMIT`` the call itself raises SizeLimitError."""
     n, m = instance.n, instance.m
     if n**m > PO_LIMIT:
         raise SizeLimitError(f"{n}^{m} allocations exceed the enumeration cap")
-    for owners in itertools.product(range(n), repeat=m):
-        matrix = tuple(
-            tuple(1 if owners[j] == i else 0 for j in range(m)) for i in range(n)
-        )
-        yield IntegralAllocation(matrix)
+    return (
+        IntegralAllocation(tuple(tuple(1 if owner == i else 0 for owner in owners) for i in range(n)))
+        for owners in itertools.product(range(n), repeat=m)
+    )
 
 
 def nash_product(instance: Instance, alloc: FractionalAllocation) -> Fraction:

@@ -679,9 +679,12 @@ class TestFreshProcess:
             (["mnw", "goods"], {"mnw"}, {"lp", "properties"}),
             (["mnw-v", "goods"], {"mnw"}, {"lp", "properties"}),
             (["check", "goods", "--lottery", "fair-lottery", "--ex-post", "ef1,prop1"], {"properties"}, {"lp"}),
+            # both parts of LOTTERY are fPO for TILT2, so the certificate decides without an LP
+            (["check", "goods", "--lottery", "lottery", "--ex-post", "fpo"], {"properties"}, {"lp"}),
         ],
         ids=[
-            "version", "sample", "rps", "rps-bads", "decompose-bvn", "gf-lottery", "mnw", "mnw-v", "check-ex-post"
+            "version", "sample", "rps", "rps-bads", "decompose-bvn", "gf-lottery", "mnw", "mnw-v", "check-ex-post",
+            "check-fpo",
         ],
     )
     def test_command_loads_only_its_layers(self, paths, argv, needed, forbidden):
