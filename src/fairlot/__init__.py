@@ -58,8 +58,6 @@ _HOMES = {
         "check_gf",
         "check_share",
         "enumerate_integral_allocations",
-        "integral_nash_argmax",
-        "nash_product",
     ),
     "rounding": (
         "check_adjusted_envy_chain",

@@ -14,6 +14,14 @@ loop is integer arithmetic; Fractions appear only in the output weights. Each
 extraction makes at least one new constraint tight, which bounds the support by the
 number of fractional cells plus one and guarantees termination.
 
+Each decomposition runs in two steps. The first compiles its quotas to a plan: the
+(u, v) nodes of each cell and one (u, v, lower, upper, cells) arc per set of two or
+more cells. The second is the one extraction engine, ``_extract``, on that plan.
+``bihierarchy_decompose`` validates a ``Bihierarchy`` and compiles its two forests;
+``bvn_decompose`` compiles rows against columns straight from the integer residual,
+building no ``ConstraintSet``. ``bvn_constraints`` stays as the description of those
+quotas, and gives the same plan through ``bihierarchy_decompose``.
+
 The two builders emit only sets of two or more cells, in the engine's node order: a
 one-cell set restates its cell's [floor, ceiling], which every part keeps anyway.
 """
@@ -22,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .core import (
     FractionalAllocation,
@@ -37,6 +45,8 @@ from .core import (
 )
 
 Cell = tuple[int, int]
+# A quota set compiled for the engine: (u, v, lower, upper, cells).
+_Arc = tuple[int, int, int, int, Collection[Cell]]
 
 
 class ConstraintSet(_Frozen):
@@ -278,8 +288,14 @@ def _feasible_circulation(
 
 
 # ---------------------------------------------------------------------------
-# The extraction engine.
+# Plans, and the extraction engine that runs on them.
 # ---------------------------------------------------------------------------
+
+
+def _residual(x: FractionalAllocation) -> tuple[int, list[list[int]]]:
+    """``x`` as integers over one common denominator: ``(den, r)`` with ``r = x * den``."""
+    den = math.lcm(*(v.denominator for row in x.matrix for v in row))
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in x.matrix]
 
 
 def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lottery:
@@ -294,14 +310,10 @@ def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lo
         for i, j in cs.cells:
             if not (0 <= i < n and 0 <= j < m):
                 raise InputError(f"constraint cell {(i, j)} outside the matrix")
-    # Integer residual over one common denominator: r / den is the part of x not
-    # yet assigned and c / den its weight, so the normalised residual is r / c.
-    den = math.lcm(*(v.denominator for row in x.matrix for v in row))
-    r = [[v.numerator * (den // v.denominator) for v in row] for row in x.matrix]
-    c = den
+    den, r = _residual(x)
     for cs in hierarchy.all_sets():
         total = sum(r[i][j] for i, j in cs.cells)
-        if total < cs.lower * c or total > cs.upper * c:
+        if total < cs.lower * den or total > cs.upper * den:
             raise InputError(
                 f"allocation violates quota [{cs.lower}, {cs.upper}] on {sorted(cs.cells)}"
             )
@@ -311,20 +323,64 @@ def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lo
     # A singleton is a leaf of its family's forest, so its cell belongs to the
     # singleton's parent, or to the root when it has none.
     inner: list[dict[Cell, int]] = []
-    sets: list[tuple[int, int, ConstraintSet]] = []
-    node_count = 2
+    sets: list[_Arc] = []
     for side, fam, (parent, owner) in zip((0, 1), (hierarchy.h1, hierarchy.h2), hierarchy.forests):
         big = [k for k, cs in enumerate(fam) if len(cs.cells) > 1]
-        node: dict[int | None, int] = {k: node_count + b for b, k in enumerate(big)}
+        node: dict[int | None, int] = {k: 2 + len(sets) + b for b, k in enumerate(big)}
         node[None] = side
         inner.append({cell: node[k if k in node else parent[k]] for cell, k in owner.items()})
         for k in big:
-            up, down = node[parent[k]], node[k]
-            sets.append((up, down, fam[k]) if side == 0 else (down, up, fam[k]))
-        node_count += len(big)
-    all_cells = [(i, j) for i in range(n) for j in range(m)]
-    cell_ends = [(inner[0].get(cell, 0), inner[1].get(cell, 1)) for cell in all_cells]
+            up, down, cs = node[parent[k]], node[k], fam[k]
+            u, v = (up, down) if side == 0 else (down, up)
+            sets.append((u, v, cs.lower, cs.upper, cs.cells))
+    ends = [(inner[0].get((i, j), 0), inner[1].get((i, j), 1)) for i in range(n) for j in range(m)]
+    return _extract(den, r, m, ends, sets)
 
+
+def bvn_decompose(x: FractionalAllocation) -> Lottery:
+    """Decompose a doubly substochastic matrix with row/column floor-ceiling quotas.
+
+    The quotas are those of ``bvn_constraints(x)``, compiled straight from the
+    integer residual: row i is node 2 + i when m > 1, and column j follows the
+    rows when n > 1, the node order ``bihierarchy_decompose`` gives them.
+
+    >>> from fractions import Fraction
+    >>> h = Fraction(1, 2)
+    >>> parts = bvn_decompose(FractionalAllocation(((h, h, 0, 0), (h, 0, h, 0))))
+    >>> [(str(w), a.bundles) for w, a in parts.support]
+    [('1/2', ((1,), (0,))), ('1/2', ((0,), (2,)))]
+    """
+    den, r = _residual(x)
+    n, m = x.n, x.m
+    sets: list[_Arc] = []
+    if m > 1:  # a one-cell row is not built, and no row of one cell can exceed 1
+        for i, row in enumerate(r):
+            s = sum(row)
+            if s > den:
+                raise InputError(f"row {i} sums above 1; not doubly substochastic")
+            sets.append((0, 2 + i, s // den, -(-s // den), tuple((i, j) for j in range(m))))
+    first = 2 + len(sets)
+    if n > 1:
+        for j, col in enumerate(zip(*r)):
+            s = sum(col)
+            sets.append((first + j, 1, s // den, -(-s // den), tuple((i, j) for i in range(n))))
+    ends = [(2 + i if m > 1 else 0, first + j if n > 1 else 1) for i in range(n) for j in range(m)]
+    return _extract(den, r, m, ends, sets)
+
+
+def _extract(
+    den: int, r: list[list[int]], m: int, ends: list[tuple[int, int]], sets: list[_Arc]
+) -> Lottery:
+    """The extraction engine on a compiled plan: ``ends`` holds the (u, v) nodes of
+    each cell in row-major order, ``sets`` the (u, v, lower, upper, cells) arc of
+    each set of two or more cells, whose own node is ``2 + `` its index.
+
+    ``r / den`` is the part of x not yet assigned and ``c / den`` its weight, so
+    the normalised residual is ``r / c``.
+    """
+    n = len(r)
+    c = den
+    all_cells = [(i, j) for i in range(n) for j in range(m)]
     support: list[tuple[Fraction, IntegralAllocation]] = []
     # Parts share equal row tuples: a dense lottery has far fewer distinct rows
     # than parts, so it holds about support * n pointers, not support * n * m ints.
@@ -338,18 +394,18 @@ def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lo
 
         # Minimal-face bounds: anything tight at the current matrix stays tight.
         arcs: list[tuple[int, int, int, int]] = []
-        for (i, j), (u, v) in zip(all_cells, cell_ends):
+        for (i, j), (u, v) in zip(all_cells, ends):
             q = r[i][j]
             arcs.append((u, v, 0, 1) if q % c else (u, v, q // c, q // c))
         sigmas = []
-        for u, v, cs in sets:
-            sigma = sum(r[i][j] for i, j in cs.cells)
+        for u, v, lo, hi, cells in sets:
+            sigma = sum(r[i][j] for i, j in cells)
             sigmas.append(sigma)
-            tight = sigma == cs.lower * c or sigma == cs.upper * c
-            arcs.append((u, v, sigma // c, sigma // c) if tight else (u, v, cs.lower, cs.upper))
+            tight = sigma == lo * c or sigma == hi * c
+            arcs.append((u, v, sigma // c, sigma // c) if tight else (u, v, lo, hi))
         arcs.append((1, 0, 0, m + 1))
 
-        flows = _feasible_circulation(node_count, arcs)
+        flows = _feasible_circulation(2 + len(sets), arcs)
         if flows is None:
             raise InputError("constraint families do not form a decomposable bihierarchy")
         part = [flows[i * m : (i + 1) * m] for i in range(n)]
@@ -360,11 +416,10 @@ def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lo
         # non-integral; then r, c and den are rescaled by its reduced denominator.
         num = min(r[i][j] if part[i][j] else c - r[i][j] for i, j in fractional)
         dnm = 1
-        for (_, _, cs), sigma in zip(sets, sigmas):
-            lo, hi = cs.lower, cs.upper
+        for (_, _, lo, hi, cells), sigma in zip(sets, sigmas):
             if sigma == lo * c or sigma == hi * c:
                 continue
-            a = sum(part[i][j] for i, j in cs.cells)
+            a = sum(part[i][j] for i, j in cells)
             if a > lo and (sigma - lo * c) * dnm < num * (a - lo):
                 num, dnm = sigma - lo * c, a - lo
             if a < hi and (hi * c - sigma) * dnm < num * (hi - a):
@@ -387,22 +442,6 @@ def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lo
     else:  # pragma: no cover - the dimension argument bounds the loop
         raise InputError("decomposition did not terminate")
     return Lottery(tuple(support))
-
-
-def bvn_decompose(x: FractionalAllocation) -> Lottery:
-    """Decompose a doubly substochastic matrix with row/column floor-ceiling quotas.
-
-    >>> from fractions import Fraction
-    >>> h = Fraction(1, 2)
-    >>> parts = bvn_decompose(FractionalAllocation(((h, h, 0, 0), (h, 0, h, 0))))
-    >>> [(str(w), a.bundles) for w, a in parts.support]
-    [('1/2', ((1,), (0,))), ('1/2', ((0,), (2,)))]
-    """
-    hierarchy = bvn_constraints(x)
-    for i, row in enumerate(hierarchy.h1):  # no row is built for m < 2, where no row can exceed 1
-        if row.upper > 1:
-            raise InputError(f"row {i} sums above 1; not doubly substochastic")
-    return bihierarchy_decompose(x, hierarchy)
 
 
 def caratheodory_weights(

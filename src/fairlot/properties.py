@@ -2,8 +2,8 @@
 
 Every verdict is computed in rational arithmetic; a failing verdict carries a
 witness that re-evaluates to a violation using nothing but the defining
-inequality. Brute-force enumerators for small instances live here too, as
-oracles for tests and for the deviation machinery.
+inequality. The enumerator of complete integral allocations lives here too, as
+the rivals that ``po`` compares against when its certificate fails.
 """
 from __future__ import annotations
 
@@ -503,10 +503,10 @@ def _gf_pair(
 # ---------------------------------------------------------------------------
 
 def _run_named_check(instance: Instance, alloc: FractionalAllocation, name: str) -> PropertyVerdict:
-    kind = instance.kind
     if name == "prop":
         return check_share(instance, alloc, "prop")
     if name == "prop1":
+        kind = instance.kind  # read only where the notion depends on it
         if kind == MIXED:
             raise KindMismatchError("prop1 is kind-specific; mixed instances are not supported")
         return check_share(instance, alloc, "prop1_goods" if kind == GOODS else "prop1_bads")
@@ -521,6 +521,7 @@ def _run_named_check(instance: Instance, alloc: FractionalAllocation, name: str)
     if name == "ef2":
         return check_envy(instance, alloc, "efk", k=2)
     if name == "ef11":
+        kind = instance.kind
         if kind == MIXED:
             raise KindMismatchError("ef11 is kind-specific; mixed instances are not supported")
         return check_envy(instance, alloc, "ef11_goods" if kind == GOODS else "ef11_bads")
@@ -577,7 +578,7 @@ def audit_lottery(
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles.
+# Integral enumeration.
 # ---------------------------------------------------------------------------
 
 
@@ -591,38 +592,3 @@ def enumerate_integral_allocations(instance: Instance) -> Iterator[IntegralAlloc
         IntegralAllocation(tuple(tuple(1 if owner == i else 0 for owner in owners) for i in range(n)))
         for owners in itertools.product(range(n), repeat=m)
     )
-
-
-def nash_product(instance: Instance, alloc: FractionalAllocation) -> Fraction:
-    """Product of utilities over agents that value something; zero-value rows are skipped."""
-    product = ONE
-    for i in range(instance.n):
-        if any(v != 0 for v in instance.values[i]):
-            product *= instance.utility(i, alloc.matrix[i])
-    return product
-
-
-def integral_nash_argmax(
-    instance: Instance,
-) -> tuple[Fraction, list[IntegralAllocation]]:
-    """Best Nash product over complete integral allocations, with all argmaxes."""
-    best: Fraction | None = None
-    argmax: list[IntegralAllocation] = []
-    for alloc in enumerate_integral_allocations(instance):
-        p = nash_product(instance, alloc)
-        if best is None or p > best:
-            best, argmax = p, [alloc]
-        elif p == best:
-            argmax.append(alloc)
-    if best is None:  # pragma: no cover - zero goods
-        raise InputError("no allocations to enumerate")
-    return best, argmax
-
-
-def enumerate_ef1_allocations(instance: Instance) -> list[IntegralAllocation]:
-    """All complete integral EF1 allocations (kind-routed)."""
-    return [
-        a
-        for a in enumerate_integral_allocations(instance)
-        if check_envy(instance, a, "ef1").holds
-    ]

@@ -37,9 +37,7 @@ from fairlot.properties import (
     check_envy,
     check_gf,
     check_share,
-    enumerate_ef1_allocations,
     enumerate_integral_allocations,
-    nash_product,
 )
 from fairlot.rounding import (
     check_adjusted_envy_chain,
@@ -62,6 +60,7 @@ from conftest import (
     random_integral,
     random_positive_goods,
 )
+from oracles import enumerate_ef1_allocations, nash_product
 
 F = Fraction
 

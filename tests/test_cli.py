@@ -514,6 +514,26 @@ class TestCheck:
         assert code == 2
         assert "unknown property" in err
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("prop", 1), ("ef", 1), ("sdef", 1), ("wef1", 0), ("po", 0), ("fpo", 0), ("gf", 1), ("gfless", 1),
+            ("ef1", 2), ("sdef1", 2), ("ef2", 2), ("prop1", 2), ("ef11", 2),
+        ],
+    )
+    def test_unvalued_column_fails_only_kind_dependent_names(self, capsys, files, name, expected):
+        # nobody values item 0, so the instance has no goods kind: only the names
+        # whose checker needs the kind refuse it, with exit 2 and nothing on stdout
+        inst = files("inst.json", {"agents": 2, "items": 2, "values": [[0, 1], [0, 2]]})
+        lottery = files("lot.json", {"agents": 2, "items": 2, "support": [{"weight": "1", "bundles": [[0], [1]]}]})
+        code, out, err = run(capsys, "check", inst, "--lottery", lottery, "--ex-post", name)
+        assert code == expected
+        if expected == 2:
+            assert out == ""
+            assert "no agent valuing item 0 positively" in err
+        else:
+            assert json.loads(out)["ok"] is (expected == 0)
+
     def test_alloc_or_lottery_required(self, capsys, files):
         code, _, err = run(capsys, "check", files("tilt2.json", TILT2))
         assert code == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import _thread
 import hashlib
+import importlib
 import json
 import math
 import random
@@ -34,8 +35,9 @@ from fairlot.decomp import (
     reduce_support,
 )
 from fairlot.mnw import solve_mnw
+from fairlot.rps import POLY_SUPPORT, SAMPLE, RpsConfig
 
-from conftest import random_goods, random_integral
+from conftest import random_bads, random_goods, random_integral
 
 F = Fraction
 
@@ -73,6 +75,20 @@ def random_doubly_stochastic(rng: random.Random, n: int) -> FractionalAllocation
         for i, j in enumerate(rng.sample(range(n), n)):
             counts[i][j] += w
     return FractionalAllocation(tuple(tuple(F(v, total) for v in row) for row in counts))
+
+
+def scale_doubly_stochastic(rng: random.Random, size: int) -> FractionalAllocation:
+    """The scale benchmark's matrix (``perfbench/workloads.py``): a mix of ``size``
+    random permutation matrices with integer weights 1 to 10."""
+    weights = [rng.randint(1, 10) for _ in range(size)]
+    total = sum(weights)
+    mat = [[F(0)] * size for _ in range(size)]
+    for w in weights:
+        perm = list(range(size))
+        rng.shuffle(perm)
+        for i, j in enumerate(perm):
+            mat[i][j] += F(w, total)
+    return FractionalAllocation(tuple(map(tuple, mat)))
 
 
 def lottery_line(lot: Lottery) -> str:
@@ -210,13 +226,33 @@ class TestBihierarchyDecompose:
         assert len(lot) == 1
         assert lot.support[0][1].bundles == ((0, 1), (2, 3))
 
-    def test_bvn_constraints_reproduce_bvn(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            x = random_substochastic(rng, rng.randint(1, 3), rng.randint(1, 4))
-            via_engine = bihierarchy_decompose(x, bvn_constraints(x))
-            direct = bvn_decompose(x)
-            assert via_engine == direct
+    def test_bvn_constraints_reproduce_bvn(self, monkeypatch):
+        # bvn_decompose compiles rows and columns straight from the matrix; the
+        # general path through bvn_constraints must give the same bytes
+        mismatches = [
+            label
+            for label, x in _bvn_cases(monkeypatch)
+            if lottery_line(bvn_decompose(x)) != lottery_line(bihierarchy_decompose(x, bvn_constraints(x)))
+        ]
+        assert mismatches == []
+
+    def test_bvn_row_above_one_matches_constraints(self):
+        rng = random.Random(23)
+        raised = 0
+        for _ in range(60):
+            n, m = rng.randint(1, 5), rng.randint(1, 6)
+            x = FractionalAllocation(
+                tuple(tuple(F(rng.randint(0, 2), rng.choice((2, 3, 4)) * n) for _ in range(m)) for _ in range(n))
+            )
+            over = [i for i, cs in enumerate(bvn_constraints(x).h1) if cs.upper > 1]
+            if not over:
+                assert bvn_decompose(x).marginal == x
+                continue
+            raised += 1
+            with pytest.raises(InputError) as err:
+                bvn_decompose(x)
+            assert str(err.value) == f"row {over[0]} sums above 1; not doubly substochastic"
+        assert raised > 10
 
     def test_quota_violation_rejected(self):
         x = FractionalAllocation.from_rows([["1/2", "1/2"]])
@@ -226,6 +262,56 @@ class TestBihierarchyDecompose:
         )
         with pytest.raises(InputError):
             bihierarchy_decompose(x, bad)
+
+
+def _stage_matrices(monkeypatch) -> list[FractionalAllocation]:
+    """Every stage matrix that rps (full, poly and sample), rps_bads and rps_mixed
+    hand to bvn_decompose on 100 inputs drawn like the eating benchmark's."""
+    rps_module = importlib.import_module("fairlot.rps")
+    seen: list[FractionalAllocation] = []
+
+    def record(x):
+        seen.append(x)
+        return bvn_decompose(x)
+
+    rng = random.Random(1111)
+    with monkeypatch.context() as patch:
+        patch.setattr(rps_module, "bvn_decompose", record)
+        for k in range(100):
+            kind = ("goods", "goods", "bads", "goods", "goods", "mixed")[k % 6]
+            if kind == "goods":
+                inst = random_goods(rng)
+                for cfg in (RpsConfig(), RpsConfig(mode=POLY_SUPPORT), RpsConfig(mode=SAMPLE, seed=k)):
+                    rps_module.rps(inst, cfg)
+            elif kind == "bads":
+                rps_module.rps_bads(random_bads(rng))
+            else:
+                m = rng.randint(2, 5)
+                rows = [[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(m)] for _ in range(rng.randint(2, 3))]
+                rps_module.rps_mixed(Instance.from_rows(rows))
+    return seen
+
+
+def _bvn_cases(monkeypatch):
+    stages = _stage_matrices(monkeypatch)
+    assert len(stages) > 500
+    for k, x in enumerate(stages):
+        yield f"stage {k}", x
+    rng = random.Random(1717)
+    for n in range(1, 8):
+        for m in range(0, 10):
+            for _ in range(3):
+                x = random_substochastic(rng, n, m)
+                # zero a row and a column now and then
+                zero_row = rng.randrange(n) if rng.random() < 0.5 else None
+                zero_col = rng.randrange(m) if m and rng.random() < 0.5 else None
+                yield f"{n}x{m}", FractionalAllocation(
+                    tuple(
+                        tuple(F(0) if zero_row == i or zero_col == j else v for j, v in enumerate(row))
+                        for i, row in enumerate(x.matrix)
+                    )
+                )
+    yield "dense 20x20", random_doubly_stochastic(rng, 20)
 
 
 class TestReduceSupport:
@@ -548,9 +634,14 @@ def test_pinned_digests_at_size():
     rng = random.Random(510)
     sol = solve_mnw(Instance.from_rows([[rng.randint(1, 20) for _ in range(10)] for _ in range(5)]))
     assert _digest([allocation_to_json(sol.allocation), [str(p) for p in sol.prices]]) == MNW_5X10_DIGEST
+    # the scale benchmark's 30x30, recorded while bvn_decompose still went through
+    # bvn_constraints: an engine that skips settled cells must keep these bytes
+    lot = bvn_decompose(scale_doubly_stochastic(random.Random(3030), 30))
+    assert _digest(lottery_to_json(lot)) == BVN_30_DIGEST
 
 
 BVN_12_DIGEST = "6845f8f1b0018c36546a426193a4bd67deb8242c110959a7ca449eefe3213509"
+BVN_30_DIGEST = "ce65fc85bd85403eace1d5c4e8a68bcc32d18b3c0067c31a8f0dcb04beb8ada5"
 MNW_5X10_DIGEST = "4608e17734894bbad786f951b2e1cd0e6844bd10d0b4b6756594da5f915f095f"
 
 

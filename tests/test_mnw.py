@@ -23,9 +23,10 @@ from fairlot.mnw import (
     replicate_allocation,
     solve_mnw,
 )
-from fairlot.properties import check_gf, integral_nash_argmax, nash_product
+from fairlot.properties import check_gf
 
 from conftest import random_goods, random_positive_goods
+from oracles import integral_nash_argmax, nash_product
 
 F = Fraction
 

@@ -29,14 +29,13 @@ from fairlot.properties import (
     check_envy,
     check_gf,
     check_share,
-    enumerate_ef1_allocations,
     enumerate_integral_allocations,
-    integral_nash_argmax,
 )
 from fairlot.rounding import gf_lottery
 from fairlot.rps import rps
 
 from conftest import random_bads, random_goods, random_integral, random_positive_goods
+from oracles import enumerate_ef1_allocations, integral_nash_argmax
 
 
 def _enumerated_wef1(inst: Instance, a: IntegralAllocation) -> tuple[int, int] | None:
