@@ -343,14 +343,6 @@ class IntegralAllocation(FractionalAllocation):
             tuple(j for j in range(self.m) if row[j]) for row in self.matrix
         )
 
-    def fractional_row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x) for x in self.matrix[i])
-
-    def to_fractional(self) -> FractionalAllocation:
-        return FractionalAllocation(
-            tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
-        )
-
 
 class Lottery(_Frozen):
     """A probability distribution over integral allocations.
@@ -408,9 +400,6 @@ class Lottery(_Frozen):
                     if row[j]:
                         acc[i][j] += w
         return FractionalAllocation(tuple(tuple(row) for row in acc))
-
-    def expected_utility(self, instance: Instance, i: int) -> Fraction:
-        return instance.utility(i, self.marginal.row(i))
 
 
 class PropertyVerdict(_Frozen):

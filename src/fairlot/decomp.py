@@ -16,11 +16,14 @@ number of fractional cells plus one and guarantees termination.
 
 Each decomposition runs in two steps. The first compiles its quotas to a plan: the
 (u, v) nodes of each cell and one (u, v, lower, upper, cells) arc per set of two or
-more cells. The second is the one extraction engine, ``_extract``, on that plan.
-``bihierarchy_decompose`` validates a ``Bihierarchy`` and compiles its two forests;
-``bvn_decompose`` compiles rows against columns straight from the integer residual,
-building no ``ConstraintSet``. ``bvn_constraints`` stays as the description of those
-quotas, and gives the same plan through ``bihierarchy_decompose``.
+more cells. The second is the one extraction engine, ``_extract``, on that plan; it
+returns bare (weight, row tuples) parts, which the public functions wrap in a
+``Lottery``. ``bihierarchy_decompose`` validates a ``Bihierarchy`` and compiles its
+two forests; ``_bvn_plan`` compiles rows against columns straight from an integer
+matrix over its denominator, building no ``ConstraintSet``. ``bvn_decompose`` runs
+that plan on its input's residual, and the RPS stage engine on its integer stage
+matrix. ``bvn_constraints`` stays as the description of those quotas, and gives the
+same plan through ``bihierarchy_decompose``.
 
 The two builders emit only sets of two or more cells, in the engine's node order: a
 one-cell set restates its cell's [floor, ceiling], which every part keeps anyway.
@@ -45,6 +48,7 @@ from .core import (
 )
 
 Cell = tuple[int, int]
+Matrix = tuple[tuple[int, ...], ...]
 # A quota set compiled for the engine: (u, v, lower, upper, cells).
 _Arc = tuple[int, int, int, int, Collection[Cell]]
 
@@ -334,15 +338,14 @@ def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lo
             u, v = (up, down) if side == 0 else (down, up)
             sets.append((u, v, cs.lower, cs.upper, cs.cells))
     ends = [(inner[0].get((i, j), 0), inner[1].get((i, j), 1)) for i in range(n) for j in range(m)]
-    return _extract(den, r, m, ends, sets)
+    return Lottery(tuple((w, IntegralAllocation(part)) for w, part in _extract(den, r, m, ends, sets)))
 
 
 def bvn_decompose(x: FractionalAllocation) -> Lottery:
     """Decompose a doubly substochastic matrix with row/column floor-ceiling quotas.
 
-    The quotas are those of ``bvn_constraints(x)``, compiled straight from the
-    integer residual: row i is node 2 + i when m > 1, and column j follows the
-    rows when n > 1, the node order ``bihierarchy_decompose`` gives them.
+    The quotas are those of ``bvn_constraints(x)``, compiled by ``_bvn_plan``
+    straight from the integer residual.
 
     >>> from fractions import Fraction
     >>> h = Fraction(1, 2)
@@ -351,7 +354,16 @@ def bvn_decompose(x: FractionalAllocation) -> Lottery:
     [('1/2', ((1,), (0,))), ('1/2', ((0,), (2,)))]
     """
     den, r = _residual(x)
-    n, m = x.n, x.m
+    parts = _extract(den, r, x.m, *_bvn_plan(den, r, x.m))
+    return Lottery(tuple((w, IntegralAllocation(part)) for w, part in parts))
+
+
+def _bvn_plan(den: int, r: list[list[int]], m: int) -> tuple[list[tuple[int, int]], list[_Arc]]:
+    """The plan of ``bvn_constraints`` for the n x m matrix ``r / den``: row i is
+    node 2 + i when m > 1, and column j follows the rows when n > 1, the node
+    order ``bihierarchy_decompose`` gives them. Quotas are the floor and ceiling
+    of the integer row and column sums over ``den``."""
+    n = len(r)
     sets: list[_Arc] = []
     if m > 1:  # a one-cell row is not built, and no row of one cell can exceed 1
         for i, row in enumerate(r):
@@ -365,23 +377,26 @@ def bvn_decompose(x: FractionalAllocation) -> Lottery:
             s = sum(col)
             sets.append((first + j, 1, s // den, -(-s // den), tuple((i, j) for i in range(n))))
     ends = [(2 + i if m > 1 else 0, first + j if n > 1 else 1) for i in range(n) for j in range(m)]
-    return _extract(den, r, m, ends, sets)
+    return ends, sets
 
 
 def _extract(
     den: int, r: list[list[int]], m: int, ends: list[tuple[int, int]], sets: list[_Arc]
-) -> Lottery:
+) -> list[tuple[Fraction, Matrix]]:
     """The extraction engine on a compiled plan: ``ends`` holds the (u, v) nodes of
     each cell in row-major order, ``sets`` the (u, v, lower, upper, cells) arc of
     each set of two or more cells, whose own node is ``2 + `` its index.
 
     ``r / den`` is the part of x not yet assigned and ``c / den`` its weight, so
-    the normalised residual is ``r / c``.
+    the normalised residual is ``r / c``; ``r`` is consumed. Returns the parts as
+    (weight, 0/1 row tuples) in extraction order. They are distinct: each
+    extraction makes tight a constraint that the part it removed violates, and
+    every later part keeps it.
     """
     n = len(r)
     c = den
     all_cells = [(i, j) for i in range(n) for j in range(m)]
-    support: list[tuple[Fraction, IntegralAllocation]] = []
+    support: list[tuple[Fraction, Matrix]] = []
     # Parts share equal row tuples: a dense lottery has far fewer distinct rows
     # than parts, so it holds about support * n pointers, not support * n * m ints.
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -389,7 +404,7 @@ def _extract(
         fractional = [(i, j) for i, j in all_cells if r[i][j] % c]
         if not fractional:
             part = tuple(tuple(v // c for v in row) for row in r)
-            support.append((Fraction(c, den), IntegralAllocation(part)))
+            support.append((Fraction(c, den), part))
             break
 
         # Minimal-face bounds: anything tight at the current matrix stays tight.
@@ -434,14 +449,14 @@ def _extract(
             den *= scale
 
         part_rows = tuple(rows.setdefault(row, row) for row in map(tuple, part))
-        support.append((Fraction(step, den), IntegralAllocation(part_rows)))
+        support.append((Fraction(step, den), part_rows))
         for i, j in all_cells:
             if part[i][j]:
                 r[i][j] -= step
         c -= step
     else:  # pragma: no cover - the dimension argument bounds the loop
         raise InputError("decomposition did not terminate")
-    return Lottery(tuple(support))
+    return support
 
 
 def caratheodory_weights(

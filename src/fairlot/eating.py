@@ -5,6 +5,11 @@ best-ranked item that still has mass (ordinal rank: value descending, ties broke
 toward the lower index, so nothing is ever split between equally ranked items of
 one agent). Time advances in exact rational jumps to the next exhaustion event,
 never in discretized steps.
+
+The one event loop, ``_eat``, runs in integers: masses, eaten shares and the clock
+sit over one common denominator, which is rescaled when a jump needs a finer one.
+``EatingState.run`` converts its Fractions to that form and back; the stage engine
+in ``rps`` calls the loop directly and keeps the integers.
 """
 from __future__ import annotations
 
@@ -20,6 +25,53 @@ from .core import (
     _Frozen,
     parse_rational,
 )
+
+
+def _eat(
+    prefs: Sequence[Sequence[int]],
+    den: int,
+    mass: list[int],
+    eaten: list[list[int]],
+    clock: int,
+    until: int,
+) -> tuple[int, list[int], list[list[int]], int]:
+    """Eat from ``clock`` to ``until``, or until nothing is left, all over ``den``.
+
+    Returns ``(den, mass, eaten, clock)`` over the final denominator. An agent's
+    target only moves down her order, since masses only shrink, so each agent
+    keeps a cursor into it.
+    """
+    cursor = [0] * len(prefs)
+    while clock < until:
+        targets: list[tuple[int, int]] = []
+        eaters: dict[int, int] = {}
+        for i, order in enumerate(prefs):
+            k = cursor[i]
+            while k < len(order) and not mass[order[k]]:
+                k += 1
+            cursor[i] = k
+            if k < len(order):
+                targets.append((i, order[k]))
+                eaters[order[k]] = eaters.get(order[k], 0) + 1
+        if not targets and not any(mass):
+            break
+        # The jump is num / dnm units over den: the least of the time left and
+        # each eaten item's mass over its number of eaters.
+        num, dnm = until - clock, 1
+        for j, count in eaters.items():
+            if mass[j] * dnm < num * count:
+                num, dnm = mass[j], count
+        g = math.gcd(num, dnm)
+        step, scale = num // g, dnm // g
+        if scale > 1:
+            den, clock, until = den * scale, clock * scale, until * scale
+            mass = [v * scale for v in mass]
+            eaten = [[v * scale for v in row] for row in eaten]
+        for i, j in targets:
+            eaten[i][j] += step
+            mass[j] -= step
+        clock += step
+    return den, mass, eaten, clock
 
 
 class EatingState(_Frozen):
@@ -51,44 +103,20 @@ class EatingState(_Frozen):
     def exhausted(self) -> bool:
         return all(r == 0 for r in self.remaining)
 
-    def targets(self) -> tuple[int | None, ...]:
-        """The item each agent currently eats: her best-ranked item with mass left."""
-        out = []
-        for order in self.prefs:
-            out.append(next((j for j in order if self.remaining[j] > 0), None))
-        return tuple(out)
-
-    def step(self, until: Fraction) -> "EatingState":
-        """Advance to the next exhaustion event or to time ``until``, whichever is first."""
-        if self.clock >= until or self.exhausted:
-            return self
-        targets = self.targets()
-        eaters: dict[int, list[int]] = {}
-        for i, j in enumerate(targets):
-            if j is not None:
-                eaters.setdefault(j, []).append(i)
-        delta = until - self.clock
-        for j, who in eaters.items():
-            delta = min(delta, self.remaining[j] / len(who))
-        remaining = list(self.remaining)
-        eaten = [list(row) for row in self.eaten]
-        for j, who in eaters.items():
-            for i in who:
-                eaten[i][j] += delta
-            remaining[j] -= delta * len(who)
-        return EatingState(
-            prefs=self.prefs,
-            remaining=tuple(remaining),
-            eaten=tuple(tuple(row) for row in eaten),
-            clock=self.clock + delta,
-        )
-
     def run(self, duration: Fraction) -> "EatingState":
-        state = self
-        until = state.clock + duration
-        while state.clock < until and not state.exhausted:
-            state = state.step(until)
-        return state
+        """Eat for ``duration`` time units, or until everything is exhausted."""
+        n, m = len(self.eaten), len(self.remaining)
+        flat = [self.clock, self.clock + duration, *self.remaining, *(v for row in self.eaten for v in row)]
+        den = math.lcm(*(v.denominator for v in flat))
+        clock, until, *ints = [v.numerator * (den // v.denominator) for v in flat]
+        eaten = [ints[m * (i + 1) : m * (i + 2)] for i in range(n)]
+        den, mass, eaten, clock = _eat(self.prefs, den, ints[:m], eaten, clock, until)
+        return EatingState(
+            self.prefs,
+            tuple(Fraction(v, den) for v in mass),
+            tuple(tuple(Fraction(v, den) for v in row) for row in eaten),
+            Fraction(clock, den),
+        )
 
 
 def eat(

@@ -4,7 +4,10 @@ The recursive rule runs in stages: every agent eats one unit of probability mass
 preference order from the items a branch has left, the stage matrix is decomposed
 on its eaten columns (the items someone ate in that stage) into integral stage
 assignments, and the rule recurses on the items a branch leaves unassigned. A
-stage's cost therefore shrinks as items run out. Three modes share the stage engine:
+stage's cost therefore shrinks as items run out. A stage runs in integers from the
+eating (``eating._eat``) through the decomposition (``decomp._bvn_plan`` and
+``decomp._extract``); Fractions appear only in the branch weights. Three modes share
+the stage engine:
 
 - ``full_distribution`` expands every branch and merges branches that reach the
   same partial allocation, stage by stage, into one exact lottery;
@@ -29,7 +32,6 @@ from typing import Sequence
 from .core import (
     BADS,
     GOODS,
-    FractionalAllocation,
     Instance,
     IntegralAllocation,
     InputError,
@@ -42,8 +44,10 @@ from .core import (
     exact_draw,
     ordinal_preferences,
 )
-from .decomp import bvn_decompose, caratheodory_weights
-from .eating import EatingState
+# bvn_decompose is not called here: the stage engine runs its plan directly. The
+# name stays because perfbench/tracing.py wraps the function at rps.bvn_decompose.
+from .decomp import _bvn_plan, _extract, bvn_decompose, caratheodory_weights
+from .eating import _eat
 
 FULL_DISTRIBUTION = "full_distribution"
 POLY_SUPPORT = "poly_support"
@@ -84,11 +88,13 @@ class _StageEngine:
     ) -> tuple[tuple[Fraction, tuple[tuple[int, int], ...], frozenset[int]], ...]:
         """One stage from ``mask``: (weight, assigned cells, remaining items) per branch.
 
-        The agents eat the items of ``mask`` only, and the stage matrix handed to
-        ``bvn_decompose`` keeps only its eaten columns (those with a nonzero cell),
-        in item order. A zero column would add only fixed arcs with no max-flow
-        edge, so the extracted parts are the full-width parts without those
-        columns; each part's cells are mapped back to item indices.
+        The agents eat the items of ``mask`` only, in integers over one
+        denominator, and the stage matrix decomposed on ``bvn_decompose``'s plan
+        keeps only its eaten columns (those with a nonzero cell), in item order.
+        A zero column would add only fixed arcs with no max-flow edge, so the
+        extracted parts are the full-width parts without those columns. The parts
+        are distinct and sorted by matrix, the order ``Lottery`` gives them, and
+        each part's cells are mapped back to item indices.
         """
         cached = self._parts.get(mask)
         if cached is not None:
@@ -96,16 +102,15 @@ class _StageEngine:
         items = sorted(mask)
         local = {j: k for k, j in enumerate(items)}
         prefs = tuple(tuple(local[j] for j in order if j in local) for order in self.prefs)
-        eaten = EatingState.start(prefs, (ONE,) * len(items)).run(ONE).eaten
+        zero = [[0] * len(items) for _ in range(self.n)]
+        den, _, eaten, _ = _eat(prefs, 1, [1] * len(items), zero, 0, 1)
         cols = [k for k in range(len(items)) if any(row[k] for row in eaten)]
-        stage = FractionalAllocation(tuple(tuple(row[k] for k in cols) for row in eaten))
+        r = [[row[k] for k in cols] for row in eaten]
+        extracted = _extract(den, r, len(cols), *_bvn_plan(den, r, len(cols)))
         parts = []
-        for weight, alloc in bvn_decompose(stage).support:
-            cells = tuple(
-                (i, items[cols[k]]) for i, row in enumerate(alloc.matrix) for k, x in enumerate(row) if x
-            )
-            taken = frozenset(j for _, j in cells)
-            parts.append((weight, cells, mask - taken))
+        for weight, rows in sorted(extracted, key=lambda part: part[1]):
+            cells = tuple((i, items[cols[k]]) for i, row in enumerate(rows) for k, x in enumerate(row) if x)
+            parts.append((weight, cells, mask - frozenset(j for _, j in cells)))
         result = tuple(parts)
         self._parts[mask] = result
         return result

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -122,6 +123,25 @@ def random_bads(rng: random.Random, n_max: int = 3, m_max: int = 6, vmax: int = 
     if all(v == 0 for row in values for v in row):
         values[0][0] = -1
     return Instance.from_rows(values)
+
+
+# one round of the eating benchmark's inputs
+EATING_ROUND = ("goods", "goods", "bads", "goods", "goods", "mixed")
+
+
+def eating_inputs(rng: random.Random, count: int) -> Iterator[tuple[str, Instance]]:
+    """``count`` instances drawn like the eating benchmark's, each with its kind:
+    goods and bads from the makers above, mixed items from {-3..3} minus 0."""
+    for k in range(count):
+        kind = EATING_ROUND[k % len(EATING_ROUND)]
+        if kind == "goods":
+            yield kind, random_goods(rng)
+        elif kind == "bads":
+            yield kind, random_bads(rng)
+        else:
+            m = rng.randint(2, 5)
+            rows = [[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(m)] for _ in range(rng.randint(2, 3))]
+            yield kind, Instance.from_rows(rows)
 
 
 def random_integral(rng: random.Random, instance: Instance) -> IntegralAllocation:

@@ -60,7 +60,7 @@ from conftest import (
     random_integral,
     random_positive_goods,
 )
-from oracles import enumerate_ef1_allocations, nash_product
+from oracles import enumerate_ef1_allocations, fractional_row, nash_product
 
 F = Fraction
 
@@ -107,7 +107,7 @@ def test_acceptance_03_tilt2_ef1_landscape_and_fpo_split(tilt2):
         dom = [[parse_rational(v) for v in row] for row in beaten.witness["dominator"]]
         for j in range(2):
             assert sum(dom[i][j] for i in range(2)) == 1
-        before = [tilt2.utility(i, b.fractional_row(i)) for i in range(2)]
+        before = [tilt2.utility(i, fractional_row(b, i)) for i in range(2)]
         after = [tilt2.utility(i, dom[i]) for i in range(2)]
         assert all(after[i] >= before[i] for i in range(2))
         assert any(after[i] > before[i] for i in range(2))
@@ -216,8 +216,8 @@ def test_acceptance_08_replication_keeps_equilibrium_and_deviations_verify():
                 assert witness is not None
                 i, j, slice_vec = witness
                 assert all(0 <= slice_vec[g] <= alloc.matrix[i][g] for g in range(inst.m))
-                held_i = inst.utility(i, alloc.fractional_row(i))
-                held_j = inst.utility(j, alloc.fractional_row(j))
+                held_i = inst.utility(i, fractional_row(alloc, i))
+                held_j = inst.utility(j, fractional_row(alloc, j))
                 vi = inst.utility(i, slice_vec)
                 vj = inst.utility(j, slice_vec)
                 assert 0 < vi < held_i and vj > 0

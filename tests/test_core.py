@@ -35,6 +35,7 @@ from fairlot.properties import AuditReport, PropertyVerdict
 from fairlot.rps import RpsConfig
 
 from conftest import random_goods, random_integral
+from oracles import expected_utility, to_fractional
 
 
 class TestRationals:
@@ -146,7 +147,7 @@ class TestAllocations:
 
     def test_to_integral_round_trip(self):
         a = IntegralAllocation.from_bundles(2, 3, [(0, 2), (1,)])
-        assert a.to_fractional().to_integral() == a
+        assert to_fractional(a).to_integral() == a
         assert a.bundles == ((0, 2), (1,))
         assert a.complete
 
@@ -162,7 +163,7 @@ class TestAllocations:
         # column sums start at int 0, so integral parts stay in int arithmetic
         assert a.column_sums == (1, 1, 0) and all(type(s) is int for s in a.column_sums)
         # equality stays per class: the same cells as a fractional allocation differ
-        assert a != a.to_fractional()
+        assert a != to_fractional(a)
         # the 0/1 rule runs before the base's range and shape checks
         with pytest.raises(InputError, match=r"^integral allocation cell 2 not 0/1$"):
             IntegralAllocation(((2,), (0, 0)))
@@ -232,7 +233,7 @@ class TestLottery:
                 (w * swap4.bundle_value(i, a.bundles[i]) for w, a in lot.support),
                 Fraction(0),
             )
-            assert lot.expected_utility(swap4, i) == direct
+            assert expected_utility(lot, swap4, i) == direct
 
 
 class TestJson:
@@ -450,7 +451,7 @@ def test_random_instance_marginal_consistency(seed):
     marginal = lot.marginal
     assert marginal.complete
     for i in range(inst.n):
-        assert lot.expected_utility(inst, i) == inst.utility(i, marginal.row(i))
+        assert expected_utility(lot, inst, i) == inst.utility(i, marginal.row(i))
 
 
 def test_property_verdict_lives_in_core_under_every_old_name():

@@ -37,7 +37,7 @@ from fairlot.decomp import (
 from fairlot.mnw import solve_mnw
 from fairlot.rps import POLY_SUPPORT, SAMPLE, RpsConfig
 
-from conftest import random_bads, random_goods, random_integral
+from conftest import eating_inputs, random_goods, random_integral
 
 F = Fraction
 
@@ -265,30 +265,24 @@ class TestBihierarchyDecompose:
 
 
 def _stage_matrices(monkeypatch) -> list[FractionalAllocation]:
-    """Every stage matrix that rps (full, poly and sample), rps_bads and rps_mixed
-    hand to bvn_decompose on 100 inputs drawn like the eating benchmark's."""
+    """Every stage matrix whose plan rps (full, poly and sample), rps_bads and
+    rps_mixed compile on 100 inputs drawn like the eating benchmark's. The stage
+    engine hands ``_bvn_plan`` the integer matrix ``r`` over ``den``."""
     rps_module = importlib.import_module("fairlot.rps")
+    plan = rps_module._bvn_plan
     seen: list[FractionalAllocation] = []
 
-    def record(x):
-        seen.append(x)
-        return bvn_decompose(x)
+    def record(den, r, m):
+        seen.append(FractionalAllocation(tuple(tuple(F(v, den) for v in row) for row in r)))
+        return plan(den, r, m)
 
-    rng = random.Random(1111)
+    rules = {"goods": rps_module.rps, "bads": rps_module.rps_bads, "mixed": rps_module.rps_mixed}
     with monkeypatch.context() as patch:
-        patch.setattr(rps_module, "bvn_decompose", record)
-        for k in range(100):
-            kind = ("goods", "goods", "bads", "goods", "goods", "mixed")[k % 6]
-            if kind == "goods":
-                inst = random_goods(rng)
-                for cfg in (RpsConfig(), RpsConfig(mode=POLY_SUPPORT), RpsConfig(mode=SAMPLE, seed=k)):
-                    rps_module.rps(inst, cfg)
-            elif kind == "bads":
-                rps_module.rps_bads(random_bads(rng))
-            else:
-                m = rng.randint(2, 5)
-                rows = [[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(m)] for _ in range(rng.randint(2, 3))]
-                rps_module.rps_mixed(Instance.from_rows(rows))
+        patch.setattr(rps_module, "_bvn_plan", record)
+        for k, (kind, inst) in enumerate(eating_inputs(random.Random(1111), 100)):
+            modes = (RpsConfig(), RpsConfig(mode=POLY_SUPPORT), RpsConfig(mode=SAMPLE, seed=k))
+            for cfg in modes if kind == "goods" else (RpsConfig(),):
+                rules[kind](inst, cfg)
     return seen
 
 

@@ -12,7 +12,9 @@ from fairlot.core import InputError, Instance, sd_dominates
 from fairlot.eating import EatingState, eat, eat_full
 
 from conftest import random_goods
+from oracles import eating_run, eating_targets
 
+F = Fraction
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
@@ -87,19 +89,17 @@ class TestEatFull:
 class TestStateMechanics:
     def test_targets_point_to_best_available(self, swap4):
         state = EatingState.start(swap4.prefs, (ONE, ONE, ONE, ONE))
-        assert state.targets() == (0, 0)
+        assert eating_targets(state) == (0, 0)
         later = state.run(HALF)
-        assert later.targets() == (1, 2)
+        assert eating_targets(later) == (1, 2)
 
     def test_mass_conservation_at_events(self, swap4):
         masses = (ONE, HALF, Fraction(3, 4), Fraction(1, 4))
         state = EatingState.start(swap4.prefs, masses)
-        clock = Fraction(0)
         for _ in range(16):
             if state.exhausted:
                 break
-            clock += Fraction(1, 8)
-            state = state.step(clock)
+            state = state.run(Fraction(1, 8))
             for j in range(4):
                 eaten_j = sum(state.eaten[i][j] for i in range(2))
                 assert state.remaining[j] + eaten_j == masses[j]
@@ -136,3 +136,24 @@ def test_row_sums_track_the_clock(seed):
     horizon = min(duration, Fraction(inst.m, inst.n))
     for i in range(inst.n):
         assert sum(x.row(i), Fraction(0)) == horizon
+
+
+def test_run_matches_fraction_events():
+    # the integer event loop against the Fraction reference events, on
+    # fractional masses, partial preference orders, and runs resumed mid-way
+    rng = random.Random(3131)
+    moved = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(0, 6)
+        prefs = []
+        for _ in range(n):
+            order = rng.sample(range(m), m)
+            prefs.append(order[: rng.randint(0, m)] if rng.random() < 0.2 else order)
+        state = EatingState.start(prefs, [F(rng.randint(0, q), q) for q in (rng.randint(1, 7) for _ in range(m))])
+        for _ in range(rng.randint(1, 3)):
+            duration = F(rng.randint(0, 9), rng.randint(1, 6))
+            after = state.run(duration)
+            assert after == eating_run(state, duration)
+            moved += after != state
+            state = after
+    assert moved > 200

@@ -26,7 +26,7 @@ from fairlot.mnw import (
 from fairlot.properties import check_gf
 
 from conftest import random_goods, random_positive_goods
-from oracles import integral_nash_argmax, nash_product
+from oracles import fractional_row, integral_nash_argmax, nash_product
 
 F = Fraction
 
@@ -341,10 +341,10 @@ class TestDeviationWitness:
         assert witness is not None
         i, j, slice_vec = witness
         assert (i, j) == (1, 0)
-        held = tilt2.utility(i, alloc.fractional_row(i))
+        held = tilt2.utility(i, fractional_row(alloc, i))
         taken = tilt2.utility(i, slice_vec)
         gained = tilt2.utility(j, slice_vec)
-        other = tilt2.utility(j, alloc.fractional_row(j))
+        other = tilt2.utility(j, fractional_row(alloc, j))
         assert all(
             0 <= slice_vec[g] <= alloc.matrix[i][g] for g in range(tilt2.m)
         )

@@ -35,7 +35,7 @@ from fairlot.rounding import gf_lottery
 from fairlot.rps import rps
 
 from conftest import random_bads, random_goods, random_integral, random_positive_goods
-from oracles import enumerate_ef1_allocations, integral_nash_argmax
+from oracles import enumerate_ef1_allocations, fractional_row, integral_nash_argmax, to_fractional
 
 
 def _enumerated_wef1(inst: Instance, a: IntegralAllocation) -> tuple[int, int] | None:
@@ -176,7 +176,7 @@ class TestEnvy:
             a = IntegralAllocation(tuple(tuple(int(o == i) for o in owners) for i in range(inst.n)))
             for notion in failing:
                 verdict = check_envy(inst, a, notion)
-                assert check_envy(inst, a.to_fractional(), notion) == verdict
+                assert check_envy(inst, to_fractional(a), notion) == verdict
                 failing[notion] += not verdict.holds
         assert all(failing.values())
 
@@ -277,10 +277,10 @@ class TestEfficiency:
         dom = FractionalAllocation.from_rows(verdict.witness["dominator"])
         for i in range(2):
             assert inst.utility(i, dom.row(i)) >= inst.utility(
-                i, mismatched.fractional_row(i)
+                i, fractional_row(mismatched, i)
             )
         total_dom = sum(inst.utility(i, dom.row(i)) for i in range(2))
-        total_cur = sum(inst.utility(i, mismatched.fractional_row(i)) for i in range(2))
+        total_cur = sum(inst.utility(i, fractional_row(mismatched, i)) for i in range(2))
         assert total_dom > total_cur
 
     def test_po_does_not_imply_fpo(self, shift4):

@@ -36,7 +36,8 @@ from fairlot.rps import (
     rps_mixed,
 )
 
-from conftest import SWAP4_SUPPORT
+from conftest import SWAP4_SUPPORT, eating_inputs
+from oracles import stage_expand
 
 F = Fraction
 # the package attribute fairlot.rps is the rps function, not this module
@@ -309,9 +310,13 @@ def _pinned_cases():
             yield f"{kind}{k}", rule, [[draw() for _ in range(m)] for _ in range(n)]
 
 
-def _digest(result: Lottery | IntegralAllocation) -> str:
+def _compact(result: Lottery | IntegralAllocation) -> str:
     obj = lottery_to_json(result) if isinstance(result, Lottery) else allocation_to_json(result)
-    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()[:16]
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _digest(result: Lottery | IntegralAllocation) -> str:
+    return hashlib.sha256(_compact(result).encode()).hexdigest()[:16]
 
 
 def test_matches_pinned_lotteries():
@@ -387,16 +392,36 @@ mixed5 sample f19bb5997f362370
 """
 
 
+RULES = {"goods": rps, "bads": rps_bads, "mixed": rps_mixed}
+
+
+def test_eating_style_outputs_match_pinned_digest():
+    # one sha256 over the compact JSON of 120 inputs drawn like the eating
+    # benchmark's, each through its rule in all three modes; recorded with the
+    # Fraction stage engine (Fraction eating events, a FractionalAllocation and
+    # a Lottery per stage)
+    digest = hashlib.sha256()
+    for k, (kind, inst) in enumerate(eating_inputs(random.Random(1806), 120)):
+        for mode in (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE):
+            result = RULES[kind](inst, RpsConfig(mode=mode, seed=k))
+            digest.update(f"{k} {kind} {mode} {_compact(result)}\n".encode())
+    assert digest.hexdigest() == EATING_STYLE_DIGEST
+
+
+EATING_STYLE_DIGEST = "5272a04dd8f07251c7850994f0b5f77a35885606a1070c211783bdea1823dcaf"
+
+
 def test_stage_matrices_have_no_zero_column(monkeypatch):
-    # every stage is decomposed on its eaten columns only
+    # every stage is decomposed on its eaten columns only; the stage engine
+    # hands the plan compiler the integer matrix r over den
     stages = []
-    original = RPS_MODULE.bvn_decompose
+    original = RPS_MODULE._bvn_plan
 
-    def recording(x: FractionalAllocation) -> Lottery:
-        stages.append(x)
-        return original(x)
+    def recording(den: int, r: list[list[int]], m: int):
+        stages.append(FractionalAllocation(tuple(tuple(F(v, den) for v in row) for row in r)))
+        return original(den, r, m)
 
-    monkeypatch.setattr(RPS_MODULE, "bvn_decompose", recording)
+    monkeypatch.setattr(RPS_MODULE, "_bvn_plan", recording)
     for _, rule, rows in _pinned_cases():
         inst = Instance.from_rows(rows)
         for mode in (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE):
@@ -404,6 +429,48 @@ def test_stage_matrices_have_no_zero_column(monkeypatch):
     assert len(stages) > 50
     for x in stages:
         assert all(x.column_sum(j) > 0 for j in range(x.m))
+
+
+def _stage_cases():
+    """Eating-style inputs plus edge shapes, each with its rule."""
+    for kind, inst in eating_inputs(random.Random(2121), 100):
+        yield RULES[kind], inst
+    for rows in (
+        [[1, 1, 1], [1, 1, 1]],  # ties everywhere
+        [[2, 2, 1, 1], [2, 2, 1, 1], [1, 1, 1, 1]],
+        [[0, 0, 0], [1, 2, 3]],  # a zero row
+        [[0, 0, 0, 0], [4, 3, 2, 1], [0, 0, 0, 0]],
+        [[3, 1, 2]],  # n = 1
+        [[1], [2]],  # m = 1
+        [[], []],  # m = 0
+    ):
+        yield rps, Instance.from_rows(rows)
+    yield rps_bads, Instance.from_rows([[-1, -1, -2], [-1, -1, -2]])
+    yield rps_mixed, Instance.from_rows([[0, 0, 0], [0, 0, 0]])
+    rng = random.Random(5510)
+    for _ in range(2):
+        yield rps, Instance.from_rows([[rng.randint(0, 10) for _ in range(10)] for _ in range(5)])
+
+
+def test_stage_engine_matches_fraction_stage_path(monkeypatch):
+    # every mask any mode reaches, expanded in integers and on the Fraction path
+    # (Fraction eating events, a FractionalAllocation, a bvn_decompose Lottery)
+    checked: dict[tuple, bool] = {}
+    original = _StageEngine.expand
+
+    def checking(engine: _StageEngine, mask: frozenset[int]):
+        result = original(engine, mask)
+        key = (engine.prefs, mask)
+        if key not in checked:
+            checked[key] = result == stage_expand(engine.prefs, mask)
+        return result
+
+    monkeypatch.setattr(_StageEngine, "expand", checking)
+    for rule, inst in _stage_cases():
+        for mode in (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE):
+            rule(inst, RpsConfig(mode=mode, seed=inst.m))
+    assert len(checked) > 250
+    assert [key for key, same in checked.items() if not same] == []
 
 
 def test_engine_marginal_spans_every_stage():
