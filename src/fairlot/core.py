@@ -11,6 +11,7 @@ are parsed digit-exactly, so ``0.6`` becomes 3/5, not the nearest binary float.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -391,15 +392,16 @@ class Lottery(_Frozen):
     @_computed_once
     def marginal(self) -> FractionalAllocation:
         """The expected allocation matrix of the lottery."""
-        n, m = self.n, self.m
-        acc = [[ZERO] * m for _ in range(n)]
+        # integer numerators over the lcm of the weights' denominators
+        den = math.lcm(*(w.denominator for w, _ in self.support))
+        acc = [[0] * self.m for _ in range(self.n)]
         for w, alloc in self.support:
-            for i in range(n):
-                row = alloc.matrix[i]
-                for j in range(m):
-                    if row[j]:
-                        acc[i][j] += w
-        return FractionalAllocation(tuple(tuple(row) for row in acc))
+            num = w.numerator * (den // w.denominator)
+            for acc_row, row in zip(acc, alloc.matrix):
+                for j, x in enumerate(row):
+                    if x:
+                        acc_row[j] += num
+        return FractionalAllocation(tuple(tuple(Fraction(v, den) if v else ZERO for v in row) for row in acc))
 
 
 class PropertyVerdict(_Frozen):

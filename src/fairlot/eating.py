@@ -99,10 +99,6 @@ class EatingState(_Frozen):
             clock=ZERO,
         )
 
-    @property
-    def exhausted(self) -> bool:
-        return all(r == 0 for r in self.remaining)
-
     def run(self, duration: Fraction) -> "EatingState":
         """Eat for ``duration`` time units, or until everything is exhausted."""
         n, m = len(self.eaten), len(self.remaining)

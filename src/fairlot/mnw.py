@@ -8,11 +8,17 @@ exact rationals by the ascending-price primal-dual algorithm of Devanur,
 Papadimitriou, Saberi and Vazirani (JACM 2008): prices start low enough that
 the agents' budgets, sent along best buys by an integer max flow, can buy out
 every item, and rise until the budgets are spent. The flow then is the CEEI.
+
+The rounds run on Python ints: each agent's value row scaled to integers, the
+prices as numerators over one common denominator, each agent's best rate as a
+numerator/denominator pair, and integer flow capacities. Fractions are built
+only for the returned prices and shares.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from .core import (
     BADS,
@@ -45,29 +51,33 @@ def _active_agents(instance: Instance) -> list[int]:
     return [i for i in range(instance.n) if any(v != 0 for v in instance.values[i])]
 
 
-def _spend(
-    k: int, m: int, agents: list[int], edges: list[tuple[int, int]], price: dict[int, Fraction]
-) -> tuple[_MaxFlow, list[int], int, Fraction]:
-    """Route unit budgets of ``agents`` along ``edges`` to the items priced in ``price``.
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    common = math.gcd(num, den)
+    return num // common, den // common
 
-    Nodes are agents 0..k-1, items k..k+m-1, then source and sink; capacities are
-    scaled by the common denominator of the prices. Returns the solved network,
-    the arc of each edge, that denominator and the value left unsold.
+
+def _spend(
+    k: int, m: int, agents: list[int], edges: list[tuple[int, int]], budget: int, cap: dict[int, int]
+) -> tuple[_MaxFlow, list[int], int]:
+    """Route a budget of ``budget`` from each of ``agents`` along ``edges`` to the
+    items of ``cap``, each selling at most its cap.
+
+    Nodes are agents 0..k-1, items k..k+m-1, then source and sink. Returns the
+    solved network, the arc of each edge and the capacity left unsold.
     """
-    denominator = math.lcm(*(p.denominator for p in price.values()))
     src, snk = k + m, k + m + 1
     flow = _MaxFlow(k + m + 2)
     for a in agents:
-        flow.add(src, a, denominator)
-    arcs = [flow.add(a, k + g, denominator) for a, g in edges]
-    for g, p in price.items():
-        flow.add(k + g, snk, int(p * denominator))
-    sold = Fraction(flow.solve(src, snk), denominator)
-    return flow, arcs, denominator, sum(price.values()) - sold
+        flow.add(src, a, budget)
+    arcs = [flow.add(a, k + g, budget) for a, g in edges]
+    for g, c in cap.items():
+        flow.add(k + g, snk, c)
+    return flow, arcs, sum(cap.values()) - flow.solve(src, snk)
 
 
-def _equilibrium_shares(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact equilibrium shares x[a][g] of the active agents' ``rows``, each summing to 1, and prices.
+def _equilibrium_shares(values: list[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact equilibrium shares x[a][g] of the active agents' value rows, each
+    summing to 1, and prices.
 
     Prices start low: every item is some agent's best buy, and a flow of the unit
     budgets along best buys sells every item. While budget is left, the agents and
@@ -75,39 +85,61 @@ def _equilibrium_shares(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]
     by the largest factor that keeps every live item sold and no other item a live
     agent's best buy, so prices stay low; a round that cannot sell every item
     raises instead of looping.
+
+    Each row is scaled to integers, which changes no agent's rates. Price g is
+    ``P[g] / D`` and agent a's best rate is ``A[a] / B[a]``. A network in which a
+    unit budget is ``D`` and item g sells at most ``P[g]`` is the network of the
+    rational prices with every capacity scaled by ``D``; Edmonds-Karp takes the
+    same paths in both, so the share of edge (a, g) is its flow over ``P[g]``.
     """
+    rows = []
+    for row in values:
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
     k, m = len(rows), len(rows[0])
-    alpha = [m * max(row) for row in rows]  # value per unit of price of a best buy
-    price = [max(row[g] / best for row, best in zip(rows, alpha)) for g in range(m)]
+    A = [m * max(row) for row in rows]
+    B = [1] * k
+    D = math.lcm(*A)
+    P = [max(row[g] * (D // rate) for row, rate in zip(rows, A)) for g in range(m)]
     while True:
-        edges = [(a, g) for a in range(k) for g in range(m) if rows[a][g] == alpha[a] * price[g]]
-        flow, arcs, denominator, unsold = _spend(k, m, list(range(k)), edges, dict(enumerate(price)))
+        common = math.gcd(D, *P)
+        D, P = D // common, [p // common for p in P]
+        edges = []
+        for a, row in enumerate(rows):
+            scaled, rate = B[a] * D, A[a]
+            edges += [(a, g) for g in range(m) if row[g] * scaled == rate * P[g]]
+        flow, arcs, unsold = _spend(k, m, list(range(k)), edges, D, dict(enumerate(P)))
         if unsold:
             raise RuntimeError("ascending prices left an item unsold")
-        if sum(price) == k:
+        if sum(P) == k * D:
             shares = [[ZERO] * m for _ in range(k)]
             for (a, g), eid in zip(edges, arcs):
-                shares[a][g] = Fraction(flow.cap[eid ^ 1], denominator) / price[g]
-            return shares, price
+                shares[a][g] = Fraction(flow.cap[eid ^ 1], P[g])
+            return shares, [Fraction(p, D) for p in P]
         live_agents = [a for a in range(k) if flow.reach[a] != -1]
         live_items = {g for g in range(m) if flow.reach[k + g] != -1}
         live_edges = [(a, g) for a, g in edges if flow.reach[a] != -1]
         tight = live_items
         while True:  # min |buyers(S)| / price(S) over live S, by shrinking the violated set
-            x = len({a for a, g in live_edges if g in tight}) / sum(price[g] for g in tight)
-            raised = {g: x * price[g] for g in live_items}
-            flow, _, _, unsold = _spend(k, m, live_agents, live_edges, raised)
+            # raised by buyers / price(S), a unit budget is cost and item g costs buyers * P[g]
+            buyers, cost = len({a for a, g in live_edges if g in tight}), sum(P[g] for g in tight)
+            raised = {g: buyers * P[g] for g in live_items}
+            flow, _, unsold = _spend(k, m, live_agents, live_edges, cost, raised)
             if not unsold:
                 break
             tight = {g for g in live_items if flow.reach[k + g] == -1}
+        up, down = buyers * D, cost  # the raise factor up / down
         for a in live_agents:
             for g, value in enumerate(rows[a]):
                 if value and g not in live_items:
-                    x = min(x, alpha[a] * price[g] / value)
+                    num, den = A[a] * P[g], B[a] * D * value
+                    if num * down < up * den:
+                        up, down = num, den
+        up, down = _lowest(up, down)
         for a in live_agents:
-            alpha[a] /= x
-        for g in live_items:
-            price[g] *= x
+            A[a], B[a] = _lowest(A[a] * down, B[a] * up)
+        P = [p * up if g in live_items else p * down for g, p in enumerate(P)]
+        D *= down
 
 
 def solve_mnw(instance: Instance) -> MnwSolution:
@@ -118,8 +150,9 @@ def solve_mnw(instance: Instance) -> MnwSolution:
     equilibrium (it passes ``ceei_verify`` with zero slack). Utilities and prices
     are unique; where several allocations attain them, the one returned is the
     Edmonds-Karp flow in agent/item index order on the equality graph of those
-    prices, so it does not depend on the path the prices took. Rates tied closer
-    than any float can tell apart are still told apart.
+    prices, so it does not depend on the path the prices took. The rounds compare
+    rates exactly, in integers, so near ties such as 10**17 against 10**17 + 1
+    are told apart.
 
     >>> sol = solve_mnw(Instance.from_rows([[1, 2], [1, 3]]))
     >>> [[str(v) for v in row] for row in sol.allocation.matrix]
@@ -136,11 +169,7 @@ def solve_mnw(instance: Instance) -> MnwSolution:
     if not active:  # no items: a goods instance values each of its items
         return MnwSolution(FractionalAllocation(((),) * n), (ZERO,) * n, (), 0.0)
 
-    rows = []
-    for i in active:
-        total = instance.total_value(i)
-        rows.append([Fraction(v) / total for v in instance.values[i]])
-    shares, prices = _equilibrium_shares(rows)
+    shares, prices = _equilibrium_shares([instance.values[i] for i in active])
     matrix = [[ZERO] * m for _ in range(n)]
     for a, i in enumerate(active):
         matrix[i] = shares[a]

@@ -144,6 +144,47 @@ def eating_inputs(rng: random.Random, count: int) -> Iterator[tuple[str, Instanc
             yield kind, Instance.from_rows(rows)
 
 
+def mnw_inputs(rng: random.Random, count: int) -> Iterator[Instance]:
+    """``count`` goods instances for the MNW solver, cycling through: the gf-audit
+    shapes (2-4 agents, 2-7 items, values 1-10), one agent, one item, zero rows,
+    ties (repeated rows over {1, 2}), exact values such as 1/3, 1e-400 and 1e400,
+    near ties from 10^3 to 10^17, and the instance that ``mnw_v`` hands to ``solve_mnw``
+    once single-bidder items are carved out."""
+    for k in range(count):
+        case = k % 8
+        if case == 0:
+            n, m = rng.randint(2, 4), rng.randint(2, 7)
+            rows = [[rng.randint(1, 10) for _ in range(m)] for _ in range(n)]
+        elif case == 1:
+            rows = [[rng.randint(1, 9) for _ in range(rng.randint(1, 6))]]
+        elif case == 2:
+            rows = [[rng.randint(0, 5)] for _ in range(rng.randint(1, 5))]
+        elif case == 3:
+            rows = [list(row) for row in random_goods(rng, n_max=5, m_max=7, vmax=6).values]
+            for i in rng.sample(range(len(rows)), rng.randint(1, len(rows) - 1)):
+                rows[i] = [0] * len(rows[i])
+        elif case == 4:
+            m = rng.randint(1, 6)
+            base = [[rng.randint(1, 2) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+            rows = [list(rng.choice(base)) for _ in range(rng.randint(2, 5))]
+        elif case == 5:
+            m = rng.randint(1, 5)
+            values = (0, 1, 3, "1/3", "2/7", "5/2", "1e-400", "1e400")
+            rows = [[rng.choice(values) for _ in range(m)] for _ in range(rng.randint(1, 4))]
+        elif case == 6:
+            scale = 10 ** rng.choice((3, 4, 8, 12, 17))
+            m = rng.randint(1, 6)
+            rows = [[scale + rng.randint(0, 3) for _ in range(m)] for _ in range(rng.randint(2, 4))]
+        else:
+            full = random_goods(rng, n_max=4, m_max=8, vmax=3)
+            strong = [j for j in range(full.m) if sum(row[j] > 0 for row in full.values) > 1] or [0]
+            rows = [[row[j] for j in strong] for row in full.values]
+        for j in range(len(rows[0])):
+            if all(Fraction(row[j]) == 0 for row in rows):
+                rows[rng.randrange(len(rows))][j] = rng.randint(1, 4)
+        yield Instance.from_rows(rows)
+
+
 def random_integral(rng: random.Random, instance: Instance) -> IntegralAllocation:
     """A uniformly random complete integral allocation of the instance's items."""
     owners = [rng.randrange(instance.n) for _ in range(instance.m)]

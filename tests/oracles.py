@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -14,7 +15,7 @@ from fairlot.core import (
     IntegralAllocation,
     Lottery,
 )
-from fairlot.decomp import bvn_decompose
+from fairlot.decomp import _MaxFlow, bvn_decompose
 from fairlot.eating import EatingState
 from fairlot.properties import check_envy, enumerate_integral_allocations
 
@@ -62,6 +63,17 @@ def to_fractional(alloc: IntegralAllocation) -> FractionalAllocation:
     return FractionalAllocation(tuple(tuple(Fraction(x) for x in row) for row in alloc.matrix))
 
 
+def lottery_marginal(lottery: Lottery) -> FractionalAllocation:
+    """``Lottery.marginal`` by Fraction sums, one part weight at a time in each cell."""
+    acc = [[ZERO] * lottery.m for _ in range(lottery.n)]
+    for w, alloc in lottery.support:
+        for i, row in enumerate(alloc.matrix):
+            for j, x in enumerate(row):
+                if x:
+                    acc[i][j] += w
+    return FractionalAllocation(tuple(tuple(row) for row in acc))
+
+
 def expected_utility(lottery: Lottery, instance: Instance, i: int) -> Fraction:
     return instance.utility(i, lottery.marginal.row(i))
 
@@ -76,9 +88,14 @@ def eating_targets(state: EatingState) -> tuple[int | None, ...]:
     return tuple(next((j for j in order if state.remaining[j] > 0), None) for order in state.prefs)
 
 
+def eating_exhausted(state: EatingState) -> bool:
+    """Whether no item has mass left."""
+    return all(r == 0 for r in state.remaining)
+
+
 def eating_step(state: EatingState, until: Fraction) -> EatingState:
     """Advance to the next exhaustion event or to time ``until``, whichever is first."""
-    if state.clock >= until or state.exhausted:
+    if state.clock >= until or eating_exhausted(state):
         return state
     eaters: dict[int, list[int]] = {}
     for i, j in enumerate(eating_targets(state)):
@@ -104,7 +121,7 @@ def eating_step(state: EatingState, until: Fraction) -> EatingState:
 def eating_run(state: EatingState, duration: Fraction) -> EatingState:
     """``EatingState.run`` by repeated Fraction events."""
     until = state.clock + duration
-    while state.clock < until and not state.exhausted:
+    while state.clock < until and not eating_exhausted(state):
         state = eating_step(state, until)
     return state
 
@@ -126,3 +143,65 @@ def stage_expand(
         cells = tuple((i, items[cols[k]]) for i, row in enumerate(alloc.matrix) for k, x in enumerate(row) if x)
         parts.append((weight, cells, mask - frozenset(j for _, j in cells)))
     return tuple(parts)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction MNW price rounds the integer ones replaced.
+# ---------------------------------------------------------------------------
+
+
+def mnw_spend(
+    k: int, m: int, agents: list[int], edges: list[tuple[int, int]], price: dict[int, Fraction]
+) -> tuple[_MaxFlow, list[int], int, Fraction]:
+    """Route unit budgets of ``agents`` along ``edges`` to the items priced in ``price``.
+
+    Nodes are agents 0..k-1, items k..k+m-1, then source and sink; capacities are
+    scaled by the common denominator of the prices. Returns the solved network,
+    the arc of each edge, that denominator and the value left unsold.
+    """
+    denominator = math.lcm(*(p.denominator for p in price.values()))
+    src, snk = k + m, k + m + 1
+    flow = _MaxFlow(k + m + 2)
+    for a in agents:
+        flow.add(src, a, denominator)
+    arcs = [flow.add(a, k + g, denominator) for a, g in edges]
+    for g, p in price.items():
+        flow.add(k + g, snk, int(p * denominator))
+    sold = Fraction(flow.solve(src, snk), denominator)
+    return flow, arcs, denominator, sum(price.values()) - sold
+
+
+def mnw_equilibrium_shares(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """``mnw._equilibrium_shares`` in Fractions, on rows normalised to sum to 1."""
+    k, m = len(rows), len(rows[0])
+    alpha = [m * max(row) for row in rows]  # value per unit of price of a best buy
+    price = [max(row[g] / best for row, best in zip(rows, alpha)) for g in range(m)]
+    while True:
+        edges = [(a, g) for a in range(k) for g in range(m) if rows[a][g] == alpha[a] * price[g]]
+        flow, arcs, denominator, unsold = mnw_spend(k, m, list(range(k)), edges, dict(enumerate(price)))
+        if unsold:
+            raise RuntimeError("ascending prices left an item unsold")
+        if sum(price) == k:
+            shares = [[ZERO] * m for _ in range(k)]
+            for (a, g), eid in zip(edges, arcs):
+                shares[a][g] = Fraction(flow.cap[eid ^ 1], denominator) / price[g]
+            return shares, price
+        live_agents = [a for a in range(k) if flow.reach[a] != -1]
+        live_items = {g for g in range(m) if flow.reach[k + g] != -1}
+        live_edges = [(a, g) for a, g in edges if flow.reach[a] != -1]
+        tight = live_items
+        while True:  # min |buyers(S)| / price(S) over live S, by shrinking the violated set
+            x = len({a for a, g in live_edges if g in tight}) / sum(price[g] for g in tight)
+            raised = {g: x * price[g] for g in live_items}
+            flow, _, _, unsold = mnw_spend(k, m, live_agents, live_edges, raised)
+            if not unsold:
+                break
+            tight = {g for g in live_items if flow.reach[k + g] == -1}
+        for a in live_agents:
+            for g, value in enumerate(rows[a]):
+                if value and g not in live_items:
+                    x = min(x, alpha[a] * price[g] / value)
+        for a in live_agents:
+            alpha[a] /= x
+        for g in live_items:
+            price[g] *= x

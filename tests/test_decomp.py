@@ -35,9 +35,11 @@ from fairlot.decomp import (
     reduce_support,
 )
 from fairlot.mnw import solve_mnw
-from fairlot.rps import POLY_SUPPORT, SAMPLE, RpsConfig
+from fairlot.rounding import gf_lottery
+from fairlot.rps import FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE, RpsConfig, rps, rps_bads, rps_mixed
 
-from conftest import eating_inputs, random_goods, random_integral
+from conftest import eating_inputs, mnw_inputs, random_goods, random_integral
+from oracles import lottery_marginal
 
 F = Fraction
 
@@ -408,6 +410,29 @@ def test_matches_pinned_lotteries():
         assert lottery_line(bihierarchy_decompose(x, hierarchy)) == expected
 
 
+def _marginal_lotteries():
+    rng = random.Random(1919)
+    for kind, inst in eating_inputs(rng, 60):
+        run = {"goods": rps, "bads": rps_bads, "mixed": rps_mixed}[kind]
+        for mode in (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE):
+            out = run(inst, RpsConfig(mode=mode, seed=rng.randrange(100)))
+            yield out if isinstance(out, Lottery) else Lottery.single(out)
+    for _ in range(20):
+        yield bvn_decompose(random_substochastic(rng, rng.randint(1, 5), rng.randint(1, 6)))
+    for n in (3, 6):
+        yield bvn_decompose(random_doubly_stochastic(rng, n))
+    for _ in range(15):
+        yield gf_lottery(random_goods(rng, n_max=3, m_max=5))
+
+
+def test_marginal_matches_fraction_sum():
+    # marginal sums integer numerators; the oracle adds Fraction weights cell by cell
+    for lot in _marginal_lotteries():
+        expected = lottery_marginal(lot)
+        assert lot.marginal == expected
+        assert allocation_to_json(lot.marginal) == allocation_to_json(expected)
+
+
 # The builders before one-cell sets were dropped, kept as the oracle: one [0, 1] set
 # per cell, duplicates folded by intersecting quotas, each family sorted by
 # (size, sorted cells).
@@ -634,9 +659,21 @@ def test_pinned_digests_at_size():
     assert _digest(lottery_to_json(lot)) == BVN_30_DIGEST
 
 
+def test_mnw_outputs_match_pinned_digest():
+    # sha256 over 304 solve_mnw outputs (allocation, prices, utilities, log Nash
+    # welfare), recorded while the price rounds still ran on Fractions
+    out = []
+    for inst in mnw_inputs(random.Random(1919), 304):
+        sol = solve_mnw(inst)
+        prices, utilities = [str(p) for p in sol.prices], [str(u) for u in sol.utilities]
+        out.append([allocation_to_json(sol.allocation), prices, utilities, repr(sol.log_nash_welfare)])
+    assert _digest(out) == MNW_SEEDED_DIGEST
+
+
 BVN_12_DIGEST = "6845f8f1b0018c36546a426193a4bd67deb8242c110959a7ca449eefe3213509"
 BVN_30_DIGEST = "ce65fc85bd85403eace1d5c4e8a68bcc32d18b3c0067c31a8f0dcb04beb8ada5"
 MNW_5X10_DIGEST = "4608e17734894bbad786f951b2e1cd0e6844bd10d0b4b6756594da5f915f095f"
+MNW_SEEDED_DIGEST = "b338976e304af15d9abecf508f126efe1bd54ef689992ed75956e4c44cff57d9"
 
 
 GAP_LOTTERY = '{"agents":2,"items":8,"support":[{"weight":"1/3","bundles":[[],[4]]},{"weight":"1/6","bundles":[[1,2,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,2,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,1,3],[5,6,7]]},{"weight":"1/6","bundles":[[0,1,2],[4]]}]}'

@@ -12,7 +12,7 @@ from fairlot.core import InputError, Instance, sd_dominates
 from fairlot.eating import EatingState, eat, eat_full
 
 from conftest import random_goods
-from oracles import eating_run, eating_targets
+from oracles import eating_exhausted, eating_run, eating_targets
 
 F = Fraction
 ONE = Fraction(1)
@@ -97,7 +97,7 @@ class TestStateMechanics:
         masses = (ONE, HALF, Fraction(3, 4), Fraction(1, 4))
         state = EatingState.start(swap4.prefs, masses)
         for _ in range(16):
-            if state.exhausted:
+            if eating_exhausted(state):
                 break
             state = state.run(Fraction(1, 8))
             for j in range(4):

@@ -16,6 +16,8 @@ from fairlot.core import (
     ZeroUtilityError,
 )
 from fairlot.mnw import (
+    _active_agents,
+    _equilibrium_shares,
     ceei_verify,
     mnw_deviation_witness,
     mnw_v,
@@ -25,8 +27,8 @@ from fairlot.mnw import (
 )
 from fairlot.properties import check_gf
 
-from conftest import random_goods, random_positive_goods
-from oracles import fractional_row, integral_nash_argmax, nash_product
+from conftest import mnw_inputs, random_goods, random_positive_goods
+from oracles import fractional_row, integral_nash_argmax, mnw_equilibrium_shares, nash_product
 
 F = Fraction
 
@@ -88,8 +90,8 @@ class TestSolveMnw:
 
     @pytest.mark.parametrize("rows", [[[1, "1e400"], [1, 1]], [[1, "1e-400"], [1, 0]]])
     def test_extreme_values_stay_exact(self, rows):
-        # rows are normalised exactly before any float conversion, and a value
-        # that becomes 0.0 there still gets its exact price
+        # each row is scaled to integers by the lcm of its denominators, so a value
+        # far below or above the others still gets its exact price
         inst = Instance.from_rows(rows)
         assert ceei_verify(inst, solve_mnw(inst).allocation, slack=0).holds
 
@@ -129,9 +131,21 @@ class TestSolveMnw:
             oracle = tuple(max(inst.values[h][g] / sol.utilities[h] for h in active) for g in range(m))
             assert sol.prices == oracle
 
+    def test_integer_rounds_match_fraction_rounds(self):
+        # the Fraction rounds on rows normalised to sum 1 are the oracle of the
+        # integer rounds on rows scaled to integers: same prices, same shares
+        unequal = 0
+        for inst in mnw_inputs(random.Random(1909), 520):
+            active = _active_agents(inst)
+            normalised = [[v / inst.total_value(i) for v in inst.values[i]] for i in active]
+            expected = mnw_equilibrium_shares(normalised)
+            assert _equilibrium_shares([inst.values[i] for i in active]) == expected
+            unequal += len(set(expected[1])) > 1
+        assert unequal > 300  # most runs end with some prices raised above others
+
     def test_matches_pinned_utilities(self):
-        # exact utilities recorded from the LP-refine solver this one replaced,
-        # allocations from the numpy float stage before the list one
+        # exact utilities and allocations recorded from earlier solvers: the
+        # ascending prices must reproduce both
         table = zip(
             _pinned_instances(),
             PINNED_UTILITIES.split("\n"),
