@@ -15,7 +15,7 @@ from fairlot.rps import RpsConfig, _run_engine, rps_bads, rps_mixed
 bads = Instance.from_rows([[-1, -2, -3], [-1, -2, -3]])
 print("chore costs:", [[str(v) for v in row] for row in bads.values])
 
-raw = _run_engine(bads.prefs, bads.m, RpsConfig())
+raw = _run_engine(bads.prefs, bads.m, RpsConfig(), bads.m)
 print("\nunpadded eating lottery:")
 heavy = Fraction(0)
 for w, part in raw.support:

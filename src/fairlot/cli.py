@@ -236,14 +236,11 @@ def _run_check(args: argparse.Namespace) -> int:
         report = audit_lottery(instance, lottery, ex_ante=ex_ante, ex_post=ex_post)
     else:
         alloc = load_allocation(args.alloc)
-        if alloc.is_integral:
-            lottery = Lottery.single(alloc.to_integral())
-            report = audit_lottery(instance, lottery, ex_ante=ex_ante, ex_post=ex_post)
-        else:
-            if ex_post:
-                raise InputError("ex-post checks need an integral allocation or a lottery")
-            ante = {name: _run_named_check(instance, alloc, name) for name in ex_ante}
-            report = AuditReport(ante, {})
+        if ex_post and not alloc.is_integral:
+            raise InputError("ex-post checks need an integral allocation or a lottery")
+        ante = {name: _run_named_check(instance, alloc, name) for name in ex_ante}
+        post = {name: (_run_named_check(instance, alloc.to_integral(), name),) for name in ex_post}
+        report = AuditReport(ante, post)
     _emit(report.to_json(), args.output)
     return 0 if report.ok else 1
 

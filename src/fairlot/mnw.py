@@ -83,8 +83,8 @@ def _equilibrium_shares(values: list[Sequence[Fraction]]) -> tuple[list[list[Fra
     budgets along best buys sells every item. While budget is left, the agents and
     items the source reaches in the residual network are live. Their prices rise
     by the largest factor that keeps every live item sold and no other item a live
-    agent's best buy, so prices stay low; a round that cannot sell every item
-    raises instead of looping.
+    agent's best buy, so prices stay low; a round that cannot sell every item, or
+    whose factor is not above 1, raises instead of looping.
 
     Each row is scaled to integers, which changes no agent's rates. Price g is
     ``P[g] / D`` and agent a's best rate is ``A[a] / B[a]``. A network in which a
@@ -136,6 +136,8 @@ def _equilibrium_shares(values: list[Sequence[Fraction]]) -> tuple[list[list[Fra
                     if num * down < up * den:
                         up, down = num, den
         up, down = _lowest(up, down)
+        if up <= down:
+            raise SolveError("a price round did not raise the live prices")
         for a in live_agents:
             A[a], B[a] = _lowest(A[a] * down, B[a] * up)
         P = [p * up if g in live_items else p * down for g, p in enumerate(P)]

@@ -10,11 +10,12 @@ eating (``eating._eat``) through the decomposition (``decomp._bvn_plan`` and
 the stage engine:
 
 - ``full_distribution`` expands every branch and merges branches that reach the
-  same partial allocation, stage by stage, into one exact lottery;
+  same partial allocation, stage by stage, into one exact lottery of at most
+  ``MAX_SUPPORT`` allocations;
 - ``poly_support`` keeps the branch list no larger than n*m + 1 by re-solving for
   weights that pin every branch's contribution to the final marginal, so the
   trimmed lottery implements exactly the same fractional allocation;
-- ``sample`` walks a single seeded branch and returns one integral allocation.
+- ``sample`` keeps one seeded branch per stage and returns its integral allocation.
 
 Bads and mixed items run the same engine ordinally after padding the instance with
 zero-valued dummy items until the item count divides evenly among agents; dummies
@@ -55,28 +56,27 @@ SAMPLE = "sample"
 _MODES = (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE)
 
 Matrix = tuple[tuple[int, ...], ...]
+Branch = tuple[Matrix, frozenset[int]]  # a partial matrix and the items it leaves
+# full mode raises SizeLimitError when a stage leaves more branches than this
+MAX_SUPPORT = 50_000
 
 
 class RpsConfig(_Frozen):
     mode: str = FULL_DISTRIBUTION
     seed: int = 0
-    max_support: int = 50_000
 
     def _check(self) -> None:
         if self.mode not in _MODES:
             raise InputError(f"unknown mode: {self.mode}")
-        if self.max_support < 1:
-            raise InputError("max_support must be at least 1")
 
 
 class _StageEngine:
     """Stage expansion, memoized per remaining-item set, over fixed ordinal prefs."""
 
-    def __init__(self, prefs: Sequence[Sequence[int]], m: int, max_support: int) -> None:
+    def __init__(self, prefs: Sequence[Sequence[int]], m: int) -> None:
         self.prefs = tuple(tuple(p) for p in prefs)
         self.n = len(self.prefs)
         self.m = m
-        self.max_support = max_support
         self._parts: dict[frozenset[int], tuple[tuple[Fraction, tuple[tuple[int, int], ...], frozenset[int]], ...]] = {}
         self._marginals: dict[frozenset[int], tuple[tuple[Fraction, ...], ...]] = {}
 
@@ -135,103 +135,77 @@ class _StageEngine:
         self._marginals[mask] = result
         return result
 
-    def distribution(self, trim: bool) -> dict[Matrix, Fraction]:
-        """The branch distribution, expanded one stage at a time.
+    def distribution(self, mode: str, rng: random.Random) -> dict[Branch, Fraction]:
+        """The branch distribution, expanded one stage at a time, keyed by each
+        branch's partial matrix and the items it leaves.
 
         Branches that reach the same partial matrix merge before the next stage.
-        Without ``trim`` the result is the exact full distribution, and a frontier
-        above ``max_support`` entries raises SizeLimitError. With ``trim`` every
-        frontier above n*m + 1 entries is re-solved for branch weights that keep
-        each branch's final contribution (assigned part plus the exact marginal of
-        its remaining subgame) fixed, so the implemented fractional allocation
-        never moves.
+        Full mode keeps every branch, and a frontier above ``MAX_SUPPORT`` entries
+        raises SizeLimitError. Poly mode re-solves every frontier above n*m + 1
+        entries for branch weights that keep each branch's final contribution
+        (assigned part plus the exact marginal of its remaining subgame) fixed, so
+        the implemented fractional allocation never moves. Sample mode keeps one
+        branch per stage, drawn exactly from the stage's parts with ``rng``.
         """
         cap = self.n * self.m + 1
         zero: Matrix = tuple((0,) * self.m for _ in range(self.n))
-        frontier: dict[Matrix, Fraction] = {zero: ONE}
+        frontier = {(zero, frozenset(range(self.m))): ONE}
         for _ in range(self.stages()):
-            expanded: dict[Matrix, Fraction] = {}
-            for mat, weight in frontier.items():
-                mask = self._unassigned(mat)
-                for w, cells, _rest in self.expand(mask):
+            expanded: dict[Branch, Fraction] = {}
+            for (mat, mask), weight in frontier.items():
+                parts = self.expand(mask)
+                if mode == SAMPLE:
+                    parts = (exact_draw(parts, rng),)
+                for w, cells, rest in parts:
                     rows = [list(r) for r in mat]
                     for i, j in cells:
                         rows[i][j] = 1
-                    key: Matrix = tuple(tuple(r) for r in rows)
+                    key = (tuple(tuple(r) for r in rows), rest)
                     expanded[key] = expanded.get(key, ZERO) + weight * w
-            if not trim and len(expanded) > self.max_support:
-                raise SizeLimitError(
-                    f"support grew to {len(expanded)} allocations; use poly_support mode"
-                )
-            frontier = self._trim(expanded) if trim and len(expanded) > cap else expanded
+            if mode == FULL_DISTRIBUTION and len(expanded) > MAX_SUPPORT:
+                raise SizeLimitError(f"support grew to {len(expanded)} allocations; use poly_support mode")
+            frontier = self._trim(expanded) if mode == POLY_SUPPORT and len(expanded) > cap else expanded
         return frontier
 
-    def _unassigned(self, mat: Matrix) -> frozenset[int]:
-        return frozenset(
-            j for j in range(self.m) if all(mat[i][j] == 0 for i in range(self.n))
-        )
-
-    def _trim(self, branches: dict[Matrix, Fraction]) -> dict[Matrix, Fraction]:
+    def _trim(self, branches: dict[Branch, Fraction]) -> dict[Branch, Fraction]:
         keys = list(branches)
         columns = []
-        for mat in keys:
-            sub = self.marginal(self._unassigned(mat))
+        for mat, rest in keys:
+            sub = self.marginal(rest)
             columns.append([mat[i][j] + sub[i][j] for i in range(self.n) for j in range(self.m)])
-        weights = caratheodory_weights(columns, [branches[mat] for mat in keys])
-        return {mat: w for mat, w in zip(keys, weights) if w > 0}
-
-    def sample_walk(
-        self, rng: random.Random
-    ) -> tuple[Matrix, list[tuple[tuple[tuple[int, int], ...], frozenset[int]]]]:
-        """One seeded branch: the final matrix plus the per-stage trace."""
-        rows = [[0] * self.m for _ in range(self.n)]
-        mask = frozenset(range(self.m))
-        trace = []
-        while mask:
-            _, cells, rest = exact_draw(self.expand(mask), rng)
-            for i, j in cells:
-                rows[i][j] = 1
-            trace.append((cells, rest))
-            mask = rest
-        return tuple(tuple(r) for r in rows), trace
+        weights = caratheodory_weights(columns, [branches[key] for key in keys])
+        return {key: w for key, w in zip(keys, weights) if w > 0}
 
 
 def _run_engine(
-    prefs: Sequence[Sequence[int]], m: int, cfg: RpsConfig
+    prefs: Sequence[Sequence[int]], m: int, cfg: RpsConfig, width: int
 ) -> Lottery | IntegralAllocation:
-    engine = _StageEngine(prefs, m, cfg.max_support)
-    if cfg.mode == SAMPLE:
-        matrix, _ = engine.sample_walk(random.Random(cfg.seed))
-        return IntegralAllocation(matrix)
-    table = engine.distribution(trim=cfg.mode == POLY_SUPPORT)
-    return Lottery(tuple((w, IntegralAllocation(mat)) for mat, w in table.items()))
+    """The rule over ``m`` ranked items, keeping the first ``width`` columns of
+    each allocation: the columns past ``width`` are padding."""
+    table = _StageEngine(prefs, m).distribution(cfg.mode, random.Random(cfg.seed))
+    parts = tuple((w, IntegralAllocation(tuple(row[:width] for row in mat))) for (mat, _), w in table.items())
+    return parts[0][1] if cfg.mode == SAMPLE else Lottery(parts)
 
 
-def _strip_columns(result: Lottery | IntegralAllocation, m: int) -> Lottery | IntegralAllocation:
-    if isinstance(result, IntegralAllocation):
-        return IntegralAllocation(tuple(row[:m] for row in result.matrix))
-    return Lottery(
-        tuple(
-            (w, IntegralAllocation(tuple(row[:m] for row in alloc.matrix)))
-            for w, alloc in result.support
-        )
-    )
-
-
-def _padded_prefs(instance: Instance, pad: int) -> tuple[tuple[int, ...], ...]:
-    rows = [tuple(row) + (ZERO,) * pad for row in instance.values]
-    return ordinal_preferences(rows)
+def _run_padded(instance: Instance, cfg: RpsConfig) -> Lottery | IntegralAllocation:
+    """Pad with zero-valued dummies until the item count divides evenly among
+    the agents, run ordinally, strip the dummies."""
+    pad = (-instance.m) % instance.n
+    prefs = ordinal_preferences([tuple(row) + (ZERO,) * pad for row in instance.values])
+    return _run_engine(prefs, instance.m + pad, cfg, instance.m)
 
 
 def rps(instance: Instance, cfg: RpsConfig = RpsConfig()) -> Lottery | IntegralAllocation:
     """Recursive serial rule for goods: eat one unit per stage, decompose, recurse.
 
     The full lottery's marginal is ordinally envy-free and every support
-    allocation is ordinally envy-free up to one good.
+    allocation is ordinally envy-free up to one good. Full mode stops with
+    SizeLimitError once a stage leaves more than ``MAX_SUPPORT`` branches; sample
+    mode draws one branch per stage and returns its integral allocation.
     """
     if instance.kind != GOODS:
         raise KindMismatchError("rps expects a goods instance")
-    return _run_engine(instance.prefs, instance.m, cfg)
+    return _run_engine(instance.prefs, instance.m, cfg, instance.m)
 
 
 def rps_bads(instance: Instance, cfg: RpsConfig = RpsConfig()) -> Lottery | IntegralAllocation:
@@ -240,9 +214,7 @@ def rps_bads(instance: Instance, cfg: RpsConfig = RpsConfig()) -> Lottery | Inte
     to two bads to envy-free up to one bad."""
     if instance.kind != BADS:
         raise KindMismatchError("rps_bads expects a bads instance")
-    pad = (-instance.m) % instance.n
-    result = _run_engine(_padded_prefs(instance, pad), instance.m + pad, cfg)
-    return _strip_columns(result, instance.m) if pad else result
+    return _run_padded(instance, cfg)
 
 
 def rps_mixed(instance: Instance, cfg: RpsConfig = RpsConfig()) -> Lottery | IntegralAllocation:
@@ -251,9 +223,7 @@ def rps_mixed(instance: Instance, cfg: RpsConfig = RpsConfig()) -> Lottery | Int
     Accepts any kind: with only goods or only bads it degrades to the matching
     specialized guarantee.
     """
-    pad = (-instance.m) % instance.n
-    result = _run_engine(_padded_prefs(instance, pad), instance.m + pad, cfg)
-    return _strip_columns(result, instance.m) if pad else result
+    return _run_padded(instance, cfg)
 
 
 ROUND_ROBIN_EXACT_LIMIT = 8

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -14,10 +15,14 @@ from fairlot.core import (
     Instance,
     IntegralAllocation,
     Lottery,
+    SizeLimitError,
+    exact_draw,
+    ordinal_preferences,
 )
-from fairlot.decomp import _MaxFlow, bvn_decompose
+from fairlot.decomp import _MaxFlow, bvn_decompose, caratheodory_weights
 from fairlot.eating import EatingState
 from fairlot.properties import check_envy, enumerate_integral_allocations
+from fairlot.rps import POLY_SUPPORT, SAMPLE, _StageEngine
 
 
 def nash_product(instance: Instance, alloc: FractionalAllocation) -> Fraction:
@@ -205,3 +210,73 @@ def mnw_equilibrium_shares(rows: list[list[Fraction]]) -> tuple[list[list[Fracti
             alpha[a] /= x
         for g in live_items:
             price[g] *= x
+
+
+# ---------------------------------------------------------------------------
+# The RPS stage loop before sample mode shared it: full and poly mode on
+# frontiers keyed by matrix alone, sample mode as a separate walk, and the
+# padding columns stripped from the finished result.
+# ---------------------------------------------------------------------------
+
+
+def _unassigned(mat: tuple[tuple[int, ...], ...]) -> frozenset[int]:
+    return frozenset(j for j in range(len(mat[0])) if all(row[j] == 0 for row in mat))
+
+
+def rps_distribution(engine: _StageEngine, trim: bool) -> dict[tuple[tuple[int, ...], ...], Fraction]:
+    """``_StageEngine.distribution`` in full (``trim`` false) or poly mode."""
+    cap = engine.n * engine.m + 1
+    frontier = {tuple((0,) * engine.m for _ in range(engine.n)): ONE}
+    for _ in range(engine.stages()):
+        expanded: dict[tuple[tuple[int, ...], ...], Fraction] = {}
+        for mat, weight in frontier.items():
+            for w, cells, _ in engine.expand(_unassigned(mat)):
+                rows = [list(r) for r in mat]
+                for i, j in cells:
+                    rows[i][j] = 1
+                key = tuple(tuple(r) for r in rows)
+                expanded[key] = expanded.get(key, ZERO) + weight * w
+        if not trim and len(expanded) > 50_000:
+            raise SizeLimitError(f"support grew to {len(expanded)} allocations; use poly_support mode")
+        if trim and len(expanded) > cap:
+            keys = list(expanded)
+            columns = []
+            for mat in keys:
+                sub = engine.marginal(_unassigned(mat))
+                columns.append([mat[i][j] + sub[i][j] for i in range(engine.n) for j in range(engine.m)])
+            weights = caratheodory_weights(columns, [expanded[mat] for mat in keys])
+            expanded = {mat: w for mat, w in zip(keys, weights) if w > 0}
+        frontier = expanded
+    return frontier
+
+
+def rps_sample_walk(engine: _StageEngine, rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    """One seeded branch, drawn stage by stage until no item is left."""
+    rows = [[0] * engine.m for _ in range(engine.n)]
+    mask = frozenset(range(engine.m))
+    while mask:
+        _, cells, mask = exact_draw(engine.expand(mask), rng)
+        for i, j in cells:
+            rows[i][j] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def rps_reference(instance: Instance, padded: bool, mode: str, seed: int) -> Lottery | IntegralAllocation:
+    """``rps`` (``padded`` false) or ``rps_bads``/``rps_mixed`` (true) without
+    their kind checks: padded instances get zero-valued dummies up to a multiple
+    of n items, and the dummy columns are cut from the built result."""
+    pad = (-instance.m) % instance.n if padded else 0
+    prefs = ordinal_preferences([tuple(row) + (ZERO,) * pad for row in instance.values])
+    engine = _StageEngine(prefs, instance.m + pad)
+    if mode == SAMPLE:
+        result: Lottery | IntegralAllocation = IntegralAllocation(rps_sample_walk(engine, random.Random(seed)))
+    else:
+        table = rps_distribution(engine, trim=mode == POLY_SUPPORT)
+        result = Lottery(tuple((w, IntegralAllocation(mat)) for mat, w in table.items()))
+    if not pad:
+        return result
+    if isinstance(result, IntegralAllocation):
+        return IntegralAllocation(tuple(row[: instance.m] for row in result.matrix))
+    return Lottery(
+        tuple((w, IntegralAllocation(tuple(row[: instance.m] for row in alloc.matrix))) for w, alloc in result.support)
+    )

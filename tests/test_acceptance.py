@@ -143,7 +143,7 @@ def test_acceptance_04_shift4_rounding_meets_quotas_and_prop1(
 
 def test_acceptance_05_bads3_padding_upgrades_ef2_to_ef1(bads3):
     with within(1.0):
-        raw = _run_engine(bads3.prefs, bads3.m, RpsConfig())
+        raw = _run_engine(bads3.prefs, bads3.m, RpsConfig(), bads3.m)
         failing = [
             (w, part) for w, part in raw.support if not check_envy(bads3, part, "ef1").holds
         ]

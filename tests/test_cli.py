@@ -659,6 +659,7 @@ class TestFreshProcess:
     only the imports its own handler makes have happened."""
 
     HALVES = {"matrix": [["1/2", "1/2"], ["1/2", "1/2"]]}
+    IDENTITY = {"matrix": [["1", "0"], ["0", "1"]]}
     BADS_CEEI = {"matrix": [["1", "1/2", "0"], ["0", "1/2", "1"]]}
     LOTTERY = {
         "agents": 2,
@@ -678,6 +679,7 @@ class TestFreshProcess:
             "goods": files("tilt2.json", TILT2),
             "bads": files("bads.json", BADS),
             "alloc": files("x.json", self.HALVES),
+            "integral": files("identity.json", self.IDENTITY),
             "ceei": files("ceei.json", self.BADS_CEEI),
             "lottery": files("lot.json", self.LOTTERY),
             "fair-lottery": files("fair.json", self.FAIR_LOTTERY),
@@ -690,6 +692,10 @@ class TestFreshProcess:
             (["sample", "lottery"], {"core"}, {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
             (["rps", "goods"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
             (["rps-bads", "bads"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
+            (["rps", "goods", "--mode", "sample"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
+            # TILT2's support stays below the n*m + 1 cap, so poly mode trims nothing
+            (["rps", "goods", "--mode", "poly"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
+            (["rps-mixed", "bads"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
             (
                 ["decompose", "alloc", "--instance", "goods", "--bvn"],
                 {"decomp"},
@@ -701,10 +707,16 @@ class TestFreshProcess:
             (["check", "goods", "--lottery", "fair-lottery", "--ex-post", "ef1,prop1"], {"properties"}, {"lp"}),
             # both parts of LOTTERY are fPO for TILT2, so the certificate decides without an LP
             (["check", "goods", "--lottery", "lottery", "--ex-post", "fpo"], {"properties"}, {"lp"}),
+            # the identity is fPO for TILT2 by the certificate, and EF1 and Prop1
+            (
+                ["check", "goods", "--alloc", "integral", "--ex-ante", "fpo", "--ex-post", "ef1,prop1"],
+                {"properties"},
+                {"lp"},
+            ),
         ],
         ids=[
-            "version", "sample", "rps", "rps-bads", "decompose-bvn", "gf-lottery", "mnw", "mnw-v", "check-ex-post",
-            "check-fpo",
+            "version", "sample", "rps", "rps-bads", "rps-sample", "rps-poly", "rps-mixed", "decompose-bvn", "gf-lottery",
+            "mnw", "mnw-v", "check-ex-post", "check-fpo", "check-integral-alloc",
         ],
     )
     def test_command_loads_only_its_layers(self, paths, argv, needed, forbidden):

@@ -367,8 +367,8 @@ VALUE_TYPES = [
     ),
     (
         RpsConfig,
-        ("mode", "seed", "max_support"),
-        "RpsConfig(mode='full_distribution', seed=0, max_support=50000)",
+        ("mode", "seed"),
+        "RpsConfig(mode='full_distribution', seed=0)",
     ),
     (
         lambda: PropertyVerdict("ef", True),

@@ -13,8 +13,10 @@ from fairlot.core import (
     Instance,
     IntegralAllocation,
     KindMismatchError,
+    SolveError,
     ZeroUtilityError,
 )
+from fairlot import mnw
 from fairlot.mnw import (
     _active_agents,
     _equilibrium_shares,
@@ -298,6 +300,13 @@ class TestReplication:
             replicate(tilt2, 0)
         with pytest.raises(InputError):
             replicate_allocation(FractionalAllocation.from_rows([["1", "1"]]), 0)
+
+
+def test_price_round_that_does_not_raise_is_an_error(monkeypatch, tilt2):
+    # a raise factor of 1 would repeat the same round forever
+    monkeypatch.setattr(mnw, "_lowest", lambda num, den: (1, 1))
+    with pytest.raises(SolveError, match="did not raise"):
+        solve_mnw(tilt2)
 
 
 class TestMnwV:

@@ -37,7 +37,7 @@ from fairlot.rps import (
 )
 
 from conftest import SWAP4_SUPPORT, eating_inputs
-from oracles import stage_expand
+from oracles import rps_reference, stage_expand
 
 F = Fraction
 # the package attribute fairlot.rps is the rps function, not this module
@@ -105,8 +105,7 @@ class TestGoods:
 
         monkeypatch.setattr(_StageEngine, "_trim", recording)
         poly = rps(inst, RpsConfig(mode=POLY_SUPPORT))
-        engine = _StageEngine(inst.prefs, inst.m, 1)
-        assert any(engine._unassigned(mat) for branches in frontiers for mat in branches)
+        assert any(rest for branches in frontiers for _, rest in branches)
         full = rps(inst)
         assert len(full) > inst.n * inst.m + 1
         assert len(poly) <= inst.n * inst.m + 1
@@ -133,13 +132,18 @@ class TestGoods:
         assert lot.support[0] == (F(1), IntegralAllocation.from_bundles(1, 2, [(0, 1)]))
 
     def test_stage_assignment_beats_remaining_items(self, swap4):
-        # each stage hands every agent an item she weakly prefers to all leftovers
-        engine = _StageEngine(swap4.prefs, swap4.m, 50_000)
-        for seed in range(8):
-            _, trace = engine.sample_walk(random.Random(seed))
-            for cells, rest in trace:
+        # each stage hands every agent an item they weakly prefer to all leftovers,
+        # on every branch
+        engine = _StageEngine(swap4.prefs, swap4.m)
+        masks, branches = [frozenset(range(swap4.m))], 0
+        while masks:
+            for _, cells, rest in engine.expand(masks.pop()):
+                branches += 1
                 for i, j in cells:
                     assert all(swap4.values[i][j] >= swap4.values[i][r] for r in rest)
+                if rest:
+                    masks.append(rest)
+        assert branches > 4
 
     def test_stage_count_does_not_grow_the_stack(self):
         # one agent takes one item per stage, so 300 items make 300 stages; the
@@ -158,17 +162,18 @@ class TestGoods:
         with pytest.raises(KindMismatchError):
             rps(bads3)
 
-    def test_support_cap_enforced(self):
+    def test_support_cap_enforced(self, monkeypatch):
         inst = Instance.from_rows(TRIM_ROWS)
+        monkeypatch.setattr(RPS_MODULE, "MAX_SUPPORT", 8)
         with pytest.raises(SizeLimitError):
-            rps(inst, RpsConfig(max_support=8))
+            rps(inst)
 
 
 class TestBads:
     def test_unpadded_run_fails_ef1_with_weight_half(self, bads3):
         # without dummies the two lopsided leaves fail EF1 (their holder of the
         # two worst bads cannot drop enough) but pass EF2; they carry 1/4 each
-        lot = _run_engine(bads3.prefs, bads3.m, RpsConfig())
+        lot = _run_engine(bads3.prefs, bads3.m, RpsConfig(), bads3.m)
         failing = [
             (w, part)
             for w, part in lot.support
@@ -481,6 +486,28 @@ def test_engine_marginal_spans_every_stage():
         n = rng.choice((2, 3))
         m = rng.randint(2 * n + 1, 3 * n + 2)
         inst = Instance.from_rows([[rng.randint(1, 9) for _ in range(m)] for _ in range(n)])
-        engine = _StageEngine(inst.prefs, m, 50_000)
+        engine = _StageEngine(inst.prefs, m)
         assert engine.stages() >= 3
         assert engine.marginal(frozenset(range(m))) == rps(inst).marginal.matrix
+
+
+def test_stage_loop_matches_pre_change_engine():
+    # every mode against the engine before sample mode joined the stage loop:
+    # frontiers keyed by matrix alone, a separate sample walk, and padding cut
+    # from the built result; 520 eating-style inputs plus the edge shapes
+    cases = [(RULES[kind], inst) for kind, inst in eating_inputs(random.Random(3131), 520)]
+    cases += list(_stage_cases())[100:]
+    for k, (rule, inst) in enumerate(cases):
+        for mode, seed in ((FULL_DISTRIBUTION, 0), (POLY_SUPPORT, 0), (SAMPLE, k), (SAMPLE, 2**40 + 3)):
+            got = rule(inst, RpsConfig(mode=mode, seed=seed))
+            want = rps_reference(inst, rule is not rps, mode, seed)
+            assert _compact(got) == _compact(want), (k, mode, seed)
+
+
+def test_only_full_mode_checks_the_support_cap(monkeypatch):
+    inst = Instance.from_rows(TRIM_ROWS)
+    monkeypatch.setattr(RPS_MODULE, "MAX_SUPPORT", 8)
+    assert len(rps(inst, RpsConfig(mode=POLY_SUPPORT))) == len(TRIM_POLY_SUPPORT)
+    assert isinstance(rps(inst, RpsConfig(mode=SAMPLE)), IntegralAllocation)
+    with pytest.raises(SizeLimitError, match="support grew to 10 allocations; use poly_support mode"):
+        rps(inst)
