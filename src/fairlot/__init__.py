@@ -38,7 +38,6 @@ _HOMES = {
         "bvn_constraints",
         "bvn_decompose",
         "prefix_constraints",
-        "reduce_support",
     ),
     "eating": ("eat", "eat_full"),
     "mnw": (

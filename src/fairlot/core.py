@@ -374,10 +374,6 @@ class Lottery(_Frozen):
             raise InputError(f"lottery weights sum to {total}, expected 1")
         self._store("support", tuple((merged[mat], first[mat]) for mat in sorted(merged)))
 
-    @classmethod
-    def single(cls, alloc: IntegralAllocation) -> "Lottery":
-        return cls(((ONE, alloc),))
-
     @property
     def n(self) -> int:
         return self.support[0][1].n

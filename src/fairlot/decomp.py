@@ -477,12 +477,3 @@ def caratheodory_weights(
         raise SolveError("support reduction system unexpectedly infeasible")
     return sol.values
 
-
-def reduce_support(lottery: Lottery) -> Lottery:
-    """Shrink a lottery's support to at most n*m + 1 allocations, keeping the
-    marginal exactly equal, using only allocations already in the support."""
-    if len(lottery.support) <= 1:
-        return lottery
-    columns = [[v for row in alloc.matrix for v in row] for _, alloc in lottery.support]
-    weights = caratheodory_weights(columns, [w for w, _ in lottery.support])
-    return Lottery(tuple((w, alloc) for w, (_, alloc) in zip(weights, lottery.support) if w > 0))

@@ -8,20 +8,26 @@ from fractions import Fraction
 from typing import Sequence
 
 from fairlot.core import (
+    BADS,
+    GOODS,
+    MIXED,
     ONE,
     ZERO,
     FractionalAllocation,
     InputError,
     Instance,
     IntegralAllocation,
+    KindMismatchError,
     Lottery,
+    PropertyVerdict,
     SizeLimitError,
     exact_draw,
     ordinal_preferences,
+    sd_dominates,
 )
 from fairlot.decomp import _MaxFlow, bvn_decompose, caratheodory_weights
 from fairlot.eating import EatingState
-from fairlot.properties import check_envy, enumerate_integral_allocations
+from fairlot.properties import ENVY_NOTIONS, _as_integral, check_envy, enumerate_integral_allocations
 from fairlot.rps import POLY_SUPPORT, SAMPLE, _StageEngine
 
 
@@ -60,6 +66,166 @@ def enumerate_ef1_allocations(instance: Instance) -> list[IntegralAllocation]:
     ]
 
 
+def check_envy_reference(
+    instance: Instance,
+    alloc: FractionalAllocation,
+    notion: str,
+    k: int | None = None,
+) -> PropertyVerdict:
+    """``check_envy`` as it was before its notions shared one pair loop: a
+    separate double loop per notion, kept verbatim as the reference."""
+    if notion not in ENVY_NOTIONS:
+        raise InputError(f"unknown envy notion: {notion}")
+    if alloc.n != instance.n or alloc.m != instance.m:
+        raise InputError("allocation shape does not match instance")
+    n = instance.n
+    label = f"ef{k}" if notion == "efk" else notion
+
+    if notion == "ef":
+        for i in range(n):
+            own = instance.utility(i, alloc.matrix[i])
+            for h in range(n):
+                if h != i and own < instance.utility(i, alloc.matrix[h]):
+                    return PropertyVerdict(
+                        "ef",
+                        False,
+                        {
+                            "envious": i,
+                            "envied": h,
+                            "own": str(own),
+                            "other": str(instance.utility(i, alloc.matrix[h])),
+                        },
+                    )
+        return PropertyVerdict("ef", True)
+
+    if notion == "sd_ef":
+        for i in range(n):
+            for h in range(n):
+                if h != i and not sd_dominates(instance.prefs, i, alloc.matrix[i], alloc.matrix[h]):
+                    return PropertyVerdict("sd_ef", False, {"envious": i, "envied": h})
+        return PropertyVerdict("sd_ef", True)
+
+    if notion == "wef1":
+        a = _as_integral(alloc, notion)
+        for i in range(n):
+            row = instance.values[i]
+            worth = [[row[j] for j in bundle] for bundle in a.bundles]
+            # the best single removals: i's worst own bad, and i's best good of h's
+            own = sum(worth[i], ZERO) - min([ZERO, *worth[i]])
+            for h in range(n):
+                if h != i and own < sum(worth[h], ZERO) - max([ZERO, *worth[h]]):
+                    return PropertyVerdict("wef1", False, {"envious": i, "envied": h})
+        return PropertyVerdict("wef1", True)
+
+    if notion in ("ef1", "efk"):
+        steps = 1 if notion == "ef1" else k
+        if steps is None or steps < 1:
+            raise InputError("efk requires k >= 1")
+        if instance.kind == MIXED:
+            raise KindMismatchError("ef1/efk are kind-specific; use wef1 for mixed instances")
+        a = _as_integral(alloc, label)
+        for i in range(n):
+            own = instance.bundle_value(i, a.bundles[i])
+            for h in range(n):
+                if h == i:
+                    continue
+                other = instance.bundle_value(i, a.bundles[h])
+                if instance.kind == GOODS:
+                    if not a.bundles[h]:
+                        continue
+                    # removing the k goods i values most is optimal
+                    drops = sorted((instance.values[i][j] for j in a.bundles[h]), reverse=True)
+                    if own >= other - sum(drops[:steps], ZERO):
+                        continue
+                else:
+                    drops = sorted(instance.values[i][j] for j in a.bundles[i])
+                    if own - sum(drops[:steps], ZERO) >= other:
+                        continue
+                return PropertyVerdict(
+                    label,
+                    False,
+                    {
+                        "envious": i,
+                        "envied": h,
+                        "own": str(own),
+                        "other": str(other),
+                    },
+                )
+        return PropertyVerdict(label, True)
+
+    if notion == "sd_ef1":
+        if instance.kind != GOODS:
+            raise KindMismatchError("sd_ef1 is defined for goods instances")
+        a = _as_integral(alloc, notion)
+        prefs = instance.prefs
+        for i in range(n):
+            for h in range(n):
+                if h == i or not a.bundles[h]:
+                    continue
+                # removing h's item that i ranks first lowers every prefix sum the most
+                reduced = list(a.matrix[h])
+                reduced[next(j for j in prefs[i] if reduced[j])] = 0
+                if not sd_dominates(prefs, i, a.matrix[i], reduced):
+                    return PropertyVerdict("sd_ef1", False, {"envious": i, "envied": h})
+        return PropertyVerdict("sd_ef1", True)
+
+    if notion == "ef11_goods":
+        if instance.kind != GOODS:
+            raise KindMismatchError("ef11_goods applies to goods instances")
+        a = _as_integral(alloc, notion)
+        for i in range(n):
+            own = instance.bundle_value(i, a.bundles[i])
+            outside = [instance.values[i][j] for j in range(instance.m) if a.matrix[i][j] == 0]
+            for h in range(n):
+                if h == i or not a.bundles[h]:
+                    continue
+                other = instance.bundle_value(i, a.bundles[h])
+                gain = max(outside) if outside else ZERO
+                drop = max(instance.values[i][j] for j in a.bundles[h])
+                if own + gain < other - drop:
+                    return PropertyVerdict(
+                        "ef11_goods",
+                        False,
+                        {
+                            "envious": i,
+                            "envied": h,
+                            "own_plus_best": str(own + gain),
+                            "other_minus_best": str(other - drop),
+                        },
+                    )
+        return PropertyVerdict("ef11_goods", True)
+
+    if notion == "ef11_bads":
+        if instance.kind != BADS:
+            raise KindMismatchError("ef11_bads applies to bads instances")
+        a = _as_integral(alloc, notion)
+        for i in range(n):
+            if not a.bundles[i]:
+                continue
+            own = instance.bundle_value(i, a.bundles[i])
+            drop = min(instance.values[i][j] for j in a.bundles[i])
+            for h in range(n):
+                if h == i:
+                    continue
+                other = instance.bundle_value(i, a.bundles[h])
+                added = [instance.values[i][j] for j in range(instance.m) if a.matrix[h][j] == 0]
+                gain = min(added) if added else ZERO
+                if own - drop < other + gain:
+                    return PropertyVerdict(
+                        "ef11_bads",
+                        False,
+                        {
+                            "envious": i,
+                            "envied": h,
+                            "own_minus_worst": str(own - drop),
+                            "other_plus_worst": str(other + gain),
+                        },
+                    )
+        return PropertyVerdict("ef11_bads", True)
+
+    raise InputError(f"unknown envy notion: {notion}")  # pragma: no cover
+
+
 def fractional_row(alloc: IntegralAllocation, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in alloc.matrix[i])
 
@@ -77,6 +243,21 @@ def lottery_marginal(lottery: Lottery) -> FractionalAllocation:
                 if x:
                     acc[i][j] += w
     return FractionalAllocation(tuple(tuple(row) for row in acc))
+
+
+def point_lottery(alloc: IntegralAllocation) -> Lottery:
+    """The lottery that draws ``alloc`` with probability 1."""
+    return Lottery(((ONE, alloc),))
+
+
+def reduce_support(lottery: Lottery) -> Lottery:
+    """Shrink a lottery's support to at most n*m + 1 allocations, keeping the
+    marginal exactly equal, using only allocations already in the support."""
+    if len(lottery.support) <= 1:
+        return lottery
+    columns = [[v for row in alloc.matrix for v in row] for _, alloc in lottery.support]
+    weights = caratheodory_weights(columns, [w for w, _ in lottery.support])
+    return Lottery(tuple((w, alloc) for w, (_, alloc) in zip(weights, lottery.support) if w > 0))
 
 
 def expected_utility(lottery: Lottery, instance: Instance, i: int) -> Fraction:

@@ -60,7 +60,7 @@ from conftest import (
     random_integral,
     random_positive_goods,
 )
-from oracles import enumerate_ef1_allocations, fractional_row, nash_product
+from oracles import enumerate_ef1_allocations, fractional_row, nash_product, point_lottery
 
 F = Fraction
 
@@ -111,7 +111,7 @@ def test_acceptance_03_tilt2_ef1_landscape_and_fpo_split(tilt2):
         after = [tilt2.utility(i, dom[i]) for i in range(2)]
         assert all(after[i] >= before[i] for i in range(2))
         assert any(after[i] > before[i] for i in range(2))
-        point = Lottery.single(a)
+        point = point_lottery(a)
         assert not check_share(tilt2, point.marginal, "prop").holds
 
 

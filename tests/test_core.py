@@ -35,7 +35,7 @@ from fairlot.properties import AuditReport, PropertyVerdict
 from fairlot.rps import RpsConfig
 
 from conftest import random_goods, random_integral
-from oracles import expected_utility, to_fractional
+from oracles import expected_utility, point_lottery, to_fractional
 
 
 class TestRationals:
@@ -260,7 +260,7 @@ class TestJson:
         assert again == lot
 
     def test_lottery_keeps_a_never_assigned_last_item(self):
-        lot = Lottery.single(IntegralAllocation.from_bundles(2, 3, [(0,), (1,)]))
+        lot = point_lottery(IntegralAllocation.from_bundles(2, 3, [(0,), (1,)]))
         obj = lottery_to_json(lot)
         assert (obj["agents"], obj["items"]) == (2, 3)
         assert lottery_from_json(obj) == lot
@@ -270,7 +270,7 @@ class TestJson:
         assert lottery_from_json(obj, n=2, m=3) == lot
 
     def test_lottery_shape_must_match_caller(self):
-        obj = lottery_to_json(Lottery.single(IntegralAllocation.from_bundles(2, 3, [(0,), (1,)])))
+        obj = lottery_to_json(point_lottery(IntegralAllocation.from_bundles(2, 3, [(0,), (1,)])))
         for n, m in ((3, 3), (2, 2)):
             with pytest.raises(InputError):
                 lottery_from_json(obj, n=n, m=m)

@@ -32,14 +32,13 @@ from fairlot.decomp import (
     bvn_constraints,
     bvn_decompose,
     prefix_constraints,
-    reduce_support,
 )
 from fairlot.mnw import solve_mnw
 from fairlot.rounding import gf_lottery
 from fairlot.rps import FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE, RpsConfig, rps, rps_bads, rps_mixed
 
 from conftest import eating_inputs, mnw_inputs, random_goods, random_integral
-from oracles import lottery_marginal
+from oracles import lottery_marginal, point_lottery, reduce_support
 
 F = Fraction
 
@@ -416,7 +415,7 @@ def _marginal_lotteries():
         run = {"goods": rps, "bads": rps_bads, "mixed": rps_mixed}[kind]
         for mode in (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE):
             out = run(inst, RpsConfig(mode=mode, seed=rng.randrange(100)))
-            yield out if isinstance(out, Lottery) else Lottery.single(out)
+            yield out if isinstance(out, Lottery) else point_lottery(out)
     for _ in range(20):
         yield bvn_decompose(random_substochastic(rng, rng.randint(1, 5), rng.randint(1, 6)))
     for n in (3, 6):

@@ -9,14 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from fairlot import lp, properties
+from fairlot import cli, lp, properties
 from fairlot.core import (
     FractionalAllocation,
     InputError,
     Instance,
     IntegralAllocation,
     KindMismatchError,
-    Lottery,
     PropertyVerdict,
     SizeLimitError,
     sd_dominates,
@@ -35,7 +34,14 @@ from fairlot.rounding import gf_lottery
 from fairlot.rps import rps
 
 from conftest import random_bads, random_goods, random_integral, random_positive_goods
-from oracles import enumerate_ef1_allocations, fractional_row, integral_nash_argmax, to_fractional
+from oracles import (
+    check_envy_reference,
+    enumerate_ef1_allocations,
+    fractional_row,
+    integral_nash_argmax,
+    point_lottery,
+    to_fractional,
+)
 
 
 def _enumerated_wef1(inst: Instance, a: IntegralAllocation) -> tuple[int, int] | None:
@@ -91,6 +97,38 @@ def _enumerated_ef11_goods(inst: Instance, a: IntegralAllocation) -> dict | None
                     "other_minus_best": str(other - max(removed)),
                 }
     return None
+
+def _envy_inputs(rng: random.Random, count: int):
+    """Seeded (instance, allocation) pairs for the envy cross-check. Goods, bads and
+    mixed values come from small ranges, so ties, zero rows and items nobody values
+    are common; n runs 1 to 4 and m 0 to 7. Allocations are integral, 0/1
+    fractional, or fractional in quarters; integral ones leave items unassigned
+    and lean toward agent 0, so some bundles are empty and some lopsided."""
+    ranges = ((0, 4), (-4, 0), (-3, 3))
+    for t in range(count):
+        n = 1 if t % 10 == 0 else rng.randint(2, 4)
+        m = rng.randint(0, 7)
+        lo, hi = ranges[t % 3]
+        inst = Instance.from_rows([[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)])
+        pool = [*range(-1, n), *[0] * (t % 4)]  # -1 leaves an item unassigned
+        owners = [rng.choice(pool) for _ in range(m)]
+        matrix = [[int(o == i) for o in owners] for i in range(n)]
+        style = t // 3 % 3
+        if style == 0:
+            yield inst, IntegralAllocation(tuple(map(tuple, matrix)))
+        elif style == 1:
+            yield inst, FractionalAllocation.from_rows(matrix)
+        else:
+            columns = []
+            for _ in range(m):
+                left, column = 4, []
+                for _ in range(n):
+                    quarters = rng.randint(0, left)
+                    left -= quarters
+                    column.append(Fraction(quarters, 4))
+                columns.append(column)
+            yield inst, FractionalAllocation(tuple(tuple(c[i] for c in columns) for i in range(n)))
+
 
 F = Fraction
 
@@ -211,6 +249,31 @@ class TestEnvy:
                     assert verdict.witness == {"envious": pair[0], "envied": pair[1]}
                     failing[notion] += 1
         assert min(failing.values()) > 50
+
+    def test_pair_loop_matches_pre_change_checker(self):
+        # every notion, efk at k = None, 0, 1, 2 and 3, and an unknown name, on the
+        # one pair loop and on the separate loops it replaced: the same verdict and
+        # witness, or the same error type and message
+        calls = [(notion, None) for notion in (*properties.ENVY_NOTIONS, "envy")]
+        calls += [("efk", k) for k in (0, 1, 2, 3)]
+
+        def outcome(check, inst, alloc, notion, k):
+            try:
+                return check(inst, alloc, notion, k).to_json()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        failing = dict.fromkeys(calls, 0)
+        for inst, alloc in _envy_inputs(random.Random(2101), 600):
+            for notion, k in calls:
+                got = outcome(check_envy, inst, alloc, notion, k)
+                assert got == outcome(check_envy_reference, inst, alloc, notion, k), (inst, alloc, notion, k)
+                failing[notion, k] += isinstance(got, dict) and not got["holds"]
+        mismatched = (Instance.from_rows([[1, 2]]), IntegralAllocation.from_bundles(1, 3, [(0,)]))
+        assert outcome(check_envy, *mismatched, "ef", None) == outcome(check_envy_reference, *mismatched, "ef", None)
+        # every notion fails several times, efk at each k >= 1 too
+        assert min(failing[notion, None] for notion in properties.ENVY_NOTIONS if notion != "efk") > 10
+        assert min(failing["efk", k] for k in (1, 2, 3)) > 10
 
     def test_ef11_goods_failures_match_enumeration(self):
         rng = random.Random(1111)
@@ -634,7 +697,7 @@ class TestAudit:
         assert all(entry["holds"] for entry in payload["ex_post"].values())
 
     def test_failing_check_flips_ok(self, tilt2):
-        point = Lottery.single(IntegralAllocation.from_bundles(2, 2, [(0,), (1,)]))
+        point = point_lottery(IntegralAllocation.from_bundles(2, 2, [(0,), (1,)]))
         report = audit_lottery(tilt2, point, ex_ante=("prop",), ex_post=("ef1",))
         assert not report.ok
         payload = report.to_json()
@@ -643,9 +706,31 @@ class TestAudit:
         assert payload["ex_post"]["ef1"]["holds"] is True
 
     def test_unknown_name_rejected(self, tilt2):
-        point = Lottery.single(IntegralAllocation.from_bundles(2, 2, [(0,), (1,)]))
+        point = point_lottery(IntegralAllocation.from_bundles(2, 2, [(0,), (1,)]))
         with pytest.raises(InputError):
             audit_lottery(tilt2, point, ex_ante=("karma",))
+
+
+    def test_named_checks_find_the_checkers_at_call_time(self, tilt2, monkeypatch, tmp_path, capsys):
+        # the name table is built per call, so checkers wrapped after import (as the
+        # benchmark's tracer wraps them) are the ones audit_lottery and check run
+        calls = {"check_envy": 0, "check_share": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(properties, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(properties, name, counted)
+        point = point_lottery(IntegralAllocation.from_bundles(2, 2, [(0,), (1,)]))
+        assert audit_lottery(tilt2, point, ex_post=["ef1", "prop1"]).ok
+        assert calls == {"check_envy": 1, "check_share": 1}
+        instance, alloc = tmp_path / "instance.json", tmp_path / "alloc.json"
+        instance.write_text('{"agents": 2, "items": 2, "values": [[1, 2], [1, 3]]}')
+        alloc.write_text('{"matrix": [[1, 0], [0, 1]]}')
+        assert cli.main(["check", str(instance), "--alloc", str(alloc), "--ex-post", "ef1,prop1"]) == 0
+        capsys.readouterr()
+        assert calls == {"check_envy": 2, "check_share": 2}
 
 
 class TestBruteForce:

@@ -37,7 +37,7 @@ from fairlot.rps import (
 )
 
 from conftest import SWAP4_SUPPORT, eating_inputs
-from oracles import rps_reference, stage_expand
+from oracles import point_lottery, rps_reference, stage_expand
 
 F = Fraction
 # the package attribute fairlot.rps is the rps function, not this module
@@ -156,7 +156,7 @@ class TestGoods:
             lot = rps(inst)
         finally:
             sys.setrecursionlimit(limit)
-        assert lot == Lottery.single(IntegralAllocation.from_bundles(1, m, [tuple(range(m))]))
+        assert lot == point_lottery(IntegralAllocation.from_bundles(1, m, [tuple(range(m))]))
 
     def test_kind_routing(self, bads3):
         with pytest.raises(KindMismatchError):
