@@ -5,8 +5,11 @@ The value types here and in the other layers are plain classes on one immutable
 base, ``_Frozen``: each declares its fields once, as class annotations, and gets a
 constructor compiled once per class at import; the library imports no
 ``dataclasses`` or ``inspect``. An ``IntegralAllocation`` is a ``FractionalAllocation``
-with int 0/1 cells. Floats never enter through the JSON loaders: decimal literals
-are parsed digit-exactly, so ``0.6`` becomes 3/5, not the nearest binary float.
+with int 0/1 cells. Instance values and allocation cells are ints or Fractions;
+a float is an ``InputError``. The JSON loaders parse decimal literals
+digit-exactly, so ``0.6`` becomes 3/5, not the nearest binary float. An
+``Instance`` scales each agent's value row to ints once, so a utility, bundle
+value or share is one int sum wrapped in a single Fraction.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ MIXED = "mixed"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_EXACT = frozenset((int, Fraction))
 
 
 class FairlotError(Exception):
@@ -170,9 +174,11 @@ def ordinal_preferences(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, 
 class Instance(_Frozen):
     """A fair-division instance: additive valuations of n agents over m items.
 
-    The kind is derived from the signs of the values: all nonnegative means goods
-    (and then every item must have at least one agent valuing it positively),
-    all nonpositive means bads, anything else is mixed manna.
+    Values are ints or Fractions. The kind is derived from the signs of the
+    values: all nonnegative means goods (and then every item must have at least
+    one agent valuing it positively), all nonpositive means bads, anything else
+    is mixed manna. Utilities, bundle values and shares sum the integer rows of
+    ``scaled`` into one Fraction; a bundle's cells must be ints or Fractions.
     """
 
     values: tuple[tuple[Fraction, ...], ...]
@@ -185,6 +191,9 @@ class Instance(_Frozen):
         for row in values:
             if len(row) != m:
                 raise InputError("value rows have inconsistent lengths")
+            for v in row:
+                if not isinstance(v, (int, Fraction)):
+                    raise InputError(f"value {v!r} is not an int or a Fraction")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
@@ -217,22 +226,38 @@ class Instance(_Frozen):
         """Ordinal preferences induced by the values (value-descending, index tie-break)."""
         return ordinal_preferences(self.values)
 
+    @_computed_once
+    def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per agent, ``(scale, row)``: the lcm of the value row's denominators,
+        and the row times it as ints."""
+        out = []
+        for row in self.values:
+            scale = math.lcm(*[v.denominator for v in row])
+            out.append((scale, tuple([v.numerator * (scale // v.denominator) for v in row])))
+        return tuple(out)
+
     def utility(self, i: int, bundle: Sequence[Fraction]) -> Fraction:
-        """Additive value of agent i for a (possibly fractional) bundle row."""
-        row = self.values[i]
+        """Additive value of agent i for a (possibly fractional) bundle row: the
+        int row against the cells' numerators over their common denominator."""
+        scale, row = self.scaled[i]
         if len(bundle) != len(row):
             raise InputError("bundle length does not match item count")
-        return sum((row[j] * x for j, x in enumerate(bundle)), ZERO)
+        cells = [x.as_integer_ratio() for x in bundle]
+        den = math.lcm(*[d for _, d in cells])
+        total = sum([v * num * (den // d) for v, (num, d) in zip(row, cells) if num])
+        return Fraction(total, den * scale)
 
     def bundle_value(self, i: int, items: Iterable[int]) -> Fraction:
-        row = self.values[i]
-        return sum((row[j] for j in items), ZERO)
+        scale, row = self.scaled[i]
+        return Fraction(sum([row[j] for j in items]), scale)
 
     def total_value(self, i: int) -> Fraction:
-        return sum(self.values[i], ZERO)
+        scale, row = self.scaled[i]
+        return Fraction(sum(row), scale)
 
     def proportional_share(self, i: int) -> Fraction:
-        return self.total_value(i) / self.n
+        scale, row = self.scaled[i]
+        return Fraction(sum(row), scale * self.n)
 
 
 def sd_dominates(
@@ -258,10 +283,10 @@ def sd_dominates(
 class FractionalAllocation(_Frozen):
     """An n-by-m matrix of item shares; cell (i, j) is agent i's share of item j.
 
-    Cells lie in [0, 1] and column sums never exceed 1. The allocation is complete
-    when every column sums to exactly 1. ``column_sums`` keeps the sums that
-    validation computed; it is not a field, so equality, hashing and repr use
-    ``matrix`` alone.
+    Cells are ints or Fractions in [0, 1], and column sums never exceed 1. The
+    allocation is complete when every column sums to exactly 1. ``column_sums``
+    keeps the sums that validation computed; it is not a field, so equality,
+    hashing and repr use ``matrix`` alone.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -278,6 +303,9 @@ class FractionalAllocation(_Frozen):
                 if x < 0 or x > 1:
                     raise InputError(f"allocation cell {x} outside [0, 1]")
         sums = tuple([sum(column, 0) for column in zip(*matrix)])
+        # a sum of ints and Fractions is one; a float cell makes its column's a float
+        if not _EXACT.issuperset(map(type, sums)):
+            raise InputError("allocation has a cell that is not an int or a Fraction")
         for j, s in enumerate(sums):
             if s > 1:
                 raise InputError(f"column {j} allocates more than the whole item ({s})")

@@ -75,7 +75,7 @@ def _spend(
     return flow, arcs, sum(cap.values()) - flow.solve(src, snk)
 
 
-def _equilibrium_shares(values: list[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+def _equilibrium_shares(rows: list[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Exact equilibrium shares x[a][g] of the active agents' value rows, each
     summing to 1, and prices.
 
@@ -86,16 +86,13 @@ def _equilibrium_shares(values: list[Sequence[Fraction]]) -> tuple[list[list[Fra
     agent's best buy, so prices stay low; a round that cannot sell every item, or
     whose factor is not above 1, raises instead of looping.
 
-    Each row is scaled to integers, which changes no agent's rates. Price g is
-    ``P[g] / D`` and agent a's best rate is ``A[a] / B[a]``. A network in which a
-    unit budget is ``D`` and item g sells at most ``P[g]`` is the network of the
-    rational prices with every capacity scaled by ``D``; Edmonds-Karp takes the
-    same paths in both, so the share of edge (a, g) is its flow over ``P[g]``.
+    Each row is an agent's values scaled to integers (``Instance.scaled``),
+    which changes no agent's rates. Price g is ``P[g] / D`` and agent a's best
+    rate is ``A[a] / B[a]``. A network in which a unit budget is ``D`` and item g
+    sells at most ``P[g]`` is the network of the rational prices with every
+    capacity scaled by ``D``; Edmonds-Karp takes the same paths in both, so the
+    share of edge (a, g) is its flow over ``P[g]``.
     """
-    rows = []
-    for row in values:
-        scale = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
     k, m = len(rows), len(rows[0])
     A = [m * max(row) for row in rows]
     B = [1] * k
@@ -171,7 +168,7 @@ def solve_mnw(instance: Instance) -> MnwSolution:
     if not active:  # no items: a goods instance values each of its items
         return MnwSolution(FractionalAllocation(((),) * n), (ZERO,) * n, (), 0.0)
 
-    shares, prices = _equilibrium_shares([instance.values[i] for i in active])
+    shares, prices = _equilibrium_shares([instance.scaled[i][1] for i in active])
     matrix = [[ZERO] * m for _ in range(n)]
     for a, i in enumerate(active):
         matrix[i] = shares[a]
@@ -206,25 +203,28 @@ def ceei_verify(
     slack = Fraction(slack)
     if slack < 0:
         raise InputError("slack must be nonnegative")
+    shift = -slack if kind == GOODS else slack
     active = _active_agents(instance)
-    utils = {i: instance.utility(i, x.row(i)) for i in active}
-    label = f"ceei_{kind}"
+    rates, bounds = {}, {}
     for i in active:
-        if kind == GOODS and utils[i] <= 0:
+        u = instance.utility(i, x.row(i))
+        if kind == GOODS and u <= 0:
             raise ZeroUtilityError(f"agent {i} values items but has nonpositive utility")
-        if kind == BADS and utils[i] >= 0:
+        if kind == BADS and u >= 0:
             raise ZeroUtilityError(f"agent {i} must have negative utility in a bads equilibrium")
+        # the rates v_ig / u_i once per agent; a holder's rate must reach (goods)
+        # or stay within (bads) the rival's shifted by the slack
+        scale, row = instance.scaled[i]
+        rates[i] = [Fraction(v * u.denominator, scale * u.numerator) for v in row]
+        bounds[i] = [r + shift for r in rates[i]] if slack else rates[i]
+    label = f"ceei_{kind}"
     for g in range(instance.m):
         for i in active:
             if x.matrix[i][g] == 0:
                 continue
-            mine = Fraction(instance.values[i][g]) / utils[i]
+            mine = rates[i][g]
             for h in active:
-                if h == i:
-                    continue
-                other = Fraction(instance.values[h][g]) / utils[h]
-                violated = mine < other - slack if kind == GOODS else mine > other + slack
-                if violated:
+                if h != i and (mine < bounds[h][g] if kind == GOODS else mine > bounds[h][g]):
                     return PropertyVerdict(
                         label,
                         False,
@@ -233,7 +233,7 @@ def ceei_verify(
                             "rival": h,
                             "item": g,
                             "holder_rate": str(mine),
-                            "rival_rate": str(other),
+                            "rival_rate": str(rates[h][g]),
                         },
                     )
     return PropertyVerdict(label, True)

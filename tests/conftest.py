@@ -192,3 +192,48 @@ def random_integral(rng: random.Random, instance: Instance) -> IntegralAllocatio
         tuple(1 if owners[j] == i else 0 for j in range(instance.m)) for i in range(instance.n)
     )
     return IntegralAllocation(matrix)
+
+
+# the exact values of utility_inputs: fractions, decimals down to 1e-30, and zeros
+EXACT_VALUES = (0, 1, 3, 12, "1/3", "2/7", "5/2", "7/10", "0.25", "1e-30")
+
+
+def random_complete(rng: random.Random, n: int, m: int) -> FractionalAllocation:
+    """A complete fractional allocation: each item split by random weights 0-3."""
+    columns = []
+    for _ in range(m):
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        if not any(weights):
+            weights[rng.randrange(n)] = 1
+        columns.append([Fraction(w, sum(weights)) for w in weights])
+    return FractionalAllocation(tuple(tuple(column[i] for column in columns) for i in range(n)))
+
+
+def utility_inputs(rng: random.Random, count: int) -> Iterator[tuple[Instance, FractionalAllocation]]:
+    """``count`` (instance, complete allocation) pairs for the utility-based checks,
+    cycling through: int goods and exact-valued goods (``EXACT_VALUES``, some rows
+    all zero) with their ``solve_mnw`` allocation, goods under a random allocation,
+    bads with exact negative values and zero rows, and mixed values, each under a
+    random allocation."""
+    from fairlot.mnw import solve_mnw
+
+    for k in range(count):
+        case = k % 5
+        n, m = rng.randint(2, 4), rng.randint(1, 6)
+        if case in (0, 2):
+            rows = [list(row) for row in random_goods(rng, n_max=4, m_max=6).values]
+        elif case == 1:
+            rows = [[rng.choice(EXACT_VALUES) for _ in range(m)] for _ in range(n)]
+        elif case == 3:
+            rows = [[f"-{v}" if v else 0 for v in (rng.choice(EXACT_VALUES) for _ in range(m))] for _ in range(n)]
+        else:
+            rows = [[rng.choice((-1, 1)) * Fraction(rng.choice(EXACT_VALUES)) for _ in range(m)] for _ in range(n)]
+        if case in (1, 3) and rng.random() < 0.3:
+            rows[rng.randrange(len(rows))] = [0] * len(rows[0])
+        if case == 1:
+            for j in range(m):
+                if all(Fraction(row[j]) == 0 for row in rows):
+                    rows[rng.randrange(n)][j] = rng.choice(EXACT_VALUES[1:])
+        inst = Instance.from_rows(rows)
+        x = solve_mnw(inst).allocation if case in (0, 1) else random_complete(rng, inst.n, inst.m)
+        yield inst, x

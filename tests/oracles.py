@@ -21,6 +21,7 @@ from fairlot.core import (
     Lottery,
     PropertyVerdict,
     SizeLimitError,
+    ZeroUtilityError,
     exact_draw,
     ordinal_preferences,
     sd_dominates,
@@ -262,6 +263,79 @@ def reduce_support(lottery: Lottery) -> Lottery:
 
 def expected_utility(lottery: Lottery, instance: Instance, i: int) -> Fraction:
     return instance.utility(i, lottery.marginal.row(i))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction utilities and equilibrium check the integer rows replaced.
+# ---------------------------------------------------------------------------
+
+
+def utility_reference(instance: Instance, i: int, bundle: Sequence[Fraction]) -> Fraction:
+    """``Instance.utility`` as a Fraction sum, one term at a time."""
+    row = instance.values[i]
+    if len(bundle) != len(row):
+        raise InputError("bundle length does not match item count")
+    return sum((row[j] * x for j, x in enumerate(bundle)), ZERO)
+
+
+def bundle_value_reference(instance: Instance, i: int, items: Sequence[int]) -> Fraction:
+    row = instance.values[i]
+    return sum((row[j] for j in items), ZERO)
+
+
+def total_value_reference(instance: Instance, i: int) -> Fraction:
+    return sum(instance.values[i], ZERO)
+
+
+def proportional_share_reference(instance: Instance, i: int) -> Fraction:
+    return total_value_reference(instance, i) / instance.n
+
+
+def ceei_verify_reference(
+    instance: Instance, x: FractionalAllocation, slack: Fraction | int = 0
+) -> PropertyVerdict:
+    """``mnw.ceei_verify`` with every rival's rate recomputed per holder, in Fractions."""
+    kind = instance.kind
+    if kind not in (GOODS, BADS):
+        raise KindMismatchError(f"equilibrium condition is defined for goods or bads, got {kind}")
+    if x.n != instance.n or x.m != instance.m:
+        raise InputError("allocation shape does not match instance")
+    if not x.complete:
+        raise InputError("equilibrium verification needs a complete allocation")
+    slack = Fraction(slack)
+    if slack < 0:
+        raise InputError("slack must be nonnegative")
+    active = [i for i in range(instance.n) if any(v != 0 for v in instance.values[i])]
+    utils = {i: utility_reference(instance, i, x.row(i)) for i in active}
+    label = f"ceei_{kind}"
+    for i in active:
+        if kind == GOODS and utils[i] <= 0:
+            raise ZeroUtilityError(f"agent {i} values items but has nonpositive utility")
+        if kind == BADS and utils[i] >= 0:
+            raise ZeroUtilityError(f"agent {i} must have negative utility in a bads equilibrium")
+    for g in range(instance.m):
+        for i in active:
+            if x.matrix[i][g] == 0:
+                continue
+            mine = Fraction(instance.values[i][g]) / utils[i]
+            for h in active:
+                if h == i:
+                    continue
+                other = Fraction(instance.values[h][g]) / utils[h]
+                violated = mine < other - slack if kind == GOODS else mine > other + slack
+                if violated:
+                    return PropertyVerdict(
+                        label,
+                        False,
+                        {
+                            "holder": i,
+                            "rival": h,
+                            "item": g,
+                            "holder_rate": str(mine),
+                            "rival_rate": str(other),
+                        },
+                    )
+    return PropertyVerdict(label, True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairlot.core import (
+    FairlotError,
     FractionalAllocation,
     InputError,
     Instance,
@@ -30,12 +33,27 @@ from fairlot.core import (
 from fairlot.decomp import Bihierarchy, ConstraintSet
 from fairlot.eating import EatingState
 from fairlot.lp import LpSolution
-from fairlot.mnw import MnwSolution
-from fairlot.properties import AuditReport, PropertyVerdict
+from fairlot.mnw import MnwSolution, ceei_verify
+from fairlot.properties import AuditReport, PropertyVerdict, check_envy, check_gf, check_share
+from fairlot.rounding import (
+    check_adjusted_envy_chain,
+    check_utility_guarantee,
+    implement_with_utility_guarantee,
+    prop1_ef11_lottery_bads,
+)
 from fairlot.rps import RpsConfig
 
-from conftest import random_goods, random_integral
-from oracles import expected_utility, point_lottery, to_fractional
+from conftest import EXACT_VALUES, random_goods, random_integral, utility_inputs
+from oracles import (
+    bundle_value_reference,
+    ceei_verify_reference,
+    expected_utility,
+    point_lottery,
+    proportional_share_reference,
+    to_fractional,
+    total_value_reference,
+    utility_reference,
+)
 
 
 class TestRationals:
@@ -463,3 +481,114 @@ def test_property_verdict_lives_in_core_under_every_old_name():
     assert rounding.check_share is properties.check_share
     with pytest.raises(AttributeError):
         rounding.no_such_name
+
+
+def _outcome(check, *args, **kwargs) -> object:
+    try:
+        return check(*args, **kwargs).to_json()
+    except FairlotError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _utility_verdicts(rng: random.Random, inst: Instance, x: FractionalAllocation) -> list:
+    """Every verdict built on utilities, bundle values and shares for one input:
+    on x itself, then on each part of its rounding and on two perturbed parts."""
+    out = [
+        _outcome(check_share, inst, x, "prop"),
+        _outcome(check_envy, inst, x, "ef"),
+        *(_outcome(ceei_verify, inst, x, slack) for slack in (0, Fraction(1, 10))),
+    ]
+    if inst.n <= 3:
+        out.append(_outcome(check_gf, inst, x))
+    kind = inst.kind
+    parts = []
+    if kind == "goods":
+        parts = [a for _, a in implement_with_utility_guarantee(inst, x).support]
+    elif kind == "bads":
+        parts = [a for _, a in prop1_ef11_lottery_bads(inst, x).support]
+    moved = [list(b) for b in (parts[0] if parts else random_integral(rng, inst)).bundles]
+    giver = rng.choice([i for i in range(inst.n) if moved[i]])
+    moved[(giver + 1) % inst.n].append(moved[giver].pop())
+    parts += [random_integral(rng, inst), IntegralAllocation.from_bundles(inst.n, inst.m, moved)]
+    side = "bads" if kind == "bads" else "goods"
+    for part in parts:
+        out += [
+            _outcome(check_share, inst, part, "prop"),
+            _outcome(check_share, inst, part, f"prop1_{side}"),
+            _outcome(check_share, inst, part, f"prop1_{side}", strict=True),
+            _outcome(check_envy, inst, part, "ef"),
+            _outcome(check_utility_guarantee, inst, x, part),
+            _outcome(check_adjusted_envy_chain, inst, x, part),
+        ]
+    return out
+
+
+def test_utility_verdicts_match_pinned_digest():
+    # sha256 over the verdicts (or error type and message) of 320 inputs, recorded
+    # while utilities and bundle values still summed Fractions term by term
+    rng = random.Random(2323)
+    out = [_utility_verdicts(rng, inst, x) for inst, x in utility_inputs(rng, 320)]
+    flat = [v for verdicts in out for v in verdicts]
+    # the corpus holds passing and failing verdicts of each checker, and errors
+    for name in ("prop", "prop1_goods", "prop1_bads", "ef", "ceei_goods", "ceei_bads", "gf",
+                 "utility_guarantee", "adjusted_envy_chain"):
+        holds = {v["holds"] for v in flat if isinstance(v, dict) and v["property"] == name}
+        assert holds == {True, False}, name
+    assert any(isinstance(v, list) and v[0] == "ZeroUtilityError" for v in flat)
+    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == UTILITY_VERDICTS_DIGEST
+
+
+def _error(call, *args) -> tuple[type, str]:
+    with pytest.raises(FairlotError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def test_integer_utilities_match_fraction_sums():
+    # the integer rows against the Fraction sums they replaced, on solve_mnw rows,
+    # random allocation rows, exact Fraction rows and 0/1 int rows
+    rng = random.Random(2324)
+    pairs = mnw_rows = 0
+    for k, (inst, x) in enumerate(utility_inputs(rng, 160)):
+        for i in range(inst.n):
+            assert inst.total_value(i) == total_value_reference(inst, i)
+            assert inst.proportional_share(i) == proportional_share_reference(inst, i)
+            assert type(inst.total_value(i)) is type(inst.proportional_share(i)) is Fraction
+        for _ in range(4):
+            i = rng.randrange(inst.n)
+            ints = tuple(rng.randint(0, 1) for _ in range(inst.m))
+            exact = tuple(Fraction(rng.choice(EXACT_VALUES)) for _ in range(inst.m))
+            for bundle in (x.row(i), ints, exact):
+                got, want = inst.utility(i, bundle), utility_reference(inst, i, bundle)
+                assert got == want and type(got) is Fraction
+                pairs += 1
+            mnw_rows += k % 5 < 2
+            items = [j for j in range(inst.m) if ints[j]]
+            got, want = inst.bundle_value(i, items), bundle_value_reference(inst, i, items)
+            assert got == want and type(got) is Fraction
+            short = ints[:-1] if rng.random() < 0.5 else ints + (1,)
+            assert _error(inst.utility, i, short) == _error(utility_reference, inst, i, short)
+        for slack in (0, Fraction(1, 10)):
+            assert _outcome(ceei_verify, inst, x, slack) == _outcome(ceei_verify_reference, inst, x, slack)
+    assert pairs >= 1500 and mnw_rows >= 250
+
+
+def test_float_values_and_cells_are_input_errors():
+    # a float would make every sum inexact: 0.1 + 0.2 is not 3/10
+    with pytest.raises(InputError, match="not an int or a Fraction"):
+        Instance(((0.1, 0.2), (0.3, 0.4)))
+    for matrix in (((0.1, 0.7), (0.9, 0.3)), ((1.0, 0), (0, 1)), ((Fraction(1, 2), 0), (0.5, 1)), ((float("nan"),),)):
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            FractionalAllocation(matrix)
+    with pytest.raises(InputError, match="not an int or a Fraction"):
+        IntegralAllocation(((1.0, 0), (0, 1)))
+    with pytest.raises(InputError, match="not an int or a Fraction"):
+        Instance(((1, "2"),))
+    # ints and Fractions still mix freely, and the loaders parse decimals exactly
+    inst = Instance(((1, Fraction(1, 2)), (0, 3)))
+    assert inst.utility(0, (Fraction(1, 3), 1)) == Fraction(5, 6)
+    assert Instance.from_rows([["0.1", "0.2"]]).utility(0, (1, 1)) == Fraction(3, 10)
+
+
+UTILITY_VERDICTS_DIGEST = "5788c58043986ca2c8f32279befc8a911d7f26f7dc22b9b2f3a5b23c64543498"

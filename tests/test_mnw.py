@@ -141,7 +141,7 @@ class TestSolveMnw:
             active = _active_agents(inst)
             normalised = [[v / inst.total_value(i) for v in inst.values[i]] for i in active]
             expected = mnw_equilibrium_shares(normalised)
-            assert _equilibrium_shares([inst.values[i] for i in active]) == expected
+            assert _equilibrium_shares([inst.scaled[i][1] for i in active]) == expected
             unequal += len(set(expected[1])) > 1
         assert unequal > 300  # most runs end with some prices raised above others
 

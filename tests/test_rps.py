@@ -69,6 +69,17 @@ EARLY_TRIM_ROWS = [
     [10, 2, 7, 7, 7, 4, 6, 0, 1, 7, 9, 5, 2],
 ]
 
+# poly mode trims before the last stage here too, and this trim needs the subgame
+# marginals: weighing the branches by their assigned cells alone keeps a lottery
+# whose marginal is not the rule's
+SUBGAME_TRIM_ROWS = [
+    [10, 6, 11, 15, 19, 8, 6, 11, 9, 10, 6, 1, 15, 15, 6, 7, 16],
+    [3, 6, 12, 16, 18, 15, 14, 9, 14, 10, 8, 10, 14, 14, 6, 11, 12],
+    [6, 4, 8, 17, 11, 6, 12, 9, 11, 7, 11, 1, 18, 9, 8, 2, 15],
+    [3, 5, 10, 15, 18, 13, 6, 12, 5, 3, 12, 2, 15, 15, 9, 6, 16],
+    [4, 10, 9, 14, 13, 6, 5, 3, 12, 4, 8, 10, 15, 7, 8, 2, 10],
+]
+
 
 class TestGoods:
     def test_four_item_uniform_support(self, swap4):
@@ -95,7 +106,6 @@ class TestGoods:
 
     def test_poly_trims_before_the_last_stage(self, monkeypatch):
         # the early trim weighs branches by the exact marginals of their subgames
-        inst = Instance.from_rows(EARLY_TRIM_ROWS)
         frontiers = []
         original = _StageEngine._trim
 
@@ -104,13 +114,16 @@ class TestGoods:
             return original(engine, branches)
 
         monkeypatch.setattr(_StageEngine, "_trim", recording)
-        poly = rps(inst, RpsConfig(mode=POLY_SUPPORT))
-        assert any(rest for branches in frontiers for _, rest in branches)
-        full = rps(inst)
-        assert len(full) > inst.n * inst.m + 1
-        assert len(poly) <= inst.n * inst.m + 1
-        assert poly.marginal == full.marginal
-        assert all(check_envy(inst, part, "sd_ef1").holds for _, part in poly.support)
+        for rows in (EARLY_TRIM_ROWS, SUBGAME_TRIM_ROWS):
+            inst = Instance.from_rows(rows)
+            frontiers.clear()
+            poly = rps(inst, RpsConfig(mode=POLY_SUPPORT))
+            assert any(rest for branches in frontiers for _, rest in branches)
+            full = rps(inst)
+            assert len(full) > inst.n * inst.m + 1
+            assert len(poly) <= inst.n * inst.m + 1
+            assert poly.marginal == full.marginal
+            assert all(check_envy(inst, part, "sd_ef1").holds for _, part in poly.support)
 
     def test_sample_deterministic_and_in_support(self, swap4):
         first = rps(swap4, RpsConfig(mode=SAMPLE, seed=5))
