@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from fairlot.core import (
     Instance,
     IntegralAllocation,
     KindMismatchError,
+    lottery_to_json,
 )
 from fairlot.mnw import ceei_verify, solve_mnw
 from fairlot.properties import check_envy, check_gf, check_share
@@ -315,3 +318,50 @@ class TestBadsLottery:
         x = FractionalAllocation.from_rows([["1/2"] * 4, ["1/2"] * 4])
         with pytest.raises(KindMismatchError):
             prop1_ef11_lottery_bads(swap4, x)
+
+
+def _rounding_inputs(rng: random.Random, count: int):
+    """``count`` (rule, instance, complete allocation) triples with n 1-6 and
+    m 0-9 (bads m 1-9), cycling through: goods under a 0/1 allocation, a
+    fractional one (weights 0-3 per column) and one parsed from decimal tenths;
+    goods under their ``solve_mnw`` allocation; bads under fractional and
+    decimal allocations. Values are drawn from few levels, so ties are common."""
+    for k in range(count):
+        case = k % 6
+        n, m = rng.randint(1, 6), rng.randint(0 if case < 4 else 1, 9)
+        sign = -1 if case >= 4 else 1
+        rows = [[sign * rng.randint(0, 4) for _ in range(m)] for _ in range(n)]
+        for j in range(m):
+            if all(row[j] == 0 for row in rows):
+                rows[rng.randrange(n)][j] = sign * rng.randint(1, 4)
+        inst = Instance.from_rows(rows)
+        if case == 3:
+            yield implement_with_utility_guarantee, inst, solve_mnw(inst).allocation
+            continue
+        columns = []
+        for _ in range(m):
+            if case == 0:
+                owner = rng.randrange(n)
+                columns.append([F(i == owner) for i in range(n)])
+            elif case in (1, 4):
+                weights = [rng.randint(0, 3) for _ in range(n)]
+                weights[rng.randrange(n)] += 1
+                columns.append([F(w, sum(weights)) for w in weights])
+            else:
+                cuts = sorted(rng.randint(0, 10) for _ in range(n - 1))
+                tenths = [b - a for a, b in zip([0, *cuts], [*cuts, 10])]
+                columns.append([F(f"{t // 10}.{t % 10}") for t in tenths])
+        matrix = tuple(tuple(col[i] for col in columns) for i in range(n))
+        rule = prop1_ef11_lottery_bads if sign < 0 else implement_with_utility_guarantee
+        yield rule, inst, FractionalAllocation(matrix)
+
+
+def test_rounding_outputs_match_pinned_digest():
+    # sha256 over 360 rounding lotteries (goods and bads), recorded while the prefix
+    # quotas still went through the general bihierarchy front end
+    out = [lottery_to_json(rule(inst, x)) for rule, inst, x in _rounding_inputs(random.Random(2424), 360)]
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    assert digest == ROUNDING_SEEDED_DIGEST
+
+
+ROUNDING_SEEDED_DIGEST = "9d93cb83d4951d190e7c2c3de0867b02bd546ba085e905f62c44073c11f7bff3"
