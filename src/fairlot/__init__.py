@@ -32,13 +32,7 @@ _HOMES = {
         "load_instance",
         "load_lottery",
     ),
-    "decomp": (
-        "Bihierarchy",
-        "bihierarchy_decompose",
-        "bvn_constraints",
-        "bvn_decompose",
-        "prefix_constraints",
-    ),
+    "decomp": ("bihierarchy_decompose", "bvn_decompose"),
     "eating": ("eat", "eat_full"),
     "mnw": (
         "MnwSolution",

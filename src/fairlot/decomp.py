@@ -1,9 +1,9 @@
 """Decomposing fractional allocations into lotteries over integral allocations.
 
-The constraint language is a *bihierarchy*: two laminar families of cell sets with
-integer lower/upper quotas. Every feasible fractional matrix is a convex combination
-of integral matrices that each satisfy all quotas; this module computes such a
-combination constructively.
+The quotas are a *bihierarchy* (Budish, Che, Kojima and Milgrom, AER 2013): two
+laminar families of cell sets with integer lower/upper quotas. Every feasible
+fractional matrix is a convex combination of integral matrices that each satisfy
+all quotas; this module computes such a combination constructively.
 
 The engine repeatedly peels off an integral vertex of the quota polytope restricted
 to the minimal face containing the current matrix (tight constraints stay tight),
@@ -18,163 +18,39 @@ Each decomposition runs in two steps. The first compiles its quotas to a plan: t
 (u, v) nodes of each cell and one (u, v, lower, upper, cells) arc per set of two or
 more cells. The second is the one extraction engine, ``_extract``, on that plan; it
 returns bare (weight, row tuples) parts, which the public functions wrap in a
-``Lottery``. ``bihierarchy_decompose`` validates a ``Bihierarchy`` and compiles its
-two forests; ``_bvn_plan`` compiles rows against columns straight from an integer
-matrix over its denominator, building no ``ConstraintSet``. ``bvn_decompose`` runs
-that plan on its input's residual, and the RPS stage engine on its integer stage
-matrix. ``bvn_constraints`` stays as the description of those quotas, and gives the
-same plan through ``bihierarchy_decompose``.
+``Lottery``. Two compilers build plans straight from an integer matrix over its
+denominator, each for the one bihierarchy its callers need:
 
-The two builders emit only sets of two or more cells, in the engine's node order: a
-one-cell set restates its cell's [floor, ceiling], which every part keeps anyway.
+- ``_bvn_plan``: the floor and ceiling of every row and column sum. ``bvn_decompose``
+  runs it on its input's residual, and the RPS stage engine on its stage matrix.
+- ``_prefix_plan``: the floor and ceiling of each prefix of each agent's preference
+  order, every column fixed at [1, 1]. ``bihierarchy_decompose`` runs it for the
+  utility-guarantee rounding in ``rounding``.
+
+Both emit only sets of two or more cells: a one-cell set restates its cell's
+[floor, ceiling], which every part keeps anyway.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 from .core import (
     FractionalAllocation,
-    Instance,
     IntegralAllocation,
     InputError,
     Lottery,
     ONE,
     SolveError,
     ZERO,
-    _Frozen,
 )
 
 Cell = tuple[int, int]
 Matrix = tuple[tuple[int, ...], ...]
 # A quota set compiled for the engine: (u, v, lower, upper, cells).
 _Arc = tuple[int, int, int, int, Collection[Cell]]
-
-
-class ConstraintSet(_Frozen):
-    """A set of matrix cells whose total must stay within [lower, upper] in every part."""
-
-    cells: frozenset[Cell]
-    lower: int
-    upper: int
-
-    def _check(self) -> None:
-        cells = frozenset(self.cells)
-        if cells is not self.cells:  # the decomposition already passes frozensets
-            self._store("cells", cells)
-        lower, upper = self.lower, self.upper
-        if not cells:
-            raise InputError("constraint set must cover at least one cell")
-        if not isinstance(lower, int) or not isinstance(upper, int):
-            raise InputError("quotas must be integers")
-        if lower > upper:
-            raise InputError(f"quota lower bound {lower} exceeds upper bound {upper}")
-
-
-def _forest(
-    sets: Sequence[frozenset[Cell]],
-) -> tuple[list[int | None], dict[Cell, int]] | None:
-    """The laminar forest of distinct ``sets``: each set's parent (its smallest strict
-    superset, else None) and each cell's innermost set, as indices into ``sets``.
-
-    Sets are claimed largest first, so a set is laminar with every larger one iff
-    all its cells have the same innermost earlier set (or none). Returns None when
-    the family is not laminar.
-    """
-    parent: list[int | None] = [None] * len(sets)
-    owner: dict[Cell, int] = {}
-    for k in sorted(range(len(sets)), key=lambda k: -len(sets[k])):
-        holders = {owner.get(cell) for cell in sets[k]}
-        if len(holders) > 1:
-            return None
-        (parent[k],) = holders
-        for cell in sets[k]:
-            owner[cell] = k
-    return parent, owner
-
-
-def _laminar_forest(
-    family: Sequence[ConstraintSet], name: str
-) -> tuple[list[int | None], dict[Cell, int]]:
-    seen: set[frozenset[Cell]] = set()
-    for cs in family:
-        if cs.cells in seen:
-            raise InputError(f"{name} contains duplicate constraint sets")
-        seen.add(cs.cells)
-    forest = _forest([cs.cells for cs in family])
-    if forest is None:
-        raise InputError(f"{name} is not laminar")
-    return forest
-
-
-class Bihierarchy(_Frozen):
-    """Two disjoint laminar families of quota constraints over the same matrix.
-
-    ``forests`` keeps the laminar forest of ``h1`` and of ``h2`` that validation
-    built (see ``_forest``); it is not a field.
-    """
-
-    h1: tuple[ConstraintSet, ...]
-    h2: tuple[ConstraintSet, ...]
-
-    def _check(self) -> None:
-        h1, h2 = tuple(self.h1), tuple(self.h2)
-        self._store("h1", h1)
-        self._store("h2", h2)
-        self._store("forests", (_laminar_forest(h1, "H1"), _laminar_forest(h2, "H2")))
-        overlap = {cs.cells for cs in h1} & {cs.cells for cs in h2}
-        if overlap:
-            raise InputError("a constraint set appears in both hierarchies")
-
-    def all_sets(self) -> tuple[ConstraintSet, ...]:
-        return self.h1 + self.h2
-
-
-def _floor_ceil(cells: Iterable[Cell], total: Fraction) -> ConstraintSet:
-    return ConstraintSet(frozenset(cells), math.floor(total), math.ceil(total))
-
-
-def bvn_constraints(x: FractionalAllocation) -> Bihierarchy:
-    """Quotas for generalized Birkhoff-von Neumann: every part keeps each row sum
-    and column sum within the floor/ceiling of its value in ``x``. H1 is the rows,
-    H2 the columns, each in index order; a row or column of one cell is not built."""
-    n, m = x.n, x.m
-    rows = [sum(row, ZERO) for row in x.matrix] if m > 1 else []
-    cols = x.column_sums if n > 1 else ()
-    h1 = [_floor_ceil(((i, j) for j in range(m)), s) for i, s in enumerate(rows)]
-    h2 = [_floor_ceil(((i, j) for i in range(n)), s) for j, s in enumerate(cols)]
-    return Bihierarchy(h1, h2)
-
-
-def prefix_constraints(
-    instance: Instance,
-    x: FractionalAllocation,
-    prefs: Sequence[Sequence[int]] | None = None,
-) -> Bihierarchy:
-    """Ordinal prefix quotas: for each agent, every prefix of her preference order
-    keeps its cumulative share within floor/ceiling; every column is fully assigned.
-    H1 is the prefixes, shortest first and agents in index order within a length,
-    and H2 the columns; one-item prefixes and one-cell columns are not built.
-
-    Rounding a complete fractional allocation under these quotas preserves each
-    agent's utility up to one item in either direction.
-    """
-    if x.n != instance.n or x.m != instance.m:
-        raise InputError("allocation shape does not match instance")
-    if not x.complete:
-        raise InputError("prefix constraints need a complete allocation")
-    order = prefs if prefs is not None else instance.prefs
-    n, m = x.n, x.m
-    runs = [list(itertools.accumulate(x.matrix[i][j] for j in order[i])) for i in range(n)]
-    h1 = [
-        _floor_ceil(((i, j) for j in order[i][: k + 1]), runs[i][k])
-        for k in range(1, m)
-        for i in range(n)
-    ]
-    cols = [frozenset((i, j) for i in range(n)) for j in range(m)] if n > 1 else []
-    return Bihierarchy(h1, [ConstraintSet(cells, 1, 1) for cells in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -302,50 +178,61 @@ def _residual(x: FractionalAllocation) -> tuple[int, list[list[int]]]:
     return den, [[v.numerator * (den // v.denominator) for v in row] for row in x.matrix]
 
 
-def bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lottery:
-    """Express ``x`` as an exact lottery over integral matrices obeying every quota.
+def bihierarchy_decompose(x: FractionalAllocation, prefs: Sequence[Sequence[int]]) -> Lottery:
+    """Express a complete ``x`` as an exact lottery over integral matrices that keep
+    every prefix of each agent's order in ``prefs`` within the floor and ceiling of
+    its share in ``x``, and give every item to exactly one agent.
 
-    Requires ``x`` itself to satisfy all quotas. The support never exceeds the
-    number of fractional cells of ``x`` plus one, and the lottery's marginal equals
-    ``x`` exactly.
+    The support never exceeds the number of fractional cells of ``x`` plus one, and
+    the lottery's marginal equals ``x`` exactly.
+
+    >>> h = Fraction(1, 2)
+    >>> parts = bihierarchy_decompose(FractionalAllocation(((h, 1), (h, 0))), ((1, 0), (0, 1)))
+    >>> [(str(w), a.bundles) for w, a in parts.support]
+    [('1/2', ((1,), (0,))), ('1/2', ((0, 1), ()))]
     """
-    n, m = x.n, x.m
-    for cs in hierarchy.all_sets():
-        for i, j in cs.cells:
-            if not (0 <= i < n and 0 <= j < m):
-                raise InputError(f"constraint cell {(i, j)} outside the matrix")
+    if len(prefs) != x.n:
+        raise InputError(f"need one preference order per agent: got {len(prefs)} for {x.n} agents")
+    for i, order in enumerate(prefs):
+        if len(order) != x.m or set(order) != set(range(x.m)):
+            raise InputError(f"preference order of agent {i} is not a permutation of the {x.m} items")
+    if not x.complete:
+        raise InputError("prefix constraints need a complete allocation")
     den, r = _residual(x)
-    for cs in hierarchy.all_sets():
-        total = sum(r[i][j] for i, j in cs.cells)
-        if total < cs.lower * den or total > cs.upper * den:
-            raise InputError(
-                f"allocation violates quota [{cs.lower}, {cs.upper}] on {sorted(cs.cells)}"
-            )
+    parts = _extract(den, r, x.m, *_prefix_plan(den, r, prefs, x.m))
+    return Lottery(tuple((w, IntegralAllocation(part)) for w, part in parts))
 
-    # Once the quotas hold, a singleton set only restates the [0, 1] bounds of its
-    # cell; larger sets become arcs of two forests whose roots are nodes 0 and 1.
-    # A singleton is a leaf of its family's forest, so its cell belongs to the
-    # singleton's parent, or to the root when it has none.
-    inner: list[dict[Cell, int]] = []
+
+def _prefix_plan(
+    den: int, r: list[list[int]], prefs: Sequence[Sequence[int]], m: int
+) -> tuple[list[tuple[int, int]], list[_Arc]]:
+    """The prefix quotas of the n x m matrix ``r / den`` as a plan. Agent i's prefix
+    of length k + 1 >= 2 is node 2 + (k - 1) * n + i, an arc from the next longer
+    prefix, or from root 0 for the whole row; the columns follow as [1, 1] arcs into
+    node 1 when n > 1. A cell hangs under the shortest prefix of two or more items
+    that holds it."""
+    n = len(r)
+    runs = [list(itertools.accumulate(r[i][j] for j in order)) for i, order in enumerate(prefs)]
     sets: list[_Arc] = []
-    for side, fam, (parent, owner) in zip((0, 1), (hierarchy.h1, hierarchy.h2), hierarchy.forests):
-        big = [k for k, cs in enumerate(fam) if len(cs.cells) > 1]
-        node: dict[int | None, int] = {k: 2 + len(sets) + b for b, k in enumerate(big)}
-        node[None] = side
-        inner.append({cell: node[k if k in node else parent[k]] for cell, k in owner.items()})
-        for k in big:
-            up, down, cs = node[parent[k]], node[k], fam[k]
-            u, v = (up, down) if side == 0 else (down, up)
-            sets.append((u, v, cs.lower, cs.upper, cs.cells))
-    ends = [(inner[0].get((i, j), 0), inner[1].get((i, j), 1)) for i in range(n) for j in range(m)]
-    return Lottery(tuple((w, IntegralAllocation(part)) for w, part in _extract(den, r, m, ends, sets)))
+    for k in range(1, m):
+        for i, order in enumerate(prefs):
+            up, s, cells = 2 + k * n + i if k < m - 1 else 0, runs[i][k], tuple((i, j) for j in order[: k + 1])
+            sets.append((up, 2 + (k - 1) * n + i, s // den, -(-s // den), cells))
+    first = 2 + len(sets)
+    if n > 1:
+        sets += [(first + j, 1, 1, 1, tuple((i, j) for i in range(n))) for j in range(m)]
+    u = [[0] * m for _ in range(n)]
+    if m > 1:
+        for i, order in enumerate(prefs):
+            for p, j in enumerate(order):
+                u[i][j] = 2 + (max(p, 1) - 1) * n + i
+    ends = [(u[i][j], first + j if n > 1 else 1) for i in range(n) for j in range(m)]
+    return ends, sets
 
 
 def bvn_decompose(x: FractionalAllocation) -> Lottery:
-    """Decompose a doubly substochastic matrix with row/column floor-ceiling quotas.
-
-    The quotas are those of ``bvn_constraints(x)``, compiled by ``_bvn_plan``
-    straight from the integer residual.
+    """Decompose a doubly substochastic matrix with row/column floor-ceiling quotas,
+    compiled by ``_bvn_plan`` straight from the integer residual.
 
     >>> from fractions import Fraction
     >>> h = Fraction(1, 2)
@@ -359,10 +246,10 @@ def bvn_decompose(x: FractionalAllocation) -> Lottery:
 
 
 def _bvn_plan(den: int, r: list[list[int]], m: int) -> tuple[list[tuple[int, int]], list[_Arc]]:
-    """The plan of ``bvn_constraints`` for the n x m matrix ``r / den``: row i is
-    node 2 + i when m > 1, and column j follows the rows when n > 1, the node
-    order ``bihierarchy_decompose`` gives them. Quotas are the floor and ceiling
-    of the integer row and column sums over ``den``."""
+    """The row and column quotas of the n x m matrix ``r / den`` as a plan: row i
+    is node 2 + i, an arc from root 0, when m > 1; column j follows the rows as
+    an arc into node 1 when n > 1. Quotas are the floor and ceiling of the
+    integer row and column sums over ``den``."""
     n = len(r)
     sets: list[_Arc] = []
     if m > 1:  # a one-cell row is not built, and no row of one cell can exceed 1

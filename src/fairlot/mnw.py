@@ -34,6 +34,7 @@ from .core import (
     ZERO,
     ZeroUtilityError,
     _Frozen,
+    parse_rational,
 )
 from .decomp import _MaxFlow
 
@@ -185,13 +186,14 @@ def solve_mnw(instance: Instance) -> MnwSolution:
 def ceei_verify(
     instance: Instance,
     x: FractionalAllocation,
-    slack: Fraction | int = 0,
+    slack: Fraction | int | str = 0,
 ) -> PropertyVerdict:
     """Check the competitive-equilibrium condition on a complete allocation.
 
     Goods: every held unit must deliver the market-best value per unit of spending,
     v_i(g)/v_i(X_i) >= v_h(g)/v_h(X_h) - slack whenever X_{i,g} > 0. Bads mirror it
     with <= and +slack. Agents with all-zero value rows are outside the condition.
+    ``slack`` is read exactly, like every other rational input (``parse_rational``).
     """
     kind = instance.kind
     if kind not in (GOODS, BADS):
@@ -200,7 +202,7 @@ def ceei_verify(
         raise InputError("allocation shape does not match instance")
     if not x.complete:
         raise InputError("equilibrium verification needs a complete allocation")
-    slack = Fraction(slack)
+    slack = parse_rational(slack)
     if slack < 0:
         raise InputError("slack must be nonnegative")
     shift = -slack if kind == GOODS else slack

@@ -21,7 +21,7 @@ from .core import (
     PropertyVerdict,
     ordinal_preferences,
 )
-from .decomp import bihierarchy_decompose, prefix_constraints
+from .decomp import bihierarchy_decompose
 from .mnw import solve_mnw
 
 
@@ -39,7 +39,9 @@ def implement_with_utility_guarantee(instance: Instance, x: FractionalAllocation
     >>> [(str(w), a.bundles) for w, a in implement_with_utility_guarantee(inst, x).support]
     [('7/12', ((0,), (1,))), ('5/12', ((0, 1), ()))]
     """
-    return bihierarchy_decompose(x, prefix_constraints(instance, x))
+    if x.n != instance.n or x.m != instance.m:
+        raise InputError("allocation shape does not match instance")
+    return bihierarchy_decompose(x, instance.prefs)
 
 
 def check_utility_guarantee(
@@ -201,8 +203,10 @@ def prop1_ef11_lottery_bads(instance: Instance, x: FractionalAllocation) -> Lott
     """
     if instance.kind != BADS:
         raise KindMismatchError(f"bads rounding needs a bads instance, got {instance.kind}")
+    if x.n != instance.n or x.m != instance.m:
+        raise InputError("allocation shape does not match instance")
     flipped = ordinal_preferences(tuple(tuple(-v for v in row) for row in instance.values))
-    return bihierarchy_decompose(x, prefix_constraints(instance, x, prefs=flipped))
+    return bihierarchy_decompose(x, flipped)
 
 
 def __getattr__(name: str) -> object:

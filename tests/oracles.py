@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,11 +23,12 @@ from fairlot.core import (
     PropertyVerdict,
     SizeLimitError,
     ZeroUtilityError,
+    _Frozen,
     exact_draw,
     ordinal_preferences,
     sd_dominates,
 )
-from fairlot.decomp import _MaxFlow, bvn_decompose, caratheodory_weights
+from fairlot.decomp import _MaxFlow, _extract, _residual, bvn_decompose, caratheodory_weights
 from fairlot.eating import EatingState
 from fairlot.properties import ENVY_NOTIONS, _as_integral, check_envy, enumerate_integral_allocations
 from fairlot.rps import POLY_SUPPORT, SAMPLE, _StageEngine
@@ -535,3 +537,159 @@ def rps_reference(instance: Instance, padded: bool, mode: str, seed: int) -> Lot
     return Lottery(
         tuple((w, IntegralAllocation(tuple(row[: instance.m] for row in alloc.matrix))) for w, alloc in result.support)
     )
+
+
+# ---------------------------------------------------------------------------
+# The general bihierarchy front end: any two laminar families of quota sets,
+# validated and compiled through their forests to a plan for ``decomp._extract``.
+# The library compiles its two quota shapes straight to plans (``_bvn_plan`` and
+# ``_prefix_plan``); this is the reference both are checked against.
+# ---------------------------------------------------------------------------
+
+
+class ConstraintSet(_Frozen):
+    """A set of matrix cells whose total must stay within [lower, upper] in every part."""
+
+    cells: frozenset[tuple[int, int]]
+    lower: int
+    upper: int
+
+    def _check(self) -> None:
+        cells = frozenset(self.cells)
+        if cells is not self.cells:
+            self._store("cells", cells)
+        lower, upper = self.lower, self.upper
+        if not cells:
+            raise InputError("constraint set must cover at least one cell")
+        if not isinstance(lower, int) or not isinstance(upper, int):
+            raise InputError("quotas must be integers")
+        if lower > upper:
+            raise InputError(f"quota lower bound {lower} exceeds upper bound {upper}")
+
+
+def _forest(sets: Sequence[frozenset]) -> tuple[list[int | None], dict] | None:
+    """The laminar forest of distinct ``sets``: each set's parent (its smallest strict
+    superset, else None) and each cell's innermost set, as indices into ``sets``.
+
+    Sets are claimed largest first, so a set is laminar with every larger one iff
+    all its cells have the same innermost earlier set (or none). Returns None when
+    the family is not laminar.
+    """
+    parent: list[int | None] = [None] * len(sets)
+    owner: dict = {}
+    for k in sorted(range(len(sets)), key=lambda k: -len(sets[k])):
+        holders = {owner.get(cell) for cell in sets[k]}
+        if len(holders) > 1:
+            return None
+        (parent[k],) = holders
+        for cell in sets[k]:
+            owner[cell] = k
+    return parent, owner
+
+
+def _laminar_forest(family: Sequence[ConstraintSet], name: str) -> tuple[list[int | None], dict]:
+    seen: set[frozenset] = set()
+    for cs in family:
+        if cs.cells in seen:
+            raise InputError(f"{name} contains duplicate constraint sets")
+        seen.add(cs.cells)
+    forest = _forest([cs.cells for cs in family])
+    if forest is None:
+        raise InputError(f"{name} is not laminar")
+    return forest
+
+
+class Bihierarchy(_Frozen):
+    """Two disjoint laminar families of quota constraints over the same matrix.
+
+    ``forests`` keeps the laminar forest of ``h1`` and of ``h2`` that validation
+    built (see ``_forest``); it is not a field.
+    """
+
+    h1: tuple[ConstraintSet, ...]
+    h2: tuple[ConstraintSet, ...]
+
+    def _check(self) -> None:
+        h1, h2 = tuple(self.h1), tuple(self.h2)
+        self._store("h1", h1)
+        self._store("h2", h2)
+        self._store("forests", (_laminar_forest(h1, "H1"), _laminar_forest(h2, "H2")))
+        if {cs.cells for cs in h1} & {cs.cells for cs in h2}:
+            raise InputError("a constraint set appears in both hierarchies")
+
+    def all_sets(self) -> tuple[ConstraintSet, ...]:
+        return self.h1 + self.h2
+
+
+def _floor_ceil(cells, total: Fraction) -> ConstraintSet:
+    return ConstraintSet(frozenset(cells), math.floor(total), math.ceil(total))
+
+
+def bvn_constraints(x: FractionalAllocation) -> Bihierarchy:
+    """The quotas of ``bvn_decompose``: every part keeps each row sum and column sum
+    within the floor/ceiling of its value in ``x``. H1 is the rows, H2 the columns,
+    each in index order; a row or column of one cell is not built."""
+    n, m = x.n, x.m
+    rows = [sum(row, ZERO) for row in x.matrix] if m > 1 else []
+    cols = x.column_sums if n > 1 else ()
+    h1 = [_floor_ceil(((i, j) for j in range(m)), s) for i, s in enumerate(rows)]
+    h2 = [_floor_ceil(((i, j) for i in range(n)), s) for j, s in enumerate(cols)]
+    return Bihierarchy(h1, h2)
+
+
+def prefix_constraints(
+    instance: Instance, x: FractionalAllocation, prefs: Sequence[Sequence[int]] | None = None
+) -> Bihierarchy:
+    """The quotas of ``bihierarchy_decompose``: each prefix of each agent's order
+    (``instance.prefs`` by default) keeps its cumulative share within floor/ceiling,
+    and every column is fully assigned. H1 is the prefixes, shortest first and agents
+    in index order within a length, and H2 the columns; one-item prefixes and
+    one-cell columns are not built."""
+    if x.n != instance.n or x.m != instance.m:
+        raise InputError("allocation shape does not match instance")
+    if not x.complete:
+        raise InputError("prefix constraints need a complete allocation")
+    order = prefs if prefs is not None else instance.prefs
+    n, m = x.n, x.m
+    runs = [list(itertools.accumulate(x.matrix[i][j] for j in order[i])) for i in range(n)]
+    h1 = [
+        _floor_ceil(((i, j) for j in order[i][: k + 1]), runs[i][k])
+        for k in range(1, m)
+        for i in range(n)
+    ]
+    cols = [frozenset((i, j) for i in range(n)) for j in range(m)] if n > 1 else []
+    return Bihierarchy(h1, [ConstraintSet(cells, 1, 1) for cells in cols])
+
+
+def general_bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lottery:
+    """``x`` as an exact lottery over integral matrices obeying every quota of
+    ``hierarchy``, which ``x`` must satisfy: the forests compiled to a plan and run
+    on the library's extraction engine."""
+    n, m = x.n, x.m
+    for cs in hierarchy.all_sets():
+        for i, j in cs.cells:
+            if not (0 <= i < n and 0 <= j < m):
+                raise InputError(f"constraint cell {(i, j)} outside the matrix")
+    den, r = _residual(x)
+    for cs in hierarchy.all_sets():
+        total = sum(r[i][j] for i, j in cs.cells)
+        if total < cs.lower * den or total > cs.upper * den:
+            raise InputError(f"allocation violates quota [{cs.lower}, {cs.upper}] on {sorted(cs.cells)}")
+
+    # Once the quotas hold, a singleton set only restates the [0, 1] bounds of its
+    # cell; larger sets become arcs of two forests whose roots are nodes 0 and 1.
+    # A singleton is a leaf of its family's forest, so its cell belongs to the
+    # singleton's parent, or to the root when it has none.
+    inner: list[dict] = []
+    sets: list = []
+    for side, fam, (parent, owner) in zip((0, 1), (hierarchy.h1, hierarchy.h2), hierarchy.forests):
+        big = [k for k, cs in enumerate(fam) if len(cs.cells) > 1]
+        node: dict[int | None, int] = {k: 2 + len(sets) + b for b, k in enumerate(big)}
+        node[None] = side
+        inner.append({cell: node[k if k in node else parent[k]] for cell, k in owner.items()})
+        for k in big:
+            up, down, cs = node[parent[k]], node[k], fam[k]
+            u, v = (up, down) if side == 0 else (down, up)
+            sets.append((u, v, cs.lower, cs.upper, cs.cells))
+    ends = [(inner[0].get((i, j), 0), inner[1].get((i, j), 1)) for i in range(n) for j in range(m)]
+    return Lottery(tuple((w, IntegralAllocation(part)) for w, part in _extract(den, r, m, ends, sets)))

@@ -22,7 +22,6 @@ from fairlot.core import (
     Lottery,
     parse_rational,
 )
-from fairlot.decomp import prefix_constraints
 from fairlot.lp import OPTIMAL, basic_feasible_point
 from fairlot.mnw import (
     ceei_verify,
@@ -60,7 +59,7 @@ from conftest import (
     random_integral,
     random_positive_goods,
 )
-from oracles import enumerate_ef1_allocations, fractional_row, nash_product, point_lottery
+from oracles import enumerate_ef1_allocations, fractional_row, nash_product, point_lottery, prefix_constraints
 
 F = Fraction
 

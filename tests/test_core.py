@@ -30,7 +30,6 @@ from fairlot.core import (
     parse_rational,
     sd_dominates,
 )
-from fairlot.decomp import Bihierarchy, ConstraintSet
 from fairlot.eating import EatingState
 from fairlot.lp import LpSolution
 from fairlot.mnw import MnwSolution, ceei_verify
@@ -45,6 +44,8 @@ from fairlot.rps import RpsConfig
 
 from conftest import EXACT_VALUES, random_goods, random_integral, utility_inputs
 from oracles import (
+    Bihierarchy,
+    ConstraintSet,
     bundle_value_reference,
     ceei_verify_reference,
     expected_utility,

@@ -24,21 +24,22 @@ from fairlot.core import (
     lottery_to_json,
     ordinal_preferences,
 )
-from fairlot.decomp import (
-    Bihierarchy,
-    ConstraintSet,
-    _MaxFlow,
-    bihierarchy_decompose,
-    bvn_constraints,
-    bvn_decompose,
-    prefix_constraints,
-)
+from fairlot.decomp import _MaxFlow, bihierarchy_decompose, bvn_decompose
 from fairlot.mnw import solve_mnw
 from fairlot.rounding import gf_lottery
 from fairlot.rps import FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE, RpsConfig, rps, rps_bads, rps_mixed
 
-from conftest import eating_inputs, mnw_inputs, random_goods, random_integral
-from oracles import lottery_marginal, point_lottery, reduce_support
+from conftest import eating_inputs, mnw_inputs, random_complete, random_goods, random_integral
+from oracles import (
+    Bihierarchy,
+    ConstraintSet,
+    bvn_constraints,
+    general_bihierarchy_decompose,
+    lottery_marginal,
+    point_lottery,
+    prefix_constraints,
+    reduce_support,
+)
 
 F = Fraction
 
@@ -217,15 +218,38 @@ class TestPrefixConstraints:
 class TestBihierarchyDecompose:
     def test_shift4_lottery(self, shift4, shift4_x):
         hierarchy = prefix_constraints(shift4, shift4_x)
-        lot = bihierarchy_decompose(shift4_x, hierarchy)
+        lot = bihierarchy_decompose(shift4_x, shift4.prefs)
         assert lot.marginal == shift4_x
         assert all(quota_satisfied(part, hierarchy) for _, part in lot.support)
 
     def test_integral_input_single_point(self, shift4):
         x = FractionalAllocation.from_rows([["1", "1", "0", "0"], ["0", "0", "1", "1"]])
-        lot = bihierarchy_decompose(x, prefix_constraints(shift4, x))
+        lot = bihierarchy_decompose(x, shift4.prefs)
         assert len(lot) == 1
         assert lot.support[0][1].bundles == ((0, 1), (2, 3))
+
+    def test_incomplete_input_rejected(self, shift4):
+        x = FractionalAllocation.from_rows([["1/2", "0", "0", "0"], ["0", "0", "0", "0"]])
+        with pytest.raises(InputError, match="^prefix constraints need a complete allocation$"):
+            bihierarchy_decompose(x, shift4.prefs)
+
+    @pytest.mark.parametrize(
+        "prefs, text",
+        [
+            ([(0, 1, 2)], "^need one preference order per agent: got 1 for 2 agents$"),
+            ([(0, 1, 2)] * 3, "^need one preference order per agent: got 3 for 2 agents$"),
+            ([(0, 1, 2), (0, 1)], "^preference order of agent 1 is not a permutation of the 3 items$"),
+            ([(0, 1, 2, 0), (0, 1, 2)], "^preference order of agent 0 is not a permutation of the 3 items$"),
+            ([(0, 1, 2), (0, 1, 1)], "^preference order of agent 1 is not a permutation of the 3 items$"),
+            ([(0, 1, 3), (0, 1, 2)], "^preference order of agent 0 is not a permutation of the 3 items$"),
+            ([(0, 1, 2), (-1, 0, 1)], "^preference order of agent 1 is not a permutation of the 3 items$"),
+        ],
+    )
+    def test_prefs_must_be_permutations(self, prefs, text):
+        # checked before completeness, so an incomplete x shows the order's error
+        for x in (_third_split(2, 3), FractionalAllocation(((F(0),) * 3,) * 2)):
+            with pytest.raises(InputError, match=text):
+                bihierarchy_decompose(x, prefs)
 
     def test_bvn_constraints_reproduce_bvn(self, monkeypatch):
         # bvn_decompose compiles rows and columns straight from the matrix; the
@@ -233,7 +257,7 @@ class TestBihierarchyDecompose:
         mismatches = [
             label
             for label, x in _bvn_cases(monkeypatch)
-            if lottery_line(bvn_decompose(x)) != lottery_line(bihierarchy_decompose(x, bvn_constraints(x)))
+            if lottery_line(bvn_decompose(x)) != lottery_line(general_bihierarchy_decompose(x, bvn_constraints(x)))
         ]
         assert mismatches == []
 
@@ -262,7 +286,56 @@ class TestBihierarchyDecompose:
             (),
         )
         with pytest.raises(InputError):
-            bihierarchy_decompose(x, bad)
+            general_bihierarchy_decompose(x, bad)
+
+
+def _third_split(n: int, m: int) -> FractionalAllocation:
+    return FractionalAllocation(((F(1, n),) * m,) * n)
+
+
+def _prefix_cases():
+    """(label, instance, x, prefs) for 600 complete allocations with n 1-6 and
+    m 1-9: 0/1, fractional and ``solve_mnw`` allocations under index, random and
+    flipped orders, plus every n = 1 and m = 1 shape."""
+    rng = random.Random(2525)
+    for n in range(1, 7):
+        yield f"{n}x1", Instance.from_rows([[1]] * n), _third_split(n, 1), [(0,)] * n
+    for m in range(1, 10):
+        inst = Instance.from_rows([[1] * m])
+        yield f"1x{m}", inst, random_complete(rng, 1, m), [tuple(rng.sample(range(m), m))]
+    for k in range(585):
+        if k % 5 == 4:
+            inst = random_goods(rng, n_max=6, m_max=9)
+            x = solve_mnw(inst).allocation
+        else:
+            n, m = rng.randint(1, 6), rng.randint(1, 9)
+            inst = Instance.from_rows([[rng.randint(0, 4) for _ in range(m)] for _ in range(n)])
+            if k % 5 == 0:
+                x = FractionalAllocation.from_rows(random_integral(rng, inst).matrix)
+            else:
+                x = random_complete(rng, n, m)
+        if k % 3 == 0:
+            prefs = [tuple(range(inst.m))] * inst.n
+        elif k % 3 == 1:
+            prefs = [tuple(rng.sample(range(inst.m), inst.m)) for _ in range(inst.n)]
+        else:
+            prefs = ordinal_preferences(tuple(tuple(-v for v in row) for row in inst.values))
+        yield f"case {k}", inst, x, prefs
+
+
+def test_prefix_plan_matches_general_path():
+    # bihierarchy_decompose compiles the prefix quotas straight to a plan; the
+    # general path through prefix_constraints and the forests must give the same bytes
+    cases = list(_prefix_cases())
+    assert len(cases) >= 600
+    assert {(min(x.n, 2), min(x.m, 2)) for _, _, x, _ in cases} == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    mismatches = [
+        label
+        for label, inst, x, prefs in cases
+        if lottery_line(bihierarchy_decompose(x, prefs))
+        != lottery_line(general_bihierarchy_decompose(x, prefix_constraints(inst, x, prefs)))
+    ]
+    assert mismatches == []
 
 
 def _stage_matrices(monkeypatch) -> list[FractionalAllocation]:
@@ -357,7 +430,7 @@ def test_prefix_decompose_random_complete(seed):
     )
     x = lot.marginal
     hierarchy = prefix_constraints(inst, x)
-    out = bihierarchy_decompose(x, hierarchy)
+    out = bihierarchy_decompose(x, inst.prefs)
     assert out.marginal == x
     assert all(quota_satisfied(part, hierarchy) for _, part in out.support)
 
@@ -378,7 +451,7 @@ def _gap_case() -> tuple[FractionalAllocation, Bihierarchy]:
 class TestNonUnitStep:
     def test_quota_gap_above_one(self):
         x, hierarchy = _gap_case()
-        lot = bihierarchy_decompose(x, hierarchy)
+        lot = general_bihierarchy_decompose(x, hierarchy)
         assert lot.marginal == x
         assert all(quota_satisfied(part, hierarchy) for _, part in lot.support)
         # a weight in thirds shows the residual was rescaled by the step's denominator
@@ -387,26 +460,29 @@ class TestNonUnitStep:
 
 
 def _pinned_inputs():
+    """(x, its quotas, the library's lottery of x under them)."""
     rng = random.Random(404)
     for n in (6, 8, 10):
         x = random_doubly_stochastic(rng, n)
-        yield x, bvn_constraints(x)
+        yield x, bvn_constraints(x), bvn_decompose(x)
     for _ in range(12):
         x = random_substochastic(rng, rng.randint(2, 6), rng.randint(2, 9))
-        yield x, bvn_constraints(x)
+        yield x, bvn_constraints(x), bvn_decompose(x)
     for _ in range(8):
         inst = random_goods(rng, n_max=5, m_max=9)
         x = solve_mnw(inst).allocation
-        yield x, prefix_constraints(inst, x)
+        yield x, prefix_constraints(inst, x), bihierarchy_decompose(x, inst.prefs)
 
 
 def test_matches_pinned_lotteries():
     # lottery JSON recorded from the Fraction-residual engine this one replaced:
-    # dense doubly stochastic, substochastic, and prefix-quota rounding of MNW
-    for (x, hierarchy), expected in zip(
+    # dense doubly stochastic, substochastic, and prefix-quota rounding of MNW,
+    # through the general path and through the library's own plans
+    for (x, hierarchy, lot), expected in zip(
         _pinned_inputs(), PINNED_LOTTERIES.split("\n"), strict=True
     ):
-        assert lottery_line(bihierarchy_decompose(x, hierarchy)) == expected
+        assert lottery_line(general_bihierarchy_decompose(x, hierarchy)) == expected
+        assert lottery_line(lot) == expected
 
 
 def _marginal_lotteries():
@@ -525,8 +601,8 @@ def test_builders_match_oracle_without_one_cell_sets():
         )
         assert hierarchy == trimmed  # same sets, same quotas, same order
         assert all(len(cs.cells) > 1 for cs in hierarchy.all_sets())
-        assert lottery_line(bihierarchy_decompose(x, hierarchy)) == lottery_line(
-            bihierarchy_decompose(x, oracle)
+        assert lottery_line(general_bihierarchy_decompose(x, hierarchy)) == lottery_line(
+            general_bihierarchy_decompose(x, oracle)
         )
     assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
@@ -605,7 +681,7 @@ def _recorded_networks() -> dict[str, list]:
             layer = "spend"
             x = solve_mnw(inst).allocation
             layer = "decomp"
-            bihierarchy_decompose(x, prefix_constraints(inst, x))
+            bihierarchy_decompose(x, inst.prefs)
     finally:
         _MaxFlow.solve = original
     return recorded

@@ -280,6 +280,19 @@ class TestCeeiVerify:
         with pytest.raises(KindMismatchError):
             ceei_verify(mixed4, x4)
 
+    def test_slack_is_read_exactly(self):
+        # agent 1's rate on item 0 beats agent 0's by 1/10 + 10^-18: a slack of
+        # 1/10 falls just short, while the binary double nearest 0.1 would absorb it
+        inst = Instance.from_rows([[1, 1], ["1100000000000000001/1000000000000000000", 1]])
+        x = FractionalAllocation.from_rows([["1", "0"], ["0", "1"]])
+        verdict = ceei_verify(inst, x, slack=Fraction(1, 10))
+        assert not verdict.holds and verdict.witness["rival"] == 1
+        assert ceei_verify(inst, x, slack=0.1) == ceei_verify(inst, x, slack="0.1") == verdict
+        assert ceei_verify(inst, x, slack="1/5").holds
+        for slack in ("abc", float("nan"), float("inf"), True):
+            with pytest.raises(InputError, match="^not a rational value"):
+                ceei_verify(inst, x, slack=slack)
+
 
 class TestReplication:
     def test_replicated_equilibrium_verifies(self, tilt2):
