@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 
 from fairlot import cli, lp, properties
 from fairlot.core import (
+    FairlotError,
     FractionalAllocation,
     InputError,
     Instance,
@@ -31,9 +34,9 @@ from fairlot.properties import (
     enumerate_integral_allocations,
 )
 from fairlot.rounding import gf_lottery
-from fairlot.rps import rps
+from fairlot.rps import rps, rps_bads, rps_mixed
 
-from conftest import random_bads, random_goods, random_integral, random_positive_goods
+from conftest import random_bads, random_complete, random_goods, random_integral, random_positive_goods
 from oracles import (
     check_envy_reference,
     enumerate_ef1_allocations,
@@ -748,3 +751,86 @@ class TestBruteForce:
     def test_ef1_enumeration(self, tilt2):
         ef1 = enumerate_ef1_allocations(tilt2)
         assert {a.bundles for a in ef1} == {((0,), (1,)), ((1,), (0,))}
+
+
+# goods values (fractions give agents different integer scales); bads negate them
+EFFICIENCY_VALUES = (0, 0, 1, 2, 3, "1/2", "5/3")
+
+
+def _efficiency_instance(rng: random.Random, sign: str, n_max: int = 4, m_max: int = 5) -> Instance:
+    """Small goods, bads or mixed values with many zeros, so some columns go unvalued;
+    a bads instance has a negative value and a mixed one a value of each sign."""
+    while True:
+        n, m = rng.randint(1, n_max), rng.randint(1, m_max)
+        values = [[Fraction(rng.choice(EFFICIENCY_VALUES)) for _ in range(m)] for _ in range(n)]
+        if sign == "bads":
+            values = [[-v for v in row] for row in values]
+        elif sign == "mixed":
+            values = [[v * rng.choice((-1, 1)) for v in row] for row in values]
+        flat = [v for row in values for v in row]
+        if sign == "goods" or (min(flat) < 0 and (sign == "bads" or max(flat) > 0)):
+            return Instance(tuple(tuple(row) for row in values))
+
+
+def _weighted_argmax(rng: random.Random, inst: Instance, split: bool) -> FractionalAllocation:
+    """Each item to an agent maximising lambda_i * v_ig for random weights lambda > 0, so
+    the allocation maximises sum lambda_i u_i and is fPO; with split, a tied item is
+    shared equally among its maximisers, else it goes to the first."""
+    weights = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(inst.n)]
+    columns = []
+    for g in range(inst.m):
+        scores = [weights[i] * inst.values[i][g] for i in range(inst.n)]
+        best = [i for i in range(inst.n) if scores[i] == max(scores)]
+        takers = best if split else best[:1]
+        columns.append([Fraction(1, len(takers)) if i in takers else 0 for i in range(inst.n)])
+    return FractionalAllocation(tuple(tuple(col[i] for col in columns) for i in range(inst.n)))
+
+
+def _efficiency_inputs(rng: random.Random, count: int) -> list[tuple[Instance, FractionalAllocation]]:
+    """``count`` (instance, allocation) pairs for fpo and po_integral, cycling through
+    goods, bads and mixed instances and six allocations: a weighted argmax, integral or
+    with ties shared (both fPO by construction); a random integral, fractional or
+    incomplete one; and every part of rps_bads (bads) or rps_mixed (goods and mixed)."""
+    out = []
+    k = 0
+    while len(out) < count:
+        sign = ("goods", "bads", "mixed")[k % 3]
+        case = (k // 3) % 6
+        k += 1
+        inst = _efficiency_instance(rng, sign)
+        if case < 2:
+            out.append((inst, _weighted_argmax(rng, inst, split=case == 1)))
+        elif case == 2:
+            out.append((inst, random_integral(rng, inst)))
+        elif case == 3:
+            out.append((inst, random_complete(rng, inst.n, inst.m)))
+        elif case == 4:
+            a = random_integral(rng, inst)
+            out.append((inst, IntegralAllocation.from_bundles(inst.n, inst.m, [b[:-1] for b in a.bundles])))
+        else:
+            rule = rps_bads if sign == "bads" else rps_mixed
+            out += [(inst, part) for _, part in rule(inst).support]
+    return out[:count]
+
+
+def _verdict_or_error(inst: Instance, x: FractionalAllocation, notion: str) -> object:
+    try:
+        return check_efficiency(inst, x, notion).to_json()
+    except FairlotError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def test_efficiency_verdicts_match_pinned_digest():
+    # sha256 over the fpo and po_integral verdicts (or error type and message) of 600
+    # inputs, recorded while bads and mixed instances still went to the LP and rivals
+    inputs = _efficiency_inputs(random.Random(2525), 600)
+    out = [[_verdict_or_error(inst, x, notion) for notion in ("fpo", "po_integral")] for inst, x in inputs]
+    # passing and failing verdicts of both notions, and errors
+    for slot in (0, 1):
+        assert {o[slot]["holds"] for o in out if isinstance(o[slot], dict)} == {True, False}
+    assert any(isinstance(o[1], list) for o in out)
+    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == FPO_SEEDED_DIGEST
+
+
+FPO_SEEDED_DIGEST = "155afadad1d15036c21b3402ad9130dc1fbfc6a61d518e0303f615c078083641"
