@@ -251,12 +251,17 @@ def check_efficiency(
     """Pareto optimality against complete integral (``po_integral``) or
     fractional (``fpo``) rivals.
 
-    On an instance with no negative value both first try the trading-cycle
-    certificate (``_fpo_certified``); as fPO implies PO, a complete allocation
-    that passes it holds for either. Else ``fpo`` solves the exact LP of
-    ``_fpo_lp``, whose optimum is the witness, and ``po_integral`` reports the
-    first of its n^m rivals that dominates; above ``PO_LIMIT`` rivals it raises
-    SizeLimitError before the certificate.
+    Both first run the exact trading-cycle test of ``_fpo_certified``, which
+    decides goods, bads and mixed items alike: a complete allocation is fPO
+    iff some weights lambda > 0 make it maximise sum lambda_i u_i
+    (Sandomirskiy and Segal-Halevi, arXiv 1908.01669). A held item worth
+    v_ig <= 0 to its holder fails when another agent values it at 0 or more,
+    unless both values are 0; a held item of one sign to two agents bounds the
+    ratio of their weights. As fPO implies PO, an allocation that passes holds
+    for either. Else ``fpo`` solves the exact LP of ``_fpo_lp`` only to build
+    the dominator witness, and ``po_integral`` reports the first of its n^m
+    rivals that dominates; above ``PO_LIMIT`` rivals it raises SizeLimitError
+    before the test.
     """
     if notion not in EFFICIENCY_NOTIONS:
         raise InputError(f"unknown efficiency notion: {notion}")
@@ -288,41 +293,50 @@ def check_efficiency(
 
 
 def _fpo_certified(instance: Instance, x: FractionalAllocation) -> bool:
-    """Whether the trading-cycle test proves the complete allocation x fPO.
-
-    It needs every value >= 0. Arc i -> h weighs the most v_hg / v_ig over the
-    items g that i holds. With no cycle above 1 (an exact max-product
-    Floyd-Warshall) and no held item worth 0 to i and more to h, lambda_i = the
-    best path product from i gives lambda_i * v_ig >= lambda_h * v_hg wherever
-    x_ig > 0, so x maximises sum lambda_i u_i and nothing dominates it
-    (Sandomirskiy and Segal-Halevi, arXiv 1908.01669).
+    """Whether the complete allocation x is fPO: it is iff some lambda > 0 makes
+    it maximise sum lambda_i u_i (Sandomirskiy and Segal-Halevi, arXiv
+    1908.01669; Bogomolnaia et al., Econometrica 2017, for mixed manna), that
+    is iff lambda_i v_ig >= lambda_h v_hg wherever x_ig > 0. By sign, for h != i:
+    v_ig, v_hg > 0 give the arc i -> h of weight v_hg / v_ig, and v_ig, v_hg < 0
+    the arc h -> i of weight v_ig / v_hg (an arc a -> b of weight w reads
+    lambda_a >= w lambda_b); v_ig <= 0 <= v_hg, not both 0, fails; the rest
+    bind nothing. Such lambda exist iff no cycle's product exceeds 1 (an exact
+    max-product Floyd-Warshall). Weights are int pairs (num, den) over the rows
+    of ``instance.scaled``: arc a -> b's weights all carry scale_a / scale_b,
+    which keeps its argmax and cancels around a cycle.
     """
-    values = instance.values
-    if any(v < 0 for row in values for v in row):
-        return False
+    rows = [row for _, row in instance.scaled]
     n = instance.n
-    weight = [[ZERO] * n for _ in range(n)]
-    for i, (own, held) in enumerate(zip(values, x.matrix)):
-        out = weight[i]
+    num = [[0] * n for _ in range(n)]
+    den = [[1] * n for _ in range(n)]
+    for i, held in enumerate(x.matrix):
         for g, share in enumerate(held):
             if not share:
                 continue
+            own = rows[i][g]
             for h in range(n):
-                gain = values[h][g]
-                if gain > 0:
-                    if not own[g]:
-                        return False
-                    out[h] = max(out[h], gain / own[g])
+                other = rows[h][g]
+                if h == i or own >= 0 >= other:
+                    continue  # lambda_i v_ig >= 0 >= lambda_h v_hg for every lambda
+                if own <= 0 <= other:
+                    return False  # passing some of g from i to h helps one, hurts neither
+                # both positive, or both negative: the arc of the weight ratio
+                a, b, p, q = (i, h, other, own) if own > 0 else (h, i, -own, -other)
+                if p * den[a][b] > num[a][b] * q:
+                    num[a][b], den[a][b] = p, q
     for k in range(n):
-        # weight[k][k] is the best cycle through k and lower vertices; with none
-        # above 1 so far, every weight is a simple path's, so none grows unbounded
-        if weight[k][k] > 1:
+        # (num, den)[k][k] is the best cycle through k and lower vertices; with
+        # none above 1 so far, every weight is a simple path's, so none grows unbounded
+        if num[k][k] > den[k][k]:
             return False
-        via = weight[k]
-        for row in weight:
-            if row[k]:
+        via_num, via_den = num[k], den[k]
+        for row_num, row_den in zip(num, den):
+            p, q = row_num[k], row_den[k]
+            if p:
                 for h in range(n):
-                    row[h] = max(row[h], row[k] * via[h])
+                    pv, qv = p * via_num[h], q * via_den[h]
+                    if pv * row_den[h] > row_num[h] * qv:
+                        row_num[h], row_den[h] = pv, qv
     return True
 
 

@@ -661,6 +661,9 @@ class TestFreshProcess:
     HALVES = {"matrix": [["1/2", "1/2"], ["1/2", "1/2"]]}
     IDENTITY = {"matrix": [["1", "0"], ["0", "1"]]}
     BADS_CEEI = {"matrix": [["1", "1/2", "0"], ["0", "1/2", "1"]]}
+    MIXED = {"agents": 2, "items": 3, "values": [[3, -1, -2], [1, -2, 2]]}
+    # fPO for BADS and MIXED alike: each item goes to an agent who values it most
+    FIRST_TWO = {"matrix": [["1", "1", "0"], ["0", "0", "1"]]}
     LOTTERY = {
         "agents": 2,
         "items": 2,
@@ -681,6 +684,8 @@ class TestFreshProcess:
             "alloc": files("x.json", self.HALVES),
             "integral": files("identity.json", self.IDENTITY),
             "ceei": files("ceei.json", self.BADS_CEEI),
+            "mixed": files("mixed.json", self.MIXED),
+            "first-two": files("first-two.json", self.FIRST_TWO),
             "lottery": files("lot.json", self.LOTTERY),
             "fair-lottery": files("fair.json", self.FAIR_LOTTERY),
         }
@@ -713,10 +718,13 @@ class TestFreshProcess:
                 {"properties"},
                 {"lp"},
             ),
+            # the trading-cycle test decides bads and mixed items too
+            (["check", "bads", "--alloc", "first-two", "--ex-ante", "fpo"], {"properties"}, {"lp"}),
+            (["check", "mixed", "--alloc", "first-two", "--ex-ante", "fpo"], {"properties"}, {"lp"}),
         ],
         ids=[
             "version", "sample", "rps", "rps-bads", "rps-sample", "rps-poly", "rps-mixed", "decompose-bvn", "gf-lottery",
-            "mnw", "mnw-v", "check-ex-post", "check-fpo", "check-integral-alloc",
+            "mnw", "mnw-v", "check-ex-post", "check-fpo", "check-integral-alloc", "check-fpo-bads", "check-fpo-mixed",
         ],
     )
     def test_command_loads_only_its_layers(self, paths, argv, needed, forbidden):

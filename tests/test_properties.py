@@ -392,6 +392,7 @@ class TestEfficiency:
             x = random_integral(rng, inst) if k % 2 else _random_fractional(rng, inst)
             verdict = check_efficiency(inst, x, "fpo")
             assert verdict == properties._fpo_lp(inst, x)
+            assert properties._fpo_certified(inst, x) is verdict.holds
             counts[verdict.holds] += 1
         assert min(counts.values()) >= 150, counts
 
@@ -406,13 +407,36 @@ class TestEfficiency:
                 parts += 1
         assert parts > 200
 
+    def test_fpo_certificate_matches_lp_on_bads_and_mixed(self):
+        # zero values and fractions; weighted-argmax allocations (fPO by construction),
+        # random ones and rps parts; every failing witness re-checked from the definition
+        rng = random.Random(25)
+        counts = {True: 0, False: 0}
+        instances = set()
+        for inst, x in _efficiency_inputs(rng, 1500):
+            if not x.complete or not any(v < 0 for row in inst.values for v in row):
+                continue
+            oracle = properties._fpo_lp(inst, x)
+            assert properties._fpo_certified(inst, x) is oracle.holds
+            assert check_efficiency(inst, x, "fpo") == oracle
+            if not oracle.holds:
+                _recheck_dominator(inst, x, oracle.witness["dominator"])
+            counts[oracle.holds] += 1
+            instances.add(inst)
+        assert len(instances) >= 500 and min(counts.values()) >= 150, (len(instances), counts)
+
     def test_po_certificate_matches_enumeration(self):
-        # every allocation of small goods, bads and unvalued-column instances, plus each
-        # allocation with its last item left out, which the certificate never decides
+        # every allocation of small goods, bads, mixed and unvalued-column instances, plus
+        # each allocation with its last item left out, which the certificate never decides
         rng = random.Random(17)
         counts = {True: 0, False: 0}
-        for k in range(40):
-            inst = random_bads(rng, n_max=3, m_max=4) if k % 5 == 0 else _random_nonnegative(rng, n_max=3, m_max=4)
+        for k in range(50):
+            if k % 5 == 0:
+                inst = random_bads(rng, n_max=3, m_max=4)
+            elif k % 5 == 1:
+                inst = _efficiency_instance(rng, "mixed", n_max=3, m_max=4)
+            else:
+                inst = _random_nonnegative(rng, n_max=3, m_max=4)
             rivals = list(enumerate_integral_allocations(inst))
             for a in rivals:
                 partial = IntegralAllocation.from_bundles(
@@ -441,6 +465,22 @@ def _random_nonnegative(rng: random.Random, n_max: int, m_max: int) -> Instance:
     """Values >= 0 with many zeros and ties; a column may be unvalued."""
     n, m = rng.randint(1, n_max), rng.randint(1, m_max)
     return Instance.from_rows([[rng.choice((0, 0, 1, 2, 2, 3, 5)) for _ in range(m)] for _ in range(n)])
+
+
+def _recheck_dominator(inst: Instance, x: FractionalAllocation, dominator: list[list[str]]) -> None:
+    """An fpo witness checked from the definition in Fractions alone: the dominator is a
+    complete allocation, no agent is worse off than under x, and some agent is better off."""
+    y = [[Fraction(cell) for cell in row] for row in dominator]
+    assert all(0 <= cell <= 1 for row in y for cell in row)
+    assert all(sum(column) == 1 for column in zip(*y))
+
+    def utility(i: int, row) -> Fraction:
+        return sum((v * cell for v, cell in zip(inst.values[i], row)), Fraction(0))
+
+    before = [utility(i, x.matrix[i]) for i in range(inst.n)]
+    after = [utility(i, y[i]) for i in range(inst.n)]
+    assert all(a >= b for a, b in zip(after, before))
+    assert any(a > b for a, b in zip(after, before))
 
 
 def _random_fractional(rng: random.Random, inst: Instance) -> FractionalAllocation:
