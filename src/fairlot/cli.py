@@ -9,7 +9,7 @@ Diagnostics go to stderr; stdout carries only JSON.
 
 Each command imports only the layers it runs, inside its handler: ``sample``
 loads nothing beyond ``core``, and ``decompose --bvn`` only ``decomp``. The exact
-LP (``lp``) loads only where a checker or a support trim runs it.
+LP (``lp``) loads only where the GF sweep or a support trim runs it.
 Handlers import by submodule (``from .rps import rps``), because the package
 attribute ``fairlot.rps`` is the function, not the module.
 """

@@ -8,8 +8,7 @@ the system is scaled by the lcm of its denominators, and each fraction-free
 denominator. Fractions appear only where the input is parsed and the values are
 returned; there is no floating point anywhere, so feasibility and optimality
 answers are exact. The callers are small systems: the group-fairness
-sweep and the fractional Pareto optimality check (``solve``), and support
-reduction of lotteries (``basic_feasible_point``).
+sweep (``solve``) and support reduction of lotteries (``basic_feasible_point``).
 
 When ``VERIFY_OPTIMALITY`` is enabled (the test suite turns it on), every optimal
 ``solve`` also reconstructs an exact dual certificate and checks strong duality,

@@ -251,15 +251,10 @@ def check_efficiency(
     """Pareto optimality against complete integral (``po_integral``) or
     fractional (``fpo``) rivals.
 
-    Both first run the exact trading-cycle test of ``_fpo_certified``, which
-    decides goods, bads and mixed items alike: a complete allocation is fPO
-    iff some weights lambda > 0 make it maximise sum lambda_i u_i
-    (Sandomirskiy and Segal-Halevi, arXiv 1908.01669). A held item worth
-    v_ig <= 0 to its holder fails when another agent values it at 0 or more,
-    unless both values are 0; a held item of one sign to two agents bounds the
-    ratio of their weights. As fPO implies PO, an allocation that passes holds
-    for either. Else ``fpo`` solves the exact LP of ``_fpo_lp`` only to build
-    the dominator witness, and ``po_integral`` reports the first of its n^m
+    Both first run the exact trading-cycle test of ``_fpo_trade``, which
+    decides goods, bads and mixed items alike. As fPO implies PO, an allocation
+    it finds no trade for holds for either. Else ``fpo`` applies the trade to x
+    for the dominator witness, and ``po_integral`` reports the first of its n^m
     rivals that dominates; above ``PO_LIMIT`` rivals it raises SizeLimitError
     before the test.
     """
@@ -271,7 +266,7 @@ def check_efficiency(
     if notion == "po_integral":
         a = _as_integral(alloc, notion)
         rivals = enumerate_integral_allocations(instance)  # raises above the cap
-        if a.complete and _fpo_certified(instance, a):
+        if a.complete and _fpo_trade(instance, a) is None:
             return PropertyVerdict("po_integral", True)
         n = instance.n
         current = [instance.bundle_value(i, a.bundles[i]) for i in range(n)]
@@ -287,28 +282,44 @@ def check_efficiency(
 
     if not alloc.complete:
         raise InputError("fpo requires a complete allocation")
-    if _fpo_certified(instance, alloc):
+    trade = _fpo_trade(instance, alloc)
+    if trade is None:
         return PropertyVerdict("fpo", True)
-    return _fpo_lp(instance, alloc)
+    dominator = [list(row) for row in alloc.matrix]
+    for giver, taker, g, amount in trade:
+        dominator[giver][g] -= amount
+        dominator[taker][g] += amount
+    return PropertyVerdict("fpo", False, {"dominator": [[str(c) for c in row] for row in dominator]})
 
 
-def _fpo_certified(instance: Instance, x: FractionalAllocation) -> bool:
-    """Whether the complete allocation x is fPO: it is iff some lambda > 0 makes
-    it maximise sum lambda_i u_i (Sandomirskiy and Segal-Halevi, arXiv
-    1908.01669; Bogomolnaia et al., Econometrica 2017, for mixed manna), that
-    is iff lambda_i v_ig >= lambda_h v_hg wherever x_ig > 0. By sign, for h != i:
-    v_ig, v_hg > 0 give the arc i -> h of weight v_hg / v_ig, and v_ig, v_hg < 0
-    the arc h -> i of weight v_ig / v_hg (an arc a -> b of weight w reads
-    lambda_a >= w lambda_b); v_ig <= 0 <= v_hg, not both 0, fails; the rest
-    bind nothing. Such lambda exist iff no cycle's product exceeds 1 (an exact
-    max-product Floyd-Warshall). Weights are int pairs (num, den) over the rows
-    of ``instance.scaled``: arc a -> b's weights all carry scale_a / scale_b,
-    which keeps its argmax and cancels around a cycle.
+def _fpo_trade(
+    instance: Instance, x: FractionalAllocation
+) -> list[tuple[int, int, int, Fraction]] | None:
+    """None if the complete allocation x is fPO, else the moves (giver, taker,
+    item, amount) of a trade that leaves nobody worse off and someone better off.
+
+    x is fPO iff some lambda > 0 makes it maximise sum lambda_i u_i
+    (Sandomirskiy and Segal-Halevi, arXiv 1908.01669; Bogomolnaia et al.,
+    Econometrica 2017, for mixed manna), that is iff lambda_i v_ig >= lambda_h
+    v_hg wherever x_ig > 0. By sign, for h != i: v_ig, v_hg > 0 give the arc
+    i -> h of weight v_hg / v_ig, and v_ig, v_hg < 0 the arc h -> i of weight
+    v_ig / v_hg (an arc a -> b of weight w reads lambda_a >= w lambda_b);
+    v_ig <= 0 <= v_hg, not both 0, fails, and i hands h its whole share of g;
+    the rest bind nothing. Such lambda exist iff no cycle's product exceeds 1
+    (an exact max-product Floyd-Warshall). Weights are int pairs (num, den)
+    over the rows of ``instance.scaled``: arc a -> b's weights all carry
+    scale_a / scale_b, which keeps its argmax and cancels around a cycle.
+
+    Each unit of an arc a -> b's item costs a |v_ag| and gains b |v_bg|: a good
+    moves along the arc, a bad against it. Around a cycle of product above 1,
+    the amounts pay back every agent but the first exactly, so the first gains;
+    they are then scaled so that the largest move is its holder's whole share.
     """
     rows = [row for _, row in instance.scaled]
     n = instance.n
     num = [[0] * n for _ in range(n)]
     den = [[1] * n for _ in range(n)]
+    item = [[0] * n for _ in range(n)]  # each arc's argmax item
     for i, held in enumerate(x.matrix):
         for g, share in enumerate(held):
             if not share:
@@ -319,54 +330,40 @@ def _fpo_certified(instance: Instance, x: FractionalAllocation) -> bool:
                 if h == i or own >= 0 >= other:
                     continue  # lambda_i v_ig >= 0 >= lambda_h v_hg for every lambda
                 if own <= 0 <= other:
-                    return False  # passing some of g from i to h helps one, hurts neither
+                    return [(i, h, g, share)]  # helps one of the two, hurts neither
                 # both positive, or both negative: the arc of the weight ratio
                 a, b, p, q = (i, h, other, own) if own > 0 else (h, i, -own, -other)
                 if p * den[a][b] > num[a][b] * q:
-                    num[a][b], den[a][b] = p, q
+                    num[a][b], den[a][b], item[a][b] = p, q, g
+    hop = [list(range(n)) for _ in range(n)]  # the first hop of each best walk
     for k in range(n):
         # (num, den)[k][k] is the best cycle through k and lower vertices; with
         # none above 1 so far, every weight is a simple path's, so none grows unbounded
         if num[k][k] > den[k][k]:
-            return False
+            break
         via_num, via_den = num[k], den[k]
-        for row_num, row_den in zip(num, den):
+        for row_num, row_den, row_hop in zip(num, den, hop):
             p, q = row_num[k], row_den[k]
             if p:
                 for h in range(n):
                     pv, qv = p * via_num[h], q * via_den[h]
                     if pv * row_den[h] > row_num[h] * qv:
-                        row_num[h], row_den[h] = pv, qv
-    return True
-
-
-def _fpo_lp(instance: Instance, alloc: FractionalAllocation) -> PropertyVerdict:
-    """The fpo verdict from one exact LP: the most total utility over complete
-    fractional allocations that leave every agent at least its current utility.
-    The allocation is fPO iff that optimum is its own total; otherwise the
-    optimum is the dominator witness."""
-    from . import lp  # imported where an LP runs, so a command that runs none never loads it
-
-    n, m = instance.n, instance.m
-    current = [instance.utility(i, alloc.matrix[i]) for i in range(n)]
-    objective = [instance.values[i][j] for i in range(n) for j in range(m)]
-    # every item fully assigned; every agent keeps at least its current utility
-    assigned = [
-        ([ONE if jj == j else ZERO for i in range(n) for jj in range(m)], ONE) for j in range(m)
-    ]
-    keeps = [
-        ([instance.values[i][j] if ii == i else ZERO for ii in range(n) for j in range(m)], current[i])
-        for i in range(n)
-    ]
-    sol = lp.solve(objective, assigned, keeps)
-    if sol.status != lp.OPTIMAL:  # pragma: no cover - current allocation is feasible
-        raise InputError("fpo comparison program did not solve")
-    if sol.objective_value == sum(current, ZERO):
-        return PropertyVerdict("fpo", True)
-    dominator = [
-        [str(sol.values[i * m + j]) for j in range(m)] for i in range(n)
-    ]
-    return PropertyVerdict("fpo", False, {"dominator": dominator})
+                        row_num[h], row_den[h], row_hop[h] = pv, qv, row_hop[k]
+    else:
+        return None
+    # the best cycle through k, by first hops: simple, as none among lower vertices exceeds 1
+    cycle = [k]
+    while (a := hop[cycle[-1]][k]) != k:
+        cycle.append(a)
+    moves, amount, paid = [], ONE, None
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        g = item[a][b]
+        if paid is not None:  # a is paid back exactly for what it gained on the arc before
+            amount *= Fraction(abs(rows[a][paid]), abs(rows[a][g]))
+        moves.append((a, b, g, amount) if rows[a][g] > 0 else (b, a, g, amount))
+        paid = g
+    scale = min(x.matrix[giver][g] / amount for giver, _, g, amount in moves)
+    return [(giver, taker, g, amount * scale) for giver, taker, g, amount in moves]
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +456,7 @@ def _gf_pair(
         coeffs[ny + a] = -ONE
         gains.append((coeffs, current[i]))
     objective = [ZERO] * ny + [ONE] * len(s_tuple)
-    from . import lp  # see _fpo_lp
+    from . import lp  # imported where an LP runs, so a command that runs none never loads it
 
     sol = lp.solve(objective, shares, gains)
     if sol.status != lp.OPTIMAL or sol.objective_value <= 0:

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from fairlot import lp
 from fairlot.core import (
     BADS,
     GOODS,
@@ -227,6 +228,30 @@ def check_envy_reference(
         return PropertyVerdict("ef11_bads", True)
 
     raise InputError(f"unknown envy notion: {notion}")  # pragma: no cover
+
+
+def fpo_lp_reference(instance: Instance, alloc: FractionalAllocation) -> PropertyVerdict:
+    """The fpo verdict from one exact LP: the most total utility over complete
+    fractional allocations that leave every agent at least its current utility.
+    The allocation is fPO iff that optimum is its own total; otherwise the
+    optimum is the dominator witness."""
+    n, m = instance.n, instance.m
+    current = [instance.utility(i, alloc.matrix[i]) for i in range(n)]
+    objective = [instance.values[i][j] for i in range(n) for j in range(m)]
+    # every item fully assigned; every agent keeps at least its current utility
+    assigned = [
+        ([ONE if jj == j else ZERO for i in range(n) for jj in range(m)], ONE) for j in range(m)
+    ]
+    keeps = [
+        ([instance.values[i][j] if ii == i else ZERO for ii in range(n) for j in range(m)], current[i])
+        for i in range(n)
+    ]
+    sol = lp.solve(objective, assigned, keeps)
+    assert sol.status == lp.OPTIMAL  # the current allocation is feasible
+    if sol.objective_value == sum(current, ZERO):
+        return PropertyVerdict("fpo", True)
+    dominator = [[str(sol.values[i * m + j]) for j in range(m)] for i in range(n)]
+    return PropertyVerdict("fpo", False, {"dominator": dominator})
 
 
 def fractional_row(alloc: IntegralAllocation, i: int) -> tuple[Fraction, ...]:

@@ -664,6 +664,8 @@ class TestFreshProcess:
     MIXED = {"agents": 2, "items": 3, "values": [[3, -1, -2], [1, -2, 2]]}
     # fPO for BADS and MIXED alike: each item goes to an agent who values it most
     FIRST_TWO = {"matrix": [["1", "1", "0"], ["0", "0", "1"]]}
+    # not fPO: a cycle of two bads for BADS, and an item worth -2 to its holder and 2 to the other for MIXED
+    LAST_TWO = {"matrix": [["0", "0", "1"], ["1", "1", "0"]]}
     LOTTERY = {
         "agents": 2,
         "items": 2,
@@ -686,50 +688,58 @@ class TestFreshProcess:
             "ceei": files("ceei.json", self.BADS_CEEI),
             "mixed": files("mixed.json", self.MIXED),
             "first-two": files("first-two.json", self.FIRST_TWO),
+            "last-two": files("last-two.json", self.LAST_TWO),
             "lottery": files("lot.json", self.LOTTERY),
             "fair-lottery": files("fair.json", self.FAIR_LOTTERY),
         }
 
     @pytest.mark.parametrize(
-        "argv, needed, forbidden",
+        "code, argv, needed, forbidden",
         [
-            (["--version"], {"core"}, {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
-            (["sample", "lottery"], {"core"}, {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
-            (["rps", "goods"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
-            (["rps-bads", "bads"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
-            (["rps", "goods", "--mode", "sample"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
+            (0, ["--version"], {"core"}, {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
+            (0, ["sample", "lottery"], {"core"}, {"decomp", "eating", "lp", "mnw", "properties", "rounding", "rps"}),
+            (0, ["rps", "goods"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
+            (0, ["rps-bads", "bads"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
+            (0, ["rps", "goods", "--mode", "sample"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
             # TILT2's support stays below the n*m + 1 cap, so poly mode trims nothing
-            (["rps", "goods", "--mode", "poly"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
-            (["rps-mixed", "bads"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
+            (0, ["rps", "goods", "--mode", "poly"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
+            (0, ["rps-mixed", "bads"], {"rps"}, {"lp", "mnw", "properties", "rounding"}),
             (
+                0,
                 ["decompose", "alloc", "--instance", "goods", "--bvn"],
                 {"decomp"},
                 {"lp", "mnw", "properties", "rounding", "rps", "eating"},
             ),
-            (["gf-lottery", "goods"], {"mnw", "rounding"}, {"lp", "properties"}),
-            (["mnw", "goods"], {"mnw"}, {"lp", "properties"}),
-            (["mnw-v", "goods"], {"mnw"}, {"lp", "properties"}),
-            (["check", "goods", "--lottery", "fair-lottery", "--ex-post", "ef1,prop1"], {"properties"}, {"lp"}),
+            (0, ["gf-lottery", "goods"], {"mnw", "rounding"}, {"lp", "properties"}),
+            (0, ["mnw", "goods"], {"mnw"}, {"lp", "properties"}),
+            (0, ["mnw-v", "goods"], {"mnw"}, {"lp", "properties"}),
+            (0, ["check", "goods", "--lottery", "fair-lottery", "--ex-post", "ef1,prop1"], {"properties"}, {"lp"}),
             # both parts of LOTTERY are fPO for TILT2, so the certificate decides without an LP
-            (["check", "goods", "--lottery", "lottery", "--ex-post", "fpo"], {"properties"}, {"lp"}),
+            (0, ["check", "goods", "--lottery", "lottery", "--ex-post", "fpo"], {"properties"}, {"lp"}),
             # the identity is fPO for TILT2 by the certificate, and EF1 and Prop1
             (
+                0,
                 ["check", "goods", "--alloc", "integral", "--ex-ante", "fpo", "--ex-post", "ef1,prop1"],
                 {"properties"},
                 {"lp"},
             ),
             # the trading-cycle test decides bads and mixed items too
-            (["check", "bads", "--alloc", "first-two", "--ex-ante", "fpo"], {"properties"}, {"lp"}),
-            (["check", "mixed", "--alloc", "first-two", "--ex-ante", "fpo"], {"properties"}, {"lp"}),
+            (0, ["check", "bads", "--alloc", "first-two", "--ex-ante", "fpo"], {"properties"}, {"lp"}),
+            (0, ["check", "mixed", "--alloc", "first-two", "--ex-ante", "fpo"], {"properties"}, {"lp"}),
+            # a failing fpo check builds its dominator from the trade the test found, with no LP
+            (1, ["check", "goods", "--alloc", "alloc", "--ex-ante", "fpo"], {"properties"}, {"lp"}),
+            (1, ["check", "bads", "--alloc", "last-two", "--ex-ante", "fpo"], {"properties"}, {"lp"}),
+            (1, ["check", "mixed", "--alloc", "last-two", "--ex-ante", "fpo"], {"properties"}, {"lp"}),
         ],
         ids=[
             "version", "sample", "rps", "rps-bads", "rps-sample", "rps-poly", "rps-mixed", "decompose-bvn", "gf-lottery",
             "mnw", "mnw-v", "check-ex-post", "check-fpo", "check-integral-alloc", "check-fpo-bads", "check-fpo-mixed",
+            "check-not-fpo-goods", "check-not-fpo-bads", "check-not-fpo-mixed",
         ],
     )
-    def test_command_loads_only_its_layers(self, paths, argv, needed, forbidden):
+    def test_command_loads_only_its_layers(self, paths, code, argv, needed, forbidden):
         child = fresh_python("-c", RUN_CLI_LISTING_MODULES, *(paths.get(a, a) for a in argv))
-        assert child.returncode == 0, child.stderr
+        assert child.returncode == code, child.stderr
         loaded = loaded_fairlot_modules(child.stderr)
         assert needed <= loaded
         assert loaded & forbidden == set()

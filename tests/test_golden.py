@@ -3,9 +3,13 @@ stdout and stderr bytes (see ``tests/golden/corpus.py``)."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
+from fairlot.core import load_allocation, load_instance, load_lottery
+
 from golden import corpus
+from test_properties import _recheck_dominator
 
 RECORD = Path(__file__).resolve().parent / "golden" / "digests.txt"
 
@@ -18,3 +22,34 @@ def test_cli_outputs_match_golden_digests(monkeypatch, tmp_path):
     assert list(got) == list(recorded), "the case list changed; rewrite the record"
     moved = [name for name in recorded if got[name] != recorded[name]]
     assert moved == []
+
+
+def test_failing_fpo_dominators_recheck(monkeypatch, tmp_path):
+    # every failing fpo verdict of the corpus, re-checked from the definition against
+    # the allocation it judged: the marginal or the allocation ex ante, each part ex post
+    monkeypatch.chdir(tmp_path)
+    corpus.write_files(str(tmp_path))
+    cases = verdicts = 0
+    for _, argv in corpus.cases():
+        if argv[0] != "check" or "fpo" not in argv[-1].split(","):
+            continue
+        code, out, _ = corpus.run_case(argv)
+        if code != 1:
+            continue
+        instance = load_instance(argv[1])
+        if argv[2] == "--lottery":
+            lottery = load_lottery(argv[3], n=instance.n, m=instance.m)
+            ante, parts = lottery.marginal, [part for _, part in lottery.support]
+        else:
+            ante = load_allocation(argv[3])
+            parts = [ante]
+        report = json.loads(out)
+        judged = [(ante, report["ex_ante"]["fpo"])] if "fpo" in report["ex_ante"] else []
+        if "fpo" in report["ex_post"]:
+            judged += zip(parts, report["ex_post"]["fpo"]["parts"])
+        failing = [(alloc, verdict) for alloc, verdict in judged if not verdict["holds"]]
+        for alloc, verdict in failing:
+            _recheck_dominator(instance, alloc, verdict["witness"]["dominator"])
+        cases += bool(failing)
+        verdicts += len(failing)
+    assert (cases, verdicts) == (12, 13)

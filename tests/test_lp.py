@@ -17,11 +17,12 @@ from fairlot.lp import (
     basic_feasible_point,
     solve,
 )
-from fairlot.properties import _fpo_lp, _gf_pair
+from fairlot.properties import _gf_pair
 from fairlot.rounding import gf_lottery
 from fairlot.rps import POLY_SUPPORT, RpsConfig, rps
 
 from conftest import random_positive_goods
+from oracles import fpo_lp_reference
 from test_rps import EARLY_TRIM_ROWS
 
 
@@ -456,7 +457,7 @@ class TestIntegerTableauMatchesFractionOracle:
 
     def test_fpo_lps_of_acceptance_07(self, monkeypatch):
         # the instances of test_acceptance_07, every part of each gf_lottery, through the
-        # witness LP, since check_efficiency certifies these parts without one
+        # fpo LP of the oracle, since check_efficiency decides these parts without one
         rng = random.Random(7)
         instances = [random_positive_goods(rng, n_max=4, m_max=7, vmax=10) for _ in range(100)]
         lotteries = [gf_lottery(inst) for inst in instances]
@@ -464,7 +465,7 @@ class TestIntegerTableauMatchesFractionOracle:
         def run():
             for inst, lot in zip(instances, lotteries):
                 for _, part in lot.support:
-                    _fpo_lp(inst, part)
+                    fpo_lp_reference(inst, part)
 
         systems = _recorded_systems(monkeypatch, run)
         assert len(systems) > 200

@@ -41,6 +41,7 @@ from oracles import (
     check_envy_reference,
     enumerate_ef1_allocations,
     fractional_row,
+    fpo_lp_reference,
     integral_nash_argmax,
     point_lottery,
     to_fractional,
@@ -349,6 +350,33 @@ class TestEfficiency:
         total_cur = sum(inst.utility(i, fractional_row(mismatched, i)) for i in range(2))
         assert total_dom > total_cur
 
+    @pytest.mark.parametrize(
+        "rows, x, dominator",
+        [
+            # agent 0 holds half of item 0, worth -1 to it and 1 to agent 1, and hands that half over
+            ([[-1, 2], [1, 1]], [["1/2", "1"], ["1/2", "0"]], [["0", "1"], ["1", "0"]]),
+            # the cycle 1 -> 0 -> 1 of product 2 * 2: agent 1 gives d of good 1 to agent 0, which
+            # pays it back exactly with 2d of good 0; d = 1/2 is all of agent 0's good 0
+            ([[1, 2], [2, 1]], [["1", "0"], ["0", "1"]], [["0", "1/2"], ["1", "1/2"]]),
+            # the same with bads, which move against the arcs: agent 0 hands d of bad 1 to
+            # agent 1, which hands back 2d of bad 0; d = 1/2 is all of agent 1's bad 0
+            ([[-1, -2], [-2, -1]], [["0", "1"], ["1", "0"]], [["1", "1/2"], ["0", "1/2"]]),
+            # no 2-cycle exceeds 1, but 2 -> 0 -> 1 -> 2 has product 1/2 * 3/2 * 2: agent 2 gives
+            # d of good 2 to agent 0, agent 0 gives d/2 of good 0 to agent 1, and agent 1 takes
+            # 3d/2 of bad 1 from agent 2; d = 2/3 is all of agent 2's bad 1, and agent 2 gains 2/3
+            (
+                [[2, -1, 1], [3, -1, -1], [-1, -2, 2]],
+                [["1", "0", "0"], ["0", "0", "0"], ["0", "1", "1"]],
+                [["2/3", "0", "2/3"], ["1/3", "1", "0"], ["0", "0", "1/3"]],
+            ),
+        ],
+        ids=["sign", "goods-2-cycle", "bads-2-cycle", "mixed-3-cycle"],
+    )
+    def test_fpo_dominator_by_hand(self, rows, x, dominator):
+        inst, alloc = Instance.from_rows(rows), FractionalAllocation.from_rows(x)
+        assert check_efficiency(inst, alloc, "fpo") == PropertyVerdict("fpo", False, {"dominator": dominator})
+        _recheck_dominator(inst, alloc, dominator)
+
     def test_po_does_not_imply_fpo(self, shift4):
         # integral optimum can still be dominated by a fractional reshuffle
         for alloc in enumerate_integral_allocations(shift4):
@@ -391,8 +419,9 @@ class TestEfficiency:
             inst = _random_nonnegative(rng, n_max=4, m_max=5)
             x = random_integral(rng, inst) if k % 2 else _random_fractional(rng, inst)
             verdict = check_efficiency(inst, x, "fpo")
-            assert verdict == properties._fpo_lp(inst, x)
-            assert properties._fpo_certified(inst, x) is verdict.holds
+            assert verdict.holds is fpo_lp_reference(inst, x).holds
+            if not verdict.holds:
+                _recheck_dominator(inst, x, verdict.witness["dominator"])
             counts[verdict.holds] += 1
         assert min(counts.values()) >= 150, counts
 
@@ -403,7 +432,7 @@ class TestEfficiency:
         for _ in range(100):
             inst = random_positive_goods(rng, n_max=4, m_max=7, vmax=10)
             for _, part in gf_lottery(inst).support:
-                assert check_efficiency(inst, part, "fpo") == properties._fpo_lp(inst, part)
+                assert check_efficiency(inst, part, "fpo") == fpo_lp_reference(inst, part)
                 parts += 1
         assert parts > 200
 
@@ -416,12 +445,11 @@ class TestEfficiency:
         for inst, x in _efficiency_inputs(rng, 1500):
             if not x.complete or not any(v < 0 for row in inst.values for v in row):
                 continue
-            oracle = properties._fpo_lp(inst, x)
-            assert properties._fpo_certified(inst, x) is oracle.holds
-            assert check_efficiency(inst, x, "fpo") == oracle
-            if not oracle.holds:
-                _recheck_dominator(inst, x, oracle.witness["dominator"])
-            counts[oracle.holds] += 1
+            verdict = check_efficiency(inst, x, "fpo")
+            assert verdict.holds is fpo_lp_reference(inst, x).holds
+            if not verdict.holds:
+                _recheck_dominator(inst, x, verdict.witness["dominator"])
+            counts[verdict.holds] += 1
             instances.add(inst)
         assert len(instances) >= 500 and min(counts.values()) >= 150, (len(instances), counts)
 
@@ -862,9 +890,12 @@ def _verdict_or_error(inst: Instance, x: FractionalAllocation, notion: str) -> o
 
 def test_efficiency_verdicts_match_pinned_digest():
     # sha256 over the fpo and po_integral verdicts (or error type and message) of 600
-    # inputs, recorded while bads and mixed instances still went to the LP and rivals
+    # inputs; the fpo dominators were recorded once they came from the trading cycle
     inputs = _efficiency_inputs(random.Random(2525), 600)
     out = [[_verdict_or_error(inst, x, notion) for notion in ("fpo", "po_integral")] for inst, x in inputs]
+    for (inst, x), (fpo, _) in zip(inputs, out):
+        if isinstance(fpo, dict) and not fpo["holds"]:
+            _recheck_dominator(inst, x, fpo["witness"]["dominator"])
     # passing and failing verdicts of both notions, and errors
     for slot in (0, 1):
         assert {o[slot]["holds"] for o in out if isinstance(o[slot], dict)} == {True, False}
@@ -873,4 +904,4 @@ def test_efficiency_verdicts_match_pinned_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == FPO_SEEDED_DIGEST
 
 
-FPO_SEEDED_DIGEST = "155afadad1d15036c21b3402ad9130dc1fbfc6a61d518e0303f615c078083641"
+FPO_SEEDED_DIGEST = "287cda3e8833ae898ed9e611ea836effa235112bb8fefbcd14c1f921c819054a"
