@@ -211,8 +211,7 @@ def _run_bads_lottery(args: argparse.Namespace) -> int:
 def _run_decompose(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     x = load_allocation(args.allocation)
-    if x.n != instance.n or x.m != instance.m:
-        raise InputError("allocation shape does not match instance")
+    x.check_shape(instance)
     if args.bihierarchy:
         from .rounding import implement_with_utility_guarantee
 

@@ -9,10 +9,12 @@ with int 0/1 cells. Instance values and allocation cells are ints or Fractions;
 a float is an ``InputError``. The JSON loaders parse decimal literals
 digit-exactly, so ``0.6`` becomes 3/5, not the nearest binary float. An
 ``Instance`` scales each agent's value row to ints once, so a utility, bundle
-value or share is one int sum wrapped in a single Fraction.
+value or share is one int sum wrapped in a single Fraction; an allocation is
+validated once, as int rows over the lcm of its cells' denominators.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -27,7 +29,6 @@ MIXED = "mixed"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_EXACT = frozenset((int, Fraction))
 
 
 class FairlotError(Exception):
@@ -251,10 +252,6 @@ class Instance(_Frozen):
         scale, row = self.scaled[i]
         return Fraction(sum([row[j] for j in items]), scale)
 
-    def total_value(self, i: int) -> Fraction:
-        scale, row = self.scaled[i]
-        return Fraction(sum(row), scale)
-
     def proportional_share(self, i: int) -> Fraction:
         scale, row = self.scaled[i]
         return Fraction(sum(row), scale * self.n)
@@ -284,32 +281,43 @@ class FractionalAllocation(_Frozen):
     """An n-by-m matrix of item shares; cell (i, j) is agent i's share of item j.
 
     Cells are ints or Fractions in [0, 1], and column sums never exceed 1. The
-    allocation is complete when every column sums to exactly 1. ``column_sums``
-    keeps the sums that validation computed; it is not a field, so equality,
-    hashing and repr use ``matrix`` alone.
+    allocation is complete when every column sums to exactly 1. Validation runs
+    on ``scaled``: ``(den, rows)``, the lcm of the cells' denominators and the
+    rows times it as ints. It is not a field, so equality, hashing and repr use
+    ``matrix`` alone.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def _check(self) -> None:
         matrix = self.matrix
-        if not matrix:
-            raise InputError("allocation needs at least one agent row")
-        m = len(matrix[0])
-        for row in matrix:
-            if len(row) != m:
-                raise InputError("allocation rows have inconsistent lengths")
-            for x in row:
-                if x < 0 or x > 1:
+        # a cell that is no int or Fraction (a float, nan included) meets the
+        # bounds as itself, over den 1, and is an error only after every row's
+        cell_types = set(map(type, itertools.chain.from_iterable(matrix)))
+        exact = all([issubclass(t, (int, Fraction)) for t in cell_types])
+        den = math.lcm(*[x.denominator for row in matrix for x in row]) if exact else 1
+        rows = tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in matrix]) if exact else matrix
+        for row, scaled in zip(matrix, rows):
+            if len(row) != len(matrix[0]):
+                break  # _keep reports the shape first
+            for x, r in zip(row, scaled):
+                if r < 0 or r > den:
                     raise InputError(f"allocation cell {x} outside [0, 1]")
-        sums = tuple([sum(column, 0) for column in zip(*matrix)])
-        # a sum of ints and Fractions is one; a float cell makes its column's a float
-        if not _EXACT.issuperset(map(type, sums)):
+        self._keep(den, rows, exact)
+
+    def _keep(self, den: int, rows: tuple[tuple[int, ...], ...], exact: bool) -> None:
+        """Store ``(den, rows)`` as ``scaled``, once the shape, then the cell types,
+        then every int column sum against ``den`` pass."""
+        if not rows:
+            raise InputError("allocation needs at least one agent row")
+        if any([len(row) != len(rows[0]) for row in rows]):
+            raise InputError("allocation rows have inconsistent lengths")
+        if not exact:
             raise InputError("allocation has a cell that is not an int or a Fraction")
-        for j, s in enumerate(sums):
-            if s > 1:
-                raise InputError(f"column {j} allocates more than the whole item ({s})")
-        self._store("column_sums", sums)
+        for j, s in enumerate(map(sum, zip(*rows))):
+            if s > den:
+                raise InputError(f"column {j} allocates more than the whole item ({Fraction(s, den)})")
+        self._store("scaled", (den, rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "FractionalAllocation":
@@ -326,33 +334,42 @@ class FractionalAllocation(_Frozen):
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.matrix[i]
 
-    def column_sum(self, j: int) -> Fraction:
-        return self.column_sums[j]
+    def check_shape(self, instance: Instance) -> None:
+        if self.n != instance.n or self.m != instance.m:
+            raise InputError("allocation shape does not match instance")
 
     @property
     def complete(self) -> bool:
-        return all(s == 1 for s in self.column_sums)
+        den, rows = self.scaled
+        return all([s == den for s in map(sum, zip(*rows))])
 
     @property
     def is_integral(self) -> bool:
-        return all(x == 0 or x == 1 for row in self.matrix for x in row)
+        return self.scaled[0] == 1
 
     def to_integral(self) -> "IntegralAllocation":
         if not self.is_integral:
             raise InputError("allocation has fractional cells")
-        return IntegralAllocation(tuple(tuple(int(x) for x in row) for row in self.matrix))
+        return IntegralAllocation(self.scaled[1])
 
 
 class IntegralAllocation(FractionalAllocation):
     """A fractional allocation with int 0/1 cells; each item goes to at most one agent.
-    It declares no field; the base checks the shape and column sums, which stay ints."""
+    It declares no field. Its 0/1 test proves den = 1, so ``scaled`` is ``(1, matrix)``
+    with no lcm and no bounds test; a bool or Fraction cell is copied to an int."""
 
     def _check(self) -> None:
+        odd = False  # a cell that equals 0 or 1 but is no int: a bool, a Fraction or a float
         for row in self.matrix:
             for x in row:
-                if x not in (0, 1):
-                    raise InputError(f"integral allocation cell {x} not 0/1")
-        super()._check()
+                if x.__class__ is not int or x not in (0, 1):
+                    if x not in (0, 1):
+                        raise InputError(f"integral allocation cell {x} not 0/1")
+                    odd = True
+        if odd:  # the general check makes a bool or Fraction an int, and rejects a float
+            super()._check()
+        else:
+            self._keep(1, self.matrix, True)
 
     @classmethod
     def from_bundles(cls, n: int, m: int, bundles: Sequence[Iterable[int]]) -> "IntegralAllocation":

@@ -22,7 +22,7 @@ returns bare (weight, row tuples) parts, which the public functions wrap in a
 denominator, each for the one bihierarchy its callers need:
 
 - ``_bvn_plan``: the floor and ceiling of every row and column sum. ``bvn_decompose``
-  runs it on its input's residual, and the RPS stage engine on its stage matrix.
+  runs it on its input's integer form, and the RPS stage engine on its stage matrix.
 - ``_prefix_plan``: the floor and ceiling of each prefix of each agent's preference
   order, every column fixed at [1, 1]. ``bihierarchy_decompose`` runs it for the
   utility-guarantee rounding in ``rounding``.
@@ -172,12 +172,6 @@ def _feasible_circulation(
 # ---------------------------------------------------------------------------
 
 
-def _residual(x: FractionalAllocation) -> tuple[int, list[list[int]]]:
-    """``x`` as integers over one common denominator: ``(den, r)`` with ``r = x * den``."""
-    den = math.lcm(*(v.denominator for row in x.matrix for v in row))
-    return den, [[v.numerator * (den // v.denominator) for v in row] for row in x.matrix]
-
-
 def bihierarchy_decompose(x: FractionalAllocation, prefs: Sequence[Sequence[int]]) -> Lottery:
     """Express a complete ``x`` as an exact lottery over integral matrices that keep
     every prefix of each agent's order in ``prefs`` within the floor and ceiling of
@@ -198,13 +192,13 @@ def bihierarchy_decompose(x: FractionalAllocation, prefs: Sequence[Sequence[int]
             raise InputError(f"preference order of agent {i} is not a permutation of the {x.m} items")
     if not x.complete:
         raise InputError("prefix constraints need a complete allocation")
-    den, r = _residual(x)
-    parts = _extract(den, r, x.m, *_prefix_plan(den, r, prefs, x.m))
+    den, rows = x.scaled
+    parts = _extract(den, [list(row) for row in rows], x.m, *_prefix_plan(den, rows, prefs, x.m))
     return Lottery(tuple((w, IntegralAllocation(part)) for w, part in parts))
 
 
 def _prefix_plan(
-    den: int, r: list[list[int]], prefs: Sequence[Sequence[int]], m: int
+    den: int, r: Sequence[Sequence[int]], prefs: Sequence[Sequence[int]], m: int
 ) -> tuple[list[tuple[int, int]], list[_Arc]]:
     """The prefix quotas of the n x m matrix ``r / den`` as a plan. Agent i's prefix
     of length k + 1 >= 2 is node 2 + (k - 1) * n + i, an arc from the next longer
@@ -232,7 +226,7 @@ def _prefix_plan(
 
 def bvn_decompose(x: FractionalAllocation) -> Lottery:
     """Decompose a doubly substochastic matrix with row/column floor-ceiling quotas,
-    compiled by ``_bvn_plan`` straight from the integer residual.
+    compiled by ``_bvn_plan`` straight from the integer form ``x.scaled``.
 
     >>> from fractions import Fraction
     >>> h = Fraction(1, 2)
@@ -240,12 +234,12 @@ def bvn_decompose(x: FractionalAllocation) -> Lottery:
     >>> [(str(w), a.bundles) for w, a in parts.support]
     [('1/2', ((1,), (0,))), ('1/2', ((0,), (2,)))]
     """
-    den, r = _residual(x)
-    parts = _extract(den, r, x.m, *_bvn_plan(den, r, x.m))
+    den, rows = x.scaled
+    parts = _extract(den, [list(row) for row in rows], x.m, *_bvn_plan(den, rows, x.m))
     return Lottery(tuple((w, IntegralAllocation(part)) for w, part in parts))
 
 
-def _bvn_plan(den: int, r: list[list[int]], m: int) -> tuple[list[tuple[int, int]], list[_Arc]]:
+def _bvn_plan(den: int, r: Sequence[Sequence[int]], m: int) -> tuple[list[tuple[int, int]], list[_Arc]]:
     """The row and column quotas of the n x m matrix ``r / den`` as a plan: row i
     is node 2 + i, an arc from root 0, when m > 1; column j follows the rows as
     an arc into node 1 when n > 1. Quotas are the floor and ceiling of the

@@ -252,8 +252,4 @@ def basic_feasible_point(equalities: Iterable[Row], num_vars: int) -> LpSolution
     The support of the returned point has at most as many nonzeros as there are
     equality rows (a vertex of the polyhedron).
     """
-    dense, rhs = _parse_rows(equalities, num_vars)
-    status, values, _, _, _ = _solve_standard(dense, rhs, [ZERO] * num_vars)
-    if status != OPTIMAL:
-        return LpSolution(INFEASIBLE, (), None)
-    return LpSolution(OPTIMAL, tuple(values), ZERO)
+    return solve([ZERO] * num_vars, equalities)

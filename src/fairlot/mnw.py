@@ -198,8 +198,7 @@ def ceei_verify(
     kind = instance.kind
     if kind not in (GOODS, BADS):
         raise KindMismatchError(f"equilibrium condition is defined for goods or bads, got {kind}")
-    if x.n != instance.n or x.m != instance.m:
-        raise InputError("allocation shape does not match instance")
+    x.check_shape(instance)
     if not x.complete:
         raise InputError("equilibrium verification needs a complete allocation")
     slack = parse_rational(slack)

@@ -71,8 +71,7 @@ def check_share(
     """
     if notion not in SHARE_NOTIONS:
         raise InputError(f"unknown share notion: {notion}")
-    if alloc.n != instance.n or alloc.m != instance.m:
-        raise InputError("allocation shape does not match instance")
+    alloc.check_shape(instance)
     if notion == "prop":
         for i in range(instance.n):
             value = instance.utility(i, alloc.matrix[i])
@@ -132,8 +131,7 @@ def check_envy(
     """
     if notion not in ENVY_NOTIONS:
         raise InputError(f"unknown envy notion: {notion}")
-    if alloc.n != instance.n or alloc.m != instance.m:
-        raise InputError("allocation shape does not match instance")
+    alloc.check_shape(instance)
     n, values, rows = instance.n, instance.values, alloc.matrix
     label = f"ef{k}" if notion == "efk" else notion
 
@@ -260,8 +258,7 @@ def check_efficiency(
     """
     if notion not in EFFICIENCY_NOTIONS:
         raise InputError(f"unknown efficiency notion: {notion}")
-    if alloc.n != instance.n or alloc.m != instance.m:
-        raise InputError("allocation shape does not match instance")
+    alloc.check_shape(instance)
 
     if notion == "po_integral":
         a = _as_integral(alloc, notion)
@@ -393,8 +390,7 @@ def check_gf(instance: Instance, x: FractionalAllocation, restrict: str = "full"
     """
     if restrict not in ("full", "s_le_t"):
         raise InputError(f"unknown restriction: {restrict}")
-    if x.n != instance.n or x.m != instance.m:
-        raise InputError("allocation shape does not match instance")
+    x.check_shape(instance)
     if not x.complete:
         raise InputError("group fairness needs a complete allocation")
     n, m = instance.n, instance.m

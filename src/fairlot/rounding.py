@@ -39,8 +39,7 @@ def implement_with_utility_guarantee(instance: Instance, x: FractionalAllocation
     >>> [(str(w), a.bundles) for w, a in implement_with_utility_guarantee(inst, x).support]
     [('7/12', ((0,), (1,))), ('5/12', ((0, 1), ()))]
     """
-    if x.n != instance.n or x.m != instance.m:
-        raise InputError("allocation shape does not match instance")
+    x.check_shape(instance)
     return bihierarchy_decompose(x, instance.prefs)
 
 
@@ -56,8 +55,7 @@ def check_utility_guarantee(
     it must land strictly below by removing a single held item with X_{i,g} < 1.
     For bads the adjustments swap (remove an owned bad / add a missing bad).
     """
-    if x.n != instance.n or x.m != instance.m:
-        raise InputError("allocation shape does not match instance")
+    x.check_shape(instance)
     if part.n != x.n or part.m != x.m:
         raise InputError("part shape does not match allocation")
     kind = instance.kind
@@ -117,8 +115,7 @@ def check_adjusted_envy_chain(
     """
     if instance.kind != GOODS:
         raise KindMismatchError(f"envy chain applies to goods instances, got {instance.kind}")
-    if x.n != instance.n or x.m != instance.m:
-        raise InputError("allocation shape does not match instance")
+    x.check_shape(instance)
     if part.n != x.n or part.m != x.m:
         raise InputError("part shape does not match allocation")
     n = instance.n
@@ -203,8 +200,7 @@ def prop1_ef11_lottery_bads(instance: Instance, x: FractionalAllocation) -> Lott
     """
     if instance.kind != BADS:
         raise KindMismatchError(f"bads rounding needs a bads instance, got {instance.kind}")
-    if x.n != instance.n or x.m != instance.m:
-        raise InputError("allocation shape does not match instance")
+    x.check_shape(instance)
     flipped = ordinal_preferences(tuple(tuple(-v for v in row) for row in instance.values))
     return bihierarchy_decompose(x, flipped)
 

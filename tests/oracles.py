@@ -29,7 +29,7 @@ from fairlot.core import (
     ordinal_preferences,
     sd_dominates,
 )
-from fairlot.decomp import _MaxFlow, _extract, _residual, bvn_decompose, caratheodory_weights
+from fairlot.decomp import _MaxFlow, _extract, bvn_decompose, caratheodory_weights
 from fairlot.eating import EatingState
 from fairlot.properties import ENVY_NOTIONS, _as_integral, check_envy, enumerate_integral_allocations
 from fairlot.rps import POLY_SUPPORT, SAMPLE, _StageEngine
@@ -308,6 +308,33 @@ def utility_reference(instance: Instance, i: int, bundle: Sequence[Fraction]) ->
 def bundle_value_reference(instance: Instance, i: int, items: Sequence[int]) -> Fraction:
     row = instance.values[i]
     return sum((row[j] for j in items), ZERO)
+
+
+def allocation_check_reference(matrix: Sequence[Sequence[object]], integral: bool = False) -> None:
+    """The Fraction validation of ``FractionalAllocation`` (and, with ``integral``,
+    of ``IntegralAllocation``) that the integer form replaced: the same errors in
+    the same order, from two Fraction comparisons per cell and a Fraction sum per
+    column, whose type catches a cell that is no int or Fraction."""
+    if integral:
+        for row in matrix:
+            for x in row:
+                if x not in (0, 1):
+                    raise InputError(f"integral allocation cell {x} not 0/1")
+    if not matrix:
+        raise InputError("allocation needs at least one agent row")
+    m = len(matrix[0])
+    for row in matrix:
+        if len(row) != m:
+            raise InputError("allocation rows have inconsistent lengths")
+        for x in row:
+            if x < 0 or x > 1:
+                raise InputError(f"allocation cell {x} outside [0, 1]")
+    sums = [sum(column, 0) for column in zip(*matrix)]
+    if not {int, Fraction}.issuperset(map(type, sums)):
+        raise InputError("allocation has a cell that is not an int or a Fraction")
+    for j, s in enumerate(sums):
+        if s > 1:
+            raise InputError(f"column {j} allocates more than the whole item ({s})")
 
 
 def total_value_reference(instance: Instance, i: int) -> Fraction:
@@ -656,7 +683,8 @@ def bvn_constraints(x: FractionalAllocation) -> Bihierarchy:
     each in index order; a row or column of one cell is not built."""
     n, m = x.n, x.m
     rows = [sum(row, ZERO) for row in x.matrix] if m > 1 else []
-    cols = x.column_sums if n > 1 else ()
+    den, r = x.scaled
+    cols = [Fraction(sum(col), den) for col in zip(*r)] if n > 1 else ()
     h1 = [_floor_ceil(((i, j) for j in range(m)), s) for i, s in enumerate(rows)]
     h2 = [_floor_ceil(((i, j) for i in range(n)), s) for j, s in enumerate(cols)]
     return Bihierarchy(h1, h2)
@@ -695,7 +723,8 @@ def general_bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarch
         for i, j in cs.cells:
             if not (0 <= i < n and 0 <= j < m):
                 raise InputError(f"constraint cell {(i, j)} outside the matrix")
-    den, r = _residual(x)
+    den, rows = x.scaled
+    r = [list(row) for row in rows]  # _extract consumes r
     for cs in hierarchy.all_sets():
         total = sum(r[i][j] for i, j in cs.cells)
         if total < cs.lower * den or total > cs.upper * den:

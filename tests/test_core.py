@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -46,13 +47,13 @@ from conftest import EXACT_VALUES, random_goods, random_integral, utility_inputs
 from oracles import (
     Bihierarchy,
     ConstraintSet,
+    allocation_check_reference,
     bundle_value_reference,
     ceei_verify_reference,
     expected_utility,
     point_lottery,
     proportional_share_reference,
     to_fractional,
-    total_value_reference,
     utility_reference,
 )
 
@@ -179,8 +180,8 @@ class TestAllocations:
         a = IntegralAllocation(((1, 0, 0), (0, 1, 0)))
         assert isinstance(a, FractionalAllocation) and a.row(1) == (0, 1, 0)
         assert a.is_integral and not a.complete and a.to_integral() == a
-        # column sums start at int 0, so integral parts stay in int arithmetic
-        assert a.column_sums == (1, 1, 0) and all(type(s) is int for s in a.column_sums)
+        # the 0/1 rule proves den = 1: the integer form is the matrix itself, not a copy
+        assert a.scaled == (1, a.matrix) and a.scaled[1] is a.matrix
         # equality stays per class: the same cells as a fractional allocation differ
         assert a != to_fractional(a)
         # the 0/1 rule runs before the base's range and shape checks
@@ -197,13 +198,13 @@ class TestAllocations:
             with pytest.raises(InputError, match="item index"):
                 IntegralAllocation.from_bundles(2, 2, bundles)
 
-    def test_column_sums_kept_from_validation(self):
+    def test_integer_form_kept_from_validation(self):
         x = FractionalAllocation.from_rows([["1/2", "0", "1/3"], ["1/2", "0", "1/3"]])
-        assert x.column_sums == (Fraction(1), Fraction(0), Fraction(2, 3))
-        assert [x.column_sum(j) for j in range(3)] == list(x.column_sums)
-        assert not x.complete
-        # equal matrices stay equal values; the sums are not a field
-        assert "column_sums" not in repr(x)
+        assert x.scaled == (6, ((3, 0, 2), (3, 0, 2)))
+        assert all(type(r) is int for row in x.scaled[1] for r in row)
+        assert not x.complete and not x.is_integral
+        # equal matrices stay equal values; the integer form is not a field
+        assert "scaled" not in repr(x)
         assert x == FractionalAllocation(x.matrix) and hash(x) == hash((x.matrix,))
 
 
@@ -439,7 +440,7 @@ def test_value_type_is_a_frozen_record(build, fields, text):
     # derived caches are not fields
     declaring = reversed(cls.__mro__[: cls.__mro__.index(_Frozen)])
     assert cls._fields == fields == tuple(name for k in declaring for name in k.__annotations__)
-    assert "column_sums" not in fields
+    assert "scaled" not in fields
     # Python binds the arguments, so misuse raises the TypeErrors of a written signature
     init = rf"^{cls.__qualname__}\.__init__\(\) "
     with pytest.raises(TypeError, match=init + "got an unexpected keyword argument 'extra'"):
@@ -553,9 +554,8 @@ def test_integer_utilities_match_fraction_sums():
     pairs = mnw_rows = 0
     for k, (inst, x) in enumerate(utility_inputs(rng, 160)):
         for i in range(inst.n):
-            assert inst.total_value(i) == total_value_reference(inst, i)
             assert inst.proportional_share(i) == proportional_share_reference(inst, i)
-            assert type(inst.total_value(i)) is type(inst.proportional_share(i)) is Fraction
+            assert type(inst.proportional_share(i)) is Fraction
         for _ in range(4):
             i = rng.randrange(inst.n)
             ints = tuple(rng.randint(0, 1) for _ in range(inst.m))
@@ -590,6 +590,84 @@ def test_float_values_and_cells_are_input_errors():
     inst = Instance(((1, Fraction(1, 2)), (0, 3)))
     assert inst.utility(0, (Fraction(1, 3), 1)) == Fraction(5, 6)
     assert Instance.from_rows([["0.1", "0.2"]]).utility(0, (1, 1)) == Fraction(3, 10)
+
+
+# cells that break the contract, each alone or beside others
+HOSTILE_CELLS = (
+    0.5, 1.0, 0.0, float("nan"), float("inf"), -0.25, 1.5,
+    Fraction(-1, 3), -1, Fraction(4, 3), 2, True, False, Fraction(1), Fraction(0),
+)
+# one fragment of each error message the two allocation classes raise
+CONTRACT_ERRORS = ("not 0/1", "needs at least one", "inconsistent lengths", "outside", "not an int", "allocates more")
+
+
+def _contract_matrices(rng: random.Random, count: int):
+    """Seeded matrices for both allocation classes: 0/1 and fractional ones with
+    exact cells, then hostile cells, an overflowing column, a ragged row, rows
+    with no cells or no rows at all."""
+    for k in range(count):
+        n, m = rng.randint(1, 4), rng.randint(0, 5)
+        rows = [[0] * m for _ in range(n)]
+        for j in range(m):
+            if k % 3 == 0:  # 0/1, one holder or none, now and then two
+                for holder in rng.sample(range(n + 1), 2 if rng.random() < 0.1 else 1):
+                    if holder < n:
+                        rows[holder][j] = rng.choice((1, 1, True, Fraction(1)))
+            else:
+                weights = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+                total = sum(weights) + rng.choice((0, 0, 1, 5))
+                for i, w in enumerate(weights):
+                    rows[i][j] = Fraction(w, total) if total else 0
+        if m and rng.random() < 0.45:
+            for _ in range(rng.choice((1, 1, 2))):
+                rows[rng.randrange(n)][rng.randrange(m)] = rng.choice(HOSTILE_CELLS)
+        if m and n > 1 and rng.random() < 0.2:  # overflow: a column's cells all raised to 2/3
+            j = rng.randrange(m)
+            for row in rows:
+                row[j] = Fraction(2, 3)
+        if rng.random() < 0.12:  # ragged: one row loses or gains a cell
+            row = rows[rng.randrange(n)]
+            if row and rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append(0)
+        if rng.random() < 0.03:
+            rows = []
+        yield tuple(tuple(row) for row in rows)
+
+
+def _raised(call, *args) -> tuple[type, str] | None:
+    try:
+        call(*args)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc), str(exc)
+    return None
+
+
+def test_integer_contract_matches_fraction_check():
+    # the verdict, the exception type and the message of the integer check against
+    # the Fraction check it replaced, for both classes; a valid matrix's integer
+    # form is its cells over the lcm of their denominators
+    rng = random.Random(27)
+    seen: dict[tuple[str, str], int] = {}
+    for matrix in _contract_matrices(rng, 1200):
+        for cls in (FractionalAllocation, IntegralAllocation):
+            want = _raised(allocation_check_reference, matrix, cls is IntegralAllocation)
+            assert _raised(cls, matrix) == want, (cls.__name__, matrix)
+            kind = "valid" if want is None else next(k for k in CONTRACT_ERRORS if k in want[1])
+            seen[cls.__name__, kind] = seen.get((cls.__name__, kind), 0) + 1
+            if want is not None:
+                continue
+            x = cls(matrix)
+            den, rows = x.scaled
+            assert den == math.lcm(*[Fraction(v).denominator for row in matrix for v in row])
+            assert all(type(r) is int for row in rows for r in row)
+            assert [[Fraction(r, den) for r in row] for row in rows] == [list(row) for row in matrix]
+            assert x.complete is all(sum(col, 0) == 1 for col in zip(*matrix))
+            assert x.is_integral is all(v in (0, 1) for row in matrix for v in row)
+    # every error of each class (no cell of an integral one gets past its 0/1 rule
+    # to the bounds), and valid matrices of both, show up often
+    assert len(seen) == 12 and min(seen.values()) >= 15, seen
 
 
 UTILITY_VERDICTS_DIGEST = "5788c58043986ca2c8f32279befc8a911d7f26f7dc22b9b2f3a5b23c64543498"

@@ -534,7 +534,8 @@ def _oracle_merge(primary, secondary):
 def _oracle_bvn_constraints(x: FractionalAllocation) -> Bihierarchy:
     n, m = x.n, x.m
     h2 = []
-    for j, col_sum in enumerate(x.column_sums):
+    den, rows = x.scaled
+    for j, col_sum in enumerate(F(sum(col), den) for col in zip(*rows)):
         h2.append((frozenset((i, j) for i in range(n)), math.floor(col_sum), math.ceil(col_sum)))
     h1 = []
     for i in range(n):

@@ -30,7 +30,13 @@ from fairlot.mnw import (
 from fairlot.properties import check_gf
 
 from conftest import mnw_inputs, random_goods, random_positive_goods
-from oracles import fractional_row, integral_nash_argmax, mnw_equilibrium_shares, nash_product
+from oracles import (
+    fractional_row,
+    integral_nash_argmax,
+    mnw_equilibrium_shares,
+    nash_product,
+    total_value_reference,
+)
 
 F = Fraction
 
@@ -139,7 +145,7 @@ class TestSolveMnw:
         unequal = 0
         for inst in mnw_inputs(random.Random(1909), 520):
             active = _active_agents(inst)
-            normalised = [[v / inst.total_value(i) for v in inst.values[i]] for i in active]
+            normalised = [[v / total_value_reference(inst, i) for v in inst.values[i]] for i in active]
             expected = mnw_equilibrium_shares(normalised)
             assert _equilibrium_shares([inst.scaled[i][1] for i in active]) == expected
             unequal += len(set(expected[1])) > 1

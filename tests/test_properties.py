@@ -453,6 +453,24 @@ class TestEfficiency:
             instances.add(inst)
         assert len(instances) >= 500 and min(counts.values()) >= 150, (len(instances), counts)
 
+    def test_fpo_trades_around_cycles_of_three_or_four_agents(self):
+        # the sweep above fails almost only by sign or by 2-cycles; here each failure
+        # of a cycle-built input must trade among three or more agents, so a walk
+        # that went round a cycle the wrong way would fail the re-check
+        rng = random.Random(2627)
+        wide = holds = 0
+        for inst, x in _trade_cycle_inputs(rng, 240):
+            verdict = check_efficiency(inst, x, "fpo")
+            assert verdict.holds is fpo_lp_reference(inst, x).holds
+            if verdict.holds:
+                holds += 1
+                continue
+            dominator = verdict.witness["dominator"]
+            _recheck_dominator(inst, x, dominator)
+            moved = [i for i in range(inst.n) if [Fraction(c) for c in dominator[i]] != list(x.matrix[i])]
+            wide += len(moved) >= 3
+        assert wide >= 30 and holds >= 10, (wide, holds)
+
     def test_po_certificate_matches_enumeration(self):
         # every allocation of small goods, bads, mixed and unvalued-column instances, plus
         # each allocation with its last item left out, which the certificate never decides
@@ -879,6 +897,45 @@ def _efficiency_inputs(rng: random.Random, count: int) -> list[tuple[Instance, F
             rule = rps_bads if sign == "bads" else rps_mixed
             out += [(inst, part) for _, part in rule(inst).support]
     return out[:count]
+
+
+def _trade_cycle_inputs(rng: random.Random, count: int) -> list[tuple[Instance, FractionalAllocation]]:
+    """Bads and mixed instances of k = 3 or 4 agents built around a preference cycle.
+    Agent i holds bad i at pain a_i; agent i + 1 (mod k) feels b_i, mostly less,
+    and every other agent about a_i times the largest ratio a_h / b_h, so the
+    k-cycle improves on x when the ratios' product exceeds 1, and a 2-cycle only
+    when the noise on the harsh pains lets it. A mixed instance adds a good its
+    holder values most and others value at any sign; now and then one holding is
+    shared with the agent who feels it at b_i."""
+    out = []
+    for t in range(count):
+        k = 3 + t % 2
+        mixed = (t // 2) % 2 == 1
+        pain = [rng.randint(2, 6) for _ in range(k)]
+        mild = [rng.randint(1, a + 1) for a in pain]
+        ratio = max(-(-a // b) for a, b in zip(pain, mild))
+        rows = [[0] * k for _ in range(k)]
+        for g in range(k):
+            for i in range(k):
+                if i == g:
+                    rows[i][g] = -pain[g]
+                elif i == (g + 1) % k:
+                    rows[i][g] = -mild[g]
+                else:
+                    rows[i][g] = -(pain[g] * ratio + rng.randint(-1, 2))
+        matrix = [[Fraction(int(i == g)) for g in range(k)] for i in range(k)]
+        if mixed:
+            holder = rng.randrange(k)
+            for i in range(k):
+                rows[i].append(rng.randint(8, 10) if i == holder else rng.randint(-3, 7))
+                matrix[i].append(Fraction(int(i == holder)))
+        if rng.random() < 0.3:
+            g = rng.randrange(k)
+            share = Fraction(rng.randint(1, 3), 4)
+            matrix[g][g] -= share
+            matrix[(g + 1) % k][g] += share
+        out.append((Instance.from_rows(rows), FractionalAllocation(tuple(map(tuple, matrix)))))
+    return out
 
 
 def _verdict_or_error(inst: Instance, x: FractionalAllocation, notion: str) -> object:
