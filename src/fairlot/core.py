@@ -53,7 +53,8 @@ class SizeLimitError(FairlotError):
 
 class SolveError(FairlotError):
     """An exact solve failed: the simplex hit its iteration cap, phase one or the dual
-    certificate of an optimum failed, or an MNW solution failed its own deviation check."""
+    certificate of an optimum failed, an MNW price round did not raise the live
+    prices, or a deviation search below the Nash optimum found no transfer."""
 
 
 class _Frozen:
@@ -275,6 +276,36 @@ def sd_dominates(
         if cp < cq:
             return False
     return True
+
+
+def outbid(
+    instance: Instance,
+    x: "FractionalAllocation",
+    agents: Iterable[int],
+    utilities: Sequence[Fraction],
+    sign: int = 1,
+    slack: Fraction | int = 0,
+) -> tuple[int, int, int] | None:
+    """The first (item g, holder i, rival h), in g, then i, then h order over ``agents``,
+    with x_ig > 0 and sign * (v_hg * u_i - v_ig * u_h) > slack * u_i * u_h, where u_i is
+    ``utilities[i]``; else None. With u_i * u_h > 0 the rival's rate v_hg / u_h beats
+    the holder's v_ig / u_i by more than the slack (sign 1, goods), or falls below it
+    by more (sign -1, bads). Both sides are multiplied by the positive
+    scale_i * scale_h * den(u_i) * den(u_h) * den(slack), so the test compares ints.
+    """
+    terms = []  # per agent: index, int row, num(u) * scale, den(u)
+    for i in agents:
+        (scale, row), u = instance.scaled[i], utilities[i]
+        terms.append((i, row, u.numerator * scale, u.denominator))
+    held = x.scaled[1]
+    p, q = slack.numerator, sign * slack.denominator  # q carries the sign
+    for g in range(instance.m):
+        for i, row_i, num_i, den_i in terms:
+            if held[i][g] > 0:
+                for h, row_h, num_h, den_h in terms:
+                    if q * (row_h[g] * num_i * den_h - row_i[g] * num_h * den_i) > p * num_i * num_h:
+                        return g, i, h
+    return None
 
 
 class FractionalAllocation(_Frozen):

@@ -34,6 +34,7 @@ from .core import (
     ZERO,
     ZeroUtilityError,
     _Frozen,
+    outbid,
     parse_rational,
 )
 from .decomp import _MaxFlow
@@ -204,40 +205,23 @@ def ceei_verify(
     slack = parse_rational(slack)
     if slack < 0:
         raise InputError("slack must be nonnegative")
-    shift = -slack if kind == GOODS else slack
     active = _active_agents(instance)
-    rates, bounds = {}, {}
+    u = [instance.utility(i, x.row(i)) for i in range(instance.n)]
     for i in active:
-        u = instance.utility(i, x.row(i))
-        if kind == GOODS and u <= 0:
+        if kind == GOODS and u[i] <= 0:
             raise ZeroUtilityError(f"agent {i} values items but has nonpositive utility")
-        if kind == BADS and u >= 0:
+        if kind == BADS and u[i] >= 0:
             raise ZeroUtilityError(f"agent {i} must have negative utility in a bads equilibrium")
-        # the rates v_ig / u_i once per agent; a holder's rate must reach (goods)
-        # or stay within (bads) the rival's shifted by the slack
-        scale, row = instance.scaled[i]
-        rates[i] = [Fraction(v * u.denominator, scale * u.numerator) for v in row]
-        bounds[i] = [r + shift for r in rates[i]] if slack else rates[i]
     label = f"ceei_{kind}"
-    for g in range(instance.m):
-        for i in active:
-            if x.matrix[i][g] == 0:
-                continue
-            mine = rates[i][g]
-            for h in active:
-                if h != i and (mine < bounds[h][g] if kind == GOODS else mine > bounds[h][g]):
-                    return PropertyVerdict(
-                        label,
-                        False,
-                        {
-                            "holder": i,
-                            "rival": h,
-                            "item": g,
-                            "holder_rate": str(mine),
-                            "rival_rate": str(rates[h][g]),
-                        },
-                    )
-    return PropertyVerdict(label, True)
+    # a holder's rate v_ig / u_i must reach (goods) or stay within (bads) every
+    # rival's, shifted by the slack
+    found = outbid(instance, x, active, u, 1 if kind == GOODS else -1, slack)
+    if found is None:
+        return PropertyVerdict(label, True)
+    g, i, h = found
+    holder_rate, rival_rate = (str(instance.values[a][g] / u[a]) for a in (i, h))
+    witness = {"holder": i, "rival": h, "item": g, "holder_rate": holder_rate, "rival_rate": rival_rate}
+    return PropertyVerdict(label, False, witness)
 
 
 def mnw_v(instance: Instance) -> FractionalAllocation:
@@ -307,42 +291,22 @@ def mnw_deviation_witness(
     v_j(X) * v_i(A_i minus X) > v_j(A_j) * v_i(X), i.e. moving X from i to j raises
     the product of utilities. Returns None when the allocation is Nash-optimal.
     """
+    alloc.check_shape(instance)
     if not alloc.complete:
         raise InputError("deviation search needs a complete allocation")
     active = _active_agents(instance)
     z = solve_mnw(instance)
-    a_product = ONE
-    z_product = ONE
-    bundle_values = {}
-    for i in active:
-        bundle_values[i] = instance.utility(i, alloc.row(i))
-        a_product *= bundle_values[i]
-        z_product *= z.utilities[i]
-    if a_product >= z_product:
+    u = [instance.utility(i, alloc.row(i)) for i in range(instance.n)]
+    if math.prod(u[i] for i in active) >= math.prod(z.utilities[i] for i in active):
         return None
     # a suboptimal allocation violates the equilibrium condition on some held
     # item: a rival values it more per unit of her own utility than the holder
-    for g in range(instance.m):
-        holders = [i for i in active if alloc.matrix[i][g] == 1]
-        if not holders:
-            continue
-        i = holders[0]
-        for j in active:
-            if j == i:
-                continue
-            gap = (
-                instance.values[j][g] * bundle_values[i]
-                - instance.values[i][g] * bundle_values[j]
-            )
-            if gap <= 0:
-                continue
-            cross = instance.values[j][g] * instance.values[i][g]
-            eps = ONE if cross == 0 else min(ONE, gap / (2 * cross))
-            slice_vec = tuple(
-                eps if gg == g else ZERO for gg in range(instance.m)
-            )
-            vi_slice = eps * instance.values[i][g]
-            vj_slice = eps * instance.values[j][g]
-            if vj_slice * (bundle_values[i] - vi_slice) > bundle_values[j] * vi_slice:
-                return (i, j, slice_vec)
-    raise SolveError("allocation is below the Nash optimum but no transfer was found")
+    found = outbid(instance, alloc, active, u)
+    if found is None:
+        raise SolveError("allocation is below the Nash optimum but no transfer was found")
+    g, i, j = found
+    gap = instance.values[j][g] * u[i] - instance.values[i][g] * u[j]
+    cross = instance.values[j][g] * instance.values[i][g]
+    # eps * cross <= gap / 2 < gap, so the slice raises the pair's product
+    eps = ONE if cross == 0 else min(ONE, gap / (2 * cross))
+    return i, j, tuple(eps if gg == g else ZERO for gg in range(instance.m))

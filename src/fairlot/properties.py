@@ -30,6 +30,7 @@ from .core import (
     SizeLimitError,
     ZERO,
     _Frozen,
+    outbid,
     sd_dominates,
 )
 
@@ -374,16 +375,17 @@ def check_gf(instance: Instance, x: FractionalAllocation, restrict: str = "full"
 
     ``restrict="s_le_t"`` checks only pairs with |S| <= |T| (the for-less variant).
 
-    A price certificate decides "holds" in O(n*m): with utilities u_i > 0 and
-    prices p_g = max_h v_hg / u_h (the prices ``solve_mnw`` reports), every
-    v_ig <= p_g * u_i. If every bundle costs exactly 1 at p, a Y that leaves
-    each member of S weakly better off spends at least |T|/|S| per member, so
-    at least |T| in all; the pool of T costs exactly |T|, so every inequality
-    is tight and nobody in S is strictly better off. The argument holds for
-    any value signs and both restrictions. It covers every ``solve_mnw``
-    allocation in which each agent values some item.
+    A price certificate decides "holds" without an LP: every u_i > 0 and no held
+    cell is ``outbid``. At prices p_g = max_h v_hg / u_h (the prices ``solve_mnw``
+    reports) every v_ig <= p_g * u_i, so bundle i costs at least
+    sum_g x_ig * v_ig / u_i = 1, with equality iff no held cell is outbid. A Y
+    that leaves each member of S weakly better off then spends at least |T|/|S|
+    per member, so at least |T| in all; the pool of T costs exactly |T|, so
+    every inequality is tight and nobody in S is strictly better off. The
+    argument holds for any value signs and both restrictions. It covers every
+    ``solve_mnw`` allocation in which each agent values some item.
 
-    Otherwise (a zero or negative utility, or a bundle off budget) one exact
+    Otherwise (a zero or negative utility, or an outbid cell) one exact
     LP runs per (S, T) pair, in coalition-size order; x is a violation iff
     some optimum is positive, and the first such pair is the witness. Above
     ``GF_AGENT_LIMIT`` agents the check raises SizeLimitError before either.
@@ -398,7 +400,7 @@ def check_gf(instance: Instance, x: FractionalAllocation, restrict: str = "full"
         raise SizeLimitError(f"group fairness sweep caps at {GF_AGENT_LIMIT} agents")
     label = "gf" if restrict == "full" else "gf_for_less"
     current = [instance.utility(i, x.row(i)) for i in range(n)]
-    if _priced_at_one(instance, x, current):
+    if all(u > 0 for u in current) and outbid(instance, x, range(n), current) is None:
         return PropertyVerdict(label, True)
     agents = list(range(n))
     for s_size in range(1, n + 1):
@@ -411,16 +413,6 @@ def check_gf(instance: Instance, x: FractionalAllocation, restrict: str = "full"
                     if verdict is not None:
                         return verdict
     return PropertyVerdict(label, True)
-
-
-def _priced_at_one(
-    instance: Instance, x: FractionalAllocation, current: Sequence[Fraction]
-) -> bool:
-    """Whether every u_i > 0 and every bundle costs 1 at p_g = max_h v_hg / u_h."""
-    if any(u <= 0 for u in current):
-        return False
-    prices = [max(row[g] / u for row, u in zip(instance.values, current)) for g in range(instance.m)]
-    return all(sum((p * c for p, c in zip(prices, row) if c), ZERO) == 1 for row in x.matrix)
 
 
 def _gf_pair(

@@ -235,7 +235,7 @@ def _round_robin_once(instance: Instance, order: Sequence[int]) -> Matrix:
     turn = 0
     while remaining:
         agent = order[turn % len(order)]
-        best = max(remaining, key=lambda j: (instance.values[agent][j], -j))
+        best = next(j for j in instance.prefs[agent] if j in remaining)
         rows[agent][best] = 1
         remaining.remove(best)
         turn += 1

@@ -23,6 +23,7 @@ from fairlot.core import (
     Lottery,
     PropertyVerdict,
     SizeLimitError,
+    SolveError,
     ZeroUtilityError,
     _Frozen,
     exact_draw,
@@ -31,6 +32,7 @@ from fairlot.core import (
 )
 from fairlot.decomp import _MaxFlow, _extract, bvn_decompose, caratheodory_weights
 from fairlot.eating import EatingState
+from fairlot.mnw import solve_mnw
 from fairlot.properties import ENVY_NOTIONS, _as_integral, check_envy, enumerate_integral_allocations
 from fairlot.rps import POLY_SUPPORT, SAMPLE, _StageEngine
 
@@ -390,6 +392,86 @@ def ceei_verify_reference(
                         },
                     )
     return PropertyVerdict(label, True)
+
+
+def priced_at_one_reference(
+    instance: Instance, x: FractionalAllocation, current: Sequence[Fraction]
+) -> bool:
+    """``check_gf``'s price certificate as a price vector: whether every u_i > 0
+    and every bundle costs 1 at p_g = max_h v_hg / u_h."""
+    if any(u <= 0 for u in current):
+        return False
+    prices = [max(row[g] / u for row, u in zip(instance.values, current)) for g in range(instance.m)]
+    return all(sum((p * c for p, c in zip(prices, row) if c), ZERO) == 1 for row in x.matrix)
+
+
+def mnw_deviation_witness_reference(
+    instance: Instance, alloc: IntegralAllocation
+) -> tuple[int, int, tuple[Fraction, ...]] | None:
+    """``mnw.mnw_deviation_witness`` as a search over the Fraction gap of each
+    held item's holder and rival, with the transfer's gain tested per pair."""
+    if alloc.n != instance.n or alloc.m != instance.m:
+        raise InputError("allocation shape does not match instance")
+    if not alloc.complete:
+        raise InputError("deviation search needs a complete allocation")
+    active = [i for i in range(instance.n) if any(v != 0 for v in instance.values[i])]
+    z = solve_mnw(instance)
+    bundle_values = {i: utility_reference(instance, i, alloc.row(i)) for i in active}
+    a_product = z_product = ONE
+    for i in active:
+        a_product *= bundle_values[i]
+        z_product *= z.utilities[i]
+    if a_product >= z_product:
+        return None
+    for g in range(instance.m):
+        holders = [i for i in active if alloc.matrix[i][g] == 1]
+        if not holders:
+            continue
+        i = holders[0]
+        for j in active:
+            if j == i:
+                continue
+            gap = instance.values[j][g] * bundle_values[i] - instance.values[i][g] * bundle_values[j]
+            if gap <= 0:
+                continue
+            cross = instance.values[j][g] * instance.values[i][g]
+            eps = ONE if cross == 0 else min(ONE, gap / (2 * cross))
+            vi_slice = eps * instance.values[i][g]
+            vj_slice = eps * instance.values[j][g]
+            if vj_slice * (bundle_values[i] - vi_slice) > bundle_values[j] * vi_slice:
+                return (i, j, tuple(eps if gg == g else ZERO for gg in range(instance.m)))
+    raise SolveError("allocation is below the Nash optimum but no transfer was found")
+
+
+# ---------------------------------------------------------------------------
+# Round-robin with each pick as a max over the remaining items.
+# ---------------------------------------------------------------------------
+
+
+def round_robin_reference(instance: Instance, mode: str = "exact", seed: int = 0) -> Lottery | IntegralAllocation:
+    """``rps.randomized_round_robin`` without its checks: each agent picks the
+    remaining item of highest value, the lowest index among ties."""
+
+    def once(order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        rows = [[0] * instance.m for _ in range(instance.n)]
+        remaining = set(range(instance.m))
+        for turn in range(instance.m):
+            agent = order[turn % len(order)]
+            best = max(remaining, key=lambda j: (instance.values[agent][j], -j))
+            rows[agent][best] = 1
+            remaining.remove(best)
+        return tuple(tuple(r) for r in rows)
+
+    if mode == SAMPLE:
+        order = list(range(instance.n))
+        random.Random(seed).shuffle(order)
+        return IntegralAllocation(once(order))
+    orders = list(itertools.permutations(range(instance.n)))
+    table: dict[tuple[tuple[int, ...], ...], Fraction] = {}
+    for order in orders:
+        mat = once(order)
+        table[mat] = table.get(mat, ZERO) + Fraction(1, len(orders))
+    return Lottery(tuple((w, IntegralAllocation(mat)) for mat, w in table.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fairlot.core import (
+    FairlotError,
     FractionalAllocation,
     InputError,
     Instance,
@@ -27,12 +28,13 @@ from fairlot.mnw import (
     replicate_allocation,
     solve_mnw,
 )
-from fairlot.properties import check_gf
+from fairlot.properties import check_gf, enumerate_integral_allocations
 
 from conftest import mnw_inputs, random_goods, random_positive_goods
 from oracles import (
     fractional_row,
     integral_nash_argmax,
+    mnw_deviation_witness_reference,
     mnw_equilibrium_shares,
     nash_product,
     total_value_reference,
@@ -416,3 +418,33 @@ class TestDeviationWitness:
         partial = IntegralAllocation.from_bundles(2, 2, [(0,), ()])
         with pytest.raises(InputError):
             mnw_deviation_witness(tilt2, partial)
+
+    def test_shape_mismatch_rejected(self):
+        inst = Instance.from_rows([[1, 2], [2, 1], [1, 1]])
+        alloc = IntegralAllocation.from_bundles(2, 2, [(0,), (1,)])
+        with pytest.raises(InputError, match="shape"):
+            mnw_deviation_witness(inst, alloc)
+
+    def test_matches_reference_on_every_integral_allocation(self):
+        rng = random.Random(47)
+        instances = [random_goods(rng, n_max=3, m_max=4, vmax=4) for _ in range(110)]
+        for _ in range(40):  # zero rows: an agent outside the product, who may hold items
+            rows = list(random_goods(rng, n_max=3, m_max=4, vmax=4).values)
+            rows.insert(rng.randint(0, len(rows)), [0] * len(rows[0]))
+            instances.append(Instance.from_rows(rows))
+
+        def outcome(search, inst, alloc):
+            try:
+                return search(inst, alloc)
+            except FairlotError as exc:
+                return type(exc).__name__, str(exc)
+
+        seen = {"none": 0, "witness": 0, "SolveError": 0}
+        for inst in instances:
+            for alloc in enumerate_integral_allocations(inst):
+                expected = outcome(mnw_deviation_witness_reference, inst, alloc)
+                assert repr(outcome(mnw_deviation_witness, inst, alloc)) == repr(expected)
+                key = "none" if expected is None else "SolveError" if expected[0] == "SolveError" else "witness"
+                seen[key] += 1
+        # 5,363 allocations at this seed: 47 Nash-optimal, 5,021 witnesses, 295 SolveErrors
+        assert all(count > 0 for count in seen.values())

@@ -36,7 +36,7 @@ from fairlot.properties import (
 from fairlot.rounding import gf_lottery
 from fairlot.rps import rps, rps_bads, rps_mixed
 
-from conftest import random_bads, random_complete, random_goods, random_integral, random_positive_goods
+from conftest import mnw_inputs, random_bads, random_complete, random_goods, random_integral, random_positive_goods
 from oracles import (
     check_envy_reference,
     enumerate_ef1_allocations,
@@ -44,6 +44,7 @@ from oracles import (
     fpo_lp_reference,
     integral_nash_argmax,
     point_lottery,
+    priced_at_one_reference,
     to_fractional,
 )
 
@@ -716,9 +717,83 @@ class TestGroupFairness:
                 assert check_gf(inst, x, restrict=restrict).to_json() == oracle[label]
                 failing += not oracle[label]["holds"]
             current = [inst.utility(i, x.row(i)) for i in range(inst.n)]
-            certified += properties._priced_at_one(inst, x, current)
+            certified += priced_at_one_reference(inst, x, current)
         # 29 certified instances and 329 failing verdicts at this seed
         assert certified >= 25 and failing >= 300
+
+    def test_certificate_matches_price_reference(self, monkeypatch):
+        # check_gf starts its LP sweep only when the certificate fails, so with
+        # lp.solve raising, each verdict shows which way the certificate went
+        class SweepStarted(Exception):
+            pass
+
+        def no_lp(*args):
+            raise SweepStarted
+
+        monkeypatch.setattr(lp, "solve", no_lp)
+        rng = random.Random(43)
+
+        def perturbed(inst):
+            near = Instance.from_rows([[max(0, v + rng.randint(-2, 2)) for v in row] for row in inst.values])
+            return near, solve_mnw(inst).allocation
+
+        def zero_row():
+            rows = list(random_goods(rng, n_max=3, m_max=6).values)
+            rows.insert(rng.randint(0, len(rows)), [0] * len(rows[0]))
+            inst = Instance.from_rows(rows)
+            x = solve_mnw(inst).allocation if rng.random() < 0.5 else random_complete(rng, inst.n, inst.m)
+            return inst, x
+
+        def priced(bump):
+            # at prices of any sign, each agent's bundle costs 1 and every value is
+            # p_g * u_i on a held item and at most that elsewhere, so u_i > 0 and
+            # the certificate holds; a bump of one value may break it
+            n = rng.randint(2, 4)
+            m = rng.randint(n, 6)
+            owners = list(range(n)) + [rng.randrange(n) for _ in range(m - n)]
+            rng.shuffle(owners)
+            prices = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
+            for i in range(n):
+                held = [g for g in range(m) if owners[g] == i]
+                prices[held[-1]] += 1 - sum(prices[g] for g in held)
+            u = [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n)]
+            values = [
+                [prices[g] * u[i] - (0 if owners[g] == i else rng.choice((0, 0, 1, F(1, 2)))) for g in range(m)]
+                for i in range(n)
+            ]
+            if bump:
+                values[rng.randrange(n)][rng.randrange(m)] += rng.choice((-1, 1))
+            x = IntegralAllocation(tuple(tuple(int(owner == i) for owner in owners) for i in range(n)))
+            return Instance(tuple(map(tuple, values))), x
+
+        def bads_or_mixed():
+            if rng.random() < 0.5:
+                inst = random_bads(rng, n_max=4)
+            else:
+                n, m = rng.randint(2, 4), rng.randint(2, 6)
+                inst = Instance.from_rows([[rng.randint(-10, 10) for _ in range(m)] for _ in range(n)])
+            x = random_complete(rng, inst.n, inst.m) if rng.random() < 0.5 else random_integral(rng, inst)
+            return inst, x
+
+        cases = [(inst, solve_mnw(inst).allocation) for inst in mnw_inputs(rng, 800)]
+        cases += [perturbed(random_goods(rng, n_max=4, m_max=6)) for _ in range(800)]
+        cases += [zero_row() for _ in range(600)]
+        cases += [priced(bump=k % 2) for k in range(1600)]
+        cases += [(inst, random_integral(rng, inst)) for inst in (random_goods(rng, m_max=6) for _ in range(600))]
+        cases += [bads_or_mixed() for _ in range(600)]
+
+        certified = 0
+        for inst, x in cases:
+            current = [inst.utility(i, x.row(i)) for i in range(inst.n)]
+            expected = priced_at_one_reference(inst, x, current)
+            try:
+                decided = check_gf(inst, x).holds
+            except SweepStarted:
+                decided = False
+            assert decided is expected
+            certified += expected
+        # 5,000 inputs, 1,992 certified (890 of them mixed) at this seed
+        assert len(cases) == 5000 and certified >= 500
 
     def test_input_validation(self, tilt2):
         x = FractionalAllocation.from_rows([["1", "1/4"], ["0", "3/4"]])

@@ -171,6 +171,16 @@ class TestCheckUtilityGuarantee:
             check_utility_guarantee(mixed4, x, part)
 
 
+@pytest.mark.parametrize("check", [check_utility_guarantee, check_adjusted_envy_chain])
+@pytest.mark.parametrize("bundles", [(2, 3, [(0, 2), (1,)]), (3, 2, [(0,), (1,), ()])])
+def test_part_shape_mismatch_rejected(tilt2, check, bundles):
+    # x fits the 2x2 instance; the part has an extra item or an extra agent
+    x = FractionalAllocation.from_rows([["1", "1/4"], ["0", "3/4"]])
+    part = IntegralAllocation.from_bundles(*bundles)
+    with pytest.raises(InputError, match="part shape does not match allocation"):
+        check(tilt2, x, part)
+
+
 class TestGfLottery:
     def test_two_agent_support(self, tilt2):
         lot = gf_lottery(tilt2)

@@ -37,7 +37,7 @@ from fairlot.rps import (
 )
 
 from conftest import SWAP4_SUPPORT, eating_inputs
-from oracles import point_lottery, rps_reference, stage_expand
+from oracles import point_lottery, round_robin_reference, rps_reference, stage_expand
 
 F = Fraction
 # the package attribute fairlot.rps is the rps function, not this module
@@ -304,6 +304,21 @@ class TestRoundRobin:
         b = randomized_round_robin(cycle3, mode="sample", seed=11)
         assert a == b
         assert a.bundles in {part.bundles for _, part in randomized_round_robin(cycle3).support}
+
+    def test_picks_match_max_reference_on_ties(self):
+        # values in {0, 1, 2}: most picks break a tie, by the lowest item index
+        rng = random.Random(67)
+        for _ in range(150):
+            n, m = rng.randint(1, 4), rng.randint(1, 7)
+            rows = [[rng.randint(0, 2) for _ in range(m)] for _ in range(n)]
+            for j in range(m):
+                if all(row[j] == 0 for row in rows):
+                    rows[rng.randrange(n)][j] = rng.randint(1, 2)
+            inst = Instance.from_rows(rows)
+            assert randomized_round_robin(inst) == round_robin_reference(inst)
+            seed = rng.randrange(1000)
+            sampled = randomized_round_robin(inst, mode="sample", seed=seed)
+            assert sampled == round_robin_reference(inst, mode="sample", seed=seed)
 
     def test_exact_mode_size_cap(self):
         inst = Instance.from_rows([[1] * 2 for _ in range(9)])
