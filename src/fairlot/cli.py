@@ -200,11 +200,21 @@ def _run_prop1_lottery(args: argparse.Namespace) -> int:
 
 
 def _run_bads_lottery(args: argparse.Namespace) -> int:
+    from .mnw import ceei_verify
     from .rounding import prop1_ef11_lottery_bads
 
     instance = load_instance(args.instance)
     x = load_allocation(args.ceei)
-    _emit(lottery_to_json(prop1_ef11_lottery_bads(instance, x)), args.output)
+    # after the rounding's kind, shape and completeness checks, whose messages come first
+    lottery = prop1_ef11_lottery_bads(instance, x)
+    verdict = ceei_verify(instance, x, slack=0)
+    if not verdict.holds:
+        w = verdict.witness
+        raise InputError(
+            f"allocation is not a competitive equilibrium: agent {w['holder']} holds item"
+            f" {w['item']} at rate {w['holder_rate']}, agent {w['rival']} at {w['rival_rate']}"
+        )
+    _emit(lottery_to_json(lottery), args.output)
     return 0
 
 

@@ -9,6 +9,8 @@ to one item more-and-less onto every part.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .core import (
     BADS,
     GOODS,
@@ -54,6 +56,16 @@ def check_utility_guarantee(
     adding a single item g not in her bundle with X_{i,g} > 0, and an agent above
     it must land strictly below by removing a single held item with X_{i,g} < 1.
     For bads the adjustments swap (remove an owned bad / add a missing bad).
+    Both kinds try every such one-item move, since a move toward the wrong side
+    never crosses the fractional utility. Each bound compares ints over agent
+    i's scale times x's common denominator. Below, agent 0 holds 4/3, and
+    dropping either item lands on her 2/3, not strictly below it:
+
+    >>> inst = Instance.from_rows([["2/3", "2/3"], ["1/4", "1/6"]])
+    >>> x = FractionalAllocation.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+    >>> part = IntegralAllocation.from_bundles(2, 2, [(0, 1), ()])
+    >>> check_utility_guarantee(inst, x, part).witness
+    {'agent': 0, 'case': 'surplus', 'value': '4/3', 'target': '2/3'}
     """
     x.check_shape(instance)
     if part.n != x.n or part.m != x.m:
@@ -61,41 +73,23 @@ def check_utility_guarantee(
     kind = instance.kind
     if kind not in (GOODS, BADS):
         raise KindMismatchError(f"utility guarantee applies to goods or bads, got {kind}")
-    for i in range(instance.n):
-        have = instance.bundle_value(i, part.bundles[i])
-        want = instance.utility(i, x.row(i))
-        if have == want:
+    den, xr = x.scaled
+    for i, (scale, row) in enumerate(instance.scaled):
+        have = sum([row[j] for j in part.bundles[i]]) * den
+        gap = sum([v * c for v, c in zip(row, xr[i]) if c]) - have
+        if gap == 0:
             continue
-        # one-item adjustments limited to items the part actually rounded
-        gains = [
-            instance.values[i][j]
-            for j in range(instance.m)
-            if part.matrix[i][j] == 0 and x.matrix[i][j] > 0
-        ]
-        drops = [instance.values[i][j] for j in part.bundles[i] if x.matrix[i][j] < 1]
-        if have < want:
-            ok = (
-                any(have + v > want for v in gains)
-                if kind == GOODS
-                else any(have - v > want for v in drops)
-            )
-        else:
-            ok = (
-                any(have - v < want for v in drops)
-                if kind == GOODS
-                else any(have + v < want for v in gains)
-            )
-        if not ok:
-            return PropertyVerdict(
-                "utility_guarantee",
-                False,
-                {
-                    "agent": i,
-                    "case": "deficit" if have < want else "surplus",
-                    "value": str(have),
-                    "target": str(want),
-                },
-            )
+        # one-item moves limited to items the part actually rounded
+        moves = [row[j] * den for j in range(instance.m) if part.matrix[i][j] == 0 and xr[i][j] > 0]
+        moves += [-row[j] * den for j in part.bundles[i] if xr[i][j] < den]
+        if not any(d > gap if gap > 0 else d < gap for d in moves):
+            witness = {
+                "agent": i,
+                "case": "deficit" if gap > 0 else "surplus",
+                "value": str(Fraction(have, scale * den)),
+                "target": str(Fraction(have + gap, scale * den)),
+            }
+            return PropertyVerdict("utility_guarantee", False, witness)
     return PropertyVerdict("utility_guarantee", True)
 
 
@@ -112,21 +106,25 @@ def check_adjusted_envy_chain(
     h's bundle plus one recoverable item.  Whenever the adjustment item does not
     exist because the agent already sits weakly on the favorable side of her
     fractional utility, the corresponding leg is checked weakly instead.
+    Each leg compares ints of one agent, over her scale times x's common denominator.
     """
     if instance.kind != GOODS:
         raise KindMismatchError(f"envy chain applies to goods instances, got {instance.kind}")
     x.check_shape(instance)
     if part.n != x.n or part.m != x.m:
         raise InputError("part shape does not match allocation")
-    n = instance.n
-    fractional = [instance.utility(i, x.row(i)) for i in range(n)]
-    held = [instance.bundle_value(i, part.bundles[i]) for i in range(n)]
+    n, bundles = instance.n, part.bundles
+    den, xr = x.scaled
+    rows = [row for _, row in instance.scaled]
+    fractional = [sum([v * c for v, c in zip(row, cells) if c]) for row, cells in zip(rows, xr)]
+    held = [sum([row[j] for j in bundle]) * den for row, bundle in zip(rows, bundles)]
     for h in range(n):
+        row_h = rows[h]
         if held[h] < fractional[h]:
             recoverable = any(
                 part.matrix[h][j] == 0
-                and x.matrix[h][j] > 0
-                and held[h] + instance.values[h][j] > fractional[h]
+                and xr[h][j] > 0
+                and held[h] + row_h[j] * den > fractional[h]
                 for j in range(instance.m)
             )
             if not recoverable:
@@ -138,16 +136,16 @@ def check_adjusted_envy_chain(
         for i in range(n):
             if i == h:
                 continue
-            rival_view = instance.bundle_value(h, part.bundles[i])
+            rival_view = sum([row_h[j] for j in bundles[i]]) * den
             if held[i] <= fractional[i]:
                 # no removable surplus item; the reduced-bundle leg weakens to a tie
                 ok = rival_view <= fractional[h]
             else:
                 ok = any(
-                    x.matrix[i][j] < 1
-                    and held[i] - instance.values[i][j] < fractional[i]
-                    and rival_view - instance.values[h][j] < fractional[h]
-                    for j in part.bundles[i]
+                    xr[i][j] < den
+                    and held[i] - rows[i][j] * den < fractional[i]
+                    and rival_view - row_h[j] * den < fractional[h]
+                    for j in bundles[i]
                 )
             if not ok:
                 return PropertyVerdict(

@@ -181,7 +181,7 @@ def cases() -> Iterator[tuple[str, list[str]]]:
     for frac in ("tilt2-mnw", "tilt2-identity", "halves", "three-rows"):
         yield f"prop1-lottery tilt2 {frac}", ["prop1-lottery", "tilt2.json", "--frac", f"{frac}.json"]
     yield "prop1-lottery shift4", ["prop1-lottery", "shift4.json", "--frac", "shift4-x.json"]
-    for frac in ("bads3-ceei", "bads3-integral", "halves"):
+    for frac in ("bads3-ceei", "bads3-integral", "halves", "bads3-lopsided"):
         yield f"bads-lottery bads3 {frac}", ["bads-lottery", "bads3.json", "--ceei", f"{frac}.json"]
     decompositions = (
         ("tilt2", "halves"), ("tilt2", "tilt2-mnw"), ("tilt2", "tilt2-partial"), ("shift4", "shift4-x"),

@@ -444,6 +444,100 @@ def mnw_deviation_witness_reference(
 
 
 # ---------------------------------------------------------------------------
+# The Fraction rounding checkers the integer rows replaced.
+# ---------------------------------------------------------------------------
+
+
+def utility_guarantee_reference(
+    instance: Instance, x: FractionalAllocation, part: IntegralAllocation
+) -> PropertyVerdict:
+    """``rounding.check_utility_guarantee`` with every utility, bundle value and
+    one-item adjustment a Fraction, added and compared term by term."""
+    if x.n != instance.n or x.m != instance.m:
+        raise InputError("allocation shape does not match instance")
+    if part.n != x.n or part.m != x.m:
+        raise InputError("part shape does not match allocation")
+    kind = instance.kind
+    if kind not in (GOODS, BADS):
+        raise KindMismatchError(f"utility guarantee applies to goods or bads, got {kind}")
+    for i in range(instance.n):
+        have = bundle_value_reference(instance, i, part.bundles[i])
+        want = utility_reference(instance, i, x.row(i))
+        if have == want:
+            continue
+        gains = [
+            instance.values[i][j]
+            for j in range(instance.m)
+            if part.matrix[i][j] == 0 and x.matrix[i][j] > 0
+        ]
+        drops = [instance.values[i][j] for j in part.bundles[i] if x.matrix[i][j] < 1]
+        if have < want:
+            ok = (
+                any(have + v > want for v in gains)
+                if kind == GOODS
+                else any(have - v > want for v in drops)
+            )
+        else:
+            ok = (
+                any(have - v < want for v in drops)
+                if kind == GOODS
+                else any(have + v < want for v in gains)
+            )
+        if not ok:
+            witness = {
+                "agent": i,
+                "case": "deficit" if have < want else "surplus",
+                "value": str(have),
+                "target": str(want),
+            }
+            return PropertyVerdict("utility_guarantee", False, witness)
+    return PropertyVerdict("utility_guarantee", True)
+
+
+def adjusted_envy_chain_reference(
+    instance: Instance, x: FractionalAllocation, part: IntegralAllocation
+) -> PropertyVerdict:
+    """``rounding.check_adjusted_envy_chain`` in Fractions, with each rival's view
+    of a bundle summed again per pair."""
+    if instance.kind != GOODS:
+        raise KindMismatchError(f"envy chain applies to goods instances, got {instance.kind}")
+    if x.n != instance.n or x.m != instance.m:
+        raise InputError("allocation shape does not match instance")
+    if part.n != x.n or part.m != x.m:
+        raise InputError("part shape does not match allocation")
+    n = instance.n
+    fractional = [utility_reference(instance, i, x.row(i)) for i in range(n)]
+    held = [bundle_value_reference(instance, i, part.bundles[i]) for i in range(n)]
+    for h in range(n):
+        if held[h] < fractional[h]:
+            recoverable = any(
+                part.matrix[h][j] == 0
+                and x.matrix[h][j] > 0
+                and held[h] + instance.values[h][j] > fractional[h]
+                for j in range(instance.m)
+            )
+            if not recoverable:
+                return PropertyVerdict("adjusted_envy_chain", False, {"agent": h, "case": "own_deficit"})
+        for i in range(n):
+            if i == h:
+                continue
+            rival_view = bundle_value_reference(instance, h, part.bundles[i])
+            if held[i] <= fractional[i]:
+                ok = rival_view <= fractional[h]
+            else:
+                ok = any(
+                    x.matrix[i][j] < 1
+                    and held[i] - instance.values[i][j] < fractional[i]
+                    and rival_view - instance.values[h][j] < fractional[h]
+                    for j in part.bundles[i]
+                )
+            if not ok:
+                witness = {"agent": h, "rival": i, "case": "reduced_rival"}
+                return PropertyVerdict("adjusted_envy_chain", False, witness)
+    return PropertyVerdict("adjusted_envy_chain", True)
+
+
+# ---------------------------------------------------------------------------
 # Round-robin with each pick as a max over the remaining items.
 # ---------------------------------------------------------------------------
 

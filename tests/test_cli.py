@@ -297,6 +297,25 @@ class TestSolvers:
         for entry in json.loads(out)["support"]:
             assert sorted(sum(entry["bundles"], [])) == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            # each agent holds the other's worst bad: a complete allocation, not an equilibrium
+            (
+                [["0", "1/2", "1"], ["1", "1/2", "0"]],
+                "not a competitive equilibrium: agent 1 holds item 0 at rate 3/4, agent 0 at 1/4",
+            ),
+            # agent 0 holds no bad, so its utility is not negative
+            ([["0", "0", "0"], ["1", "1", "1"]], "agent 0 must have negative utility"),
+        ],
+    )
+    def test_bads_lottery_refuses_non_equilibrium(self, capsys, files, matrix, message):
+        code, out, err = run(
+            capsys, "bads-lottery", files("bads.json", BADS), "--ceei", files("x.json", {"matrix": matrix})
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestDecompose:
     def test_default_bvn(self, capsys, files):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import random
@@ -29,7 +30,9 @@ from fairlot.rounding import (
 )
 from fairlot.rps import rps
 
-from conftest import random_goods
+from conftest import random_complete, random_goods, random_integral
+from oracles import adjusted_envy_chain_reference, utility_guarantee_reference
+from test_core import _outcome
 
 F = Fraction
 
@@ -328,6 +331,69 @@ class TestBadsLottery:
         x = FractionalAllocation.from_rows([["1/2"] * 4, ["1/2"] * 4])
         with pytest.raises(KindMismatchError):
             prop1_ef11_lottery_bads(swap4, x)
+
+
+def _checker_inputs(rng: random.Random, count: int):
+    """``count`` instances, each with an x and the parts to judge against it:
+    goods, bads and (for the error path) mixed; int values from few levels, or
+    each agent's values over her own denominator, so that ``scale_i != 1``; x
+    from ``solve_mnw`` or a random complete matrix; every part of x's rounding,
+    two random parts, and two of the rounding's parts with one item moved."""
+    for k in range(count):
+        case = k % 10
+        sign = -1 if case in (1, 4, 7) else 1
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        if case % 2:
+            denominators = [rng.choice((2, 3, 5, 6, 7)) for _ in range(n)]
+            rows = [[sign * F(rng.randint(0, 8), d) for _ in range(m)] for d in denominators]
+        else:
+            rows = [[sign * rng.randint(0, 4) for _ in range(m)] for _ in range(n)]
+        if case == 9:
+            rows[0][0] = -rows[0][0] or -1
+            rows[-1][-1] = abs(rows[-1][-1]) or 1
+        for j in range(m):
+            if all(row[j] == 0 for row in rows):
+                rows[rng.randrange(n)][j] = sign
+        inst = Instance.from_rows(rows)
+        if inst.kind == "goods" and case in (0, 2, 3, 5):
+            x = solve_mnw(inst).allocation
+        else:
+            x = random_complete(rng, n, m)
+        if inst.kind == "mixed":
+            yield inst, x, [random_integral(rng, inst)]
+            continue
+        rule = prop1_ef11_lottery_bads if inst.kind == "bads" else implement_with_utility_guarantee
+        parts = [part for _, part in rule(inst, x).support]
+        for part in rng.sample(parts, min(2, len(parts))):
+            moved = [list(b) for b in part.bundles]
+            giver = rng.choice([i for i in range(n) if moved[i]])
+            moved[(giver + 1) % n].append(moved[giver].pop(rng.randrange(len(moved[giver]))))
+            parts.append(IntegralAllocation.from_bundles(n, m, moved))
+        yield inst, x, parts + [random_integral(rng, inst), random_integral(rng, inst)]
+
+
+def test_integer_checkers_match_fraction_references():
+    # both checkers against the Fraction bodies they replaced, verdicts and
+    # witnesses byte for byte, and the error type and message where they raise
+    rng = random.Random(2929)
+    inputs = fraction_targets = 0
+    seen = collections.Counter()
+    pairs = (
+        (check_utility_guarantee, utility_guarantee_reference),
+        (check_adjusted_envy_chain, adjusted_envy_chain_reference),
+    )
+    for inst, x, parts in _checker_inputs(rng, 400):
+        for part in parts:
+            inputs += 1
+            for check, reference in pairs:
+                got = _outcome(check, inst, x, part)
+                assert json.dumps(got) == json.dumps(_outcome(reference, inst, x, part))
+                if isinstance(got, dict) and not got["holds"]:
+                    seen[got["witness"]["case"]] += 1
+                    fraction_targets += "/" in got["witness"].get("target", "")
+    assert inputs >= 1500
+    assert min(seen[case] for case in ("deficit", "surplus", "own_deficit", "reduced_rival")) >= 20
+    assert fraction_targets >= 20  # failing utility witnesses whose target is no int
 
 
 def _rounding_inputs(rng: random.Random, count: int):
