@@ -166,8 +166,9 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     raise InputError(f"not a rational value: {value!r}")
 
 
-def ordinal_preferences(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
-    """Per-agent item orders: by value descending, ties by ascending item index."""
+def ordinal_preferences(rows: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """Per-agent item orders: by value descending, ties by ascending item index.
+    Rows may be ints or Fractions; a row times a positive scale sorts the same."""
     return tuple(
         tuple(sorted(range(len(row)), key=lambda j: (-row[j], j))) for row in rows
     )
@@ -225,8 +226,9 @@ class Instance(_Frozen):
 
     @_computed_once
     def prefs(self) -> tuple[tuple[int, ...], ...]:
-        """Ordinal preferences induced by the values (value-descending, index tie-break)."""
-        return ordinal_preferences(self.values)
+        """Ordinal preferences induced by the values (value-descending, index tie-break),
+        sorted on the int rows of ``scaled``."""
+        return ordinal_preferences([row for _, row in self.scaled])
 
     @_computed_once
     def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -265,7 +267,8 @@ def sd_dominates(
 
     Prefix masses are compared along agent i's ordinal order: every prefix of p
     must carry at least as much mass as the same prefix of q. The sums start at
-    int 0, so 0/1 rows of an integral allocation compare in int arithmetic.
+    int 0, so int rows (an allocation's ``scaled`` rows, all masses times one
+    positive ``den``) compare in int arithmetic.
     """
     if len(p) != len(q) or len(p) != len(prefs[i]):
         raise InputError("bundle length does not match item count")
@@ -441,13 +444,16 @@ class Lottery(_Frozen):
         for w, alloc in support:
             if alloc.n != n or alloc.m != m:
                 raise InputError("lottery allocations have inconsistent shapes")
+            if not isinstance(w, (int, Fraction)):
+                raise InputError(f"lottery weight {w!r} is not an int or a Fraction")
             if w <= 0:
                 raise InputError(f"lottery weight {w} not positive")
             merged[alloc.matrix] = merged.get(alloc.matrix, ZERO) + w
             first.setdefault(alloc.matrix, alloc)
-        total = sum(merged.values(), ZERO)
-        if total != 1:
-            raise InputError(f"lottery weights sum to {total}, expected 1")
+        # the int numerators over the lcm of the weights' denominators
+        den = math.lcm(*[w.denominator for w in merged.values()])
+        if sum([w.numerator * (den // w.denominator) for w in merged.values()]) != den:
+            raise InputError(f"lottery weights sum to {sum(merged.values(), ZERO)}, expected 1")
         self._store("support", tuple((merged[mat], first[mat]) for mat in sorted(merged)))
 
     @property

@@ -144,10 +144,18 @@ def check_envy(
             return {"own": str(own[i]), "other": str(other)} if own[i] < other else None
 
     elif notion == "sd_ef":
-        prefs = instance.prefs
+        # by the values' signs, not the kind, which rejects an unvalued goods column
+        signs = {v > 0 for _, row in instance.scaled for v in row if v}
+        if len(signs) == 2:
+            raise KindMismatchError("sd_ef is defined for goods or bads instances")
+        bads = signs == {False}
+        prefs = tuple([order[::-1] for order in instance.prefs]) if bads else instance.prefs
+        _, rows = alloc.scaled
 
         def envies(i: int, h: int) -> dict | None:
-            return None if sd_dominates(prefs, i, rows[i], rows[h]) else {}
+            # bads: along i's order worst first, i holds at most as much as h
+            p, q = (rows[h], rows[i]) if bads else (rows[i], rows[h])
+            return None if sd_dominates(prefs, i, p, q) else {}
 
     else:
         if notion in ("ef1", "efk"):

@@ -199,7 +199,7 @@ def prop1_ef11_lottery_bads(instance: Instance, x: FractionalAllocation) -> Lott
     if instance.kind != BADS:
         raise KindMismatchError(f"bads rounding needs a bads instance, got {instance.kind}")
     x.check_shape(instance)
-    flipped = ordinal_preferences(tuple(tuple(-v for v in row) for row in instance.values))
+    flipped = ordinal_preferences([[-v for v in row] for _, row in instance.scaled])
     return bihierarchy_decompose(x, flipped)
 
 

@@ -191,7 +191,7 @@ def _run_padded(instance: Instance, cfg: RpsConfig) -> Lottery | IntegralAllocat
     """Pad with zero-valued dummies until the item count divides evenly among
     the agents, run ordinally, strip the dummies."""
     pad = (-instance.m) % instance.n
-    prefs = ordinal_preferences([tuple(row) + (ZERO,) * pad for row in instance.values])
+    prefs = ordinal_preferences([row + (0,) * pad for _, row in instance.scaled])
     return _run_engine(prefs, instance.m + pad, cfg, instance.m)
 
 

@@ -27,7 +27,6 @@ from fairlot.core import (
     ZeroUtilityError,
     _Frozen,
     exact_draw,
-    ordinal_preferences,
     sd_dominates,
 )
 from fairlot.decomp import _MaxFlow, _extract, bvn_decompose, caratheodory_weights
@@ -72,6 +71,12 @@ def enumerate_ef1_allocations(instance: Instance) -> list[IntegralAllocation]:
     ]
 
 
+def ordinal_preferences_reference(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """Per-agent item orders keyed on Fraction values, as ``core.ordinal_preferences``
+    sorted before it read int rows: value descending, ties by ascending item index."""
+    return tuple(tuple(sorted(range(len(row)), key=lambda j: (-Fraction(row[j]), j))) for row in rows)
+
+
 def check_envy_reference(
     instance: Instance,
     alloc: FractionalAllocation,
@@ -79,7 +84,9 @@ def check_envy_reference(
     k: int | None = None,
 ) -> PropertyVerdict:
     """``check_envy`` as it was before its notions shared one pair loop: a
-    separate double loop per notion, kept verbatim as the reference."""
+    separate double loop per notion on Fraction cells and Fraction-keyed orders.
+    ``sd_ef`` follows the corrected definition: the goods test when no value is
+    negative, its mirror when none is positive, and no verdict on mixed values."""
     if notion not in ENVY_NOTIONS:
         raise InputError(f"unknown envy notion: {notion}")
     if alloc.n != instance.n or alloc.m != instance.m:
@@ -105,9 +112,23 @@ def check_envy_reference(
         return PropertyVerdict("ef", True)
 
     if notion == "sd_ef":
+        bads = any(v < 0 for row in instance.values for v in row)
+        if bads and any(v > 0 for row in instance.values for v in row):
+            raise KindMismatchError("sd_ef is defined for goods or bads instances")
+        prefs = ordinal_preferences_reference(instance.values)
+        mass = lambda row, items: sum((row[j] for j in items), ZERO)
         for i in range(n):
             for h in range(n):
-                if h != i and not sd_dominates(instance.prefs, i, alloc.matrix[i], alloc.matrix[h]):
+                if h == i:
+                    continue
+                # goods: on no head of i's order (its best items) does i hold less
+                # mass than h; bads: on no tail (its worst items) does i hold more
+                order, own, other = prefs[i], alloc.matrix[i], alloc.matrix[h]
+                if bads:
+                    envious = any(mass(own, order[k:]) > mass(other, order[k:]) for k in range(len(order)))
+                else:
+                    envious = any(mass(own, order[:k]) < mass(other, order[:k]) for k in range(1, len(order) + 1))
+                if envious:
                     return PropertyVerdict("sd_ef", False, {"envious": i, "envied": h})
         return PropertyVerdict("sd_ef", True)
 
@@ -163,7 +184,7 @@ def check_envy_reference(
         if instance.kind != GOODS:
             raise KindMismatchError("sd_ef1 is defined for goods instances")
         a = _as_integral(alloc, notion)
-        prefs = instance.prefs
+        prefs = ordinal_preferences_reference(instance.values)
         for i in range(n):
             for h in range(n):
                 if h == i or not a.bundles[h]:
@@ -288,6 +309,28 @@ def reduce_support(lottery: Lottery) -> Lottery:
     columns = [[v for row in alloc.matrix for v in row] for _, alloc in lottery.support]
     weights = caratheodory_weights(columns, [w for w, _ in lottery.support])
     return Lottery(tuple((w, alloc) for w, (_, alloc) in zip(weights, lottery.support) if w > 0))
+
+
+def lottery_check_reference(support: Sequence[tuple[Fraction, IntegralAllocation]]) -> tuple:
+    """``Lottery._check`` as it was before it summed int numerators: the same errors
+    in the same order, the merged weights summed as Fractions. Returns the
+    canonical support that a valid lottery stores."""
+    if not support:
+        raise InputError("lottery needs a nonempty support")
+    n, m = support[0][1].n, support[0][1].m
+    merged: dict[tuple[tuple[int, ...], ...], Fraction] = {}
+    first: dict[tuple[tuple[int, ...], ...], IntegralAllocation] = {}
+    for w, alloc in support:
+        if alloc.n != n or alloc.m != m:
+            raise InputError("lottery allocations have inconsistent shapes")
+        if w <= 0:
+            raise InputError(f"lottery weight {w} not positive")
+        merged[alloc.matrix] = merged.get(alloc.matrix, ZERO) + w
+        first.setdefault(alloc.matrix, alloc)
+    total = sum(merged.values(), ZERO)
+    if total != 1:
+        raise InputError(f"lottery weights sum to {total}, expected 1")
+    return tuple((merged[mat], first[mat]) for mat in sorted(merged))
 
 
 def expected_utility(lottery: Lottery, instance: Instance, i: int) -> Fraction:
@@ -751,7 +794,7 @@ def rps_reference(instance: Instance, padded: bool, mode: str, seed: int) -> Lot
     their kind checks: padded instances get zero-valued dummies up to a multiple
     of n items, and the dummy columns are cut from the built result."""
     pad = (-instance.m) % instance.n if padded else 0
-    prefs = ordinal_preferences([tuple(row) + (ZERO,) * pad for row in instance.values])
+    prefs = ordinal_preferences_reference([tuple(row) + (ZERO,) * pad for row in instance.values])
     engine = _StageEngine(prefs, instance.m + pad)
     if mode == SAMPLE:
         result: Lottery | IntegralAllocation = IntegralAllocation(rps_sample_walk(engine, random.Random(seed)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 import random
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairlot.core import (
+    ZERO,
     FairlotError,
     FractionalAllocation,
     InputError,
@@ -41,7 +43,7 @@ from fairlot.rounding import (
     implement_with_utility_guarantee,
     prop1_ef11_lottery_bads,
 )
-from fairlot.rps import RpsConfig
+from fairlot.rps import RpsConfig, rps_mixed
 
 from conftest import EXACT_VALUES, random_goods, random_integral, utility_inputs
 from oracles import (
@@ -51,6 +53,8 @@ from oracles import (
     bundle_value_reference,
     ceei_verify_reference,
     expected_utility,
+    lottery_check_reference,
+    ordinal_preferences_reference,
     point_lottery,
     proportional_share_reference,
     to_fractional,
@@ -586,6 +590,9 @@ def test_float_values_and_cells_are_input_errors():
         IntegralAllocation(((1.0, 0), (0, 1)))
     with pytest.raises(InputError, match="not an int or a Fraction"):
         Instance(((1, "2"),))
+    a, b = IntegralAllocation(((1, 0), (0, 1))), IntegralAllocation(((0, 1), (1, 0)))
+    with pytest.raises(InputError, match="lottery weight 0.5 is not an int or a Fraction"):
+        Lottery(((0.5, a), (0.5, b)))
     # ints and Fractions still mix freely, and the loaders parse decimals exactly
     inst = Instance(((1, Fraction(1, 2)), (0, 3)))
     assert inst.utility(0, (Fraction(1, 3), 1)) == Fraction(5, 6)
@@ -671,3 +678,99 @@ def test_integer_contract_matches_fraction_check():
 
 
 UTILITY_VERDICTS_DIGEST = "5788c58043986ca2c8f32279befc8a911d7f26f7dc22b9b2f3a5b23c64543498"
+
+
+def _order_instances(rng: random.Random, count: int):
+    """Seeded instances for the order cross-check, cycling through: small ints
+    of both signs (ties, zero rows, mixed items), exact values of both signs
+    (``EXACT_VALUES``, so each agent's row has its own denominators), nonpositive
+    exact values with zero rows (bads), and one row repeated at per-agent
+    Fraction scales (ties inside a row and across agents)."""
+    for k in range(count):
+        case = k % 4
+        n, m = rng.randint(1, 4), rng.randint(0, 7)
+        if case == 0:
+            rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+        elif case == 1:
+            rows = [[rng.choice((-1, 1)) * Fraction(rng.choice(EXACT_VALUES)) for _ in range(m)] for _ in range(n)]
+        elif case == 2:
+            rows = [[-Fraction(rng.choice(EXACT_VALUES)) for _ in range(m)] for _ in range(n)]
+        else:
+            base = [Fraction(rng.choice((0, 1, 1, 2, "1/3"))) * rng.choice((1, 1, -1)) for _ in range(m)]
+            rows = [[v * Fraction(rng.randint(1, 5), rng.randint(1, 7)) for v in base] for _ in range(n)]
+        if m and rng.random() < 0.25:
+            rows[rng.randrange(n)] = [0] * m
+        yield Instance.from_rows(rows)
+
+
+def test_integer_orders_match_fraction_reference(monkeypatch):
+    # Instance.prefs, the padded orders of rps_mixed/rps_bads and the flipped orders
+    # of bads rounding sort the int rows of Instance.scaled; each must equal the
+    # Fraction-keyed sort of the values it replaced. The engine and the
+    # decomposition are stubbed to hand back the orders they were given.
+    monkeypatch.setattr(importlib.import_module("fairlot.rps"), "_run_engine", lambda prefs, m, cfg, width: (prefs, m, width))
+    monkeypatch.setattr(importlib.import_module("fairlot.rounding"), "bihierarchy_decompose", lambda x, prefs: prefs)
+    rng = random.Random(3030)
+    seen = dict.fromkeys(("ties", "zero_row", "negative", "denominators", "flipped"), 0)
+    for inst in _order_instances(rng, 600):
+        assert inst.prefs == ordinal_preferences_reference(inst.values)
+        pad = (-inst.m) % inst.n
+        padded = ordinal_preferences_reference([row + (ZERO,) * pad for row in inst.values])
+        assert rps_mixed(inst) == (padded, inst.m + pad, inst.m)
+        flat = [v for row in inst.values for v in row]
+        if any(v < 0 for v in flat) and not any(v > 0 for v in flat):
+            x = FractionalAllocation(tuple((0,) * inst.m for _ in range(inst.n)))
+            flipped = ordinal_preferences_reference([[-v for v in row] for row in inst.values])
+            assert prop1_ef11_lottery_bads(inst, x) == flipped
+            seen["flipped"] += 1
+        seen["ties"] += any(len(set(row)) < len(row) for row in inst.values)
+        seen["zero_row"] += any(not any(row) for row in inst.values) and inst.m > 0
+        seen["negative"] += any(v < 0 for v in flat)
+        seen["denominators"] += any(len({v.denominator for v in row}) > 1 for row in inst.values)
+    assert min(seen.values()) >= 100, seen
+
+
+def _lottery_supports(rng: random.Random, count: int):
+    """Seeded supports for the Lottery check: weights that sum to one, over
+    allocations drawn from a small pool so that matrices repeat; then a weight set
+    to zero or below, all weights scaled off one, int weights, an allocation of
+    another shape, or no entry at all."""
+    for k in range(count):
+        n, m = rng.randint(1, 3), rng.randint(0, 3)
+        pool = [IntegralAllocation(tuple(tuple(int(o == i) for o in owners) for i in range(n)))
+                for owners in ([rng.randrange(-1, n) for _ in range(m)] for _ in range(3))]
+        raw = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+        weights: list = [Fraction(r, sum(raw)) for r in raw]
+        case = k % 6
+        if case == 1:
+            weights[rng.randrange(len(weights))] = rng.choice((0, ZERO, Fraction(-1, 3), -2))
+        elif case == 2:
+            weights = [w * Fraction(rng.choice((1, 2, 3)), rng.choice((2, 3, 5))) for w in weights]
+        elif case == 3 and len(weights) == 1:
+            weights = [1]
+        elif case == 3:
+            weights = [rng.choice((1, 2)) for _ in weights]
+        support = [(w, rng.choice(pool)) for w in weights]
+        if case == 4 and rng.random() < 0.5:
+            support.insert(rng.randrange(len(support) + 1), (weights[0], IntegralAllocation(((1,) * (m + 1),))))
+        if case == 5 and rng.random() < 0.2:
+            support = []
+        yield tuple(support)
+
+
+def test_lottery_check_matches_fraction_sum():
+    # the verdict, the exception type and the message of the int sum against the
+    # Fraction sum it replaced; a valid support stores the same merged Fraction
+    # weights over the same allocations, in the same order
+    seen: dict[str, int] = {}
+    for support in _lottery_supports(random.Random(3031), 1200):
+        want = _raised(lottery_check_reference, support)
+        assert _raised(Lottery, support) == want, support
+        kind = "valid" if want is None else next(k for k in ("positive", "sum to", "shapes", "nonempty") if k in want[1])
+        seen[kind] = seen.get(kind, 0) + 1
+        if want is None:
+            got = Lottery(support).support
+            assert got == lottery_check_reference(support)
+            assert all(type(w) is Fraction for w, _ in got)
+            seen["merged"] = seen.get("merged", 0) + (len(got) < len(support))
+    assert len(seen) == 6 and min(seen.values()) >= 40, seen

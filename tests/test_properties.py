@@ -36,7 +36,16 @@ from fairlot.properties import (
 from fairlot.rounding import gf_lottery
 from fairlot.rps import rps, rps_bads, rps_mixed
 
-from conftest import mnw_inputs, random_bads, random_complete, random_goods, random_integral, random_positive_goods
+from conftest import (
+    eating_inputs,
+    mnw_inputs,
+    random_bads,
+    random_complete,
+    random_goods,
+    random_integral,
+    random_positive_goods,
+    utility_inputs,
+)
 from oracles import (
     check_envy_reference,
     enumerate_ef1_allocations,
@@ -208,6 +217,23 @@ class TestEnvy:
         assert not verdict.holds
         assert verdict.witness == {"envious": 0, "envied": 1}
 
+    def test_sd_ef_on_bads_runs_the_mirror_test(self):
+        # agent 1 holds only its least-bad item; agent 0's two bads may weigh more
+        # than agent 1's one, so agent 0 is the envious one
+        inst = Instance.from_rows([[-1, -2, -3], [-3, -2, -1]])
+        split = IntegralAllocation.from_bundles(2, 3, [(0, 1), (2,)])
+        assert check_envy(inst, split, "sd_ef").witness == {"envious": 0, "envied": 1}
+        # each agent holds only its own least-bad item, and nobody the middle one
+        assert check_envy(inst, IntegralAllocation.from_bundles(2, 3, [(0,), (2,)]), "sd_ef").holds
+
+    def test_sd_ef_refuses_mixed_values(self):
+        # each agent holds exactly the items it values positively, but the goods
+        # test read every value as a good and failed it
+        inst = Instance.from_rows([[1, 1, -1], [-1, -1, 1]])
+        split = IntegralAllocation.from_bundles(2, 3, [(0, 1), (2,)])
+        with pytest.raises(KindMismatchError, match="sd_ef is defined for goods or bads instances"):
+            check_envy(inst, split, "sd_ef")
+
     def test_integral_and_fractional_forms_agree(self):
         # integral rows compare in int arithmetic; the verdict and witness must be
         # those of the same allocation written with Fraction cells
@@ -324,6 +350,39 @@ class TestEnvy:
         x = FractionalAllocation.from_rows([["1/2"] * 4, ["1/2"] * 4])
         with pytest.raises(InputError):
             check_envy(swap4, x, "ef1")
+
+
+def test_sd_ef_on_integer_rows_matches_fraction_reference():
+    # sd_ef compares the int rows of x.scaled; the verdict and witness, or the error
+    # type and message, must be those of the Fraction definition on x.matrix, over
+    # goods, bads and mixed values with per-agent denominators, under MNW and random
+    # complete allocations, eating lotteries' marginals and parts, and the envy inputs
+    rng = random.Random(3032)
+    cases = [*utility_inputs(rng, 300), *_envy_inputs(rng, 300)]
+    rules = {"goods": rps, "bads": rps_bads, "mixed": rps_mixed}
+    for kind, inst in eating_inputs(rng, 90):
+        lot = rules[kind](inst)
+        cases += [(inst, lot.marginal), *[(inst, part) for _, part in lot.support][:3]]
+
+    def outcome(inst, x, check):
+        try:
+            return check(inst, x, "sd_ef").to_json()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    seen: dict[tuple, int] = {}
+    for inst, x in cases:
+        got = outcome(inst, x, check_envy)
+        assert got == outcome(inst, x, check_envy_reference), (inst, x)
+        flat = [v for row in inst.values for v in row]
+        sign = "bads" if any(v < 0 for v in flat) else "goods"
+        result = "error" if isinstance(got, tuple) else got["holds"]
+        key = (sign, result, x.scaled[0] > 1)
+        seen[key] = seen.get(key, 0) + 1
+    # goods and bads each pass and fail on fractional and integral rows; mixed errs
+    verdicts = [(sign, holds, frac) for sign in ("goods", "bads") for holds in (True, False) for frac in (True, False)]
+    assert min(seen.get(key, 0) for key in verdicts) >= 15, seen
+    assert seen.get(("bads", "error", True), 0) + seen.get(("bads", "error", False), 0) >= 50, seen
 
 
 class TestEfficiency:
