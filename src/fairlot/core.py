@@ -52,9 +52,9 @@ class SizeLimitError(FairlotError):
 
 
 class SolveError(FairlotError):
-    """An exact solve failed: the simplex hit its iteration cap, phase one or the dual
-    certificate of an optimum failed, an MNW price round did not raise the live
-    prices, or a deviation search below the Nash optimum found no transfer."""
+    """An exact solve failed: the simplex hit its iteration cap or phase one failed,
+    an MNW price round did not raise the live prices, or a deviation search below
+    the Nash optimum found no transfer."""
 
 
 class _Frozen:

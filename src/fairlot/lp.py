@@ -9,10 +9,6 @@ denominator. Fractions appear only where the input is parsed and the values are
 returned; there is no floating point anywhere, so feasibility and optimality
 answers are exact. The callers are small systems: the group-fairness
 sweep (``solve``) and support reduction of lotteries (``basic_feasible_point``).
-
-When ``VERIFY_OPTIMALITY`` is enabled (the test suite turns it on), every optimal
-``solve`` also reconstructs an exact dual certificate and checks strong duality,
-so a wrong pivot cannot silently produce a wrong optimum.
 """
 from __future__ import annotations
 
@@ -28,9 +24,6 @@ ONE = Fraction(1)
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-# Flipped on by the test suite: certify every optimal solve with an exact dual.
-VERIFY_OPTIMALITY = False
 
 # One linear row: (coefficients, right-hand side).
 Row = tuple[Sequence[Fraction], Fraction]
@@ -163,48 +156,6 @@ def _solve_standard(
     return OPTIMAL, values, basis2, [rows[r] for r in keep], [rhs[r] for r in keep]
 
 
-def _certify_standard(
-    a0: list[list[Fraction]],
-    b0: list[Fraction],
-    cost: list[Fraction],
-    basis: Sequence[int],
-    values: Sequence[Fraction],
-) -> None:
-    """Exact strong-duality check for min{c.x : Ax=b, x>=0}; raises on failure."""
-    nrows = len(a0)
-    # Solve y^T A_B = c_B by Gaussian elimination.
-    system = [[a0[r][bi] for r in range(nrows)] + [cost[bi]] for bi in basis]
-    y = _gauss_solve(system, nrows)
-    for j in range(len(cost)):
-        reduced = cost[j] - sum((y[r] * a0[r][j] for r in range(nrows)), ZERO)
-        if reduced < 0:
-            raise SolveError(f"dual certificate failed: negative reduced cost at column {j}")
-    primal = sum((cost[j] * values[j] for j in range(len(cost))), ZERO)
-    dual = sum((y[r] * b0[r] for r in range(nrows)), ZERO)
-    if primal != dual:
-        raise SolveError("dual certificate failed: objective mismatch")
-    for r in range(nrows):
-        lhs = sum((a0[r][j] * values[j] for j in range(len(cost))), ZERO)
-        if lhs != b0[r]:
-            raise SolveError("dual certificate failed: primal infeasibility")
-
-
-def _gauss_solve(system: list[list[Fraction]], size: int) -> list[Fraction]:
-    """Solve a square rational system given as rows of [coeffs | rhs]."""
-    for col in range(size):
-        piv = next((r for r in range(col, size) if system[r][col] != 0), -1)
-        if piv < 0:
-            raise SolveError("singular basis while certifying")
-        system[col], system[piv] = system[piv], system[col]
-        inv = ONE / system[col][col]
-        system[col] = [v * inv for v in system[col]]
-        for r in range(size):
-            if r != col and system[r][col] != 0:
-                f = system[r][col]
-                system[r] = [a - f * b for a, b in zip(system[r], system[col])]
-    return [system[r][size] for r in range(size)]
-
-
 def _parse_rows(rows: Iterable[Row], num_vars: int) -> tuple[list[list[Fraction]], list[Fraction]]:
     dense: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -237,11 +188,9 @@ def solve(
         row + [-ONE if k == r else ZERO for k in range(nsurplus)] for r, row in enumerate(ge_rows)
     ]
     cost = [-v for v in c] + [ZERO] * nsurplus
-    status, values, basis, kept_rows, kept_rhs = _solve_standard(rows, eq_rhs + ge_rhs, cost)
+    status, values, _, _, _ = _solve_standard(rows, eq_rhs + ge_rhs, cost)
     if status != OPTIMAL:
         return LpSolution(status, (), None)
-    if VERIFY_OPTIMALITY:
-        _certify_standard(kept_rows, kept_rhs, cost, basis, values)
     x = tuple(values[:nvars])
     return LpSolution(OPTIMAL, x, sum((c[j] * x[j] for j in range(nvars)), ZERO))
 

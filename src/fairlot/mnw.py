@@ -289,20 +289,22 @@ def mnw_deviation_witness(
     """For a Pareto-optimal integral allocation that is not Nash-optimal, produce a
     profitable transfer: agents i, j and a fractional slice X of i's bundle with
     v_j(X) * v_i(A_i minus X) > v_j(A_j) * v_i(X), i.e. moving X from i to j raises
-    the product of utilities. Returns None when the allocation is Nash-optimal.
+    the product of utilities. Returns None when the allocation is Nash-optimal,
+    decided without an MNW solve by the Eisenberg-Gale optimality condition: every
+    active agent's utility is positive, the agents who value nothing hold nothing,
+    and no held item is outbid. Raises SolveError when only the first two fail.
     """
     alloc.check_shape(instance)
     if not alloc.complete:
         raise InputError("deviation search needs a complete allocation")
+    if instance.kind != GOODS:
+        raise KindMismatchError("mnw_deviation_witness handles goods instances only")
     active = _active_agents(instance)
-    z = solve_mnw(instance)
     u = [instance.utility(i, alloc.row(i)) for i in range(instance.n)]
-    if math.prod(u[i] for i in active) >= math.prod(z.utilities[i] for i in active):
-        return None
-    # a suboptimal allocation violates the equilibrium condition on some held
-    # item: a rival values it more per unit of her own utility than the holder
     found = outbid(instance, alloc, active, u)
     if found is None:
+        if all(u[i] > 0 if i in active else not any(alloc.matrix[i]) for i in range(instance.n)):
+            return None
         raise SolveError("allocation is below the Nash optimum but no transfer was found")
     g, i, j = found
     gap = instance.values[j][g] * u[i] - instance.values[i][g] * u[j]

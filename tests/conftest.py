@@ -8,14 +8,29 @@ from typing import Iterator
 
 import pytest
 
+import oracles
 from fairlot import lp
 from fairlot.core import FractionalAllocation, Instance, IntegralAllocation
+
+
+def certified(solve_standard):
+    """``solve_standard`` with every optimal return checked against the input cost by
+    ``oracles.certify_standard_reference``, looked up at call time so a test can swap it."""
+
+    def solve(rows, rhs, cost):
+        result = solve_standard(rows, rhs, cost)
+        status, values, basis, kept_rows, kept_rhs = result
+        if status == lp.OPTIMAL:
+            oracles.certify_standard_reference(kept_rows, kept_rhs, cost, basis, values)
+        return result
+
+    return solve
 
 
 @pytest.fixture(autouse=True)
 def dual_certificates(monkeypatch):
     # every optimal solve in the suite must also pass the strong-duality check
-    monkeypatch.setattr(lp, "VERIFY_OPTIMALITY", True)
+    monkeypatch.setattr(lp, "_solve_standard", certified(lp._solve_standard))
 
 
 @pytest.fixture

@@ -277,6 +277,52 @@ def fpo_lp_reference(instance: Instance, alloc: FractionalAllocation) -> Propert
     return PropertyVerdict("fpo", False, {"dominator": dominator})
 
 
+def certify_standard_reference(
+    a0: list[list[Fraction]],
+    b0: list[Fraction],
+    cost: list[Fraction],
+    basis: Sequence[int],
+    values: Sequence[Fraction],
+) -> None:
+    """Exact strong-duality check for min{c.x : Ax=b, x>=0}; raises on failure.
+
+    ``tests/conftest.py`` runs it on every optimal return of ``lp._solve_standard``,
+    so a wrong pivot cannot silently produce a wrong optimum anywhere in the suite.
+    """
+    nrows = len(a0)
+    # Solve y^T A_B = c_B by Gaussian elimination.
+    system = [[a0[r][bi] for r in range(nrows)] + [cost[bi]] for bi in basis]
+    y = _gauss_solve(system, nrows)
+    for j in range(len(cost)):
+        reduced = cost[j] - sum((y[r] * a0[r][j] for r in range(nrows)), ZERO)
+        if reduced < 0:
+            raise SolveError(f"dual certificate failed: negative reduced cost at column {j}")
+    primal = sum((cost[j] * values[j] for j in range(len(cost))), ZERO)
+    dual = sum((y[r] * b0[r] for r in range(nrows)), ZERO)
+    if primal != dual:
+        raise SolveError("dual certificate failed: objective mismatch")
+    for r in range(nrows):
+        lhs = sum((a0[r][j] * values[j] for j in range(len(cost))), ZERO)
+        if lhs != b0[r]:
+            raise SolveError("dual certificate failed: primal infeasibility")
+
+
+def _gauss_solve(system: list[list[Fraction]], size: int) -> list[Fraction]:
+    """Solve a square rational system given as rows of [coeffs | rhs]."""
+    for col in range(size):
+        piv = next((r for r in range(col, size) if system[r][col] != 0), -1)
+        if piv < 0:
+            raise SolveError("singular basis while certifying")
+        system[col], system[piv] = system[piv], system[col]
+        inv = ONE / system[col][col]
+        system[col] = [v * inv for v in system[col]]
+        for r in range(size):
+            if r != col and system[r][col] != 0:
+                f = system[r][col]
+                system[r] = [a - f * b for a, b in zip(system[r], system[col])]
+    return [system[r][size] for r in range(size)]
+
+
 def fractional_row(alloc: IntegralAllocation, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in alloc.matrix[i])
 

@@ -13,7 +13,6 @@ from fairlot.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    _certify_standard,
     basic_feasible_point,
     solve,
 )
@@ -21,8 +20,9 @@ from fairlot.properties import _gf_pair
 from fairlot.rounding import gf_lottery
 from fairlot.rps import POLY_SUPPORT, RpsConfig, rps
 
-from conftest import random_positive_goods
-from oracles import fpo_lp_reference
+import oracles
+from conftest import certified, random_positive_goods
+from oracles import certify_standard_reference, fpo_lp_reference
 from test_rps import EARLY_TRIM_ROWS
 
 
@@ -140,8 +140,34 @@ class TestSolve:
     def test_certificate_rejects_suboptimal_basis(self):
         # min x + 2y s.t. x + y = 1: the basis {y} is feasible but not optimal
         with pytest.raises(SolveError):
-            _certify_standard([[F(1), F(1)]], [F(1)], [F(1), F(2)], [1], [F(0), F(1)])
-        _certify_standard([[F(1), F(1)]], [F(1)], [F(1), F(2)], [0], [F(1), F(0)])
+            certify_standard_reference([[F(1), F(1)]], [F(1)], [F(1), F(2)], [1], [F(0), F(1)])
+        certify_standard_reference([[F(1), F(1)]], [F(1)], [F(1), F(2)], [0], [F(1), F(0)])
+
+    def test_suite_certifies_every_optimal_solve(self, monkeypatch):
+        # the autouse fixture wraps lp._solve_standard: the certifier passes each
+        # optimal solve once, and one that rejects everything fails each optimal
+        # solve and leaves the other statuses alone
+        real, calls = certify_standard_reference, []
+
+        def recording(*args):
+            calls.append(args)
+            real(*args)
+
+        monkeypatch.setattr(oracles, "certify_standard_reference", recording)
+        assert solve([1], at_least=[([-1], -5)]).values == (F(5),)
+        assert basic_feasible_point([([1, 1], 1)], 2).status == OPTIMAL
+        assert len(calls) == 2
+
+        def reject(*args):
+            raise SolveError("rejected")
+
+        monkeypatch.setattr(oracles, "certify_standard_reference", reject)
+        with pytest.raises(SolveError, match="rejected"):
+            solve([1], at_least=[([-1], -5)])
+        with pytest.raises(SolveError, match="rejected"):
+            basic_feasible_point([([1, 1], 1)], 2)
+        assert solve([1], at_least=[([1], 3), ([-1], -2)]).status == INFEASIBLE
+        assert solve([1]).status == UNBOUNDED
 
     def test_random_lps_agree_with_vertex_enumeration(self):
         # 2-var LPs with small integer data: compare against brute-force over
@@ -390,9 +416,9 @@ def _oracle_solve_standard(rows, rhs, cost):
 
 
 def _with_oracle(monkeypatch, call, *args):
-    """``call(*args)`` with the oracle tableau in place of the integer one."""
+    """``call(*args)`` with the oracle tableau, certified like the integer one, in its place."""
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "_solve_standard", _oracle_solve_standard)
+        patch.setattr(lp, "_solve_standard", certified(_oracle_solve_standard))
         return call(*args)
 
 

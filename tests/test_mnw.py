@@ -425,6 +425,62 @@ class TestDeviationWitness:
         with pytest.raises(InputError, match="shape"):
             mnw_deviation_witness(inst, alloc)
 
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([[-1, -2], [-2, -1]], KindMismatchError),
+            ([[1, -2], [-2, 1]], KindMismatchError),
+            ([[1, 0], [0, 0]], InputError),
+        ],
+        ids=["bads", "mixed", "item-nobody-values"],
+    )
+    def test_non_goods_rejected(self, rows, error):
+        # a nonnegative instance with an item nobody values is no goods instance,
+        # so no zero row of a goods instance holds such an item
+        alloc = IntegralAllocation.from_bundles(2, 2, [(0,), (1,)])
+        with pytest.raises(error):
+            mnw_deviation_witness(Instance.from_rows(rows), alloc)
+
+    # agent 2 values nothing; agent 0 alone values items 0 and 2, agent 1 item 1
+    ZERO_ROW = [[1, 0, 1], [0, 1, 0], [0, 0, 0]]
+
+    @pytest.mark.parametrize(
+        "rows, bundles, expected",
+        [
+            ([[1, 2], [1, 3]], [(0,), (1,)], (1, 0, (0, F(1, 4)))),
+            ([[2, 1], [1, 2]], [(0,), (1,)], None),
+            (ZERO_ROW, [(0,), (1,), (2,)], SolveError),
+            (ZERO_ROW, [(0, 2), (1,), ()], None),
+            ([[1, 1], [0, 1]], [(0, 1), ()], (0, 1, (0, 1))),
+            ([[1, 0], [0, 1]], [(1,), (0,)], SolveError),
+        ],
+        ids=[
+            "outbid-item",
+            "nash-optimal",
+            "zero-row-holds-valued-item",
+            "zero-row-holds-nothing",
+            "starved-rival",
+            "zero-utility-holder",
+        ],
+    )
+    def test_decided_without_solving_mnw(self, monkeypatch, rows, bundles, expected):
+        # the equilibrium condition decides every case; solve_mnw is never called
+        inst = Instance.from_rows(rows)
+        alloc = IntegralAllocation.from_bundles(inst.n, inst.m, bundles)
+
+        def outcome(search):
+            try:
+                return search(inst, alloc)
+            except SolveError:
+                return SolveError
+
+        def no_solve(instance):
+            raise AssertionError("solve_mnw called")
+
+        assert outcome(mnw_deviation_witness_reference) == expected
+        monkeypatch.setattr(mnw, "solve_mnw", no_solve)
+        assert outcome(mnw_deviation_witness) == expected
+
     def test_matches_reference_on_every_integral_allocation(self):
         rng = random.Random(47)
         instances = [random_goods(rng, n_max=3, m_max=4, vmax=4) for _ in range(110)]
