@@ -12,6 +12,8 @@ loads nothing beyond ``core``, and ``decompose --bvn`` only ``decomp``. The exac
 LP (``lp``) loads only where the GF sweep or a support trim runs it.
 Handlers import by submodule (``from .rps import rps``), because the package
 attribute ``fairlot.rps`` is the function, not the module.
+Each handler returns what it computed (a ``Lottery``, an allocation, or ``check``'s
+``AuditReport``); ``main`` alone writes its JSON and picks the exit code.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ import argparse
 import random
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .core import (
     FairlotError,
+    FractionalAllocation,
     InputError,
     IntegralAllocation,
     Lottery,
@@ -38,22 +42,12 @@ from .core import (
     lottery_to_json,
 )
 
+if TYPE_CHECKING:
+    from .properties import AuditReport
+
 
 # the rps --mode names, in the order of the rps module's FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE
 _RPS_MODE_NAMES = ("full", "poly", "sample")
-
-
-def _emit(obj: dict, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(dump_json(obj))
-    else:
-        dump_json(obj, path)
-
-
-def _result_json(result: Lottery | IntegralAllocation) -> dict:
-    if isinstance(result, Lottery):
-        return lottery_to_json(result)
-    return allocation_to_json(result)
 
 
 def _names(csv: str | None) -> list[str]:
@@ -73,9 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def output_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-o", "--output", metavar="FILE", help="write JSON here instead of stdout")
-
     for name, blurb in (
         ("rps", "recursive eating lottery for goods"),
         ("rps-bads", "recursive eating lottery for bads"),
@@ -85,36 +76,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="instance JSON file")
         p.add_argument("--mode", choices=_RPS_MODE_NAMES, default="full")
         p.add_argument("--seed", type=int, default=0, help="RNG seed for --mode sample")
-        output_flag(p)
 
     p = sub.add_parser("round-robin", help="randomized round-robin for goods")
     p.add_argument("instance")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", help="enumerate all n! pick orders (default)")
     group.add_argument("--seed", type=int, help="sample a single pick order instead")
-    output_flag(p)
 
-    p = sub.add_parser("mnw", help="exact Nash-welfare-maximizing fractional allocation")
-    p.add_argument("instance")
-    output_flag(p)
-
-    p = sub.add_parser("mnw-v", help="Nash-welfare allocation with single-bidder items carved out")
-    p.add_argument("instance")
-    output_flag(p)
-
-    p = sub.add_parser("gf-lottery", help="group-fair marginal over one-item-tolerant parts")
-    p.add_argument("instance")
-    output_flag(p)
+    for name, blurb in (
+        ("mnw", "exact Nash-welfare-maximizing fractional allocation"),
+        ("mnw-v", "Nash-welfare allocation with single-bidder items carved out"),
+        ("gf-lottery", "group-fair marginal over one-item-tolerant parts"),
+    ):
+        sub.add_parser(name, help=blurb).add_argument("instance")
 
     p = sub.add_parser("prop1-lottery", help="implement a proportional fractional allocation")
     p.add_argument("instance")
     p.add_argument("--frac", required=True, metavar="FILE", help="proportional allocation JSON")
-    output_flag(p)
 
     p = sub.add_parser("bads-lottery", help="implement a fractional allocation of bads")
     p.add_argument("instance")
     p.add_argument("--ceei", required=True, metavar="FILE", help="competitive allocation JSON")
-    output_flag(p)
 
     p = sub.add_parser("decompose", help="write a fractional allocation as a lottery")
     p.add_argument("allocation", help="fractional allocation JSON file")
@@ -122,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--bvn", action="store_true", help="row/column/cell quotas (default)")
     group.add_argument("--bihierarchy", action="store_true", help="ordinal prefix quotas")
-    output_flag(p)
 
     p = sub.add_parser("check", help="audit properties of an allocation or lottery")
     p.add_argument("instance")
@@ -131,75 +112,61 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lottery", metavar="FILE")
     p.add_argument("--ex-ante", metavar="P1,P2", help="properties of the marginal")
     p.add_argument("--ex-post", metavar="Q1,Q2", help="properties of every support allocation")
-    output_flag(p)
 
     p = sub.add_parser("sample", help="draw one allocation from a lottery")
     p.add_argument("lottery", help="lottery JSON file")
     p.add_argument("--seed", type=int, default=0)
-    output_flag(p)
 
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", metavar="FILE", help="write JSON here instead of stdout")
     return parser
 
 
-def _run_rps(args: argparse.Namespace) -> int:
+def _run_rps(args: argparse.Namespace) -> Lottery | IntegralAllocation:
     from .rps import FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE, RpsConfig, rps, rps_bads, rps_mixed
 
     instance = load_instance(args.instance)
     mode = dict(zip(_RPS_MODE_NAMES, (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE)))[args.mode]
     rule = {"rps": rps, "rps-bads": rps_bads, "rps-mixed": rps_mixed}[args.command]
-    result = rule(instance, RpsConfig(mode=mode, seed=args.seed))
-    _emit(_result_json(result), args.output)
-    return 0
+    return rule(instance, RpsConfig(mode=mode, seed=args.seed))
 
 
-def _run_round_robin(args: argparse.Namespace) -> int:
+def _run_round_robin(args: argparse.Namespace) -> Lottery | IntegralAllocation:
     from .rps import randomized_round_robin
 
     instance = load_instance(args.instance)
     if args.seed is None:
-        result = randomized_round_robin(instance, mode="exact")
-    else:
-        result = randomized_round_robin(instance, mode="sample", seed=args.seed)
-    _emit(_result_json(result), args.output)
-    return 0
+        return randomized_round_robin(instance, mode="exact")
+    return randomized_round_robin(instance, mode="sample", seed=args.seed)
 
 
-def _run_mnw(args: argparse.Namespace) -> int:
+def _run_mnw(args: argparse.Namespace) -> FractionalAllocation:
     from .mnw import solve_mnw
 
-    instance = load_instance(args.instance)
-    solution = solve_mnw(instance)
+    solution = solve_mnw(load_instance(args.instance))
     print(f"fairlot: log Nash welfare {solution.log_nash_welfare:.12g}", file=sys.stderr)
-    _emit(allocation_to_json(solution.allocation), args.output)
-    return 0
+    return solution.allocation
 
 
-def _run_mnw_v(args: argparse.Namespace) -> int:
+def _run_mnw_v(args: argparse.Namespace) -> FractionalAllocation:
     from .mnw import mnw_v
 
-    instance = load_instance(args.instance)
-    _emit(allocation_to_json(mnw_v(instance)), args.output)
-    return 0
+    return mnw_v(load_instance(args.instance))
 
 
-def _run_gf_lottery(args: argparse.Namespace) -> int:
+def _run_gf_lottery(args: argparse.Namespace) -> Lottery:
     from .rounding import gf_lottery
 
-    instance = load_instance(args.instance)
-    _emit(lottery_to_json(gf_lottery(instance)), args.output)
-    return 0
+    return gf_lottery(load_instance(args.instance))
 
 
-def _run_prop1_lottery(args: argparse.Namespace) -> int:
+def _run_prop1_lottery(args: argparse.Namespace) -> Lottery:
     from .rounding import prop1_lottery
 
-    instance = load_instance(args.instance)
-    x = load_allocation(args.frac)
-    _emit(lottery_to_json(prop1_lottery(instance, x)), args.output)
-    return 0
+    return prop1_lottery(load_instance(args.instance), load_allocation(args.frac))
 
 
-def _run_bads_lottery(args: argparse.Namespace) -> int:
+def _run_bads_lottery(args: argparse.Namespace) -> Lottery:
     from .mnw import ceei_verify
     from .rounding import prop1_ef11_lottery_bads
 
@@ -214,27 +181,23 @@ def _run_bads_lottery(args: argparse.Namespace) -> int:
             f"allocation is not a competitive equilibrium: agent {w['holder']} holds item"
             f" {w['item']} at rate {w['holder_rate']}, agent {w['rival']} at {w['rival_rate']}"
         )
-    _emit(lottery_to_json(lottery), args.output)
-    return 0
+    return lottery
 
 
-def _run_decompose(args: argparse.Namespace) -> int:
+def _run_decompose(args: argparse.Namespace) -> Lottery:
     instance = load_instance(args.instance)
     x = load_allocation(args.allocation)
     x.check_shape(instance)
     if args.bihierarchy:
         from .rounding import implement_with_utility_guarantee
 
-        lottery = implement_with_utility_guarantee(instance, x)
-    else:
-        from .decomp import bvn_decompose
+        return implement_with_utility_guarantee(instance, x)
+    from .decomp import bvn_decompose
 
-        lottery = bvn_decompose(x)
-    _emit(lottery_to_json(lottery), args.output)
-    return 0
+    return bvn_decompose(x)
 
 
-def _run_check(args: argparse.Namespace) -> int:
+def _run_check(args: argparse.Namespace) -> AuditReport:
     from .properties import AuditReport, _run_named_check, audit_lottery
 
     instance = load_instance(args.instance)
@@ -242,22 +205,17 @@ def _run_check(args: argparse.Namespace) -> int:
     ex_post = _names(args.ex_post)
     if args.lottery is not None:
         lottery = load_lottery(args.lottery, n=instance.n, m=instance.m)
-        report = audit_lottery(instance, lottery, ex_ante=ex_ante, ex_post=ex_post)
-    else:
-        alloc = load_allocation(args.alloc)
-        if ex_post and not alloc.is_integral:
-            raise InputError("ex-post checks need an integral allocation or a lottery")
-        ante = {name: _run_named_check(instance, alloc, name) for name in ex_ante}
-        post = {name: (_run_named_check(instance, alloc.to_integral(), name),) for name in ex_post}
-        report = AuditReport(ante, post)
-    _emit(report.to_json(), args.output)
-    return 0 if report.ok else 1
+        return audit_lottery(instance, lottery, ex_ante=ex_ante, ex_post=ex_post)
+    alloc = load_allocation(args.alloc)
+    if ex_post and not alloc.is_integral:
+        raise InputError("ex-post checks need an integral allocation or a lottery")
+    ante = {name: _run_named_check(instance, alloc, name) for name in ex_ante}
+    post = {name: (_run_named_check(instance, alloc.to_integral(), name),) for name in ex_post}
+    return AuditReport(ante, post)
 
 
-def _run_sample(args: argparse.Namespace) -> int:
-    lottery = load_lottery(args.lottery)
-    _emit(allocation_to_json(_draw(lottery, args.seed)), args.output)
-    return 0
+def _run_sample(args: argparse.Namespace) -> IntegralAllocation:
+    return _draw(load_lottery(args.lottery), args.seed)
 
 
 _DISPATCH = {
@@ -282,7 +240,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage/version
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        result = _DISPATCH[args.command](args)
+        if isinstance(result, Lottery):
+            obj, ok = lottery_to_json(result), True
+        elif isinstance(result, FractionalAllocation):
+            obj, ok = allocation_to_json(result), True
+        else:  # check's AuditReport, told apart without loading properties
+            obj, ok = result.to_json(), result.ok
+        text = dump_json(obj, args.output)
+        if args.output is None:
+            sys.stdout.write(text)
+        return 0 if ok else 1
     except (SizeLimitError, SolveError) as exc:
         print(f"fairlot: {exc}", file=sys.stderr)
         return 3

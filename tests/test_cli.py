@@ -112,6 +112,34 @@ class TestBasics:
         assert out == ""
         assert "exponent" in err
 
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            ("rps", '{"agents": 0, "items": 0, "values": []}', "instance needs at least one agent"),
+            # Python's own wording of the digit limit differs between versions
+            ("rps", '{"agents": 2, "items": 2, "values": [[1, %s], [1, 1]]}' % ("7" * 5000),
+             "invalid numeric literal in JSON:"),
+            ("rps", '{"agents": 3, "items": 2, "values": [[1, 2], [3, 4]]}', "instance: expected 3 value rows, got 2"),
+            ("check", '{"matrix": []}', "allocation: 'matrix' must be a nonempty list of rows"),
+            ("check", '{"matrix": [1, 2]}', "allocation: matrix rows must be lists"),
+            ("sample", '{"support": []}', "lottery: 'support' must be a nonempty list"),
+        ],
+        ids=["no-agents", "long-int", "missing-row", "empty-matrix", "non-list-rows", "empty-support"],
+    )
+    def test_input_errors_exit_two(self, capsys, files, tmp_path, reader, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = {
+            "rps": ("rps", str(path)),
+            "check": ("check", files("tilt2.json", TILT2), "--alloc", str(path), "--ex-ante", "prop"),
+            "sample": ("sample", str(path)),
+        }[reader]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"fairlot: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_boolean_agent_count_is_input_error(self, capsys, files):
         path = files("bool.json", {"agents": True, "items": 2, "values": [[1, 2]]})
         code, out, err = run(capsys, "rps", path)
@@ -584,6 +612,24 @@ class TestSampleAndPipes:
         text = out_path.read_text()
         assert text.endswith("\n")
         assert len(json.loads(text)["support"]) == 4
+
+    @pytest.mark.parametrize("target", ["missing/out.json", ""], ids=["missing-parent", "directory"])
+    @pytest.mark.parametrize("command", ["rps", "failing-check"])
+    def test_failed_write_exits_two(self, capsys, files, tmp_path, command, target):
+        # a file that cannot be written is an input error, also where the audit
+        # alone would exit 1
+        lottery = {"support": [{"weight": "1", "bundles": [[0], [1]]}]}
+        argv = {
+            "rps": ("rps", files("swap4.json", SWAP4)),
+            "failing-check": ("check", files("tilt2.json", TILT2), "--lottery", files("lot.json", lottery), "--ex-ante", "prop"),
+        }[command]
+        assert run(capsys, *argv)[0] == (0 if command == "rps" else 1)
+        code, out, err = run(capsys, *argv, "-o", str(tmp_path / target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("fairlot: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
 
     def test_rule_output_feeds_check(self, capsys, files, tmp_path):
         lot_path = tmp_path / "lot.json"

@@ -36,14 +36,14 @@ from fairlot.core import (
 from fairlot.eating import EatingState
 from fairlot.lp import LpSolution
 from fairlot.mnw import MnwSolution, ceei_verify
-from fairlot.properties import AuditReport, PropertyVerdict, check_envy, check_gf, check_share
+from fairlot.properties import AuditReport, PropertyVerdict, check_efficiency, check_envy, check_gf, check_share
 from fairlot.rounding import (
     check_adjusted_envy_chain,
     check_utility_guarantee,
     implement_with_utility_guarantee,
     prop1_ef11_lottery_bads,
 )
-from fairlot.rps import RpsConfig, rps_mixed
+from fairlot.rps import RpsConfig, randomized_round_robin, rps_mixed
 
 from conftest import EXACT_VALUES, random_goods, random_integral, utility_inputs
 from oracles import (
@@ -597,6 +597,26 @@ def test_float_values_and_cells_are_input_errors():
     inst = Instance(((1, Fraction(1, 2)), (0, 3)))
     assert inst.utility(0, (Fraction(1, 3), 1)) == Fraction(5, 6)
     assert Instance.from_rows([["0.1", "0.2"]]).utility(0, (1, 1)) == Fraction(3, 10)
+
+
+HALVES = FractionalAllocation.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+TILT2 = Instance.from_rows([[1, 2], [1, 3]])
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (HALVES.to_integral, (), "allocation has fractional cells"),
+        (PropertyVerdict, ("x", False), "failing verdict requires a witness"),
+        (sd_dominates, (((0, 1),), 0, (1, 0), (1,)), "bundle length does not match item count"),
+        (RpsConfig, ("x",), "unknown mode: x"),
+        (randomized_round_robin, (TILT2, "x"), "unknown mode: x"),
+        (check_efficiency, (TILT2, HALVES, "x"), "unknown efficiency notion: x"),
+    ],
+    ids=["to-integral", "verdict-witness", "sd-length", "rps-mode", "round-robin-mode", "efficiency-notion"],
+)
+def test_library_input_errors(call, args, message):
+    assert _error(call, *args) == (InputError, message)
 
 
 # cells that break the contract, each alone or beside others

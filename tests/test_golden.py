@@ -24,6 +24,30 @@ def test_cli_outputs_match_golden_digests(monkeypatch, tmp_path):
     assert moved == []
 
 
+def test_output_flag_matches_golden_digests(monkeypatch, tmp_path):
+    # every case again with -o: the exit code and stderr are the recorded ones,
+    # stdout stays empty, the file holds the recorded stdout, and an input error
+    # or a limit writes no file
+    monkeypatch.chdir(tmp_path)
+    corpus.write_files(str(tmp_path))
+    recorded = dict(line.split("|", 1) for line in RECORD.read_text().splitlines())
+    target = tmp_path / "out.json"
+    checked = 0
+    for name, argv in corpus.cases():
+        if name in ("version", "rps -o"):  # no JSON to write, or -o already given
+            continue
+        target.unlink(missing_ok=True)
+        code, out, err = corpus.run_case([*argv, "-o", str(target)])
+        want_code, want_out, want_err = recorded[name].split("|")
+        assert (str(code), corpus._sha(err), out) == (want_code, want_err, ""), name
+        if code in (2, 3):
+            assert not target.exists(), name
+        else:
+            assert corpus._sha(target.read_text()) == want_out, name
+        checked += 1
+    assert checked == len(recorded) - 2
+
+
 def test_failing_fpo_dominators_recheck(monkeypatch, tmp_path):
     # every failing fpo verdict of the corpus, re-checked from the definition against
     # the allocation it judged: the marginal or the allocation ex ante, each part ex post
