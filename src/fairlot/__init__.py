@@ -33,7 +33,6 @@ _HOMES = {
         "load_lottery",
     ),
     "decomp": ("bihierarchy_decompose", "bvn_decompose"),
-    "eating": ("eat", "eat_full"),
     "mnw": (
         "MnwSolution",
         "ceei_verify",
@@ -64,7 +63,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 # library layers reachable as package attributes, as when the package imported them all
-_LAYERS = {*_HOMES, "lp"}
+_LAYERS = {*_HOMES, "eating", "lp"}
 
 
 def __getattr__(name: str) -> object:

@@ -531,6 +531,15 @@ def _loads(text: str) -> object:
         raise InputError(f"invalid JSON: {exc}") from exc
     except ValueError as exc:  # an int literal past sys.get_int_max_str_digits()
         raise InputError(f"invalid numeric literal in JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("invalid JSON: nested too deeply") from exc
+
+
+def _read(path: str | Path) -> object:
+    try:
+        return _loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _require(obj: object, key: str, context: str) -> object:
@@ -641,15 +650,15 @@ def lottery_to_json(lottery: Lottery) -> dict:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return instance_from_json(_loads(Path(path).read_text()))
+    return instance_from_json(_read(path))
 
 
 def load_allocation(path: str | Path) -> FractionalAllocation:
-    return allocation_from_json(_loads(Path(path).read_text()))
+    return allocation_from_json(_read(path))
 
 
 def load_lottery(path: str | Path, n: int | None = None, m: int | None = None) -> Lottery:
-    return lottery_from_json(_loads(Path(path).read_text()), n=n, m=m)
+    return lottery_from_json(_read(path), n=n, m=m)
 
 
 def dump_json(obj: dict, path: str | Path | None = None) -> str:

@@ -17,14 +17,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (
-    FractionalAllocation,
-    Instance,
-    InputError,
-    ZERO,
-    _Frozen,
-    parse_rational,
-)
+from .core import InputError, ZERO, _Frozen, parse_rational
 
 
 def _eat(
@@ -92,6 +85,8 @@ class EatingState(_Frozen):
         for a in avail:
             if a < 0 or a > 1:
                 raise InputError(f"available mass {a} outside [0, 1]")
+        if any(not 0 <= j < m for p in prefs for j in p):
+            raise InputError(f"a preference order names an item outside the {m} masses")
         return cls(
             prefs=tuple(tuple(p) for p in prefs),
             remaining=avail,
@@ -99,8 +94,15 @@ class EatingState(_Frozen):
             clock=ZERO,
         )
 
-    def run(self, duration: Fraction) -> "EatingState":
-        """Eat for ``duration`` time units, or until everything is exhausted."""
+    def run(self, duration: Fraction | int | str) -> "EatingState":
+        """Eat for ``duration`` time units, or until everything is exhausted.
+
+        >>> EatingState.start([[0, 1], [0, 1]], [1, 1]).run(1).eaten
+        ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+        """
+        duration = parse_rational(duration)
+        if duration < 0:
+            raise InputError("duration must be nonnegative")
         n, m = len(self.eaten), len(self.remaining)
         flat = [self.clock, self.clock + duration, *self.remaining, *(v for row in self.eaten for v in row)]
         den = math.lcm(*(v.denominator for v in flat))
@@ -113,47 +115,3 @@ class EatingState(_Frozen):
             tuple(tuple(Fraction(v, den) for v in row) for row in eaten),
             Fraction(clock, den),
         )
-
-
-def eat(
-    instance: Instance,
-    available: Sequence[Fraction],
-    duration: Fraction | int | str,
-    prefs: Sequence[Sequence[int]] | None = None,
-) -> FractionalAllocation:
-    """Run the protocol for ``duration`` time units over the given item masses.
-
-    Stops early if everything is exhausted. Returns the eaten (partial fractional)
-    allocation; each agent's row sums to min(duration, time of total exhaustion)
-    whenever any mass was available.
-
-    >>> inst = Instance.from_rows([[3, 1], [3, 2]])
-    >>> eat(inst, [1, 1], 1).matrix
-    ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
-    """
-    if len(available) != instance.m:
-        raise InputError("available vector length does not match item count")
-    dur = parse_rational(duration)
-    if dur < 0:
-        raise InputError("duration must be nonnegative")
-    state = EatingState.start(prefs if prefs is not None else instance.prefs, available)
-    return FractionalAllocation(state.run(dur).eaten)
-
-
-def eat_full(
-    instance: Instance,
-    available: Sequence[Fraction] | None = None,
-    prefs: Sequence[Sequence[int]] | None = None,
-) -> FractionalAllocation:
-    """Eat until everything is gone: runs ceil(total mass / n) units of time.
-
-    On a full instance this is the classic probabilistic serial outcome.
-    """
-    avail = (
-        [parse_rational(a) for a in available]
-        if available is not None
-        else [Fraction(1)] * instance.m
-    )
-    total = sum(avail, ZERO)
-    duration = Fraction(math.ceil(total / instance.n))
-    return eat(instance, avail, duration, prefs=prefs)

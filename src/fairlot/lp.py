@@ -97,12 +97,11 @@ def _solve_standard(
     rows: list[list[Fraction]],
     rhs: list[Fraction],
     cost: list[Fraction],
-) -> tuple[str, list[Fraction], list[int], list[list[Fraction]], list[Fraction]]:
+) -> tuple[str, list[Fraction], list[int], list[int]]:
     """Two-phase simplex on min{cost . x : rows x = rhs, x >= 0}.
 
-    Returns (status, values, basis, kept_rows, kept_rhs). The kept system is the
-    input with every row signed so its rhs is nonnegative, minus the rows that
-    phase one proves redundant; ``basis`` indexes its rows.
+    Returns (status, values, basis, kept): ``kept`` lists the input rows that
+    phase one does not prove redundant, and ``basis`` indexes them.
     """
     nvars = len(cost)
     nrows = len(rows)
@@ -124,7 +123,7 @@ def _solve_standard(
     if status != OPTIMAL:  # pragma: no cover - phase one is always bounded below by 0
         raise SolveError("phase one failed")
     if any(tab[r][-1] for r in range(nrows) if basis[r] >= nvars):
-        return INFEASIBLE, [], [], [], []
+        return INFEASIBLE, [], [], []
     tab.pop()
     # Drive artificials out of the basis; drop rows that prove redundant.
     keep: list[int] = []
@@ -149,11 +148,11 @@ def _solve_standard(
     tab2.append(zrow)
     status, d = _simplex(tab2, basis2, nvars, d)
     if status != OPTIMAL:
-        return status, [], [], [], []
+        return status, [], [], []
     values = [ZERO] * nvars
     for r, bi in enumerate(basis2):
         values[bi] = Fraction(tab2[r][-1], d)
-    return OPTIMAL, values, basis2, [rows[r] for r in keep], [rhs[r] for r in keep]
+    return OPTIMAL, values, basis2, keep
 
 
 def _parse_rows(rows: Iterable[Row], num_vars: int) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -188,7 +187,7 @@ def solve(
         row + [-ONE if k == r else ZERO for k in range(nsurplus)] for r, row in enumerate(ge_rows)
     ]
     cost = [-v for v in c] + [ZERO] * nsurplus
-    status, values, _, _, _ = _solve_standard(rows, eq_rhs + ge_rhs, cost)
+    status, values, _, _ = _solve_standard(rows, eq_rhs + ge_rhs, cost)
     if status != OPTIMAL:
         return LpSolution(status, (), None)
     x = tuple(values[:nvars])

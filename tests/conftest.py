@@ -19,9 +19,10 @@ def certified(solve_standard):
 
     def solve(rows, rhs, cost):
         result = solve_standard(rows, rhs, cost)
-        status, values, basis, kept_rows, kept_rhs = result
+        status, values, basis, kept = result
         if status == lp.OPTIMAL:
-            oracles.certify_standard_reference(kept_rows, kept_rhs, cost, basis, values)
+            # a row negated to make its rhs nonnegative only negates its dual
+            oracles.certify_standard_reference([rows[r] for r in kept], [rhs[r] for r in kept], cost, basis, values)
         return result
 
     return solve

@@ -101,6 +101,21 @@ class TestBasics:
         assert code == 2
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize("command", ["rps", "check", "sample"])
+    def test_non_utf8_file_is_input_error(self, capsys, files, tmp_path, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"agents": 1}')
+        argv = {
+            "rps": ("rps", str(path)),
+            "check": ("check", files("tilt2.json", TILT2), "--alloc", str(path), "--ex-ante", "prop"),
+            "sample": ("sample", str(path)),
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"fairlot: {path}: not UTF-8 text")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("literal", ['"1e3000000"', "1e3000000"], ids=["string", "number"])
     def test_huge_decimal_exponent_is_input_error(self, capsys, tmp_path, literal):
         path = tmp_path / "exponent.json"
@@ -123,8 +138,13 @@ class TestBasics:
             ("check", '{"matrix": []}', "allocation: 'matrix' must be a nonempty list of rows"),
             ("check", '{"matrix": [1, 2]}', "allocation: matrix rows must be lists"),
             ("sample", '{"support": []}', "lottery: 'support' must be a nonempty list"),
+            # past the parser's recursion limit, which it reports as a RecursionError
+            *((reader, "[" * 200_000, "invalid JSON: nested too deeply") for reader in ("rps", "check", "sample")),
         ],
-        ids=["no-agents", "long-int", "missing-row", "empty-matrix", "non-list-rows", "empty-support"],
+        ids=[
+            "no-agents", "long-int", "missing-row", "empty-matrix", "non-list-rows", "empty-support",
+            "deep-rps", "deep-check", "deep-sample",
+        ],
     )
     def test_input_errors_exit_two(self, capsys, files, tmp_path, reader, text, message):
         path = tmp_path / "input.json"

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairlot.core import InputError, Instance, sd_dominates
-from fairlot.eating import EatingState, eat, eat_full
+from fairlot.core import FractionalAllocation, InputError, Instance, sd_dominates
+from fairlot.eating import EatingState
 
 from conftest import random_goods
 from oracles import eating_exhausted, eating_run, eating_targets
@@ -19,57 +19,63 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
+def eaten(prefs, masses, duration):
+    return EatingState.start(prefs, masses).run(duration).eaten
+
+
 class TestEat:
     def test_swap4_first_unit(self, swap4):
         # both favor g1; they split it, then diverge to g2 and g3
-        x = eat(swap4, [1, 1, 1, 1], 1)
-        assert x.matrix == (
+        x = eaten(swap4.prefs, [1, 1, 1, 1], 1)
+        assert x == (
             (HALF, HALF, Fraction(0), Fraction(0)),
             (HALF, Fraction(0), HALF, Fraction(0)),
         )
 
     def test_single_agent_eats_in_order(self):
         inst = Instance.from_rows([[1, 3, 2]])
-        x = eat(inst, [1, 1, 1], 1)
-        assert x.matrix[0] == (Fraction(0), ONE, Fraction(0))
-        x2 = eat(inst, [1, 1, 1], Fraction(5, 2))
-        assert x2.matrix[0] == (HALF, ONE, ONE)
+        x = eaten(inst.prefs, [1, 1, 1], 1)
+        assert x[0] == (Fraction(0), ONE, Fraction(0))
+        x2 = eaten(inst.prefs, [1, 1, 1], Fraction(5, 2))
+        assert x2[0] == (HALF, ONE, ONE)
 
     def test_two_identical_agents_one_item_idle_after_half(self):
         inst = Instance.from_rows([[2], [2]])
-        x = eat(inst, [1], 1)
-        assert x.matrix == ((HALF,), (HALF,))
+        x = eaten(inst.prefs, [1], 1)
+        assert x == ((HALF,), (HALF,))
 
     def test_zero_duration(self, swap4):
-        x = eat(swap4, [1, 1, 1, 1], 0)
-        assert all(v == 0 for row in x.matrix for v in row)
+        x = eaten(swap4.prefs, [1, 1, 1, 1], 0)
+        assert all(v == 0 for row in x for v in row)
 
     def test_partial_masses(self):
         inst = Instance.from_rows([[3, 1], [3, 1]])
-        x = eat(inst, [Fraction(1, 2), 1], 1)
+        x = eaten(inst.prefs, [Fraction(1, 2), 1], 1)
         # g1 (mass 1/2) splits at t=1/4; both move to g2
-        assert x.matrix == (
+        assert x == (
             (Fraction(1, 4), Fraction(1, 2)),
             (Fraction(1, 4), Fraction(1, 2)),
         )
 
     def test_negative_duration_rejected(self, swap4):
         with pytest.raises(InputError):
-            eat(swap4, [1, 1, 1, 1], -1)
+            eaten(swap4.prefs, [1, 1, 1, 1], -1)
 
     def test_wrong_mass_vector_length(self, swap4):
         with pytest.raises(InputError):
-            eat(swap4, [1, 1], 1)
+            eaten(swap4.prefs, [1, 1], 1)
 
     def test_prefs_override(self, swap4):
         flipped = ((3, 2, 1, 0), (3, 2, 1, 0))
-        x = eat(swap4, [1, 1, 1, 1], 1, prefs=flipped)
-        assert x.matrix[0] == (Fraction(0), Fraction(0), HALF, HALF)
+        x = eaten(flipped, [1, 1, 1, 1], 1)
+        assert x[0] == (Fraction(0), Fraction(0), HALF, HALF)
 
 
 class TestEatFull:
+    # eating until everything is gone, ceil(m / n) units of time: on a full
+    # instance, the classic probabilistic serial outcome
     def test_swap4_classic_outcome(self, swap4):
-        x = eat_full(swap4)
+        x = FractionalAllocation(eaten(swap4.prefs, [1, 1, 1, 1], 2))
         assert x.matrix == (
             (HALF, ONE, Fraction(0), HALF),
             (HALF, Fraction(0), ONE, HALF),
@@ -78,12 +84,12 @@ class TestEatFull:
 
     def test_distinct_favorites_permutation(self):
         inst = Instance.from_rows([[9, 1, 1], [1, 9, 1], [1, 1, 9]])
-        x = eat_full(inst)
+        x = FractionalAllocation(eaten(inst.prefs, [1, 1, 1], 1))
         assert x.to_integral().bundles == ((0,), (1,), (2,))
 
     def test_bads_ordinal_input_splits_everything(self, bads3):
-        x = eat_full(bads3)
-        assert x.matrix == ((HALF, HALF, HALF), (HALF, HALF, HALF))
+        x = eaten(bads3.prefs, [1, 1, 1], 2)
+        assert x == ((HALF, HALF, HALF), (HALF, HALF, HALF))
 
 
 class TestStateMechanics:
@@ -119,10 +125,10 @@ def test_unit_eating_is_sd_envy_free(seed):
     masses = [Fraction(rng.randint(0, 4), 4) for _ in range(inst.m)]
     if sum(masses) == 0:
         masses[0] = ONE
-    x = eat(inst, masses, 1)
+    x = eaten(inst.prefs, masses, 1)
     for i in range(inst.n):
         for h in range(inst.n):
-            assert sd_dominates(inst.prefs, i, x.row(i), x.row(h))
+            assert sd_dominates(inst.prefs, i, x[i], x[h])
 
 
 @settings(max_examples=120, deadline=None)
@@ -132,10 +138,10 @@ def test_row_sums_track_the_clock(seed):
     inst = random_goods(rng, n_max=4, m_max=7)
     masses = [ONE] * inst.m
     duration = Fraction(rng.randint(0, 8), 4)
-    x = eat(inst, masses, duration)
+    x = eaten(inst.prefs, masses, duration)
     horizon = min(duration, Fraction(inst.m, inst.n))
     for i in range(inst.n):
-        assert sum(x.row(i), Fraction(0)) == horizon
+        assert sum(x[i], Fraction(0)) == horizon
 
 
 def test_run_matches_fraction_events():

@@ -324,7 +324,7 @@ class TestEdgeCases:
 # The Fraction tableau the integer tableau replaced, kept as the seeded oracle:
 # the same Bland pivots on the unscaled system, one Fraction row operation at a
 # time. The integer tableau must reproduce its status, values, basis and kept
-# system exactly.
+# rows exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -393,7 +393,7 @@ def _oracle_solve_standard(rows, rhs, cost):
     basis = [nvars + r for r in range(nrows)]
     assert _oracle_simplex(work, work_rhs, art_cost, basis, nvars + nrows) == OPTIMAL
     if sum((work_rhs[r] for r in range(nrows) if basis[r] >= nvars), F(0)) != 0:
-        return INFEASIBLE, [], [], [], []
+        return INFEASIBLE, [], [], []
     keep = []
     for r in range(nrows):
         if basis[r] >= nvars:
@@ -408,11 +408,11 @@ def _oracle_solve_standard(rows, rhs, cost):
     basis2 = [basis[r] for r in keep]
     status = _oracle_simplex(rows2, rhs2, list(cost), basis2, nvars)
     if status != OPTIMAL:
-        return status, [], [], [], []
+        return status, [], [], []
     values = [F(0)] * nvars
     for r, bi in enumerate(basis2):
         values[bi] = rhs2[r]
-    return OPTIMAL, values, basis2, [rows[r] for r in keep], [rhs[r] for r in keep]
+    return OPTIMAL, values, basis2, keep
 
 
 def _with_oracle(monkeypatch, call, *args):
