@@ -30,6 +30,10 @@ MIXED = "mixed"
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# support x n x m cells a lottery file may ask for; the densest n x n BvN
+# decomposition (n^2 - 2n + 2 parts) stays under it up to n = 45
+LOTTERY_CELL_LIMIT = 4_000_000
+
 
 class FairlotError(Exception):
     """Base class for all library errors."""
@@ -607,7 +611,8 @@ def lottery_from_json(obj: object, n: int | None = None, m: int | None = None) -
     """Load a lottery. Its shape comes from the ``agents``/``items`` fields when
     present (they must agree with ``n``/``m`` when both are given), else from
     ``n``/``m``, else from the bundles, which cannot show a trailing item that no
-    allocation assigns."""
+    allocation assigns. Above ``LOTTERY_CELL_LIMIT`` cells it raises
+    SizeLimitError before it builds any matrix."""
     support = _require(obj, "support", "lottery")
     if not isinstance(support, list) or not support:
         raise InputError("lottery: 'support' must be a nonempty list")
@@ -629,6 +634,8 @@ def lottery_from_json(obj: object, n: int | None = None, m: int | None = None) -
                 for j in bundle:
                     if isinstance(j, int):
                         m = max(m, j + 1)
+    if len(raw) * n * m > LOTTERY_CELL_LIMIT:
+        raise SizeLimitError(f"lottery: {len(raw)} x {n} x {m} cells exceed the cap of {LOTTERY_CELL_LIMIT}")
     entries = [
         (w, IntegralAllocation.from_bundles(n, m, bundles)) for w, bundles in raw
     ]

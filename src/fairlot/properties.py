@@ -1,6 +1,10 @@
 """Exact fairness and efficiency checkers with re-checkable violation witnesses.
 
-Every verdict is computed in rational arithmetic; a failing verdict carries a
+Every verdict is exact. The value sums over integral bundles (``ef1``, ``efk``,
+``wef1``, ``ef11_*``, ``prop1_*``) compare ints on agent i's row of
+``Instance.scaled`` (i's values times one scale, which cancels from each of i's
+inequalities) and build a Fraction only for a witness; the other notions
+compare Fractions or int forms of their own. A failing verdict carries a
 witness that re-evaluates to a violation using nothing but the defining
 inequality. The eight envy notions share one pair loop: each defines whether
 agent i envies agent h beyond its allowance, and the loop tries i, then h, in
@@ -69,6 +73,11 @@ def check_share(
     ``strict=True`` demands that the one-item adjustment land *strictly* above
     the proportional share, the form actually guaranteed for rounded Prop
     allocations; the plain definitional check uses weak inequality.
+
+    ``prop`` compares Fraction utilities of the (possibly fractional) rows. The
+    ``prop1`` notions compare ints on agent i's row of ``Instance.scaled``: n
+    times the bundle's value against the row's total; the witness values are
+    those ints over i's scale (and n for the share).
     """
     if notion not in SHARE_NOTIONS:
         raise InputError(f"unknown share notion: {notion}")
@@ -89,23 +98,26 @@ def check_share(
     if instance.kind != kind:
         raise KindMismatchError(f"{notion} applies to {kind} instances, got {instance.kind}")
     a = _as_integral(alloc, notion)
-    for i in range(instance.n):
-        own = instance.bundle_value(i, a.bundles[i])
-        share = instance.proportional_share(i)
-        if own >= share:
+    n = instance.n
+    for i, (scale, row) in enumerate(instance.scaled):
+        # on i's int row the share times n is the row's total, and the scale cancels
+        own, total = sum([row[j] for j in a.bundles[i]]), sum(row)
+        if own * n >= total:
             continue
         if kind == GOODS:
-            candidates = [j for j in range(instance.m) if a.matrix[i][j] == 0]
-            adjusted = [(own + instance.values[i][j], j) for j in candidates]
+            adjusted = [(own + v, j) for j, (v, x) in enumerate(zip(row, a.matrix[i])) if not x]
         else:
-            adjusted = [(own - instance.values[i][j], j) for j in a.bundles[i]]
-        best = max(adjusted, default=None)
-        passes = best is not None and (best[0] > share if strict else best[0] >= share)
-        if not passes:
-            witness = {"agent": i, "value": str(own), "share": str(share)}
-            if best is not None:
-                witness["best_item"] = best[1]
-                witness["best_value"] = str(best[0])
+            adjusted = [(own - row[j], j) for j in a.bundles[i]]
+        # never empty: an agent below its share holds some bad, or lacks some good
+        best, j = max(adjusted)
+        if best * n < total or (strict and best * n == total):
+            witness = {
+                "agent": i,
+                "value": str(Fraction(own, scale)),
+                "share": str(Fraction(total, scale * n)),
+                "best_item": j,
+                "best_value": str(Fraction(best, scale)),
+            }
             return PropertyVerdict(notion, False, witness)
     return PropertyVerdict(notion, True)
 
@@ -129,11 +141,17 @@ def check_envy(
     else the notion's extra witness fields. One pair loop runs it over i, then
     h != i, in index order; the first envious pair fails the check with the
     witness ``{"envious": i, "envied": h, **extra}``.
+
+    ``ef`` compares Fraction utilities of the (possibly fractional) rows, and
+    ``sd_ef`` and ``sd_ef1`` compare the allocation's int masses along the
+    orders. The notions on integral bundles (``ef1``, ``efk``, ``wef1``,
+    ``ef11_goods``, ``ef11_bads``) sum ints on agent i's row of
+    ``Instance.scaled``; a witness value is such a sum over i's scale.
     """
     if notion not in ENVY_NOTIONS:
         raise InputError(f"unknown envy notion: {notion}")
     alloc.check_shape(instance)
-    n, values, rows = instance.n, instance.values, alloc.matrix
+    n, rows = instance.n, alloc.matrix
     label = f"ef{k}" if notion == "efk" else notion
 
     if notion == "ef":
@@ -172,13 +190,18 @@ def check_envy(
             raise KindMismatchError("ef11_bads applies to bads instances")
         a = _as_integral(alloc, label)
         rows, bundles = a.matrix, a.bundles
+        # agent i's int row: each inequality sums only i's values, so i's scale cancels
+        scales, ints = zip(*instance.scaled)
 
-        def worth(i: int, h: int) -> list[Fraction]:
-            row = values[i]
+        def worth(i: int, h: int) -> list[int]:
+            row = ints[i]
             return [row[j] for j in bundles[h]]
 
-        def outside(i: int, h: int) -> list[Fraction]:
-            return [v for v, x in zip(values[i], rows[h]) if not x]
+        def outside(i: int, h: int) -> list[int]:
+            return [v for v, x in zip(ints[i], rows[h]) if not x]
+
+        def shown(i: int, total: int) -> str:
+            return str(Fraction(total, scales[i]))
 
         if notion == "sd_ef1":
             prefs = instance.prefs
@@ -193,48 +216,48 @@ def check_envy(
 
         elif notion == "wef1":
             # the best single removals: i's worst own bad, and i's best good of h's
-            kept = [sum(w, ZERO) - min([ZERO, *w]) for w in (worth(i, i) for i in range(n))]
+            kept = [sum(w) - min([0, *w]) for w in (worth(i, i) for i in range(n))]
 
             def envies(i: int, h: int) -> dict | None:
                 theirs = worth(i, h)
-                return {} if kept[i] < sum(theirs, ZERO) - max([ZERO, *theirs]) else None
+                return {} if kept[i] < sum(theirs) - max([0, *theirs]) else None
 
         elif notion == "ef11_goods":
-            plus_best = [sum(worth(i, i), ZERO) + max(outside(i, i), default=ZERO) for i in range(n)]
+            plus_best = [sum(worth(i, i)) + max(outside(i, i), default=0) for i in range(n)]
 
             def envies(i: int, h: int) -> dict | None:
                 theirs = worth(i, h)
                 if not theirs:
                     return None
-                minus_best = sum(theirs, ZERO) - max(theirs)
+                minus_best = sum(theirs) - max(theirs)
                 if plus_best[i] >= minus_best:
                     return None
-                return {"own_plus_best": str(plus_best[i]), "other_minus_best": str(minus_best)}
+                return {"own_plus_best": shown(i, plus_best[i]), "other_minus_best": shown(i, minus_best)}
 
         elif notion == "ef11_bads":
-            minus_worst = [sum(w, ZERO) - min(w) if w else None for w in (worth(i, i) for i in range(n))]
+            minus_worst = [sum(w) - min(w) if w else None for w in (worth(i, i) for i in range(n))]
 
             def envies(i: int, h: int) -> dict | None:
                 if minus_worst[i] is None:
                     return None
-                plus_worst = sum(worth(i, h), ZERO) + min(outside(i, h), default=ZERO)
+                plus_worst = sum(worth(i, h)) + min(outside(i, h), default=0)
                 if minus_worst[i] >= plus_worst:
                     return None
-                return {"own_minus_worst": str(minus_worst[i]), "other_plus_worst": str(plus_worst)}
+                return {"own_minus_worst": shown(i, minus_worst[i]), "other_plus_worst": shown(i, plus_worst)}
 
         else:
-            own = [sum(worth(i, i), ZERO) for i in range(n)]
+            own = [sum(worth(i, i)) for i in range(n)]
             goods = instance.kind == GOODS
             # goods: i drops the k goods of h's it values most; bads: i drops its k worst own bads
-            kept = own if goods else [own[i] - sum(sorted(worth(i, i))[:steps], ZERO) for i in range(n)]
+            kept = own if goods else [own[i] - sum(sorted(worth(i, i))[:steps]) for i in range(n)]
 
             def envies(i: int, h: int) -> dict | None:
                 theirs = worth(i, h)
                 if goods and not theirs:
                     return None
-                other = sum(theirs, ZERO)
-                allowed = other - sum(sorted(theirs, reverse=True)[:steps], ZERO) if goods else other
-                return {"own": str(own[i]), "other": str(other)} if kept[i] < allowed else None
+                other = sum(theirs)
+                allowed = other - sum(sorted(theirs, reverse=True)[:steps]) if goods else other
+                return {"own": shown(i, own[i]), "other": shown(i, other)} if kept[i] < allowed else None
 
     for i in range(n):
         for h in range(n):

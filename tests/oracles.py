@@ -32,7 +32,13 @@ from fairlot.core import (
 from fairlot.decomp import _MaxFlow, _extract, bvn_decompose, caratheodory_weights
 from fairlot.eating import EatingState
 from fairlot.mnw import solve_mnw
-from fairlot.properties import ENVY_NOTIONS, _as_integral, check_envy, enumerate_integral_allocations
+from fairlot.properties import (
+    ENVY_NOTIONS,
+    SHARE_NOTIONS,
+    _as_integral,
+    check_envy,
+    enumerate_integral_allocations,
+)
 from fairlot.rps import POLY_SUPPORT, SAMPLE, _StageEngine
 
 
@@ -251,6 +257,54 @@ def check_envy_reference(
         return PropertyVerdict("ef11_bads", True)
 
     raise InputError(f"unknown envy notion: {notion}")  # pragma: no cover
+
+
+def check_share_reference(
+    instance: Instance,
+    alloc: FractionalAllocation,
+    notion: str,
+    strict: bool = False,
+) -> PropertyVerdict:
+    """``check_share`` as it was before ``prop1_goods`` and ``prop1_bads``
+    compared ints: Fraction bundle values, shares and one-item adjustments."""
+    if notion not in SHARE_NOTIONS:
+        raise InputError(f"unknown share notion: {notion}")
+    alloc.check_shape(instance)
+    if notion == "prop":
+        for i in range(instance.n):
+            value = instance.utility(i, alloc.matrix[i])
+            share = instance.proportional_share(i)
+            if value < share:
+                return PropertyVerdict(
+                    "prop",
+                    False,
+                    {"agent": i, "value": str(value), "share": str(share)},
+                )
+        return PropertyVerdict("prop", True)
+
+    kind = GOODS if notion == "prop1_goods" else BADS
+    if instance.kind != kind:
+        raise KindMismatchError(f"{notion} applies to {kind} instances, got {instance.kind}")
+    a = _as_integral(alloc, notion)
+    for i in range(instance.n):
+        own = instance.bundle_value(i, a.bundles[i])
+        share = instance.proportional_share(i)
+        if own >= share:
+            continue
+        if kind == GOODS:
+            candidates = [j for j in range(instance.m) if a.matrix[i][j] == 0]
+            adjusted = [(own + instance.values[i][j], j) for j in candidates]
+        else:
+            adjusted = [(own - instance.values[i][j], j) for j in a.bundles[i]]
+        best = max(adjusted, default=None)
+        passes = best is not None and (best[0] > share if strict else best[0] >= share)
+        if not passes:
+            witness = {"agent": i, "value": str(own), "share": str(share)}
+            if best is not None:
+                witness["best_item"] = best[1]
+                witness["best_value"] = str(best[0])
+            return PropertyVerdict(notion, False, witness)
+    return PropertyVerdict(notion, True)
 
 
 def fpo_lp_reference(instance: Instance, alloc: FractionalAllocation) -> PropertyVerdict:

@@ -167,6 +167,13 @@ class TestBasics:
         assert out == ""
         assert "integers" in err
 
+    def test_oversized_lottery_exits_three(self, capsys, files):
+        path = files("wide.json", {"support": [{"weight": "1", "bundles": [[10**8]]}]})
+        code, out, err = run(capsys, "sample", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("fairlot: lottery: 1 x 1 x 100000001 cells exceed the cap")
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_constants_are_input_errors(self, capsys, files, tmp_path, literal):
         # an instance value, an allocation cell and a lottery weight

@@ -8,11 +8,13 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fairlot import core
 from fairlot.core import (
     ZERO,
     FairlotError,
@@ -21,6 +23,7 @@ from fairlot.core import (
     Instance,
     IntegralAllocation,
     Lottery,
+    SizeLimitError,
     _Frozen,
     _loads,
     allocation_from_json,
@@ -306,6 +309,29 @@ class TestJson:
         for bundles in ([5, 6], [[0], 1], [[0], None]):
             with pytest.raises(InputError):
                 lottery_from_json({"support": [{"weight": "1", "bundles": bundles}]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"support": [{"weight": "1", "bundles": [[10**8]]}]},
+            {"items": 10**8, "support": [{"weight": "1", "bundles": [[0]]}]},
+        ],
+        ids=["index", "items"],
+    )
+    def test_oversized_lottery_is_refused_before_any_matrix(self, obj):
+        # a file of about 60 bytes, sized by its largest index or by its item count
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="cells exceed the cap of"):
+            lottery_from_json(obj)
+        assert time.perf_counter() - start < 0.5
+
+    def test_lottery_cell_cap_counts_support_agents_and_items(self, monkeypatch):
+        obj = {"agents": 2, "items": 3, "support": [{"weight": "1/2", "bundles": b} for b in ([[0], [1]], [[1], [0]])]}
+        monkeypatch.setattr(core, "LOTTERY_CELL_LIMIT", 12)
+        assert len(lottery_from_json(obj)) == 2
+        monkeypatch.setattr(core, "LOTTERY_CELL_LIMIT", 11)
+        with pytest.raises(SizeLimitError, match="lottery: 2 x 2 x 3 cells exceed the cap of 11"):
+            lottery_from_json(obj)
 
     def test_instance_counts_reject_booleans(self):
         # bool is an int subclass: true would otherwise read as one agent or item

@@ -37,6 +37,7 @@ from fairlot.rounding import gf_lottery
 from fairlot.rps import rps, rps_bads, rps_mixed
 
 from conftest import (
+    EXACT_VALUES,
     eating_inputs,
     mnw_inputs,
     random_bads,
@@ -48,6 +49,7 @@ from conftest import (
 )
 from oracles import (
     check_envy_reference,
+    check_share_reference,
     enumerate_ef1_allocations,
     fractional_row,
     fpo_lp_reference,
@@ -115,16 +117,27 @@ def _enumerated_ef11_goods(inst: Instance, a: IntegralAllocation) -> dict | None
 def _envy_inputs(rng: random.Random, count: int):
     """Seeded (instance, allocation) pairs for the envy cross-check. Goods, bads and
     mixed values come from small ranges, so ties, zero rows and items nobody values
-    are common; n runs 1 to 4 and m 0 to 7. Allocations are integral, 0/1
-    fractional, or fractional in quarters; integral ones leave items unassigned
-    and lean toward agent 0, so some bundles are empty and some lopsided."""
+    are common; n runs 1 to 4 and m 0 to 7. A third of the instances have int
+    values; a third have agent i's values in steps of 1/3, 1/4, 1/7 or 1/10 by i,
+    and a third draw from ``EXACT_VALUES``, so each agent's row has its own scale.
+    Allocations are integral, 0/1 fractional, or fractional in quarters; integral
+    ones leave items unassigned and lean toward agent 0, so some bundles are empty
+    and some lopsided."""
     ranges = ((0, 4), (-4, 0), (-3, 3))
     for t in range(count):
         n = 1 if t % 10 == 0 else rng.randint(2, 4)
         m = rng.randint(0, 7)
         lo, hi = ranges[t % 3]
-        inst = Instance.from_rows([[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)])
-        pool = [*range(-1, n), *[0] * (t % 4)]  # -1 leaves an item unassigned
+        flavor = t // 9 % 3
+        if flavor == 0:
+            rows = [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
+        elif flavor == 1:
+            rows = [[Fraction(rng.randint(lo * d, hi * d), d) for _ in range(m)] for d in (3, 4, 7, 10)[:n]]
+        else:
+            signs = [sign for sign, bound in ((-1, lo), (1, hi)) if bound]
+            rows = [[rng.choice(signs) * Fraction(rng.choice(EXACT_VALUES)) for _ in range(m)] for _ in range(n)]
+        inst = Instance.from_rows(rows)
+        pool = [*range(-1, n), *[0] * (t % 4 * 2)]  # -1 leaves an item unassigned
         owners = [rng.choice(pool) for _ in range(m)]
         matrix = [[int(o == i) for o in owners] for i in range(n)]
         style = t // 3 % 3
@@ -182,6 +195,41 @@ class TestShares:
         part = IntegralAllocation.from_bundles(2, 4, [(0, 1), (2, 3)])
         with pytest.raises(InputError):
             check_share(swap4, part, "mms")
+
+
+def test_share_checker_on_integer_rows_matches_fraction_reference():
+    # prop1_goods and prop1_bads compare ints on the rows of Instance.scaled; for
+    # them and prop, strict and weak, the verdict and witness, or the error type
+    # and message, must be those of the Fraction body, on int rows and rows with
+    # per-agent denominators, empty bundles and unassigned items among them
+    rng = random.Random(3434)
+    cases = [*_envy_inputs(rng, 1800), *utility_inputs(rng, 100)]
+    cases.append((Instance.from_rows([[1, 2]]), IntegralAllocation.from_bundles(1, 3, [(0,)])))
+
+    def outcome(check, inst, x, notion, strict):
+        try:
+            return check(inst, x, notion, strict).to_json()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    failing: dict[tuple, int] = {}
+    empty = 0
+    for inst, x in cases:
+        scaled = any(scale > 1 for scale, _ in inst.scaled)
+        empty += x.is_integral and not all(any(row) for row in x.matrix)
+        for notion in (*properties.SHARE_NOTIONS, "mms"):
+            for strict in (False, True):
+                got = outcome(check_share, inst, x, notion, strict)
+                assert got == outcome(check_share_reference, inst, x, notion, strict), (inst, x, notion, strict)
+                if isinstance(got, dict) and not got["holds"]:
+                    key = notion, strict, scaled
+                    failing[key] = failing.get(key, 0) + 1
+                    # a prop1 failure always has an item to add or drop
+                    assert notion == "prop" or "best_item" in got["witness"]
+    # every notion fails, strict and weak, on int rows and on scaled rows
+    keys = [(notion, strict, scaled) for notion in properties.SHARE_NOTIONS for strict in (False, True) for scaled in (False, True)]
+    assert min(failing.get(key, 0) for key in keys) > 10, failing
+    assert empty > 100
 
 
 class TestEnvy:
@@ -294,17 +342,21 @@ class TestEnvy:
             except Exception as exc:
                 return type(exc), str(exc)
 
-        failing = dict.fromkeys(calls, 0)
-        for inst, alloc in _envy_inputs(random.Random(2101), 600):
+        # failures by whether some agent's scale exceeds 1, where a witness value
+        # is an int sum over that scale, as in "own_plus_best": "7/6"
+        failing = {scaled: dict.fromkeys(calls, 0) for scaled in (False, True)}
+        for inst, alloc in _envy_inputs(random.Random(2101), 1800):
+            scaled = any(scale > 1 for scale, _ in inst.scaled)
             for notion, k in calls:
                 got = outcome(check_envy, inst, alloc, notion, k)
                 assert got == outcome(check_envy_reference, inst, alloc, notion, k), (inst, alloc, notion, k)
-                failing[notion, k] += isinstance(got, dict) and not got["holds"]
+                failing[scaled][notion, k] += isinstance(got, dict) and not got["holds"]
         mismatched = (Instance.from_rows([[1, 2]]), IntegralAllocation.from_bundles(1, 3, [(0,)]))
         assert outcome(check_envy, *mismatched, "ef", None) == outcome(check_envy_reference, *mismatched, "ef", None)
-        # every notion fails several times, efk at each k >= 1 too
-        assert min(failing[notion, None] for notion in properties.ENVY_NOTIONS if notion != "efk") > 10
-        assert min(failing["efk", k] for k in (1, 2, 3)) > 10
+        # every notion fails several times on int rows and on scaled rows, efk at each k >= 1 too
+        for counts in failing.values():
+            assert min(counts[notion, None] for notion in properties.ENVY_NOTIONS if notion != "efk") > 10, counts
+            assert min(counts["efk", k] for k in (1, 2, 3)) > 10, counts
 
     def test_ef11_goods_failures_match_enumeration(self):
         rng = random.Random(1111)
@@ -360,7 +412,7 @@ def test_sd_ef_on_integer_rows_matches_fraction_reference():
     rng = random.Random(3032)
     cases = [*utility_inputs(rng, 300), *_envy_inputs(rng, 300)]
     rules = {"goods": rps, "bads": rps_bads, "mixed": rps_mixed}
-    for kind, inst in eating_inputs(rng, 90):
+    for kind, inst in eating_inputs(rng, 150):
         lot = rules[kind](inst)
         cases += [(inst, lot.marginal), *[(inst, part) for _, part in lot.support][:3]]
 
