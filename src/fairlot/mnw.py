@@ -8,6 +8,11 @@ exact rationals by the ascending-price primal-dual algorithm of Devanur,
 Papadimitriou, Saberi and Vazirani (JACM 2008): prices start low enough that
 the agents' budgets, sent along best buys by an integer max flow, can buy out
 every item, and rise until the budgets are spent. The flow then is the CEEI.
+Only that last round's flow is output, and only it runs the canonical
+Edmonds-Karp of ``decomp._MaxFlow``. Every earlier round reads just the capacity
+left unsold and the nodes the source reaches in the residual network, the
+source side of the minimal minimum cut, which every maximum flow shares; so
+those rounds run a smaller bipartite flow in any augmenting order.
 
 The rounds run on Python ints: each agent's value row scaled to integers, the
 prices as numerators over one common denominator, each agent's best rate as a
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .core import (
     BADS,
@@ -58,23 +63,66 @@ def _lowest(num: int, den: int) -> tuple[int, int]:
     return num // common, den // common
 
 
-def _spend(
-    k: int, m: int, agents: list[int], edges: list[tuple[int, int]], budget: int, cap: dict[int, int]
-) -> tuple[_MaxFlow, list[int], int]:
+def _live(
+    k: int, m: int, agents: Collection[int], edges: list[tuple[int, int]], budget: int, room: list[int]
+) -> tuple[set[int], set[int], int]:
     """Route a budget of ``budget`` from each of ``agents`` along ``edges`` to the
-    items of ``cap``, each selling at most its cap.
+    items, item g selling at most ``room[g]``, by a maximum flow in any path order.
 
-    Nodes are agents 0..k-1, items k..k+m-1, then source and sink. Returns the
-    solved network, the arc of each edge and the capacity left unsold.
+    Returns the live agents and items, those the source reaches in the residual
+    network, and the capacity left unsold. Every maximum flow gives the same three:
+    the live nodes are the source side of the minimal minimum cut.
     """
-    src, snk = k + m, k + m + 1
-    flow = _MaxFlow(k + m + 2)
+    left, room = [0] * k, list(room)
     for a in agents:
-        flow.add(src, a, budget)
-    arcs = [flow.add(a, k + g, budget) for a, g in edges]
-    for g, c in cap.items():
-        flow.add(k + g, snk, c)
-    return flow, arcs, sum(cap.values()) - flow.solve(src, snk)
+        left[a] = budget
+    items: list[list[int]] = [[] for _ in range(k)]
+    buyers: list[list[int]] = [[] for _ in range(m)]
+    flow = [[0] * m for _ in range(k)]
+    for a, g in edges:  # greedy start: each agent fills its items in index order
+        items[a].append(g)
+        buyers[g].append(a)
+        sent = min(left[a], room[g])
+        flow[a][g], left[a], room[g] = sent, left[a] - sent, room[g] - sent
+    while True:
+        # Breadth-first from the agents with budget left. An agent sends at most
+        # its budget, so when arc (a, g) is full, a has no budget left and sends
+        # nothing else: only g reaches a, and the search never needs the
+        # residual of an agent-to-item arc.
+        via_item, via_agent = [-1] * k, [-1] * m  # -2: reached from the source
+        queue = [a for a in agents if left[a]]
+        for a in queue:
+            via_item[a] = -2
+        end = -1
+        for a in queue:
+            for g in items[a]:
+                if via_agent[g] == -1:
+                    via_agent[g] = a
+                    if room[g]:
+                        end = g
+                        break
+                    for b in buyers[g]:
+                        if via_item[b] == -1 and flow[b][g]:
+                            via_item[b] = g
+                            queue.append(b)
+            if end != -1:
+                break
+        if end == -1:
+            live = {a for a in range(k) if via_item[a] != -1}
+            return live, {g for g in range(m) if via_agent[g] != -1}, sum(room)
+        path, g, sent = [], end, room[end]
+        while g != -2:
+            a = via_agent[g]
+            path.append((a, g))
+            g = via_item[a]
+            sent = min(sent, left[a] if g == -2 else flow[a][g])
+        for a, g in path:
+            flow[a][g] += sent
+            if via_item[a] == -2:
+                left[a] -= sent
+            else:
+                flow[a][via_item[a]] -= sent
+        room[end] -= sent
 
 
 def _equilibrium_shares(rows: list[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -92,8 +140,12 @@ def _equilibrium_shares(rows: list[Sequence[int]]) -> tuple[list[list[Fraction]]
     which changes no agent's rates. Price g is ``P[g] / D`` and agent a's best
     rate is ``A[a] / B[a]``. A network in which a unit budget is ``D`` and item g
     sells at most ``P[g]`` is the network of the rational prices with every
-    capacity scaled by ``D``; Edmonds-Karp takes the same paths in both, so the
-    share of edge (a, g) is its flow over ``P[g]``.
+    capacity scaled by ``D``. The last round, where the prices sum to the k
+    budgets, is known before its flow is solved; only its flow is output, so only
+    it runs the Edmonds-Karp of ``_MaxFlow``, which takes the same paths in both
+    networks, and the share of edge (a, g) is its flow over ``P[g]``. Every
+    earlier round and raise reads only the unsold capacity and the live nodes,
+    which every maximum flow shares, so ``_live`` finds them.
     """
     k, m = len(rows), len(rows[0])
     A = [m * max(row) for row in rows]
@@ -107,26 +159,33 @@ def _equilibrium_shares(rows: list[Sequence[int]]) -> tuple[list[list[Fraction]]
         for a, row in enumerate(rows):
             scaled, rate = B[a] * D, A[a]
             edges += [(a, g) for g in range(m) if row[g] * scaled == rate * P[g]]
-        flow, arcs, unsold = _spend(k, m, list(range(k)), edges, D, dict(enumerate(P)))
-        if unsold:
-            raise RuntimeError("ascending prices left an item unsold")
         if sum(P) == k * D:
+            src, snk = k + m, k + m + 1
+            flow = _MaxFlow(k + m + 2)
+            for a in range(k):
+                flow.add(src, a, D)
+            arcs = [flow.add(a, k + g, D) for a, g in edges]
+            for g, p in enumerate(P):
+                flow.add(k + g, snk, p)
+            if flow.solve(src, snk) != k * D:
+                raise RuntimeError("ascending prices left an item unsold")
             shares = [[ZERO] * m for _ in range(k)]
             for (a, g), eid in zip(edges, arcs):
                 shares[a][g] = Fraction(flow.cap[eid ^ 1], P[g])
             return shares, [Fraction(p, D) for p in P]
-        live_agents = [a for a in range(k) if flow.reach[a] != -1]
-        live_items = {g for g in range(m) if flow.reach[k + g] != -1}
-        live_edges = [(a, g) for a, g in edges if flow.reach[a] != -1]
+        live_agents, live_items, unsold = _live(k, m, range(k), edges, D, P)
+        if unsold:
+            raise RuntimeError("ascending prices left an item unsold")
+        live_edges = [(a, g) for a, g in edges if a in live_agents]
         tight = live_items
         while True:  # min |buyers(S)| / price(S) over live S, by shrinking the violated set
             # raised by buyers / price(S), a unit budget is cost and item g costs buyers * P[g]
             buyers, cost = len({a for a, g in live_edges if g in tight}), sum(P[g] for g in tight)
-            raised = {g: buyers * P[g] for g in live_items}
-            flow, _, unsold = _spend(k, m, live_agents, live_edges, cost, raised)
+            raised = [buyers * p if g in live_items else 0 for g, p in enumerate(P)]
+            _, reached, unsold = _live(k, m, live_agents, live_edges, cost, raised)
             if not unsold:
                 break
-            tight = {g for g in live_items if flow.reach[k + g] == -1}
+            tight = live_items - reached
         up, down = buyers * D, cost  # the raise factor up / down
         for a in live_agents:
             for g, value in enumerate(rows[a]):

@@ -840,6 +840,28 @@ def mnw_equilibrium_shares(rows: list[list[Fraction]]) -> tuple[list[list[Fracti
             price[g] *= x
 
 
+def mnw_live_reference(
+    k: int, m: int, agents: list[int], edges: list[tuple[int, int]], budget: int, room: list[int]
+) -> tuple[set[int], set[int], int, bool]:
+    """``mnw._live`` by the Edmonds-Karp ``_MaxFlow`` network that every price round
+    solved before: nodes are agents 0..k-1, items k..k+m-1, then source and sink.
+
+    Returns the live agents and items (``reach``), the capacity left unsold, and
+    whether some agent sent its whole positive budget along one edge.
+    """
+    src, snk = k + m, k + m + 1
+    flow = _MaxFlow(k + m + 2)
+    for a in agents:
+        flow.add(src, a, budget)
+    arcs = [flow.add(a, k + g, budget) for a, g in edges]
+    for g, c in enumerate(room):
+        flow.add(k + g, snk, c)
+    unsold = sum(room) - flow.solve(src, snk)
+    live_agents = {a for a in range(k) if flow.reach[a] != -1}
+    live_items = {g for g in range(m) if flow.reach[k + g] != -1}
+    return live_agents, live_items, unsold, budget > 0 and any(flow.cap[e] == 0 for e in arcs)
+
+
 # ---------------------------------------------------------------------------
 # The RPS stage loop before sample mode shared it: full and poly mode on
 # frontiers keyed by matrix alone, sample mode as a separate walk, and the

@@ -660,7 +660,7 @@ def _random_network(rng: random.Random) -> tuple[int, list[tuple[int, int, int]]
 
 
 def _recorded_networks() -> dict[str, list]:
-    """The networks that the decomposition and the MNW price rounds (``_spend``) solve."""
+    """The networks that the decomposition and the last MNW price round solve."""
     recorded: dict[str, list] = {"decomp": [], "spend": []}
     original = _MaxFlow.solve
     layer = "decomp"
@@ -677,7 +677,7 @@ def _recorded_networks() -> dict[str, list]:
             bvn_decompose(random_doubly_stochastic(rng, n))
         for _ in range(10):
             bvn_decompose(random_substochastic(rng, rng.randint(1, 5), rng.randint(1, 6)))
-        for _ in range(12):
+        for _ in range(60):  # one network per MNW solve: its last price round
             inst = random_goods(rng, n_max=4, m_max=6)
             layer = "spend"
             x = solve_mnw(inst).allocation

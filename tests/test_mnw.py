@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import _thread
 import hashlib
 import json
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -39,6 +41,7 @@ from oracles import (
     integral_nash_argmax,
     mnw_deviation_witness_reference,
     mnw_equilibrium_shares,
+    mnw_live_reference,
     nash_product,
     total_value_reference,
 )
@@ -370,6 +373,82 @@ def test_price_round_that_does_not_raise_is_an_error(monkeypatch, tilt2):
     monkeypatch.setattr(mnw, "_lowest", lambda num, den: (1, 1))
     with pytest.raises(SolveError, match="did not raise"):
         solve_mnw(tilt2)
+
+
+def test_unsold_item_in_an_earlier_round_is_an_error(monkeypatch, tilt2):
+    # tilt2's first round is not the last: the flow of _live reports the unsold unit
+    real = mnw._live
+
+    def leaky(*args):
+        live_agents, live_items, unsold = real(*args)
+        return live_agents, live_items, unsold + 1
+
+    monkeypatch.setattr(mnw, "_live", leaky)
+    with pytest.raises(RuntimeError, match="^ascending prices left an item unsold$"):
+        solve_mnw(tilt2)
+
+
+def test_unsold_item_in_the_last_round_is_an_error(monkeypatch, tilt2):
+    # only the last round runs _MaxFlow: it sells one unit less
+    real = mnw._MaxFlow.solve
+    monkeypatch.setattr(mnw._MaxFlow, "solve", lambda flow, s, t: real(flow, s, t) - 1)
+    with pytest.raises(RuntimeError, match="^ascending prices left an item unsold$"):
+        solve_mnw(tilt2)
+
+
+def _random_market(rng: random.Random) -> tuple:
+    """A price-round market: 1-6 agents, 1-9 items, any subset of the agents
+    budgeted (as in a raise), edges from them or from all agents, and about one
+    budget in ten and one item cap in five zero. Caps are drawn near the budget,
+    so one item often takes an agent's whole budget, and magnitudes reach 10^18."""
+    k, m = rng.randint(1, 6), rng.randint(1, 9)
+    top = rng.choice((3, 10, 1000, 10**18))
+    budget = 0 if rng.random() < 0.1 else rng.randint(1, top)
+    room = [0 if rng.random() < 0.2 else rng.randint(1, 2 * top) for _ in range(m)]
+    agents = sorted(rng.sample(range(k), rng.randint(0, k)))
+    senders = agents if rng.random() < 0.5 else range(k)
+    density = rng.random()
+    edges = [(a, g) for a in senders for g in range(m) if rng.random() < density]
+    return k, m, agents, edges, budget, room
+
+
+def test_live_flow_matches_edmonds_karp(monkeypatch):
+    # _live may route any maximum flow; its live agents, live items and unsold
+    # capacity must be those of the Edmonds-Karp network it replaced, on random
+    # markets and on every round and raise before the last of 300 solves
+    rng = random.Random(3535)
+    markets = [_random_market(rng) for _ in range(2500)]
+    real = mnw._live
+
+    def record(k, m, agents, edges, budget, room):
+        markets.append((k, m, list(agents), list(edges), budget, list(room)))
+        return real(k, m, agents, edges, budget, room)
+
+    monkeypatch.setattr(mnw, "_live", record)
+    mismatches, full, sold_out, saturated = [], 0, 0, 0
+    # an augmenting path with no residual loops forever: after 120 s (well under
+    # 1 s is normal) interrupt it, which stops the run with its traceback
+    watchdog = threading.Timer(120, _thread.interrupt_main)
+    watchdog.start()
+    try:
+        for inst in mnw_inputs(random.Random(3636), 300):
+            solve_mnw(inst)
+        for market in markets:
+            *expected, whole = mnw_live_reference(*market)
+            if list(real(*market)) != expected:
+                mismatches.append(market)
+            full += len(expected[0]) == market[0]
+            sold_out += expected[2] == 0
+            saturated += whole
+    finally:
+        watchdog.cancel()
+    assert mismatches == []
+    # the draws hold every round and raise of the solves, rounds with every agent
+    # live, with every item sold, with agents whose whole budget went to one item,
+    # and with zero budgets
+    assert len(markets) > 3500
+    assert full > 400 and sold_out > 1000 and saturated > 1000
+    assert sum(market[4] == 0 for market in markets) > 200
 
 
 class TestMnwV:
