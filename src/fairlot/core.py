@@ -216,15 +216,16 @@ class Instance(_Frozen):
 
     @_computed_once
     def kind(self) -> str:
-        has_pos = any(v > 0 for row in self.values for v in row)
-        has_neg = any(v < 0 for row in self.values for v in row)
+        rows = [row for _, row in self.scaled]  # a positive scale keeps each sign
+        has_pos = any(max(row, default=0) > 0 for row in rows)
+        has_neg = any(min(row, default=0) < 0 for row in rows)
         if has_neg and has_pos:
             return MIXED
         if has_neg:
             return BADS
         # goods: every column must have a strictly positive entry
-        for j in range(self.m):
-            if all(self.values[i][j] == 0 for i in range(self.n)):
+        for j, column in enumerate(zip(*rows)):
+            if not any(column):
                 raise InputError(f"goods instance has no agent valuing item {j} positively")
         return GOODS
 

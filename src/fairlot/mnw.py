@@ -8,11 +8,10 @@ exact rationals by the ascending-price primal-dual algorithm of Devanur,
 Papadimitriou, Saberi and Vazirani (JACM 2008): prices start low enough that
 the agents' budgets, sent along best buys by an integer max flow, can buy out
 every item, and rise until the budgets are spent. The flow then is the CEEI.
-Only that last round's flow is output, and only it runs the canonical
-Edmonds-Karp of ``decomp._MaxFlow``. Every earlier round reads just the capacity
-left unsold and the nodes the source reaches in the residual network, the
-source side of the minimal minimum cut, which every maximum flow shares; so
-those rounds run a smaller bipartite flow in any augmenting order.
+Every round runs one small bipartite max flow, ``_live``. Its flow is the
+Edmonds-Karp flow in agent/item index order, so the last round's flow is the
+canonical CEEI; every earlier round reads just the capacity left unsold and the
+nodes the source reaches in the residual network.
 
 The rounds run on Python ints: each agent's value row scaled to integers, the
 prices as numerators over one common denominator, each agent's best rate as a
@@ -42,7 +41,6 @@ from .core import (
     outbid,
     parse_rational,
 )
-from .decomp import _MaxFlow
 
 
 class MnwSolution(_Frozen):
@@ -55,7 +53,7 @@ class MnwSolution(_Frozen):
 
 
 def _active_agents(instance: Instance) -> list[int]:
-    return [i for i in range(instance.n) if any(v != 0 for v in instance.values[i])]
+    return [i for i, (_, row) in enumerate(instance.scaled) if any(row)]
 
 
 def _lowest(num: int, den: int) -> tuple[int, int]:
@@ -65,13 +63,17 @@ def _lowest(num: int, den: int) -> tuple[int, int]:
 
 def _live(
     k: int, m: int, agents: Collection[int], edges: list[tuple[int, int]], budget: int, room: list[int]
-) -> tuple[set[int], set[int], int]:
+) -> tuple[set[int], set[int], int, list[list[int]]]:
     """Route a budget of ``budget`` from each of ``agents`` along ``edges`` to the
-    items, item g selling at most ``room[g]``, by a maximum flow in any path order.
+    items, item g selling at most ``room[g]``, by a maximum flow.
 
     Returns the live agents and items, those the source reaches in the residual
-    network, and the capacity left unsold. Every maximum flow gives the same three:
-    the live nodes are the source side of the minimal minimum cut.
+    network (the same for every maximum flow), the capacity left unsold and the
+    ``k x m`` flow. With ``agents`` ascending and ``edges`` agent-major, the flow
+    is Edmonds-Karp's (``decomp._MaxFlow``, arcs added source -> agent, agent ->
+    item, item -> sink): the greedy start makes its first augmentations, the
+    search visits nodes in its order, and as an agent -> item arc holds a whole
+    budget, every bottleneck is the same.
     """
     left, room = [0] * k, list(room)
     for a in agents:
@@ -109,7 +111,7 @@ def _live(
                 break
         if end == -1:
             live = {a for a in range(k) if via_item[a] != -1}
-            return live, {g for g in range(m) if via_agent[g] != -1}, sum(room)
+            return live, {g for g in range(m) if via_agent[g] != -1}, sum(room), flow
         path, g, sent = [], end, room[end]
         while g != -2:
             a = via_agent[g]
@@ -140,12 +142,10 @@ def _equilibrium_shares(rows: list[Sequence[int]]) -> tuple[list[list[Fraction]]
     which changes no agent's rates. Price g is ``P[g] / D`` and agent a's best
     rate is ``A[a] / B[a]``. A network in which a unit budget is ``D`` and item g
     sells at most ``P[g]`` is the network of the rational prices with every
-    capacity scaled by ``D``. The last round, where the prices sum to the k
-    budgets, is known before its flow is solved; only its flow is output, so only
-    it runs the Edmonds-Karp of ``_MaxFlow``, which takes the same paths in both
-    networks, and the share of edge (a, g) is its flow over ``P[g]``. Every
-    earlier round and raise reads only the unsold capacity and the live nodes,
-    which every maximum flow shares, so ``_live`` finds them.
+    capacity scaled by ``D``. Every round and raise runs ``_live`` on it, with
+    the edges agent-major, so its flow is the Edmonds-Karp flow, which takes the
+    same paths in both networks. The last round is the one whose prices sum to
+    the k budgets, and the share of edge (a, g) there is its flow over ``P[g]``.
     """
     k, m = len(rows), len(rows[0])
     A = [m * max(row) for row in rows]
@@ -159,30 +159,19 @@ def _equilibrium_shares(rows: list[Sequence[int]]) -> tuple[list[list[Fraction]]
         for a, row in enumerate(rows):
             scaled, rate = B[a] * D, A[a]
             edges += [(a, g) for g in range(m) if row[g] * scaled == rate * P[g]]
-        if sum(P) == k * D:
-            src, snk = k + m, k + m + 1
-            flow = _MaxFlow(k + m + 2)
-            for a in range(k):
-                flow.add(src, a, D)
-            arcs = [flow.add(a, k + g, D) for a, g in edges]
-            for g, p in enumerate(P):
-                flow.add(k + g, snk, p)
-            if flow.solve(src, snk) != k * D:
-                raise RuntimeError("ascending prices left an item unsold")
-            shares = [[ZERO] * m for _ in range(k)]
-            for (a, g), eid in zip(edges, arcs):
-                shares[a][g] = Fraction(flow.cap[eid ^ 1], P[g])
-            return shares, [Fraction(p, D) for p in P]
-        live_agents, live_items, unsold = _live(k, m, range(k), edges, D, P)
+        live_agents, live_items, unsold, flow = _live(k, m, range(k), edges, D, P)
         if unsold:
             raise RuntimeError("ascending prices left an item unsold")
+        if sum(P) == k * D:
+            shares = [[Fraction(f, p) if f else ZERO for f, p in zip(row, P)] for row in flow]
+            return shares, [Fraction(p, D) for p in P]
         live_edges = [(a, g) for a, g in edges if a in live_agents]
         tight = live_items
         while True:  # min |buyers(S)| / price(S) over live S, by shrinking the violated set
             # raised by buyers / price(S), a unit budget is cost and item g costs buyers * P[g]
             buyers, cost = len({a for a, g in live_edges if g in tight}), sum(P[g] for g in tight)
             raised = [buyers * p if g in live_items else 0 for g, p in enumerate(P)]
-            _, reached, unsold = _live(k, m, live_agents, live_edges, cost, raised)
+            _, reached, unsold, _ = _live(k, m, live_agents, live_edges, cost, raised)
             if not unsold:
                 break
             tight = live_items - reached
@@ -295,7 +284,7 @@ def mnw_v(instance: Instance) -> FractionalAllocation:
     weak: dict[int, int] = {}
     strong: list[int] = []
     for j in range(m):
-        holders = [i for i in range(n) if instance.values[i][j] > 0]
+        holders = [i for i, (_, row) in enumerate(instance.scaled) if row[j] > 0]
         if len(holders) == 1:
             weak[j] = holders[0]
         else:

@@ -842,12 +842,15 @@ def mnw_equilibrium_shares(rows: list[list[Fraction]]) -> tuple[list[list[Fracti
 
 def mnw_live_reference(
     k: int, m: int, agents: list[int], edges: list[tuple[int, int]], budget: int, room: list[int]
-) -> tuple[set[int], set[int], int, bool]:
-    """``mnw._live`` by the Edmonds-Karp ``_MaxFlow`` network that every price round
-    solved before: nodes are agents 0..k-1, items k..k+m-1, then source and sink.
+) -> tuple[set[int], set[int], int, list[list[int]], bool]:
+    """``mnw._live`` by the Edmonds-Karp ``_MaxFlow`` network, which every price
+    round solved before ``_live`` took them all: nodes are agents 0..k-1, items
+    k..k+m-1, then source and sink, with arcs added source -> agent, agent -> item
+    in ``edges`` order, then item -> sink.
 
-    Returns the live agents and items (``reach``), the capacity left unsold, and
-    whether some agent sent its whole positive budget along one edge.
+    Returns the live agents and items (``reach``), the capacity left unsold, the
+    ``k x m`` flow read from the reverse of each agent -> item arc, and whether
+    some agent sent its whole positive budget along one edge.
     """
     src, snk = k + m, k + m + 1
     flow = _MaxFlow(k + m + 2)
@@ -859,7 +862,10 @@ def mnw_live_reference(
     unsold = sum(room) - flow.solve(src, snk)
     live_agents = {a for a in range(k) if flow.reach[a] != -1}
     live_items = {g for g in range(m) if flow.reach[k + g] != -1}
-    return live_agents, live_items, unsold, budget > 0 and any(flow.cap[e] == 0 for e in arcs)
+    sent = [[0] * m for _ in range(k)]
+    for (a, g), e in zip(edges, arcs):
+        sent[a][g] = flow.cap[e ^ 1]
+    return live_agents, live_items, unsold, sent, budget > 0 and any(flow.cap[e] == 0 for e in arcs)
 
 
 # ---------------------------------------------------------------------------

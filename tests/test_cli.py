@@ -138,12 +138,14 @@ class TestBasics:
             ("check", '{"matrix": []}', "allocation: 'matrix' must be a nonempty list of rows"),
             ("check", '{"matrix": [1, 2]}', "allocation: matrix rows must be lists"),
             ("sample", '{"support": []}', "lottery: 'support' must be a nonempty list"),
+            ("sample", '{"agents": 2, "items": 2, "support": [{"weight": "1", "bundles": [[0]]}]}',
+             "expected 2 bundles, got 1"),
             # past the parser's recursion limit, which it reports as a RecursionError
             *((reader, "[" * 200_000, "invalid JSON: nested too deeply") for reader in ("rps", "check", "sample")),
         ],
         ids=[
             "no-agents", "long-int", "missing-row", "empty-matrix", "non-list-rows", "empty-support",
-            "deep-rps", "deep-check", "deep-sample",
+            "short-entry", "deep-rps", "deep-check", "deep-sample",
         ],
     )
     def test_input_errors_exit_two(self, capsys, files, tmp_path, reader, text, message):
@@ -803,8 +805,8 @@ class TestFreshProcess:
                 {"lp", "mnw", "properties", "rounding", "rps", "eating"},
             ),
             (0, ["gf-lottery", "goods"], {"mnw", "rounding"}, {"lp", "properties"}),
-            (0, ["mnw", "goods"], {"mnw"}, {"lp", "properties"}),
-            (0, ["mnw-v", "goods"], {"mnw"}, {"lp", "properties"}),
+            (0, ["mnw", "goods"], {"mnw"}, {"decomp", "lp", "properties"}),
+            (0, ["mnw-v", "goods"], {"mnw"}, {"decomp", "lp", "properties"}),
             (0, ["check", "goods", "--lottery", "fair-lottery", "--ex-post", "ef1,prop1"], {"properties"}, {"lp"}),
             # both parts of LOTTERY are fPO for TILT2, so the certificate decides without an LP
             (0, ["check", "goods", "--lottery", "lottery", "--ex-post", "fpo"], {"properties"}, {"lp"}),

@@ -310,6 +310,15 @@ class TestJson:
             with pytest.raises(InputError):
                 lottery_from_json({"support": [{"weight": "1", "bundles": bundles}]})
 
+    def test_lottery_entry_needs_a_bundle_per_agent(self):
+        # the agent count comes from the "agents" field, else from the first entry
+        for obj in (
+            {"agents": 2, "items": 2, "support": [{"weight": "1", "bundles": [[0]]}]},
+            {"support": [{"weight": "1/2", "bundles": [[0], [1]]}, {"weight": "1/2", "bundles": [[0, 1]]}]},
+        ):
+            with pytest.raises(InputError, match="^expected 2 bundles, got 1$"):
+                lottery_from_json(obj)
+
     @pytest.mark.parametrize(
         "obj",
         [

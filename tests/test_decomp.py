@@ -24,6 +24,7 @@ from fairlot.core import (
     lottery_to_json,
     ordinal_preferences,
 )
+from fairlot import mnw
 from fairlot.decomp import _MaxFlow, bihierarchy_decompose, bvn_decompose
 from fairlot.mnw import solve_mnw
 from fairlot.rounding import gf_lottery
@@ -36,6 +37,7 @@ from oracles import (
     bvn_constraints,
     general_bihierarchy_decompose,
     lottery_marginal,
+    mnw_live_reference,
     point_lottery,
     prefix_constraints,
     reduce_support,
@@ -660,9 +662,10 @@ def _random_network(rng: random.Random) -> tuple[int, list[tuple[int, int, int]]
 
 
 def _recorded_networks() -> dict[str, list]:
-    """The networks that the decomposition and the last MNW price round solve."""
+    """The networks that the decomposition solves, and the Edmonds-Karp networks
+    of every MNW price round, which ``mnw._live`` solves in its own form."""
     recorded: dict[str, list] = {"decomp": [], "spend": []}
-    original = _MaxFlow.solve
+    original, live = _MaxFlow.solve, mnw._live
     layer = "decomp"
 
     def record(flow, s, t):
@@ -670,21 +673,25 @@ def _recorded_networks() -> dict[str, list]:
         recorded[layer].append((len(flow.adj), arcs, s, t))
         return original(flow, s, t)
 
+    def live_and_reference(*market):
+        mnw_live_reference(*market)
+        return live(*market)
+
     rng = random.Random(1313)
-    _MaxFlow.solve = record
+    _MaxFlow.solve, mnw._live = record, live_and_reference
     try:
         for n in (3, 5, 8, 12):
             bvn_decompose(random_doubly_stochastic(rng, n))
         for _ in range(10):
             bvn_decompose(random_substochastic(rng, rng.randint(1, 5), rng.randint(1, 6)))
-        for _ in range(60):  # one network per MNW solve: its last price round
+        for _ in range(60):
             inst = random_goods(rng, n_max=4, m_max=6)
             layer = "spend"
             x = solve_mnw(inst).allocation
             layer = "decomp"
             bihierarchy_decompose(x, inst.prefs)
     finally:
-        _MaxFlow.solve = original
+        _MaxFlow.solve, mnw._live = original, live
     return recorded
 
 

@@ -375,25 +375,33 @@ def test_price_round_that_does_not_raise_is_an_error(monkeypatch, tilt2):
         solve_mnw(tilt2)
 
 
-def test_unsold_item_in_an_earlier_round_is_an_error(monkeypatch, tilt2):
-    # tilt2's first round is not the last: the flow of _live reports the unsold unit
+@pytest.mark.parametrize(
+    "rows, first_is_last",
+    [([[1, 2], [1, 3]], False), ([[1, 1]], True)],
+    ids=["earlier-round", "last-round"],
+)
+def test_unsold_item_in_any_round_is_an_error(monkeypatch, rows, first_is_last):
+    # tilt2's first round is not the last; a lone agent's first round is. Every
+    # round runs _live, and its flow reporting one unit unsold must raise
+    inst = Instance.from_rows(rows)
     real = mnw._live
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mnw, "_live", counted)
+    solve_mnw(inst)
+    assert (len(calls) == 1) is first_is_last
 
     def leaky(*args):
-        live_agents, live_items, unsold = real(*args)
-        return live_agents, live_items, unsold + 1
+        live_agents, live_items, unsold, flow = real(*args)
+        return live_agents, live_items, unsold + 1, flow
 
     monkeypatch.setattr(mnw, "_live", leaky)
     with pytest.raises(RuntimeError, match="^ascending prices left an item unsold$"):
-        solve_mnw(tilt2)
-
-
-def test_unsold_item_in_the_last_round_is_an_error(monkeypatch, tilt2):
-    # only the last round runs _MaxFlow: it sells one unit less
-    real = mnw._MaxFlow.solve
-    monkeypatch.setattr(mnw._MaxFlow, "solve", lambda flow, s, t: real(flow, s, t) - 1)
-    with pytest.raises(RuntimeError, match="^ascending prices left an item unsold$"):
-        solve_mnw(tilt2)
+        solve_mnw(inst)
 
 
 def _random_market(rng: random.Random) -> tuple:
@@ -413,9 +421,9 @@ def _random_market(rng: random.Random) -> tuple:
 
 
 def test_live_flow_matches_edmonds_karp(monkeypatch):
-    # _live may route any maximum flow; its live agents, live items and unsold
-    # capacity must be those of the Edmonds-Karp network it replaced, on random
-    # markets and on every round and raise before the last of 300 solves
+    # _live's live agents, live items, unsold capacity and flow must be those of
+    # the Edmonds-Karp network, on random markets and on every round and raise of
+    # 300 solves, the last round, whose flow is the shares, included
     rng = random.Random(3535)
     markets = [_random_market(rng) for _ in range(2500)]
     real = mnw._live
@@ -425,14 +433,17 @@ def test_live_flow_matches_edmonds_karp(monkeypatch):
         return real(k, m, agents, edges, budget, room)
 
     monkeypatch.setattr(mnw, "_live", record)
-    mismatches, full, sold_out, saturated = [], 0, 0, 0
+    mismatches, full, sold_out, saturated, last_rounds = [], 0, 0, 0, 0
     # an augmenting path with no residual loops forever: after 120 s (well under
     # 1 s is normal) interrupt it, which stops the run with its traceback
     watchdog = threading.Timer(120, _thread.interrupt_main)
     watchdog.start()
     try:
         for inst in mnw_inputs(random.Random(3636), 300):
+            before = len(markets)
             solve_mnw(inst)
+            k, _, agents, _, budget, room = markets[-1]
+            last_rounds += len(markets) > before and agents == list(range(k)) and sum(room) == k * budget
         for market in markets:
             *expected, whole = mnw_live_reference(*market)
             if list(real(*market)) != expected:
@@ -443,10 +454,10 @@ def test_live_flow_matches_edmonds_karp(monkeypatch):
     finally:
         watchdog.cancel()
     assert mismatches == []
-    # the draws hold every round and raise of the solves, rounds with every agent
-    # live, with every item sold, with agents whose whole budget went to one item,
-    # and with zero budgets
-    assert len(markets) > 3500
+    # the draws hold every round and raise of the solves, the last rounds
+    # included, rounds with every agent live, with every item sold, with agents
+    # whose whole budget went to one item, and with zero budgets
+    assert len(markets) > 3500 and last_rounds == 300
     assert full > 400 and sold_out > 1000 and saturated > 1000
     assert sum(market[4] == 0 for market in markets) > 200
 
