@@ -504,9 +504,11 @@ class PropertyVerdict(_Frozen):
 
 
 def exact_draw(entries: Sequence[tuple], rng: random.Random) -> tuple:
-    """One entry by exact inverse CDF, where ``entry[0]`` is its weight and the
-    weights sum to 1. The uniform is 63 fair bits over 2**63, so every comparison
-    is exact and a seed draws the same entry on every platform."""
+    """One entry by inverse CDF, where ``entry[0]`` is its weight and the weights
+    sum to 1. The uniform is 63 fair bits over 2**63, so every comparison is exact
+    and a seed draws the same entry on every platform. The draw is exact only for
+    weights whose denominators divide 2**63: a weight of 1/3 is drawn with
+    probability 1/3 + 1/(3 * 2**63) (ROADMAP item 20)."""
     r = Fraction(rng.getrandbits(63), 2**63)
     for entry in entries[:-1]:
         r -= entry[0]

@@ -15,11 +15,12 @@ extraction makes at least one new constraint tight, which bounds the support by 
 number of fractional cells plus one and guarantees termination.
 
 Each decomposition runs in two steps. The first compiles its quotas to a plan: the
-(u, v) nodes of each cell and one (u, v, lower, upper, cells) arc per set of two or
-more cells. The second is the one extraction engine, ``_extract``, on that plan; it
-returns bare (weight, row tuples) parts, which the public functions wrap in a
-``Lottery``. Two compilers build plans straight from an integer matrix over its
-denominator, each for the one bihierarchy its callers need:
+(u, v) nodes of each cell and one (u, v, lower, upper, sum) arc per set of two or
+more cells, ``sum`` being the set's integer total. The second is the one extraction
+engine, ``_extract``, on that plan; it returns bare (weight, row tuples) parts,
+which the public functions wrap in a ``Lottery``. Two compilers build plans
+straight from an integer matrix over its denominator, each for the one bihierarchy
+its callers need:
 
 - ``_bvn_plan``: the floor and ceiling of every row and column sum. ``bvn_decompose``
   runs it on its input's integer form, and the RPS stage engine on its stage matrix.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Collection, Sequence
+from typing import Sequence
 
 from .core import (
     FractionalAllocation,
@@ -47,10 +48,9 @@ from .core import (
     ZERO,
 )
 
-Cell = tuple[int, int]
 Matrix = tuple[tuple[int, ...], ...]
-# A quota set compiled for the engine: (u, v, lower, upper, cells).
-_Arc = tuple[int, int, int, int, Collection[Cell]]
+# A quota set compiled for the engine: (u, v, lower, upper, sum).
+_Arc = tuple[int, int, int, int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def bihierarchy_decompose(x: FractionalAllocation, prefs: Sequence[Sequence[int]
     if not x.complete:
         raise InputError("prefix constraints need a complete allocation")
     den, rows = x.scaled
-    parts = _extract(den, [list(row) for row in rows], x.m, *_prefix_plan(den, rows, prefs, x.m))
+    parts = _extract(den, rows, x.m, *_prefix_plan(den, rows, prefs, x.m))
     return Lottery(tuple((w, IntegralAllocation(part)) for w, part in parts))
 
 
@@ -210,11 +210,11 @@ def _prefix_plan(
     sets: list[_Arc] = []
     for k in range(1, m):
         for i, order in enumerate(prefs):
-            up, s, cells = 2 + k * n + i if k < m - 1 else 0, runs[i][k], tuple((i, j) for j in order[: k + 1])
-            sets.append((up, 2 + (k - 1) * n + i, s // den, -(-s // den), cells))
+            up, s = 2 + k * n + i if k < m - 1 else 0, runs[i][k]
+            sets.append((up, 2 + (k - 1) * n + i, s // den, -(-s // den), s))
     first = 2 + len(sets)
     if n > 1:
-        sets += [(first + j, 1, 1, 1, tuple((i, j) for i in range(n))) for j in range(m)]
+        sets += [(first + j, 1, 1, 1, den) for j in range(m)]
     u = [[0] * m for _ in range(n)]
     if m > 1:
         for i, order in enumerate(prefs):
@@ -235,7 +235,7 @@ def bvn_decompose(x: FractionalAllocation) -> Lottery:
     [('1/2', ((1,), (0,))), ('1/2', ((0,), (2,)))]
     """
     den, rows = x.scaled
-    parts = _extract(den, [list(row) for row in rows], x.m, *_bvn_plan(den, rows, x.m))
+    parts = _extract(den, rows, x.m, *_bvn_plan(den, rows, x.m))
     return Lottery(tuple((w, IntegralAllocation(part)) for w, part in parts))
 
 
@@ -251,52 +251,49 @@ def _bvn_plan(den: int, r: Sequence[Sequence[int]], m: int) -> tuple[list[tuple[
             s = sum(row)
             if s > den:
                 raise InputError(f"row {i} sums above 1; not doubly substochastic")
-            sets.append((0, 2 + i, s // den, -(-s // den), tuple((i, j) for j in range(m))))
+            sets.append((0, 2 + i, s // den, -(-s // den), s))
     first = 2 + len(sets)
     if n > 1:
         for j, col in enumerate(zip(*r)):
             s = sum(col)
-            sets.append((first + j, 1, s // den, -(-s // den), tuple((i, j) for i in range(n))))
+            sets.append((first + j, 1, s // den, -(-s // den), s))
     ends = [(2 + i if m > 1 else 0, first + j if n > 1 else 1) for i in range(n) for j in range(m)]
     return ends, sets
 
 
 def _extract(
-    den: int, r: list[list[int]], m: int, ends: list[tuple[int, int]], sets: list[_Arc]
+    den: int, r: Sequence[Sequence[int]], m: int, ends: list[tuple[int, int]], sets: list[_Arc]
 ) -> list[tuple[Fraction, Matrix]]:
     """The extraction engine on a compiled plan: ``ends`` holds the (u, v) nodes of
-    each cell in row-major order, ``sets`` the (u, v, lower, upper, cells) arc of
+    each cell in row-major order, ``sets`` the (u, v, lower, upper, sum) arc of
     each set of two or more cells, whose own node is ``2 + `` its index.
 
     ``r / den`` is the part of x not yet assigned and ``c / den`` its weight, so
-    the normalised residual is ``r / c``; ``r`` is consumed. Returns the parts as
-    (weight, 0/1 row tuples) in extraction order. They are distinct: each
-    extraction makes tight a constraint that the part it removed violates, and
-    every later part keeps it.
+    the normalised residual is ``r / c``; the loop keeps ``r`` as one row-major
+    list. ``sigmas[s]`` is set s's total in ``r``, kept from the flow on its arc
+    (index ``n * m + s``): its node collects just its cells and child sets, so that
+    flow is the part's count on it. Returns the parts as (weight, 0/1 row tuples)
+    in extraction order. They are distinct: each extraction makes tight a
+    constraint that the part it removed violates, and every later part keeps it.
     """
     n = len(r)
     c = den
-    all_cells = [(i, j) for i in range(n) for j in range(m)]
+    r = [q for row in r for q in row]
+    sigmas = [sigma for *_, sigma in sets]
     support: list[tuple[Fraction, Matrix]] = []
     # Parts share equal row tuples: a dense lottery has far fewer distinct rows
     # than parts, so it holds about support * n pointers, not support * n * m ints.
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     for _ in range(n * m + len(sets) + 2):
-        fractional = [(i, j) for i, j in all_cells if r[i][j] % c]
+        fractional = [k for k, q in enumerate(r) if q % c]
         if not fractional:
-            part = tuple(tuple(v // c for v in row) for row in r)
+            part = tuple(tuple(v // c for v in r[i * m : (i + 1) * m]) for i in range(n))
             support.append((Fraction(c, den), part))
             break
 
         # Minimal-face bounds: anything tight at the current matrix stays tight.
-        arcs: list[tuple[int, int, int, int]] = []
-        for (i, j), (u, v) in zip(all_cells, ends):
-            q = r[i][j]
-            arcs.append((u, v, 0, 1) if q % c else (u, v, q // c, q // c))
-        sigmas = []
-        for u, v, lo, hi, cells in sets:
-            sigma = sum(r[i][j] for i, j in cells)
-            sigmas.append(sigma)
+        arcs = [(u, v, 0, 1) if q % c else (u, v, q // c, q // c) for q, (u, v) in zip(r, ends)]
+        for (u, v, lo, hi, _), sigma in zip(sets, sigmas):
             tight = sigma == lo * c or sigma == hi * c
             arcs.append((u, v, sigma // c, sigma // c) if tight else (u, v, lo, hi))
         arcs.append((1, 0, 0, m + 1))
@@ -304,18 +301,16 @@ def _extract(
         flows = _feasible_circulation(2 + len(sets), arcs)
         if flows is None:
             raise InputError("constraint families do not form a decomposable bihierarchy")
-        part = [flows[i * m : (i + 1) * m] for i in range(n)]
 
         # Largest step s = num / dnm (weight s / den) that keeps (r - s*part) / (c - s)
         # inside all quotas, compared by cross-multiplication. Fractional cells have
         # bounds [0, 1] and part values 0 or 1, so only a set's quota gap can make s
-        # non-integral; then r, c and den are rescaled by its reduced denominator.
-        num = min(r[i][j] if part[i][j] else c - r[i][j] for i, j in fractional)
+        # non-integral; then r, sigmas, c and den are rescaled by its reduced denominator.
+        num = min(r[k] if flows[k] else c - r[k] for k in fractional)
         dnm = 1
-        for (_, _, lo, hi, cells), sigma in zip(sets, sigmas):
+        for (_, _, lo, hi, _), sigma, a in zip(sets, sigmas, flows[n * m :]):
             if sigma == lo * c or sigma == hi * c:
                 continue
-            a = sum(part[i][j] for i, j in cells)
             if a > lo and (sigma - lo * c) * dnm < num * (a - lo):
                 num, dnm = sigma - lo * c, a - lo
             if a < hi and (hi * c - sigma) * dnm < num * (hi - a):
@@ -325,15 +320,15 @@ def _extract(
         g = math.gcd(num, dnm)
         step, scale = num // g, dnm // g
         if scale > 1:
-            r = [[v * scale for v in row] for row in r]
+            r = [v * scale for v in r]
+            sigmas = [sigma * scale for sigma in sigmas]
             c *= scale
             den *= scale
 
-        part_rows = tuple(rows.setdefault(row, row) for row in map(tuple, part))
-        support.append((Fraction(step, den), part_rows))
-        for i, j in all_cells:
-            if part[i][j]:
-                r[i][j] -= step
+        part = (tuple(flows[i * m : (i + 1) * m]) for i in range(n))
+        support.append((Fraction(step, den), tuple(rows.setdefault(row, row) for row in part)))
+        r = [q - step if p else q for q, p in zip(r, flows)]
+        sigmas = [sigma - step * a for sigma, a in zip(sigmas, flows[n * m :])]
         c -= step
     else:  # pragma: no cover - the dimension argument bounds the loop
         raise InputError("decomposition did not terminate")

@@ -29,7 +29,7 @@ from fairlot.core import (
     exact_draw,
     sd_dominates,
 )
-from fairlot.decomp import _MaxFlow, _extract, bvn_decompose, caratheodory_weights
+from fairlot.decomp import _MaxFlow, _extract, _feasible_circulation, bvn_decompose, caratheodory_weights
 from fairlot.eating import EatingState
 from fairlot.mnw import solve_mnw
 from fairlot.properties import (
@@ -1061,19 +1061,19 @@ def prefix_constraints(
     return Bihierarchy(h1, [ConstraintSet(cells, 1, 1) for cells in cols])
 
 
-def general_bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lottery:
-    """``x`` as an exact lottery over integral matrices obeying every quota of
-    ``hierarchy``, which ``x`` must satisfy: the forests compiled to a plan and run
-    on the library's extraction engine."""
+def general_plan(x: FractionalAllocation, hierarchy: Bihierarchy) -> tuple[int, list[list[int]], list, list]:
+    """``(den, r, ends, sets)``: the plan of ``hierarchy``'s forests for ``x``, which
+    must satisfy every quota, with ``r / den`` the integer form of ``x``."""
     n, m = x.n, x.m
     for cs in hierarchy.all_sets():
         for i, j in cs.cells:
             if not (0 <= i < n and 0 <= j < m):
                 raise InputError(f"constraint cell {(i, j)} outside the matrix")
     den, rows = x.scaled
-    r = [list(row) for row in rows]  # _extract consumes r
+    r = [list(row) for row in rows]  # extract_reference consumes r
+    totals = {}
     for cs in hierarchy.all_sets():
-        total = sum(r[i][j] for i, j in cs.cells)
+        total = totals[cs.cells] = sum(r[i][j] for i, j in cs.cells)
         if total < cs.lower * den or total > cs.upper * den:
             raise InputError(f"allocation violates quota [{cs.lower}, {cs.upper}] on {sorted(cs.cells)}")
 
@@ -1091,6 +1091,97 @@ def general_bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarch
         for k in big:
             up, down, cs = node[parent[k]], node[k], fam[k]
             u, v = (up, down) if side == 0 else (down, up)
-            sets.append((u, v, cs.lower, cs.upper, cs.cells))
+            sets.append((u, v, cs.lower, cs.upper, totals[cs.cells]))
     ends = [(inner[0].get((i, j), 0), inner[1].get((i, j), 1)) for i in range(n) for j in range(m)]
-    return Lottery(tuple((w, IntegralAllocation(part)) for w, part in _extract(den, r, m, ends, sets)))
+    return den, r, ends, sets
+
+
+def general_bihierarchy_decompose(x: FractionalAllocation, hierarchy: Bihierarchy) -> Lottery:
+    """``x`` as an exact lottery over integral matrices obeying every quota of
+    ``hierarchy``, which ``x`` must satisfy: the forests compiled to a plan and run
+    on the library's extraction engine."""
+    den, r, ends, sets = general_plan(x, hierarchy)
+    return Lottery(tuple((w, IntegralAllocation(part)) for w, part in _extract(den, r, x.m, ends, sets)))
+
+
+def plan_cells(m: int, ends: Sequence[tuple[int, int]], sets: Sequence[tuple]) -> list[tuple]:
+    """The plan ``sets`` with each arc's sum replaced by the tuple of its cells, read
+    off the forests alone. Set s owns node 2 + s: an H1 arc runs down into it from
+    its parent, an H2 arc up out of it. A cell belongs to every set whose node is
+    its own end on that side or an ancestor of it."""
+    parent = {}
+    for s, (u, v, *_) in enumerate(sets):
+        parent[2 + s] = u if v == 2 + s else v
+    cells: list[list[tuple[int, int]]] = [[] for _ in sets]
+    for k, cell_ends in enumerate(ends):
+        for node in cell_ends:
+            while node >= 2:
+                cells[node - 2].append(divmod(k, m))
+                node = parent[node]
+    return [(u, v, lo, hi, tuple(own)) for (u, v, lo, hi, _), own in zip(sets, cells)]
+
+
+def extract_reference(
+    den: int, r: list[list[int]], m: int, ends: list[tuple[int, int]], sets: list[tuple]
+) -> list[tuple[Fraction, tuple[tuple[int, ...], ...]]]:
+    """``decomp._extract`` as it was before plans carried set sums: ``sets`` holds
+    (u, v, lower, upper, cells) arcs (see ``plan_cells``), and every extraction
+    re-sums each set over its cells, for the set's total and for the part's count.
+    ``r`` is consumed."""
+    n = len(r)
+    c = den
+    all_cells = [(i, j) for i in range(n) for j in range(m)]
+    support: list[tuple[Fraction, tuple[tuple[int, ...], ...]]] = []
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for _ in range(n * m + len(sets) + 2):
+        fractional = [(i, j) for i, j in all_cells if r[i][j] % c]
+        if not fractional:
+            part = tuple(tuple(v // c for v in row) for row in r)
+            support.append((Fraction(c, den), part))
+            break
+
+        arcs: list[tuple[int, int, int, int]] = []
+        for (i, j), (u, v) in zip(all_cells, ends):
+            q = r[i][j]
+            arcs.append((u, v, 0, 1) if q % c else (u, v, q // c, q // c))
+        sigmas = []
+        for u, v, lo, hi, cells in sets:
+            sigma = sum(r[i][j] for i, j in cells)
+            sigmas.append(sigma)
+            tight = sigma == lo * c or sigma == hi * c
+            arcs.append((u, v, sigma // c, sigma // c) if tight else (u, v, lo, hi))
+        arcs.append((1, 0, 0, m + 1))
+
+        flows = _feasible_circulation(2 + len(sets), arcs)
+        if flows is None:
+            raise InputError("constraint families do not form a decomposable bihierarchy")
+        part = [flows[i * m : (i + 1) * m] for i in range(n)]
+
+        num = min(r[i][j] if part[i][j] else c - r[i][j] for i, j in fractional)
+        dnm = 1
+        for (_, _, lo, hi, cells), sigma in zip(sets, sigmas):
+            if sigma == lo * c or sigma == hi * c:
+                continue
+            a = sum(part[i][j] for i, j in cells)
+            if a > lo and (sigma - lo * c) * dnm < num * (a - lo):
+                num, dnm = sigma - lo * c, a - lo
+            if a < hi and (hi * c - sigma) * dnm < num * (hi - a):
+                num, dnm = hi * c - sigma, hi - a
+        if num <= 0 or num >= c * dnm:
+            raise InputError("decomposition failed to make progress")
+        g = math.gcd(num, dnm)
+        step, scale = num // g, dnm // g
+        if scale > 1:
+            r = [[v * scale for v in row] for row in r]
+            c *= scale
+            den *= scale
+
+        part_rows = tuple(rows.setdefault(row, row) for row in map(tuple, part))
+        support.append((Fraction(step, den), part_rows))
+        for i, j in all_cells:
+            if part[i][j]:
+                r[i][j] -= step
+        c -= step
+    else:
+        raise InputError("decomposition did not terminate")
+    return support

@@ -25,7 +25,7 @@ from fairlot.core import (
     ordinal_preferences,
 )
 from fairlot import mnw
-from fairlot.decomp import _MaxFlow, bihierarchy_decompose, bvn_decompose
+from fairlot.decomp import _MaxFlow, _bvn_plan, _extract, _prefix_plan, bihierarchy_decompose, bvn_decompose
 from fairlot.mnw import solve_mnw
 from fairlot.rounding import gf_lottery
 from fairlot.rps import FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE, RpsConfig, rps, rps_bads, rps_mixed
@@ -34,10 +34,14 @@ from conftest import eating_inputs, mnw_inputs, random_complete, random_goods, r
 from oracles import (
     Bihierarchy,
     ConstraintSet,
+    _forest,
     bvn_constraints,
+    extract_reference,
     general_bihierarchy_decompose,
+    general_plan,
     lottery_marginal,
     mnw_live_reference,
+    plan_cells,
     point_lottery,
     prefix_constraints,
     reduce_support,
@@ -340,16 +344,16 @@ def test_prefix_plan_matches_general_path():
     assert mismatches == []
 
 
-def _stage_matrices(monkeypatch) -> list[FractionalAllocation]:
-    """Every stage matrix whose plan rps (full, poly and sample), rps_bads and
-    rps_mixed compile on 100 inputs drawn like the eating benchmark's. The stage
-    engine hands ``_bvn_plan`` the integer matrix ``r`` over ``den``."""
+def _stage_plans(monkeypatch) -> list[tuple[int, list[list[int]], int]]:
+    """The (den, r, m) of every stage matrix whose plan rps (full, poly and sample),
+    rps_bads and rps_mixed compile on 100 inputs drawn like the eating benchmark's:
+    the stage engine hands ``_bvn_plan`` the integer matrix ``r`` over ``den``."""
     rps_module = importlib.import_module("fairlot.rps")
     plan = rps_module._bvn_plan
-    seen: list[FractionalAllocation] = []
+    seen: list[tuple[int, list[list[int]], int]] = []
 
     def record(den, r, m):
-        seen.append(FractionalAllocation(tuple(tuple(F(v, den) for v in row) for row in r)))
+        seen.append((den, [list(row) for row in r], m))
         return plan(den, r, m)
 
     rules = {"goods": rps_module.rps, "bads": rps_module.rps_bads, "mixed": rps_module.rps_mixed}
@@ -363,10 +367,10 @@ def _stage_matrices(monkeypatch) -> list[FractionalAllocation]:
 
 
 def _bvn_cases(monkeypatch):
-    stages = _stage_matrices(monkeypatch)
+    stages = _stage_plans(monkeypatch)
     assert len(stages) > 500
-    for k, x in enumerate(stages):
-        yield f"stage {k}", x
+    for k, (den, r, _) in enumerate(stages):
+        yield f"stage {k}", FractionalAllocation(tuple(tuple(F(v, den) for v in row) for row in r))
     rng = random.Random(1717)
     for n in range(1, 8):
         for m in range(0, 10):
@@ -459,6 +463,139 @@ class TestNonUnitStep:
         # a weight in thirds shows the residual was rescaled by the step's denominator
         assert any(w.denominator % 3 == 0 for w, _ in lot.support)
         assert lottery_line(lot) == GAP_LOTTERY
+
+
+def _engine_inputs(monkeypatch):
+    """(label, den, r, m, ends, sets) plans for the extraction engine: BvN plans of
+    random substochastic matrices of every shape up to 5 x 6 (one row, one column
+    and no column included), prefix plans of random complete allocations, every RPS
+    stage plan, and the quota-gap input whose steps rescale."""
+    rng = random.Random(3737)
+    for n in range(1, 6):
+        for m in range(0, 7):
+            for _ in range(4):
+                den, rows = random_substochastic(rng, n, m).scaled
+                yield f"bvn {n}x{m}", den, rows, m, *_bvn_plan(den, rows, m)
+    for k in range(200):
+        n, m = rng.randint(1, 5), rng.randint(1, 7)
+        den, rows = random_complete(rng, n, m).scaled
+        prefs = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+        yield f"prefix {k}", den, rows, m, *_prefix_plan(den, rows, prefs, m)
+    for k, (den, r, m) in enumerate(_stage_plans(monkeypatch)):
+        yield f"stage {k}", den, r, m, *_bvn_plan(den, r, m)
+    x, hierarchy = _gap_case()
+    yield "gap", *_general_engine_input(x, hierarchy)
+
+
+def _general_engine_input(x: FractionalAllocation, hierarchy: Bihierarchy):
+    den, r, ends, sets = general_plan(x, hierarchy)
+    return den, r, x.m, ends, sets
+
+
+def _rescales(den: int, parts) -> bool:
+    # a step rescaled the residual iff some weight's denominator does not divide den
+    return any(den % w.denominator for w, _ in parts)
+
+
+def test_extract_matches_reference(monkeypatch):
+    # the engine reads each set's total and the part's count off the circulation;
+    # the reference re-sums every set over its cells on every extraction
+    cases = list(_engine_inputs(monkeypatch))
+    assert {label.split()[0] for label, *_ in cases} == {"bvn", "prefix", "stage", "gap"}
+    mismatches, rescaled = [], []
+    for label, den, r, m, ends, sets in cases:
+        fast = _extract(den, [list(row) for row in r], m, ends, sets)
+        slow = extract_reference(den, [list(row) for row in r], m, ends, plan_cells(m, ends, sets))
+        if fast != slow:
+            mismatches.append(label)
+        if _rescales(den, fast):
+            rescaled.append(label)
+    assert mismatches == []
+    assert "gap" in rescaled
+
+
+def _nested(rng: random.Random, block: list, depth: int) -> list[frozenset]:
+    """``block`` and random disjoint pieces of a strict subset of it, nested up to
+    ``depth`` levels."""
+    sets = [frozenset(block)]
+    if depth > 1 and len(block) > 1:
+        inner = rng.sample(block, rng.randint(1, len(block) - 1))
+        cut = rng.randint(1, len(inner))
+        for piece in (inner[:cut], inner[cut:]):
+            if piece:
+                sets += _nested(rng, piece, depth - 1)
+    return sets
+
+
+def _levels(family: list[frozenset]) -> int:
+    """How many levels the laminar ``family`` nests."""
+    parent, _ = _forest(family)
+    depth = [0] * len(family)
+    for k in sorted(range(len(family)), key=lambda k: -len(family[k])):
+        depth[k] = 1 + (depth[parent[k]] if parent[k] is not None else 0)
+    return max(depth)
+
+
+def _deep_family(rng: random.Random, blocks: list[list], depths: list[int], taken) -> list[frozenset]:
+    """A random laminar family of disjoint ``blocks``, each nested up to its depth,
+    with no set in ``taken``; redrawn until it nests three levels or more."""
+    while True:
+        family = [block for cells, depth in zip(blocks, depths) for block in _nested(rng, cells, depth)]
+        family = [block for block in family if block not in taken]
+        if _levels(family) >= 3:
+            return family
+
+
+def _deep_cases():
+    """(x, its bihierarchy) for 150 substochastic matrices of 3 x 3 up to 5 x 5.
+    H1 nests three disjoint random blocks of cells up to five levels deep. H2 holds
+    every column, so that each part is an allocation, with random pieces nested
+    inside it and two unions of columns above. A quota other than a column's may
+    sit a unit outside the floor and ceiling of its set's total, so that some
+    steps rescale."""
+    rng = random.Random(4242)
+    for _ in range(150):
+        n, m = rng.randint(3, 5), rng.randint(3, 5)
+        x = random_substochastic(rng, n, m)
+        cells = rng.sample([(i, j) for i in range(n) for j in range(m)], n * m)
+        a, b = sorted(rng.sample(range(n * m // 2, n * m), 2))
+        h1 = _deep_family(rng, [cells[:a], cells[a:b], cells[b:]], [5, 3, 2], ())
+        columns = [frozenset((i, j) for i in range(n)) for j in range(m)]
+        order = rng.sample(columns, m)
+        cut = rng.randint(1, m - 1)
+        unions = [frozenset().union(*group) for group in (order[:cut], order[cut:]) if len(group) > 1]
+        h2 = unions + _deep_family(rng, [list(col) for col in columns], [3] * m, set(h1) | set(unions))
+        quotas = []
+        for family in (h1, h2):
+            sets = []
+            for block in family:
+                total = sum((x.matrix[i][j] for i, j in block), F(0))
+                lower = max(0, math.floor(total) - rng.randint(0, 1))
+                upper = math.ceil(total) + (0 if block in columns else rng.randint(0, 1))
+                sets.append(ConstraintSet(block, lower, upper))
+            quotas.append(tuple(sets))
+        yield x, Bihierarchy(*quotas)
+
+
+def test_deep_laminar_families():
+    # BvN and prefix plans route no count through an inner set: here each family
+    # nests three levels or more, so a set's count is carried up through its children
+    cases = list(_deep_cases())
+    assert min(_levels([cs.cells for cs in family]) for _, h in cases for family in (h.h1, h.h2)) >= 3
+    rescaled = 0
+    for x, hierarchy in cases:
+        lot = general_bihierarchy_decompose(x, hierarchy)
+        assert all(quota_satisfied(part, hierarchy) for _, part in lot.support)
+        assert lot.marginal == x
+        den, r, m, ends, sets = _general_engine_input(x, hierarchy)
+        cell_sets = plan_cells(m, ends, sets)
+        assert [frozenset(cells) for *_, cells in cell_sets] == [
+            cs.cells for cs in hierarchy.all_sets() if len(cs.cells) > 1
+        ]
+        reference = extract_reference(den, r, m, ends, cell_sets)
+        assert lot == Lottery(tuple((w, IntegralAllocation(part)) for w, part in reference))
+        rescaled += _rescales(den, reference)
+    assert rescaled >= 5
 
 
 def _pinned_inputs():
