@@ -324,6 +324,12 @@ class FractionalAllocation(_Frozen):
     on ``scaled``: ``(den, rows)``, the lcm of the cells' denominators and the
     rows times it as ints. It is not a field, so equality, hashing and repr use
     ``matrix`` alone.
+
+    ``_from_scaled(matrix, den, rows)`` stores an allocation the library built
+    from ints with no check. Its caller keeps every cell of ``rows`` in [0, den]
+    and every column sum at or below ``den``, passes ``den`` already reduced (so
+    ``scaled`` is what ``_check`` would store) and ``matrix`` equal to
+    ``rows / den``, and lets no input from outside the program reach it.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -357,6 +363,13 @@ class FractionalAllocation(_Frozen):
             if s > den:
                 raise InputError(f"column {j} allocates more than the whole item ({Fraction(s, den)})")
         self._store("scaled", (den, rows))
+
+    @classmethod
+    def _from_scaled(cls, matrix: tuple, den: int, rows: tuple[tuple[int, ...], ...]) -> "FractionalAllocation":
+        self = cls.__new__(cls)
+        _Frozen._store(self, "matrix", matrix)
+        _Frozen._store(self, "scaled", (den, rows))
+        return self
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "FractionalAllocation":
@@ -395,7 +408,8 @@ class FractionalAllocation(_Frozen):
 class IntegralAllocation(FractionalAllocation):
     """A fractional allocation with int 0/1 cells; each item goes to at most one agent.
     It declares no field. Its 0/1 test proves den = 1, so ``scaled`` is ``(1, matrix)``
-    with no lcm and no bounds test; a bool or Fraction cell is copied to an int."""
+    with no lcm and no bounds test; a bool or Fraction cell is copied to an int. The
+    library builds its own parts with ``_from_scaled(rows, 1, rows)``, 0/1 int rows."""
 
     def _check(self) -> None:
         odd = False  # a cell that equals 0 or 1 but is no int: a bool, a Fraction or a float
@@ -434,7 +448,11 @@ class Lottery(_Frozen):
 
     Construction canonicalizes: duplicate allocations are merged, weights must be
     positive and sum to one, and the support is sorted lexicographically by matrix
-    so equal lotteries compare equal.
+    so equal lotteries compare equal. Every stored weight is a ``Fraction``. The
+    check runs on the library's own supports too; their parts, and every
+    ``marginal``, come from ``_from_scaled``, under its contract (see
+    ``FractionalAllocation``): cells in [0, den], column sums at most ``den``,
+    ``den`` reduced, and no outside input.
     """
 
     support: tuple[tuple[Fraction, IntegralAllocation], ...]
@@ -453,8 +471,14 @@ class Lottery(_Frozen):
                 raise InputError(f"lottery weight {w!r} is not an int or a Fraction")
             if w <= 0:
                 raise InputError(f"lottery weight {w} not positive")
-            merged[alloc.matrix] = merged.get(alloc.matrix, ZERO) + w
-            first.setdefault(alloc.matrix, alloc)
+            if w.__class__ is not Fraction:
+                w = Fraction(w)
+            # weights are added only when a matrix repeats
+            if alloc.matrix in merged:
+                merged[alloc.matrix] += w
+            else:
+                merged[alloc.matrix] = w
+                first[alloc.matrix] = alloc
         # the int numerators over the lcm of the weights' denominators
         den = math.lcm(*[w.denominator for w in merged.values()])
         if sum([w.numerator * (den // w.denominator) for w in merged.values()]) != den:
@@ -475,7 +499,8 @@ class Lottery(_Frozen):
     @_computed_once
     def marginal(self) -> FractionalAllocation:
         """The expected allocation matrix of the lottery."""
-        # integer numerators over the lcm of the weights' denominators
+        # integer numerators over the lcm of the weights' denominators, then both
+        # divided by their gcd: that quotient is the lcm of the cells' denominators
         den = math.lcm(*(w.denominator for w, _ in self.support))
         acc = [[0] * self.m for _ in range(self.n)]
         for w, alloc in self.support:
@@ -484,7 +509,11 @@ class Lottery(_Frozen):
                 for j, x in enumerate(row):
                     if x:
                         acc_row[j] += num
-        return FractionalAllocation(tuple(tuple(Fraction(v, den) if v else ZERO for v in row) for row in acc))
+        g = math.gcd(den, *itertools.chain.from_iterable(acc))
+        rows = tuple(tuple(v // g for v in row) for row in acc)
+        den //= g
+        matrix = tuple(tuple(Fraction(v, den) if v else ZERO for v in row) for row in rows)
+        return FractionalAllocation._from_scaled(matrix, den, rows)
 
 
 class PropertyVerdict(_Frozen):

@@ -194,7 +194,7 @@ def bihierarchy_decompose(x: FractionalAllocation, prefs: Sequence[Sequence[int]
         raise InputError("prefix constraints need a complete allocation")
     den, rows = x.scaled
     parts = _extract(den, rows, x.m, *_prefix_plan(den, rows, prefs, x.m))
-    return Lottery(tuple((w, IntegralAllocation(part)) for w, part in parts))
+    return Lottery(tuple((w, IntegralAllocation._from_scaled(part, 1, part)) for w, part in parts))
 
 
 def _prefix_plan(
@@ -236,7 +236,7 @@ def bvn_decompose(x: FractionalAllocation) -> Lottery:
     """
     den, rows = x.scaled
     parts = _extract(den, rows, x.m, *_bvn_plan(den, rows, x.m))
-    return Lottery(tuple((w, IntegralAllocation(part)) for w, part in parts))
+    return Lottery(tuple((w, IntegralAllocation._from_scaled(part, 1, part)) for w, part in parts))
 
 
 def _bvn_plan(den: int, r: Sequence[Sequence[int]], m: int) -> tuple[list[tuple[int, int]], list[_Arc]]:

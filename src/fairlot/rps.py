@@ -183,7 +183,8 @@ def _run_engine(
     """The rule over ``m`` ranked items, keeping the first ``width`` columns of
     each allocation: the columns past ``width`` are padding."""
     table = _StageEngine(prefs, m).distribution(cfg.mode, random.Random(cfg.seed))
-    parts = tuple((w, IntegralAllocation(tuple(row[:width] for row in mat))) for (mat, _), w in table.items())
+    mats = [(w, tuple(row[:width] for row in mat)) for (mat, _), w in table.items()]
+    parts = tuple((w, IntegralAllocation._from_scaled(mat, 1, mat)) for w, mat in mats)
     return parts[0][1] if cfg.mode == SAMPLE else Lottery(parts)
 
 
@@ -254,7 +255,8 @@ def randomized_round_robin(
     if mode == "sample":
         order = list(range(instance.n))
         random.Random(seed).shuffle(order)
-        return IntegralAllocation(_round_robin_once(instance, order))
+        part = _round_robin_once(instance, order)
+        return IntegralAllocation._from_scaled(part, 1, part)
     if mode != "exact":
         raise InputError(f"unknown mode: {mode}")
     if instance.n > ROUND_ROBIN_EXACT_LIMIT:
@@ -266,4 +268,4 @@ def randomized_round_robin(
     for order in itertools.permutations(range(instance.n)):
         key = _round_robin_once(instance, order)
         table[key] = table.get(key, ZERO) + weight
-    return Lottery(tuple((w, IntegralAllocation(mat)) for mat, w in table.items()))
+    return Lottery(tuple((w, IntegralAllocation._from_scaled(mat, 1, mat)) for mat, w in table.items()))

@@ -36,6 +36,7 @@ from fairlot.core import (
     parse_rational,
     sd_dominates,
 )
+from fairlot.decomp import bihierarchy_decompose, bvn_decompose
 from fairlot.eating import EatingState
 from fairlot.lp import LpSolution
 from fairlot.mnw import MnwSolution, ceei_verify
@@ -43,12 +44,21 @@ from fairlot.properties import AuditReport, PropertyVerdict, check_efficiency, c
 from fairlot.rounding import (
     check_adjusted_envy_chain,
     check_utility_guarantee,
+    gf_lottery,
     implement_with_utility_guarantee,
     prop1_ef11_lottery_bads,
 )
-from fairlot.rps import RpsConfig, randomized_round_robin, rps_mixed
+from fairlot.rps import FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE, RpsConfig, randomized_round_robin, rps, rps_bads, rps_mixed
 
-from conftest import EXACT_VALUES, random_goods, random_integral, utility_inputs
+from conftest import (
+    EXACT_VALUES,
+    eating_inputs,
+    mnw_inputs,
+    random_complete,
+    random_goods,
+    random_integral,
+    utility_inputs,
+)
 from oracles import (
     Bihierarchy,
     ConstraintSet,
@@ -57,6 +67,7 @@ from oracles import (
     ceei_verify_reference,
     expected_utility,
     lottery_check_reference,
+    lottery_marginal,
     ordinal_preferences_reference,
     point_lottery,
     proportional_share_reference,
@@ -829,3 +840,51 @@ def test_lottery_check_matches_fraction_sum():
             assert all(type(w) is Fraction for w, _ in got)
             seen["merged"] = seen.get("merged", 0) + (len(got) < len(support))
     assert len(seen) == 6 and min(seen.values()) >= 40, seen
+
+
+def _assert_checked_part(part):
+    # a part built from the producer's int rows is the part the public check builds
+    checked = IntegralAllocation(part.matrix)
+    assert type(part) is IntegralAllocation and part == checked and part.scaled == checked.scaled
+    assert all(type(x) is int for row in part.matrix for x in row)
+
+
+def _assert_checked_lottery(lottery):
+    for w, part in lottery.support:
+        assert type(w) is Fraction, w
+        _assert_checked_part(part)
+    marginal = lottery.marginal
+    checked = FractionalAllocation(tuple(tuple(Fraction(x) for x in row) for row in marginal.matrix))
+    assert type(marginal) is FractionalAllocation and marginal == checked and marginal.scaled == checked.scaled
+    assert marginal == lottery_marginal(lottery)
+    # whether the weights' lcm had to be divided down to the cells' lcm
+    return marginal.scaled[0] != math.lcm(*[w.denominator for w, _ in lottery.support])
+
+
+def test_library_parts_and_marginals_match_the_checked_constructors():
+    # every part and marginal the library builds from its own ints, unchecked,
+    # equals the public constructor's result on the same cells, scaled form
+    # included, and every lottery weight is a Fraction
+    rng = random.Random(3838)
+    lotteries, parts = [], []
+    for kind, inst in eating_inputs(rng, 120):
+        run = {"goods": rps, "bads": rps_bads, "mixed": rps_mixed}[kind]
+        for mode in (FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE):
+            out = run(inst, RpsConfig(mode, seed=rng.randrange(100)))
+            (parts if isinstance(out, IntegralAllocation) else lotteries).append(out)
+        if kind == "goods":
+            lotteries.append(randomized_round_robin(inst, "exact"))
+            parts.append(randomized_round_robin(inst, "sample", seed=rng.randrange(100)))
+    for _ in range(80):
+        # a complete allocation over its largest row sum, so every row sum is at most 1
+        x = random_complete(rng, rng.randint(1, 5), rng.randint(1, 6))
+        top = max(1, *map(sum, x.matrix))
+        lotteries.append(bvn_decompose(FractionalAllocation(tuple(tuple(v / top for v in row) for row in x.matrix))))
+    for inst, x in utility_inputs(rng, 80):
+        lotteries.append(bihierarchy_decompose(x, inst.prefs))
+    for inst in mnw_inputs(rng, 24):
+        lotteries.append(gf_lottery(inst))
+    for part in parts:
+        _assert_checked_part(part)
+    reduced = sum(_assert_checked_lottery(lottery) for lottery in lotteries)
+    assert len(parts) >= 150 and reduced >= 20, (len(parts), reduced)
