@@ -7,12 +7,13 @@ all quotas; this module computes such a combination constructively.
 
 The engine repeatedly peels off an integral vertex of the quota polytope restricted
 to the minimal face containing the current matrix (tight constraints stay tight),
-shifting as much weight onto it as feasibility allows. Vertices are found by an
-integer circulation over the two laminar forests. The residual is kept as integers
-over one common denominator (rescaled when a step needs a finer one), so the whole
-loop is integer arithmetic; Fractions appear only in the output weights. Each
-extraction makes at least one new constraint tight, which bounds the support by the
-number of fractional cells plus one and guarantees termination.
+shifting as much weight onto it as feasibility allows. Each vertex is an integer
+circulation over the two laminar forests, found by Edmonds-Karp on flat edge lists.
+The residual is kept as integers over one common denominator (rescaled when a step
+needs a finer one), so the whole loop is integer arithmetic; Fractions appear only
+in the output weights. Each extraction makes at least one new constraint tight,
+which bounds the support by the number of fractional cells plus one and guarantees
+termination.
 
 Each decomposition runs in two steps. The first compiles its quotas to a plan: the
 (u, v) nodes of each cell and one (u, v, lower, upper, sum) arc per set of two or
@@ -51,120 +52,6 @@ from .core import (
 Matrix = tuple[tuple[int, ...], ...]
 # A quota set compiled for the engine: (u, v, lower, upper, sum).
 _Arc = tuple[int, int, int, int, int]
-
-
-# ---------------------------------------------------------------------------
-# Integer max-flow (Edmonds-Karp), used to find integral vertices.
-# ---------------------------------------------------------------------------
-
-
-class _MaxFlow:
-    def __init__(self, nodes: int) -> None:
-        self.adj: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.reach: list[int] = []  # after solve: -1 marks the nodes the source cannot reach
-
-    def add(self, u: int, v: int, cap: int) -> int:
-        eid = len(self.to)
-        self.adj[u].append(eid)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return eid
-
-    def solve(self, s: int, t: int) -> int:
-        """Push a maximum flow from ``s`` to ``t`` along shortest augmenting paths.
-
-        Each breadth-first search stops at the first node it discovers with a
-        residual arc into ``t`` and augments along that node's first such arc in
-        its adjacency order. The queue is FIFO, so nodes are processed in the order
-        they are discovered, and this is the node whose scan would label ``t`` in a
-        search run to the end: every path, residual capacity, the total and the
-        final ``reach`` are those of the full search. A search that finds no path
-        runs to completion.
-        """
-        adj, to, cap = self.adj, self.to, self.cap
-        # The arcs into t of each node, in that node's adjacency order: arc e and
-        # its partner e ^ 1 enter their two lists in the same add call.
-        into_t: list[list[int]] = [[] for _ in adj]
-        for eid in adj[t]:
-            into_t[to[eid]].append(eid ^ 1)
-        total = 0
-        while True:
-            parent_edge = [-1] * len(adj)
-            parent_edge[s] = -2
-            last = -1
-            for e in into_t[s]:
-                if cap[e] > 0:
-                    last = e
-                    break
-            queue = [s]
-            qi = 0
-            while last < 0 and qi < len(queue):
-                u = queue[qi]
-                qi += 1
-                for eid in adj[u]:
-                    if cap[eid] > 0:
-                        v = to[eid]
-                        if parent_edge[v] == -1:
-                            parent_edge[v] = eid
-                            queue.append(v)
-                            for e in into_t[v]:
-                                if cap[e] > 0:
-                                    last = e
-                                    break
-                            if last >= 0:
-                                break
-            if last < 0:
-                self.reach = parent_edge
-                return total
-            parent_edge[t] = last
-            bottleneck = cap[last]
-            v = t
-            while v != s:
-                eid = parent_edge[v]
-                bottleneck = min(bottleneck, cap[eid])
-                v = to[eid ^ 1]
-            v = t
-            while v != s:
-                eid = parent_edge[v]
-                cap[eid] -= bottleneck
-                cap[eid ^ 1] += bottleneck
-                v = to[eid ^ 1]
-            total += bottleneck
-
-
-def _feasible_circulation(
-    nodes: int, arcs: list[tuple[int, int, int, int]]
-) -> list[int] | None:
-    """Integer flows for arcs (u, v, lower, upper) with conservation everywhere.
-
-    A fixed arc (lower == upper) carries no slack flow and gets no max-flow edge:
-    Edmonds-Karp never traverses a zero-capacity edge, so no augmenting path changes.
-    """
-    excess = [0] * nodes
-    flow = _MaxFlow(nodes + 2)
-    src, snk = nodes, nodes + 1
-    ids: list[int | None] = []
-    for u, v, lo, hi in arcs:
-        if lo > hi:
-            return None
-        ids.append(flow.add(u, v, hi - lo) if hi > lo else None)
-        excess[v] += lo
-        excess[u] -= lo
-    need = 0
-    for w in range(nodes):
-        if excess[w] > 0:
-            flow.add(src, w, excess[w])
-            need += excess[w]
-        elif excess[w] < 0:
-            flow.add(w, snk, -excess[w])
-    if flow.solve(src, snk) != need:
-        return None
-    return [lo if eid is None else lo + flow.cap[eid ^ 1] for (_, _, lo, _), eid in zip(arcs, ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +157,33 @@ def _extract(
 
     ``r / den`` is the part of x not yet assigned and ``c / den`` its weight, so
     the normalised residual is ``r / c``; the loop keeps ``r`` as one row-major
-    list. ``sigmas[s]`` is set s's total in ``r``, kept from the flow on its arc
-    (index ``n * m + s``): its node collects just its cells and child sets, so that
-    flow is the part's count on it. Returns the parts as (weight, 0/1 row tuples)
-    in extraction order. They are distinct: each extraction makes tight a
-    constraint that the part it removed violates, and every later part keeps it.
+    list. ``sigmas[s]`` is set s's total in ``r``, kept from the flow on its arc:
+    its node collects just its cells and child sets, so that flow is the part's
+    count on it. Returns the parts as (weight, 0/1 row tuples) in extraction
+    order. They are distinct: each extraction makes tight a constraint that the
+    part it removed violates, and every later part keeps it.
+
+    Each part is a feasible integer circulation on the minimal face of ``r / c``.
+    An integral cell or tight set is fixed and only moves the node excesses; the
+    rest are edges over their lower bounds (a fractional cell of capacity 1, a
+    free set of its quota gap, the return arc ``1 -> 0`` of m + 1), and a source
+    and a sink balance the excesses. Edges go in as fractional cells row-major,
+    free sets, the return arc, then each node's source or sink arc in node order,
+    each with its reverse ``e ^ 1``. That is the order of ``_feasible_circulation``
+    in ``tests/oracles.py``: every positive-capacity edge keeps its place in its
+    node's adjacency, so the augmenting paths and parts are ``extract_reference``'s.
+
+    ``_max_flow``'s breadth-first search stops at the first node it discovers
+    with a residual arc into the sink and augments along that node's first such
+    arc. Its queue is FIFO, so that is the node whose scan would label the sink in
+    a search run to the end: every path, residual and total is the full search's.
+    A search that finds no path runs to completion.
     """
     n = len(r)
     c = den
     r = [q for row in r for q in row]
     sigmas = [sigma for *_, sigma in sets]
+    src, snk = 2 + len(sets), 3 + len(sets)
     support: list[tuple[Fraction, Matrix]] = []
     # Parts share equal row tuples: a dense lottery has far fewer distinct rows
     # than parts, so it holds about support * n pointers, not support * n * m ints.
@@ -292,23 +196,59 @@ def _extract(
             break
 
         # Minimal-face bounds: anything tight at the current matrix stays tight.
-        arcs = [(u, v, 0, 1) if q % c else (u, v, q // c, q // c) for q, (u, v) in zip(r, ends)]
-        for (u, v, lo, hi, _), sigma in zip(sets, sigmas):
-            tight = sigma == lo * c or sigma == hi * c
-            arcs.append((u, v, sigma // c, sigma // c) if tight else (u, v, lo, hi))
-        arcs.append((1, 0, 0, m + 1))
-
-        flows = _feasible_circulation(2 + len(sets), arcs)
-        if flows is None:
+        # Edge 2 * i is fractional[i], then edge 2 * (len(fractional) + i) is free[i].
+        adj: list[list[int]] = [[] for _ in range(snk + 1)]
+        to: list[int] = []
+        cap: list[int] = []
+        for k in fractional:
+            u, v = ends[k]
+            adj[u].append(len(to))
+            adj[v].append(len(to) + 1)
+            to += v, u
+            cap += 1, 0
+        excess = [0] * src
+        for q, (u, v) in zip(r, ends):
+            if q and not q % c:
+                excess[u] -= q // c
+                excess[v] += q // c
+        counts: list[int] = []  # each set's count in the part
+        free: list[int] = []
+        edges: list[tuple[int, int, int]] = []  # (u, v, capacity) after the cells
+        for s, ((u, v, lo, hi, _), sigma) in enumerate(zip(sets, sigmas)):
+            if sigma == lo * c or sigma == hi * c:
+                lo = hi = sigma // c
+            elif lo > hi:
+                raise InputError("constraint families do not form a decomposable bihierarchy")
+            if hi > lo:
+                free.append(s)
+                edges.append((u, v, hi - lo))
+            counts.append(lo)
+            excess[u] -= lo
+            excess[v] += lo
+        edges.append((1, 0, m + 1))
+        for w, e in enumerate(excess):
+            if e:
+                edges.append((src, w, e) if e > 0 else (w, snk, -e))
+        for u, v, width in edges:
+            adj[u].append(len(to))
+            adj[v].append(len(to) + 1)
+            to += v, u
+            cap += width, 0
+        if _max_flow(adj, to, cap, src, snk) != sum(e for e in excess if e > 0):
             raise InputError("constraint families do not form a decomposable bihierarchy")
+        part = [q // c for q in r]
+        for i, k in enumerate(fractional):
+            part[k] = cap[2 * i + 1]
+        for i, s in enumerate(free, len(fractional)):
+            counts[s] += cap[2 * i + 1]
 
         # Largest step s = num / dnm (weight s / den) that keeps (r - s*part) / (c - s)
         # inside all quotas, compared by cross-multiplication. Fractional cells have
         # bounds [0, 1] and part values 0 or 1, so only a set's quota gap can make s
         # non-integral; then r, sigmas, c and den are rescaled by its reduced denominator.
-        num = min(r[k] if flows[k] else c - r[k] for k in fractional)
+        num = min(r[k] if part[k] else c - r[k] for k in fractional)
         dnm = 1
-        for (_, _, lo, hi, _), sigma, a in zip(sets, sigmas, flows[n * m :]):
+        for (_, _, lo, hi, _), sigma, a in zip(sets, sigmas, counts):
             if sigma == lo * c or sigma == hi * c:
                 continue
             if a > lo and (sigma - lo * c) * dnm < num * (a - lo):
@@ -325,14 +265,67 @@ def _extract(
             c *= scale
             den *= scale
 
-        part = (tuple(flows[i * m : (i + 1) * m]) for i in range(n))
-        support.append((Fraction(step, den), tuple(rows.setdefault(row, row) for row in part)))
-        r = [q - step if p else q for q, p in zip(r, flows)]
-        sigmas = [sigma - step * a for sigma, a in zip(sigmas, flows[n * m :])]
+        part_rows = (tuple(part[i * m : (i + 1) * m]) for i in range(n))
+        support.append((Fraction(step, den), tuple(rows.setdefault(row, row) for row in part_rows)))
+        r = [q - step if p else q for q, p in zip(r, part)]
+        sigmas = [sigma - step * a for sigma, a in zip(sigmas, counts)]
         c -= step
     else:  # pragma: no cover - the dimension argument bounds the loop
         raise InputError("decomposition did not terminate")
     return support
+
+
+def _max_flow(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> int:
+    """The maximum flow value from ``s`` to ``t`` by early-stop Edmonds-Karp (see
+    ``_extract``): edge e runs to ``to[e]`` with residual ``cap[e]``, which ends
+    updated, its reverse is ``e ^ 1``, and node u's edges are ``adj[u]``."""
+    # The arcs into t of each node, in that node's adjacency order: arc e and its
+    # reverse e ^ 1 enter their two lists together.
+    into_t: list[list[int]] = [[] for _ in adj]
+    for eid in adj[t]:
+        into_t[to[eid]].append(eid ^ 1)
+    total = 0
+    while True:
+        parent_edge = [-1] * len(adj)
+        parent_edge[s] = -2
+        last = -1
+        for e in into_t[s]:
+            if cap[e] > 0:
+                last = e
+                break
+        queue = [s]
+        qi = 0
+        while last < 0 and qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for eid in adj[u]:
+                if cap[eid] > 0:
+                    v = to[eid]
+                    if parent_edge[v] == -1:
+                        parent_edge[v] = eid
+                        queue.append(v)
+                        for e in into_t[v]:
+                            if cap[e] > 0:
+                                last = e
+                                break
+                        if last >= 0:
+                            break
+        if last < 0:
+            return total
+        parent_edge[t] = last
+        bottleneck = cap[last]
+        v = t
+        while v != s:
+            eid = parent_edge[v]
+            bottleneck = min(bottleneck, cap[eid])
+            v = to[eid ^ 1]
+        v = t
+        while v != s:
+            eid = parent_edge[v]
+            cap[eid] -= bottleneck
+            cap[eid ^ 1] += bottleneck
+            v = to[eid ^ 1]
+        total += bottleneck
 
 
 def caratheodory_weights(

@@ -70,7 +70,7 @@ def _live(
     Returns the live agents and items, those the source reaches in the residual
     network (the same for every maximum flow), the capacity left unsold and the
     ``k x m`` flow. With ``agents`` ascending and ``edges`` agent-major, the flow
-    is Edmonds-Karp's (``decomp._MaxFlow``, arcs added source -> agent, agent ->
+    is Edmonds-Karp's (``decomp._max_flow``, arcs added source -> agent, agent ->
     item, item -> sink): the greedy start makes its first augmentations, the
     search visits nodes in its order, and as an agent -> item arc holds a whole
     budget, every bottleneck is the same.

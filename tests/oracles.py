@@ -29,7 +29,7 @@ from fairlot.core import (
     exact_draw,
     sd_dominates,
 )
-from fairlot.decomp import _MaxFlow, _extract, _feasible_circulation, bvn_decompose, caratheodory_weights
+from fairlot.decomp import _extract, bvn_decompose, caratheodory_weights
 from fairlot.eating import EatingState
 from fairlot.mnw import solve_mnw
 from fairlot.properties import (
@@ -776,6 +776,122 @@ def stage_expand(
         cells = tuple((i, items[cols[k]]) for i, row in enumerate(alloc.matrix) for k, x in enumerate(row) if x)
         parts.append((weight, cells, mask - frozenset(j for _, j in cells)))
     return tuple(parts)
+
+
+# ---------------------------------------------------------------------------
+# The Edmonds-Karp network and feasible circulation that each decomposition
+# built before ``decomp._extract`` kept its network on flat lists; the MNW and
+# extraction references below run on them.
+# ---------------------------------------------------------------------------
+
+
+class _MaxFlow:
+    def __init__(self, nodes: int) -> None:
+        self.adj: list[list[int]] = [[] for _ in range(nodes)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.reach: list[int] = []  # after solve: -1 marks the nodes the source cannot reach
+
+    def add(self, u: int, v: int, cap: int) -> int:
+        eid = len(self.to)
+        self.adj[u].append(eid)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[v].append(eid + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return eid
+
+    def solve(self, s: int, t: int) -> int:
+        """Push a maximum flow from ``s`` to ``t`` along shortest augmenting paths.
+
+        Each breadth-first search stops at the first node it discovers with a
+        residual arc into ``t`` and augments along that node's first such arc in
+        its adjacency order. The queue is FIFO, so nodes are processed in the order
+        they are discovered, and this is the node whose scan would label ``t`` in a
+        search run to the end: every path, residual capacity, the total and the
+        final ``reach`` are those of the full search. A search that finds no path
+        runs to completion.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        # The arcs into t of each node, in that node's adjacency order: arc e and
+        # its partner e ^ 1 enter their two lists in the same add call.
+        into_t: list[list[int]] = [[] for _ in adj]
+        for eid in adj[t]:
+            into_t[to[eid]].append(eid ^ 1)
+        total = 0
+        while True:
+            parent_edge = [-1] * len(adj)
+            parent_edge[s] = -2
+            last = -1
+            for e in into_t[s]:
+                if cap[e] > 0:
+                    last = e
+                    break
+            queue = [s]
+            qi = 0
+            while last < 0 and qi < len(queue):
+                u = queue[qi]
+                qi += 1
+                for eid in adj[u]:
+                    if cap[eid] > 0:
+                        v = to[eid]
+                        if parent_edge[v] == -1:
+                            parent_edge[v] = eid
+                            queue.append(v)
+                            for e in into_t[v]:
+                                if cap[e] > 0:
+                                    last = e
+                                    break
+                            if last >= 0:
+                                break
+            if last < 0:
+                self.reach = parent_edge
+                return total
+            parent_edge[t] = last
+            bottleneck = cap[last]
+            v = t
+            while v != s:
+                eid = parent_edge[v]
+                bottleneck = min(bottleneck, cap[eid])
+                v = to[eid ^ 1]
+            v = t
+            while v != s:
+                eid = parent_edge[v]
+                cap[eid] -= bottleneck
+                cap[eid ^ 1] += bottleneck
+                v = to[eid ^ 1]
+            total += bottleneck
+
+
+def _feasible_circulation(
+    nodes: int, arcs: list[tuple[int, int, int, int]]
+) -> list[int] | None:
+    """Integer flows for arcs (u, v, lower, upper) with conservation everywhere.
+
+    A fixed arc (lower == upper) carries no slack flow and gets no max-flow edge:
+    Edmonds-Karp never traverses a zero-capacity edge, so no augmenting path changes.
+    """
+    excess = [0] * nodes
+    flow = _MaxFlow(nodes + 2)
+    src, snk = nodes, nodes + 1
+    ids: list[int | None] = []
+    for u, v, lo, hi in arcs:
+        if lo > hi:
+            return None
+        ids.append(flow.add(u, v, hi - lo) if hi > lo else None)
+        excess[v] += lo
+        excess[u] -= lo
+    need = 0
+    for w in range(nodes):
+        if excess[w] > 0:
+            flow.add(src, w, excess[w])
+            need += excess[w]
+        elif excess[w] < 0:
+            flow.add(w, snk, -excess[w])
+    if flow.solve(src, snk) != need:
+        return None
+    return [lo if eid is None else lo + flow.cap[eid ^ 1] for (_, _, lo, _), eid in zip(arcs, ids)]
 
 
 # ---------------------------------------------------------------------------

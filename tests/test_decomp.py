@@ -24,8 +24,8 @@ from fairlot.core import (
     lottery_to_json,
     ordinal_preferences,
 )
-from fairlot import mnw
-from fairlot.decomp import _MaxFlow, _bvn_plan, _extract, _prefix_plan, bihierarchy_decompose, bvn_decompose
+from fairlot import decomp, mnw
+from fairlot.decomp import _bvn_plan, _extract, _max_flow, _prefix_plan, bihierarchy_decompose, bvn_decompose
 from fairlot.mnw import solve_mnw
 from fairlot.rounding import gf_lottery
 from fairlot.rps import FULL_DISTRIBUTION, POLY_SUPPORT, SAMPLE, RpsConfig, rps, rps_bads, rps_mixed
@@ -34,6 +34,7 @@ from conftest import eating_inputs, mnw_inputs, random_complete, random_goods, r
 from oracles import (
     Bihierarchy,
     ConstraintSet,
+    _MaxFlow,
     _forest,
     bvn_constraints,
     extract_reference,
@@ -85,10 +86,10 @@ def random_doubly_stochastic(rng: random.Random, n: int) -> FractionalAllocation
     return FractionalAllocation(tuple(tuple(F(v, total) for v in row) for row in counts))
 
 
-def scale_doubly_stochastic(rng: random.Random, size: int) -> FractionalAllocation:
-    """The scale benchmark's matrix (``perfbench/workloads.py``): a mix of ``size``
-    random permutation matrices with integer weights 1 to 10."""
-    weights = [rng.randint(1, 10) for _ in range(size)]
+def scale_doubly_stochastic(rng: random.Random, size: int, count: int | None = None) -> FractionalAllocation:
+    """The scale benchmark's matrix (``perfbench/workloads.py``): a mix of ``count``
+    (by default ``size``) random permutation matrices with integer weights 1 to 10."""
+    weights = [rng.randint(1, 10) for _ in range(count or size)]
     total = sum(weights)
     mat = [[F(0)] * size for _ in range(size)]
     for w in weights:
@@ -469,7 +470,8 @@ def _engine_inputs(monkeypatch):
     """(label, den, r, m, ends, sets) plans for the extraction engine: BvN plans of
     random substochastic matrices of every shape up to 5 x 6 (one row, one column
     and no column included), prefix plans of random complete allocations, every RPS
-    stage plan, and the quota-gap input whose steps rescale."""
+    stage plan, the quota-gap input whose steps rescale, and BvN plans of dense
+    doubly stochastic matrices up to 20 x 20."""
     rng = random.Random(3737)
     for n in range(1, 6):
         for m in range(0, 7):
@@ -485,6 +487,13 @@ def _engine_inputs(monkeypatch):
         yield f"stage {k}", den, r, m, *_bvn_plan(den, r, m)
     x, hierarchy = _gap_case()
     yield "gap", *_general_engine_input(x, hierarchy)
+    # at size, where one extraction takes many augmenting paths: scale-shaped
+    # mixes of n permutations, and mixes of n * n that leave no cell integral
+    rng = random.Random(3939)
+    for n, count, label in ((12, 12, "mix"), (12, 12, "mix"), (20, 20, "mix"), (8, 64, "dense"), (8, 64, "dense")):
+        den, rows = scale_doubly_stochastic(rng, n, count).scaled
+        assert label == "mix" or all(0 < q < den for row in rows for q in row)
+        yield f"{label} {n}x{n}", den, rows, n, *_bvn_plan(den, rows, n)
 
 
 def _general_engine_input(x: FractionalAllocation, hierarchy: Bihierarchy):
@@ -501,15 +510,22 @@ def test_extract_matches_reference(monkeypatch):
     # the engine reads each set's total and the part's count off the circulation;
     # the reference re-sums every set over its cells on every extraction
     cases = list(_engine_inputs(monkeypatch))
-    assert {label.split()[0] for label, *_ in cases} == {"bvn", "prefix", "stage", "gap"}
+    assert {label.split()[0] for label, *_ in cases} == {"bvn", "prefix", "stage", "gap", "mix", "dense"}
     mismatches, rescaled = [], []
-    for label, den, r, m, ends, sets in cases:
-        fast = _extract(den, [list(row) for row in r], m, ends, sets)
-        slow = extract_reference(den, [list(row) for row in r], m, ends, plan_cells(m, ends, sets))
-        if fast != slow:
-            mismatches.append(label)
-        if _rescales(den, fast):
-            rescaled.append(label)
+    # a wrong residual can make a search loop forever: after 120 s (about 1 s is
+    # normal) interrupt it, which stops the run with its traceback
+    watchdog = threading.Timer(120, _thread.interrupt_main)
+    watchdog.start()
+    try:
+        for label, den, r, m, ends, sets in cases:
+            fast = _extract(den, [list(row) for row in r], m, ends, sets)
+            slow = extract_reference(den, [list(row) for row in r], m, ends, plan_cells(m, ends, sets))
+            if fast != slow:
+                mismatches.append(label)
+            if _rescales(den, fast):
+                rescaled.append(label)
+    finally:
+        watchdog.cancel()
     assert mismatches == []
     assert "gap" in rescaled
 
@@ -748,38 +764,37 @@ def test_builders_match_oracle_without_one_cell_sets():
 
 
 # Edmonds-Karp with each search run to the end, kept as the oracle for the early
-# stop in _MaxFlow.solve: it labels the sink from the first processed node with a
-# residual arc into it.
-def _oracle_solve(flow: _MaxFlow, s: int, t: int) -> int:
+# stop in decomp._max_flow: it labels the sink from the first processed node with
+# a residual arc into it.
+def _oracle_solve(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> int:
     total = 0
     while True:
-        parent_edge = [-1] * len(flow.adj)
+        parent_edge = [-1] * len(adj)
         parent_edge[s] = -2
         queue = [s]
         qi = 0
         while qi < len(queue) and parent_edge[t] == -1:
             u = queue[qi]
             qi += 1
-            for eid in flow.adj[u]:
-                v = flow.to[eid]
-                if flow.cap[eid] > 0 and parent_edge[v] == -1:
+            for eid in adj[u]:
+                v = to[eid]
+                if cap[eid] > 0 and parent_edge[v] == -1:
                     parent_edge[v] = eid
                     queue.append(v)
         if parent_edge[t] == -1:
-            flow.reach = parent_edge
             return total
         bottleneck = None
         v = t
         while v != s:
             eid = parent_edge[v]
-            bottleneck = flow.cap[eid] if bottleneck is None else min(bottleneck, flow.cap[eid])
-            v = flow.to[eid ^ 1]
+            bottleneck = cap[eid] if bottleneck is None else min(bottleneck, cap[eid])
+            v = to[eid ^ 1]
         v = t
         while v != s:
             eid = parent_edge[v]
-            flow.cap[eid] -= bottleneck
-            flow.cap[eid ^ 1] += bottleneck
-            v = flow.to[eid ^ 1]
+            cap[eid] -= bottleneck
+            cap[eid ^ 1] += bottleneck
+            v = to[eid ^ 1]
         total += bottleneck
 
 
@@ -798,24 +813,31 @@ def _random_network(rng: random.Random) -> tuple[int, list[tuple[int, int, int]]
     return nodes, arcs, s, t
 
 
+def _network(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int):
+    # every edge is added with its reverse, of capacity 0, right after it
+    return len(adj), [(to[e + 1], to[e], cap[e]) for e in range(0, len(to), 2)], s, t
+
+
 def _recorded_networks() -> dict[str, list]:
     """The networks that the decomposition solves, and the Edmonds-Karp networks
     of every MNW price round, which ``mnw._live`` solves in its own form."""
     recorded: dict[str, list] = {"decomp": [], "spend": []}
-    original, live = _MaxFlow.solve, mnw._live
-    layer = "decomp"
+    search, solve, live = decomp._max_flow, _MaxFlow.solve, mnw._live
 
-    def record(flow, s, t):
-        arcs = [(flow.to[e + 1], flow.to[e], flow.cap[e]) for e in range(0, len(flow.to), 2)]
-        recorded[layer].append((len(flow.adj), arcs, s, t))
-        return original(flow, s, t)
+    def record_decomp(adj, to, cap, s, t):
+        recorded["decomp"].append(_network(adj, to, cap, s, t))
+        return search(adj, to, cap, s, t)
+
+    def record_spend(flow, s, t):
+        recorded["spend"].append(_network(flow.adj, flow.to, flow.cap, s, t))
+        return solve(flow, s, t)
 
     def live_and_reference(*market):
         mnw_live_reference(*market)
         return live(*market)
 
     rng = random.Random(1313)
-    _MaxFlow.solve, mnw._live = record, live_and_reference
+    decomp._max_flow, _MaxFlow.solve, mnw._live = record_decomp, record_spend, live_and_reference
     try:
         for n in (3, 5, 8, 12):
             bvn_decompose(random_doubly_stochastic(rng, n))
@@ -823,20 +845,17 @@ def _recorded_networks() -> dict[str, list]:
             bvn_decompose(random_substochastic(rng, rng.randint(1, 5), rng.randint(1, 6)))
         for _ in range(60):
             inst = random_goods(rng, n_max=4, m_max=6)
-            layer = "spend"
-            x = solve_mnw(inst).allocation
-            layer = "decomp"
-            bihierarchy_decompose(x, inst.prefs)
+            bihierarchy_decompose(solve_mnw(inst).allocation, inst.prefs)
     finally:
-        _MaxFlow.solve, mnw._live = original, live
+        decomp._max_flow, _MaxFlow.solve, mnw._live = search, solve, live
     return recorded
 
 
-def _solved(solve, nodes: int, arcs: list[tuple[int, int, int]], s: int, t: int):
+def _solved(search, nodes: int, arcs: list[tuple[int, int, int]], s: int, t: int):
     flow = _MaxFlow(nodes)
     for u, v, c in arcs:
         flow.add(u, v, c)
-    return solve(flow, s, t), flow.cap, flow.reach
+    return search(flow.adj, flow.to, flow.cap, s, t), flow.cap
 
 
 def test_max_flow_matches_full_search_oracle():
@@ -850,7 +869,7 @@ def test_max_flow_matches_full_search_oracle():
     watchdog = threading.Timer(120, _thread.interrupt_main)
     watchdog.start()
     try:
-        mismatches = [net for net in nets if _solved(_MaxFlow.solve, *net) != _solved(_oracle_solve, *net)]
+        mismatches = [net for net in nets if _solved(_max_flow, *net) != _solved(_oracle_solve, *net)]
     finally:
         watchdog.cancel()
     assert mismatches == []
