@@ -156,21 +156,28 @@ def _extract(
     each set of two or more cells, whose own node is ``2 + `` its index.
 
     ``r / den`` is the part of x not yet assigned and ``c / den`` its weight, so
-    the normalised residual is ``r / c``; the loop keeps ``r`` as one row-major
-    list. ``sigmas[s]`` is set s's total in ``r``, kept from the flow on its arc:
-    its node collects just its cells and child sets, so that flow is the part's
+    the normalised residual is ``r / c``; the caller's ``r`` is read once and
+    left unchanged. A cell whose residual reaches 0 or ``c`` stays there in
+    every later part (the minimal face), so it is settled once: ``base`` holds
+    each settled cell's 0/1 value and ``fixed`` the node excess of those at 1.
+    ``live`` holds the still-fractional cells in row-major order and ``lr``
+    their residuals; each part is ``base`` with its live cells read off the
+    flow, and the step, the rescale and the update run over ``lr`` alone.
+    ``sigmas[s]`` is set s's total in ``r``, kept from the flow on its arc: its
+    node collects just its cells and child sets, so that flow is the part's
     count on it. Returns the parts as (weight, 0/1 row tuples) in extraction
     order. They are distinct: each extraction makes tight a constraint that the
     part it removed violates, and every later part keeps it.
 
     Each part is a feasible integer circulation on the minimal face of ``r / c``.
-    An integral cell or tight set is fixed and only moves the node excesses; the
-    rest are edges over their lower bounds (a fractional cell of capacity 1, a
-    free set of its quota gap, the return arc ``1 -> 0`` of m + 1), and a source
-    and a sink balance the excesses. Edges go in as fractional cells row-major,
+    Settled cells and tight sets only move the node excesses, which start from
+    ``fixed``; the rest are edges over their lower bounds (a live cell of
+    capacity 1, a free set of its quota gap, the return arc ``1 -> 0`` of m + 1),
+    and a source and a sink balance the excesses. Edges go in as live cells,
     free sets, the return arc, then each node's source or sink arc in node order,
-    each with its reverse ``e ^ 1``. That is the order of ``_feasible_circulation``
-    in ``tests/oracles.py``: every positive-capacity edge keeps its place in its
+    each with its reverse ``e ^ 1``. ``live`` is exactly the fractional cells
+    row-major, so that is the order of ``_feasible_circulation`` in
+    ``tests/oracles.py``: every positive-capacity edge keeps its place in its
     node's adjacency, so the augmenting paths and parts are ``extract_reference``'s.
 
     ``_max_flow``'s breadth-first search stops at the first node it discovers
@@ -181,36 +188,42 @@ def _extract(
     """
     n = len(r)
     c = den
-    r = [q for row in r for q in row]
+    live, lr = list(range(n * m)), [q for row in r for q in row]
+    base = [0] * (n * m)
     sigmas = [sigma for *_, sigma in sets]
     src, snk = 2 + len(sets), 3 + len(sets)
+    fixed = [0] * src
     support: list[tuple[Fraction, Matrix]] = []
     # Parts share equal row tuples: a dense lottery has far fewer distinct rows
     # than parts, so it holds about support * n pointers, not support * n * m ints.
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     for _ in range(n * m + len(sets) + 2):
-        fractional = [k for k, q in enumerate(r) if q % c]
-        if not fractional:
-            part = tuple(tuple(v // c for v in r[i * m : (i + 1) * m]) for i in range(n))
+        if 0 in lr or c in lr:  # settle the cells that reached 0 or 1, each once
+            for k, q in zip(live, lr):
+                if q == c:
+                    base[k] = 1
+                    u, v = ends[k]
+                    fixed[u] -= 1
+                    fixed[v] += 1
+            live = [k for k, q in zip(live, lr) if 0 < q < c]
+            lr = [q for q in lr if 0 < q < c]
+        if not live:
+            part = tuple(tuple(base[i * m : (i + 1) * m]) for i in range(n))
             support.append((Fraction(c, den), part))
             break
 
         # Minimal-face bounds: anything tight at the current matrix stays tight.
-        # Edge 2 * i is fractional[i], then edge 2 * (len(fractional) + i) is free[i].
+        # Edge 2 * i is live[i], then edge 2 * (len(live) + i) is free[i].
         adj: list[list[int]] = [[] for _ in range(snk + 1)]
         to: list[int] = []
         cap: list[int] = []
-        for k in fractional:
+        for k in live:
             u, v = ends[k]
             adj[u].append(len(to))
             adj[v].append(len(to) + 1)
             to += v, u
             cap += 1, 0
-        excess = [0] * src
-        for q, (u, v) in zip(r, ends):
-            if q and not q % c:
-                excess[u] -= q // c
-                excess[v] += q // c
+        excess = fixed[:]
         counts: list[int] = []  # each set's count in the part
         free: list[int] = []
         edges: list[tuple[int, int, int]] = []  # (u, v, capacity) after the cells
@@ -236,17 +249,15 @@ def _extract(
             cap += width, 0
         if _max_flow(adj, to, cap, src, snk) != sum(e for e in excess if e > 0):
             raise InputError("constraint families do not form a decomposable bihierarchy")
-        part = [q // c for q in r]
-        for i, k in enumerate(fractional):
-            part[k] = cap[2 * i + 1]
-        for i, s in enumerate(free, len(fractional)):
+        flows = cap[1 : 2 * len(live) : 2]  # the part's value on each live cell
+        for i, s in enumerate(free, len(live)):
             counts[s] += cap[2 * i + 1]
 
         # Largest step s = num / dnm (weight s / den) that keeps (r - s*part) / (c - s)
-        # inside all quotas, compared by cross-multiplication. Fractional cells have
+        # inside all quotas, compared by cross-multiplication. Live cells have
         # bounds [0, 1] and part values 0 or 1, so only a set's quota gap can make s
-        # non-integral; then r, sigmas, c and den are rescaled by its reduced denominator.
-        num = min(r[k] if part[k] else c - r[k] for k in fractional)
+        # non-integral; then lr, sigmas, c and den are rescaled by its reduced denominator.
+        num = min(q if p else c - q for q, p in zip(lr, flows))
         dnm = 1
         for (_, _, lo, hi, _), sigma, a in zip(sets, sigmas, counts):
             if sigma == lo * c or sigma == hi * c:
@@ -260,14 +271,17 @@ def _extract(
         g = math.gcd(num, dnm)
         step, scale = num // g, dnm // g
         if scale > 1:
-            r = [v * scale for v in r]
+            lr = [q * scale for q in lr]
             sigmas = [sigma * scale for sigma in sigmas]
             c *= scale
             den *= scale
 
+        part = base[:]
+        for k, p in zip(live, flows):
+            part[k] = p
         part_rows = (tuple(part[i * m : (i + 1) * m]) for i in range(n))
         support.append((Fraction(step, den), tuple(rows.setdefault(row, row) for row in part_rows)))
-        r = [q - step if p else q for q, p in zip(r, part)]
+        lr = [q - step if p else q for q, p in zip(lr, flows)]
         sigmas = [sigma - step * a for sigma, a in zip(sigmas, counts)]
         c -= step
     else:  # pragma: no cover - the dimension argument bounds the loop

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import _thread
+import copy
 import hashlib
 import importlib
 import json
@@ -72,6 +73,23 @@ def random_substochastic(rng: random.Random, n: int, m: int) -> FractionalAlloca
         + [F(1)]
     )
     return FractionalAllocation(tuple(tuple(v / scale for v in row) for row in raw))
+
+
+def unit_substochastic(rng: random.Random, n: int, m: int) -> FractionalAllocation:
+    """Random n x m substochastic matrix (n, m >= 3) with a zero row, a zero column
+    and a cell at 1 alone in its row and column; the other cells are a
+    ``random_substochastic`` block."""
+    zero_row, unit_row = rng.sample(range(n), 2)
+    zero_col, unit_col = rng.sample(range(m), 2)
+    rows = [i for i in range(n) if i not in (zero_row, unit_row)]
+    cols = [j for j in range(m) if j not in (zero_col, unit_col)]
+    block = random_substochastic(rng, len(rows), len(cols)).matrix
+    mat = [[F(0)] * m for _ in range(n)]
+    mat[unit_row][unit_col] = F(1)
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols):
+            mat[i][j] = block[a][b]
+    return FractionalAllocation(tuple(map(tuple, mat)))
 
 
 def random_doubly_stochastic(rng: random.Random, n: int) -> FractionalAllocation:
@@ -469,7 +487,8 @@ class TestNonUnitStep:
 def _engine_inputs(monkeypatch):
     """(label, den, r, m, ends, sets) plans for the extraction engine: BvN plans of
     random substochastic matrices of every shape up to 5 x 6 (one row, one column
-    and no column included), prefix plans of random complete allocations, every RPS
+    and no column included), and of matrices up to 6 x 7 with a unit cell, a zero
+    row and a zero column, prefix plans of random complete allocations, every RPS
     stage plan, the quota-gap input whose steps rescale, and BvN plans of dense
     doubly stochastic matrices up to 20 x 20."""
     rng = random.Random(3737)
@@ -478,6 +497,11 @@ def _engine_inputs(monkeypatch):
             for _ in range(4):
                 den, rows = random_substochastic(rng, n, m).scaled
                 yield f"bvn {n}x{m}", den, rows, m, *_bvn_plan(den, rows, m)
+    for n in range(3, 7):
+        for m in range(3, 8):
+            for _ in range(3):
+                den, rows = unit_substochastic(rng, n, m).scaled
+                yield f"unit {n}x{m}", den, rows, m, *_bvn_plan(den, rows, m)
     for k in range(200):
         n, m = rng.randint(1, 5), rng.randint(1, 7)
         den, rows = random_complete(rng, n, m).scaled
@@ -506,28 +530,56 @@ def _rescales(den: int, parts) -> bool:
     return any(den % w.denominator for w, _ in parts)
 
 
+def _settles_at_one(den: int, r, parts) -> bool:
+    """Whether some cell fractional in ``r / den`` is 0 in one part and 1 in each of
+    the two or more parts after it. Those parts carry all of the cell's remaining
+    mass, so its residual equalled their weight: the cell was settled at 1 before
+    at least one more circulation ran."""
+    # a fractional cell is 0 in some part: count the parts after its last 0
+    return any(
+        0 < q < den and [part[i][j] for _, part in reversed(parts)].index(0) >= 2
+        for i, row in enumerate(r)
+        for j, q in enumerate(row)
+    )
+
+
 def test_extract_matches_reference(monkeypatch):
-    # the engine reads each set's total and the part's count off the circulation;
-    # the reference re-sums every set over its cells on every extraction
+    # the engine reads each set's total and the part's count off the circulation,
+    # and builds it over the still-fractional cells alone; the reference re-sums
+    # every set over its cells and rescans every cell on every extraction
     cases = list(_engine_inputs(monkeypatch))
-    assert {label.split()[0] for label, *_ in cases} == {"bvn", "prefix", "stage", "gap", "mix", "dense"}
-    mismatches, rescaled = [], []
+    assert {label.split()[0] for label, *_ in cases} == {"bvn", "unit", "prefix", "stage", "gap", "mix", "dense"}
+    mismatches, mutated, rescaled, unit_input, settled = [], [], [], [], []
     # a wrong residual can make a search loop forever: after 120 s (about 1 s is
     # normal) interrupt it, which stops the run with its traceback
     watchdog = threading.Timer(120, _thread.interrupt_main)
     watchdog.start()
     try:
         for label, den, r, m, ends, sets in cases:
-            fast = _extract(den, [list(row) for row in r], m, ends, sets)
+            args = [list(row) for row in r], ends, sets
+            before = copy.deepcopy(args)
+            fast = _extract(den, args[0], m, ends, sets)
+            if args != before:
+                mutated.append(label)
             slow = extract_reference(den, [list(row) for row in r], m, ends, plan_cells(m, ends, sets))
             if fast != slow:
                 mismatches.append(label)
             if _rescales(den, fast):
                 rescaled.append(label)
+            if any(q == den for row in r for q in row):
+                unit_input.append(label)
+            if _settles_at_one(den, r, fast):
+                settled.append(label)
     finally:
         watchdog.cancel()
     assert mismatches == []
+    # the engine reads its r (a list of lists), ends and sets and changes none
+    assert mutated == []
     assert "gap" in rescaled
+    # both ways a cell enters the settled 0/1 base: at 1 in the input, and at 1
+    # after an extraction
+    assert any(label.startswith("unit") for label in unit_input)
+    assert any(label.startswith("unit") for label in settled)
 
 
 def _nested(rng: random.Random, block: list, depth: int) -> list[frozenset]:
