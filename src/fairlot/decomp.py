@@ -157,28 +157,30 @@ def _extract(
 
     ``r / den`` is the part of x not yet assigned and ``c / den`` its weight, so
     the normalised residual is ``r / c``; the caller's ``r`` is read once and
-    left unchanged. A cell whose residual reaches 0 or ``c`` stays there in
-    every later part (the minimal face), so it is settled once: ``base`` holds
-    each settled cell's 0/1 value and ``fixed`` the node excess of those at 1.
-    ``live`` holds the still-fractional cells in row-major order and ``lr``
-    their residuals; each part is ``base`` with its live cells read off the
-    flow, and the step, the rescale and the update run over ``lr`` alone.
-    ``sigmas[s]`` is set s's total in ``r``, kept from the flow on its arc: its
-    node collects just its cells and child sets, so that flow is the part's
-    count on it. Returns the parts as (weight, 0/1 row tuples) in extraction
-    order. They are distinct: each extraction makes tight a constraint that the
-    part it removed violates, and every later part keeps it.
+    left unchanged. A cell whose residual reaches 0 or ``c``, or a set whose total
+    reaches ``lower * c`` or ``upper * c``, stays there in every later part (the
+    minimal face), so it is settled once: ``base`` holds each settled cell's 0/1
+    value and ``fixed`` the node excess of the cells at 1 and of the sets' counts.
+    ``live`` holds the still-fractional cells in row-major order and ``lr`` their
+    residuals, ``free`` the other sets' arcs in plan order, each with its total in
+    ``r``, kept from the flow on its arc: its node collects just its cells and
+    child sets, so that flow is the part's count on it. Each part is ``base`` with
+    its live cells read off the flow, and the step, the rescale and the update run
+    over ``lr`` and ``free`` alone. Returns the parts as (weight, 0/1 row tuples)
+    in extraction order. They are distinct: each extraction makes tight a
+    constraint that the part it removed violates, and every later part keeps it.
 
     Each part is a feasible integer circulation on the minimal face of ``r / c``.
-    Settled cells and tight sets only move the node excesses, which start from
-    ``fixed``; the rest are edges over their lower bounds (a live cell of
-    capacity 1, a free set of its quota gap, the return arc ``1 -> 0`` of m + 1),
-    and a source and a sink balance the excesses. Edges go in as live cells,
-    free sets, the return arc, then each node's source or sink arc in node order,
-    each with its reverse ``e ^ 1``. ``live`` is exactly the fractional cells
-    row-major, so that is the order of ``_feasible_circulation`` in
-    ``tests/oracles.py``: every positive-capacity edge keeps its place in its
-    node's adjacency, so the augmenting paths and parts are ``extract_reference``'s.
+    Settled cells and sets only move ``fixed``, which the node excesses start
+    from; the rest are edges over their lower bounds (a live cell of capacity 1,
+    a free set of its quota gap, the return arc ``1 -> 0`` of m + 1), and a
+    source and a sink balance the excesses. Edges go in as live cells, free sets,
+    the return arc, then each node's source or sink arc in node order, each with
+    its reverse ``e ^ 1``. ``live`` is the fractional cells row-major and ``free``
+    the sets off their bounds in plan order, so that is the order of
+    ``_feasible_circulation`` in ``tests/oracles.py``: every positive-capacity
+    edge keeps its place in its node's adjacency, so the augmenting paths and
+    parts are ``extract_reference``'s.
 
     ``_max_flow``'s breadth-first search stops at the first node it discovers
     with a residual arc into the sink and augments along that node's first such
@@ -190,7 +192,7 @@ def _extract(
     c = den
     live, lr = list(range(n * m)), [q for row in r for q in row]
     base = [0] * (n * m)
-    sigmas = [sigma for *_, sigma in sets]
+    free = list(sets)
     src, snk = 2 + len(sets), 3 + len(sets)
     fixed = [0] * src
     support: list[tuple[Fraction, Matrix]] = []
@@ -211,6 +213,16 @@ def _extract(
             part = tuple(tuple(base[i * m : (i + 1) * m]) for i in range(n))
             support.append((Fraction(c, den), part))
             break
+        unsettled: list[_Arc] = []
+        for u, v, lo, hi, sigma in free:  # settle the sets that reached a bound, each once
+            if sigma == lo * c or sigma == hi * c:
+                fixed[u] -= sigma // c
+                fixed[v] += sigma // c
+            elif lo > hi:
+                raise InputError("constraint families do not form a decomposable bihierarchy")
+            else:
+                unsettled.append((u, v, lo, hi, sigma))
+        free = unsettled
 
         # Minimal-face bounds: anything tight at the current matrix stays tight.
         # Edge 2 * i is live[i], then edge 2 * (len(live) + i) is free[i].
@@ -224,21 +236,10 @@ def _extract(
             to += v, u
             cap += 1, 0
         excess = fixed[:]
-        counts: list[int] = []  # each set's count in the part
-        free: list[int] = []
-        edges: list[tuple[int, int, int]] = []  # (u, v, capacity) after the cells
-        for s, ((u, v, lo, hi, _), sigma) in enumerate(zip(sets, sigmas)):
-            if sigma == lo * c or sigma == hi * c:
-                lo = hi = sigma // c
-            elif lo > hi:
-                raise InputError("constraint families do not form a decomposable bihierarchy")
-            if hi > lo:
-                free.append(s)
-                edges.append((u, v, hi - lo))
-            counts.append(lo)
+        for u, v, lo, *_ in free:
             excess[u] -= lo
             excess[v] += lo
-        edges.append((1, 0, m + 1))
+        edges = [(u, v, hi - lo) for u, v, lo, hi, _ in free] + [(1, 0, m + 1)]
         for w, e in enumerate(excess):
             if e:
                 edges.append((src, w, e) if e > 0 else (w, snk, -e))
@@ -250,18 +251,15 @@ def _extract(
         if _max_flow(adj, to, cap, src, snk) != sum(e for e in excess if e > 0):
             raise InputError("constraint families do not form a decomposable bihierarchy")
         flows = cap[1 : 2 * len(live) : 2]  # the part's value on each live cell
-        for i, s in enumerate(free, len(live)):
-            counts[s] += cap[2 * i + 1]
+        counts = [lo + f for (_, _, lo, *_), f in zip(free, cap[2 * len(live) + 1 :: 2])]
 
         # Largest step s = num / dnm (weight s / den) that keeps (r - s*part) / (c - s)
         # inside all quotas, compared by cross-multiplication. Live cells have
         # bounds [0, 1] and part values 0 or 1, so only a set's quota gap can make s
-        # non-integral; then lr, sigmas, c and den are rescaled by its reduced denominator.
+        # non-integral; then lr, free, c and den are rescaled by its reduced denominator.
         num = min(q if p else c - q for q, p in zip(lr, flows))
         dnm = 1
-        for (_, _, lo, hi, _), sigma, a in zip(sets, sigmas, counts):
-            if sigma == lo * c or sigma == hi * c:
-                continue
+        for (_, _, lo, hi, sigma), a in zip(free, counts):
             if a > lo and (sigma - lo * c) * dnm < num * (a - lo):
                 num, dnm = sigma - lo * c, a - lo
             if a < hi and (hi * c - sigma) * dnm < num * (hi - a):
@@ -272,7 +270,7 @@ def _extract(
         step, scale = num // g, dnm // g
         if scale > 1:
             lr = [q * scale for q in lr]
-            sigmas = [sigma * scale for sigma in sigmas]
+            free = [(u, v, lo, hi, sigma * scale) for u, v, lo, hi, sigma in free]
             c *= scale
             den *= scale
 
@@ -282,7 +280,7 @@ def _extract(
         part_rows = (tuple(part[i * m : (i + 1) * m]) for i in range(n))
         support.append((Fraction(step, den), tuple(rows.setdefault(row, row) for row in part_rows)))
         lr = [q - step if p else q for q, p in zip(lr, flows)]
-        sigmas = [sigma - step * a for sigma, a in zip(sigmas, counts)]
+        free = [(u, v, lo, hi, sigma - step * a) for (u, v, lo, hi, sigma), a in zip(free, counts)]
         c -= step
     else:  # pragma: no cover - the dimension argument bounds the loop
         raise InputError("decomposition did not terminate")

@@ -278,11 +278,12 @@ class TestBihierarchyDecompose:
 
     def test_bvn_constraints_reproduce_bvn(self, monkeypatch):
         # bvn_decompose compiles rows and columns straight from the matrix; the
-        # general path through bvn_constraints must give the same bytes
+        # general path through bvn_constraints must give the same plan and bytes
         mismatches = [
             label
             for label, x in _bvn_cases(monkeypatch)
             if lottery_line(bvn_decompose(x)) != lottery_line(general_bihierarchy_decompose(x, bvn_constraints(x)))
+            or _bvn_plan(*x.scaled, x.m) != general_plan(x, bvn_constraints(x))[2:]
         ]
         assert mismatches == []
 
@@ -350,7 +351,8 @@ def _prefix_cases():
 
 def test_prefix_plan_matches_general_path():
     # bihierarchy_decompose compiles the prefix quotas straight to a plan; the
-    # general path through prefix_constraints and the forests must give the same bytes
+    # general path through prefix_constraints and the forests must give the same
+    # plan and bytes
     cases = list(_prefix_cases())
     assert len(cases) >= 600
     assert {(min(x.n, 2), min(x.m, 2)) for _, _, x, _ in cases} == {(1, 1), (1, 2), (2, 1), (2, 2)}
@@ -359,6 +361,7 @@ def test_prefix_plan_matches_general_path():
         for label, inst, x, prefs in cases
         if lottery_line(bihierarchy_decompose(x, prefs))
         != lottery_line(general_bihierarchy_decompose(x, prefix_constraints(inst, x, prefs)))
+        or _prefix_plan(*x.scaled, prefs, x.m) != general_plan(x, prefix_constraints(inst, x, prefs))[2:]
     ]
     assert mismatches == []
 
@@ -543,13 +546,26 @@ def _settles_at_one(den: int, r, parts) -> bool:
     )
 
 
+def _settles_a_set(den: int, m: int, ends, sets, parts) -> bool:
+    """Whether some set strictly inside its quotas in the plan ``sets`` over ``den``
+    counts the same bound, lower or upper, in each of the last two parts. Those
+    parts carry all of the set's remaining mass, so its total reached that bound:
+    the set was settled before at least one more circulation ran. (A lone part is
+    the input itself, whose counts sit strictly inside.)"""
+    return any(
+        lo * den < sigma < hi * den
+        and {sum(part[i][j] for i, j in cells) for _, part in parts[-2:]} in ({lo}, {hi})
+        for (*_, sigma), (_, _, lo, hi, cells) in zip(sets, plan_cells(m, ends, sets))
+    )
+
+
 def test_extract_matches_reference(monkeypatch):
     # the engine reads each set's total and the part's count off the circulation,
     # and builds it over the still-fractional cells alone; the reference re-sums
     # every set over its cells and rescans every cell on every extraction
     cases = list(_engine_inputs(monkeypatch))
     assert {label.split()[0] for label, *_ in cases} == {"bvn", "unit", "prefix", "stage", "gap", "mix", "dense"}
-    mismatches, mutated, rescaled, unit_input, settled = [], [], [], [], []
+    mismatches, mutated, rescaled, unit_input, settled, settled_sets = [], [], [], [], [], []
     # a wrong residual can make a search loop forever: after 120 s (about 1 s is
     # normal) interrupt it, which stops the run with its traceback
     watchdog = threading.Timer(120, _thread.interrupt_main)
@@ -570,6 +586,8 @@ def test_extract_matches_reference(monkeypatch):
                 unit_input.append(label)
             if _settles_at_one(den, r, fast):
                 settled.append(label)
+            if _settles_a_set(den, m, ends, sets, fast):
+                settled_sets.append(label)
     finally:
         watchdog.cancel()
     assert mismatches == []
@@ -580,6 +598,20 @@ def test_extract_matches_reference(monkeypatch):
     # after an extraction
     assert any(label.startswith("unit") for label in unit_input)
     assert any(label.startswith("unit") for label in settled)
+    # a set strictly inside its quotas reaches a bound and is settled mid-run,
+    # under each of the library's plan compilers
+    assert {label.split()[0] for label in settled_sets} >= {"bvn", "prefix", "stage"}
+
+
+@pytest.mark.parametrize(
+    "sets", [[(0, 2, 3, 2, 2)], [(0, 2, 3, 4, 2)]], ids=["lower above upper", "flow short of the lower quota"]
+)
+def test_extract_rejects_an_undecomposable_plan(sets):
+    # hand-built plans no compiler emits, on one row of two halves under one set:
+    # a set whose lower quota is above its upper one, and a set whose lower quota
+    # of 3 its two cells cannot carry, so the circulation falls short
+    with pytest.raises(InputError, match="^constraint families do not form a decomposable bihierarchy$"):
+        _extract(2, [[1, 1]], 2, [(2, 1), (2, 1)], sets)
 
 
 def _nested(rng: random.Random, block: list, depth: int) -> list[frozenset]:

@@ -504,7 +504,7 @@ class TestEfficiency:
         with pytest.raises(InputError):
             check_efficiency(tilt2, x, "fpo")
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         inst = Instance.from_rows([[1] * 5 for _ in range(30)])
         with pytest.raises(SizeLimitError):
             list(enumerate_integral_allocations(inst))
@@ -512,6 +512,16 @@ class TestEfficiency:
         everything = IntegralAllocation.from_bundles(30, 5, [tuple(range(5))] + [()] * 29)
         assert check_efficiency(inst, everything, "fpo").holds
         with pytest.raises(SizeLimitError, match=r"^30\^5 allocations exceed the enumeration cap$"):
+            check_efficiency(inst, everything, "po_integral")
+        # the cap counts allocations: exactly PO_LIMIT of them are enumerated
+        monkeypatch.setattr(properties, "PO_LIMIT", 8)
+        inst = Instance.from_rows([[1, 2, 3], [3, 2, 1]])
+        assert len(set(enumerate_integral_allocations(inst))) == 8
+        inst = Instance.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
+        everything = IntegralAllocation.from_bundles(2, 4, [tuple(range(4)), ()])
+        with pytest.raises(SizeLimitError, match=r"^2\^4 allocations exceed the enumeration cap$"):
+            list(enumerate_integral_allocations(inst))
+        with pytest.raises(SizeLimitError, match=r"^2\^4 allocations exceed the enumeration cap$"):
             check_efficiency(inst, everything, "po_integral")
 
     def test_efficiency_on_a_column_nobody_values(self):
