@@ -448,7 +448,9 @@ class Lottery(_Frozen):
 
     Construction canonicalizes: duplicate allocations are merged, weights must be
     positive and sum to one, and the support is sorted lexicographically by matrix
-    so equal lotteries compare equal. Every stored weight is a ``Fraction``. The
+    so equal lotteries compare equal. The check looks each part's matrix up once,
+    in one dict that holds its summed weight and the first allocation that has it,
+    and keeps that allocation. Every stored weight is a ``Fraction``. The
     check runs on the library's own supports too; their parts, and every
     ``marginal``, come from ``_from_scaled``, under its contract (see
     ``FractionalAllocation``): cells in [0, den], column sums at most ``den``,
@@ -462,8 +464,7 @@ class Lottery(_Frozen):
         if not support:
             raise InputError("lottery needs a nonempty support")
         n, m = support[0][1].n, support[0][1].m
-        merged: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-        first: dict[tuple[tuple[int, ...], ...], IntegralAllocation] = {}
+        merged: dict[tuple[tuple[int, ...], ...], list] = {}  # [summed weight, first allocation]
         for w, alloc in support:
             if alloc.n != n or alloc.m != m:
                 raise InputError("lottery allocations have inconsistent shapes")
@@ -473,17 +474,16 @@ class Lottery(_Frozen):
                 raise InputError(f"lottery weight {w} not positive")
             if w.__class__ is not Fraction:
                 w = Fraction(w)
-            # weights are added only when a matrix repeats
-            if alloc.matrix in merged:
-                merged[alloc.matrix] += w
-            else:
-                merged[alloc.matrix] = w
-                first[alloc.matrix] = alloc
+            entry = [w, alloc]
+            seen = merged.setdefault(alloc.matrix, entry)
+            if seen is not entry:  # weights are added only when a matrix repeats
+                seen[0] += w
+        weights = [w for w, _ in merged.values()]
         # the int numerators over the lcm of the weights' denominators
-        den = math.lcm(*[w.denominator for w in merged.values()])
-        if sum([w.numerator * (den // w.denominator) for w in merged.values()]) != den:
-            raise InputError(f"lottery weights sum to {sum(merged.values(), ZERO)}, expected 1")
-        self._store("support", tuple((merged[mat], first[mat]) for mat in sorted(merged)))
+        den = math.lcm(*[w.denominator for w in weights])
+        if sum([w.numerator * (den // w.denominator) for w in weights]) != den:
+            raise InputError(f"lottery weights sum to {sum(weights, ZERO)}, expected 1")
+        self._store("support", tuple([(w, alloc) for _, (w, alloc) in sorted(merged.items())]))
 
     @property
     def n(self) -> int:
@@ -498,17 +498,22 @@ class Lottery(_Frozen):
 
     @_computed_once
     def marginal(self) -> FractionalAllocation:
-        """The expected allocation matrix of the lottery."""
+        """The expected allocation matrix of the lottery. Each agent's weights are
+        summed per distinct row first, so each distinct 0/1 row is added to the
+        agent's cells once: a dense lottery has far fewer distinct rows than parts."""
         # integer numerators over the lcm of the weights' denominators, then both
         # divided by their gcd: that quotient is the lcm of the cells' denominators
         den = math.lcm(*(w.denominator for w, _ in self.support))
-        acc = [[0] * self.m for _ in range(self.n)]
+        sums: list[dict[tuple[int, ...], int]] = [{} for _ in range(self.n)]
         for w, alloc in self.support:
             num = w.numerator * (den // w.denominator)
-            for acc_row, row in zip(acc, alloc.matrix):
-                for j, x in enumerate(row):
-                    if x:
-                        acc_row[j] += num
+            for agent, row in zip(sums, alloc.matrix):
+                agent[row] = agent.get(row, 0) + num
+        acc = [[0] * self.m for _ in range(self.n)]
+        for acc_row, agent in zip(acc, sums):
+            for row, num in agent.items():
+                for j in itertools.compress(range(self.m), row):
+                    acc_row[j] += num
         g = math.gcd(den, *itertools.chain.from_iterable(acc))
         rows = tuple(tuple(v // g for v in row) for row in acc)
         den //= g

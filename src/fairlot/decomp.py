@@ -162,11 +162,13 @@ def _extract(
     minimal face), so it is settled once: ``base`` holds each settled cell's 0/1
     value and ``fixed`` the node excess of the cells at 1 and of the sets' counts.
     ``live`` holds the still-fractional cells in row-major order and ``lr`` their
-    residuals, ``free`` the other sets' arcs in plan order, each with its total in
-    ``r``, kept from the flow on its arc: its node collects just its cells and
-    child sets, so that flow is the part's count on it. Each part is ``base`` with
-    its live cells read off the flow, and the step, the rescale and the update run
-    over ``lr`` and ``free`` alone. Returns the parts as (weight, 0/1 row tuples)
+    residuals, both rebuilt in the one pass over them that settles the cells at 0
+    or ``c``; ``free`` holds the other sets' arcs in plan order, each with its
+    total in ``r``, kept from the flow on its arc: its node collects just its
+    cells and child sets, so that flow is the part's count on it. Live cells are
+    0 in ``base``, so each part is a copy of ``base`` with the live cells that
+    carry flow set to 1, and the step, the rescale and the update run over ``lr``
+    and ``free`` alone. Returns the parts as (weight, 0/1 row tuples)
     in extraction order. They are distinct: each extraction makes tight a
     constraint that the part it removed violates, and every later part keeps it.
 
@@ -201,14 +203,17 @@ def _extract(
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     for _ in range(n * m + len(sets) + 2):
         if 0 in lr or c in lr:  # settle the cells that reached 0 or 1, each once
+            still, left = [], []
             for k, q in zip(live, lr):
                 if q == c:
                     base[k] = 1
                     u, v = ends[k]
                     fixed[u] -= 1
                     fixed[v] += 1
-            live = [k for k, q in zip(live, lr) if 0 < q < c]
-            lr = [q for q in lr if 0 < q < c]
+                elif q:
+                    still.append(k)
+                    left.append(q)
+            live, lr = still, left
         if not live:
             part = tuple(tuple(base[i * m : (i + 1) * m]) for i in range(n))
             support.append((Fraction(c, den), part))
@@ -225,16 +230,15 @@ def _extract(
         free = unsettled
 
         # Minimal-face bounds: anything tight at the current matrix stays tight.
-        # Edge 2 * i is live[i], then edge 2 * (len(live) + i) is free[i].
+        # Edge 2 * e is live[e], then edge 2 * (len(live) + i) is free[i].
         adj: list[list[int]] = [[] for _ in range(snk + 1)]
         to: list[int] = []
-        cap: list[int] = []
-        for k in live:
+        for e, k in enumerate(live):
             u, v = ends[k]
-            adj[u].append(len(to))
-            adj[v].append(len(to) + 1)
+            adj[u].append(2 * e)
+            adj[v].append(2 * e + 1)
             to += v, u
-            cap += 1, 0
+        cap = [1, 0] * len(live)
         excess = fixed[:]
         for u, v, lo, *_ in free:
             excess[u] -= lo
@@ -275,8 +279,8 @@ def _extract(
             den *= scale
 
         part = base[:]
-        for k, p in zip(live, flows):
-            part[k] = p
+        for k in itertools.compress(live, flows):
+            part[k] = 1
         part_rows = (tuple(part[i * m : (i + 1) * m]) for i in range(n))
         support.append((Fraction(step, den), tuple(rows.setdefault(row, row) for row in part_rows)))
         lr = [q - step if p else q for q, p in zip(lr, flows)]

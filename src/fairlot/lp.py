@@ -90,7 +90,7 @@ def _simplex(tab: list[list[int]], basis: list[int], allowed: int, d: int) -> tu
             return UNBOUNDED, d
         d = _pivot(tab, leave, enter, d)
         basis[leave] = enter
-    raise SolveError("simplex iteration limit exceeded")
+    raise SolveError("simplex iteration limit exceeded")  # pragma: no cover - Bland's rule never cycles
 
 
 def _solve_standard(

@@ -135,7 +135,7 @@ class _StageEngine:
         self._marginals[mask] = result
         return result
 
-    def distribution(self, mode: str, rng: random.Random) -> dict[Branch, Fraction]:
+    def distribution(self, mode: str, rng: random.Random | None) -> dict[Branch, Fraction]:
         """The branch distribution, expanded one stage at a time, keyed by each
         branch's partial matrix and the items it leaves.
 
@@ -145,7 +145,8 @@ class _StageEngine:
         entries for branch weights that keep each branch's final contribution
         (assigned part plus the exact marginal of its remaining subgame) fixed, so
         the implemented fractional allocation never moves. Sample mode keeps one
-        branch per stage, drawn exactly from the stage's parts with ``rng``.
+        branch per stage, drawn exactly from the stage's parts with ``rng``; the
+        other modes draw nothing and take None.
         """
         cap = self.n * self.m + 1
         zero: Matrix = tuple((0,) * self.m for _ in range(self.n))
@@ -182,7 +183,8 @@ def _run_engine(
 ) -> Lottery | IntegralAllocation:
     """The rule over ``m`` ranked items, keeping the first ``width`` columns of
     each allocation: the columns past ``width`` are padding."""
-    table = _StageEngine(prefs, m).distribution(cfg.mode, random.Random(cfg.seed))
+    rng = random.Random(cfg.seed) if cfg.mode == SAMPLE else None  # only a sample draws
+    table = _StageEngine(prefs, m).distribution(cfg.mode, rng)
     mats = [(w, tuple(row[:width] for row in mat)) for (mat, _), w in table.items()]
     parts = tuple((w, IntegralAllocation._from_scaled(mat, 1, mat)) for w, mat in mats)
     return parts[0][1] if cfg.mode == SAMPLE else Lottery(parts)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import _thread
+import faulthandler
 import random
+import sys
+import threading
 from fractions import Fraction
 from typing import Iterator
 
@@ -26,6 +30,38 @@ def certified(solve_standard):
         return result
 
     return solve
+
+
+# The slowest tests take about 5 s on a 2-core host: a test still running after
+# this many seconds hangs (a search that loops forever, say), and the watchdog
+# below fails it.
+TEST_TIME_LIMIT_S = 60
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Fail a test that runs past ``TEST_TIME_LIMIT_S``: a timer interrupts the main
+    thread, and the interrupt becomes this test's failure, so the suite goes on.
+    faulthandler dumps every thread's stack to the test's captured stderr at the
+    same moment, which shows where a test stuck in native code hangs too."""
+    timed_out = threading.Event()
+
+    def interrupt() -> None:
+        timed_out.set()
+        _thread.interrupt_main()
+
+    timer = threading.Timer(TEST_TIME_LIMIT_S, interrupt)
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, file=sys.__stderr__)
+    timer.start()
+    try:
+        return (yield)
+    except KeyboardInterrupt:
+        if not timed_out.is_set():
+            raise
+        pytest.fail(f"ran past the {TEST_TIME_LIMIT_S}-s limit of every test")
+    finally:
+        timer.cancel()
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

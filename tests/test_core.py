@@ -827,7 +827,9 @@ def _lottery_supports(rng: random.Random, count: int):
 def test_lottery_check_matches_fraction_sum():
     # the verdict, the exception type and the message of the int sum against the
     # Fraction sum it replaced; a valid support stores the same merged Fraction
-    # weights over the same allocations, in the same order
+    # weights over the same allocations, in the same order, and its marginal,
+    # summed per distinct row, is the Fraction sum of every part's cells, with
+    # the scaled form the checked constructor stores
     seen: dict[str, int] = {}
     for support in _lottery_supports(random.Random(3031), 1200):
         want = _raised(lottery_check_reference, support)
@@ -835,11 +837,19 @@ def test_lottery_check_matches_fraction_sum():
         kind = "valid" if want is None else next(k for k in ("positive", "sum to", "shapes", "nonempty") if k in want[1])
         seen[kind] = seen.get(kind, 0) + 1
         if want is None:
-            got = Lottery(support).support
+            lottery = Lottery(support)
+            got = lottery.support
             assert got == lottery_check_reference(support)
             assert all(type(w) is Fraction for w, _ in got)
             seen["merged"] = seen.get("merged", 0) + (len(got) < len(support))
-    assert len(seen) == 6 and min(seen.values()) >= 40, seen
+            marginal = lottery.marginal
+            assert marginal == lottery_marginal(lottery), support
+            assert marginal.scaled == FractionalAllocation(marginal.matrix).scaled, support
+            # an agent's equal rows held as distinct objects, as the JSON loader holds them
+            agents = [[alloc.matrix[i] for _, alloc in got] for i in range(lottery.n)]
+            shared = any(len(set(map(id, rows))) > len(set(rows)) for rows in agents)
+            seen["equal rows"] = seen.get("equal rows", 0) + shared
+    assert len(seen) == 7 and min(seen.values()) >= 40, seen
 
 
 def _assert_checked_part(part):

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import _thread
 import copy
 import hashlib
 import importlib
 import json
 import math
 import random
-import threading
 from fractions import Fraction
 
 import pytest
@@ -566,30 +564,23 @@ def test_extract_matches_reference(monkeypatch):
     cases = list(_engine_inputs(monkeypatch))
     assert {label.split()[0] for label, *_ in cases} == {"bvn", "unit", "prefix", "stage", "gap", "mix", "dense"}
     mismatches, mutated, rescaled, unit_input, settled, settled_sets = [], [], [], [], [], []
-    # a wrong residual can make a search loop forever: after 120 s (about 1 s is
-    # normal) interrupt it, which stops the run with its traceback
-    watchdog = threading.Timer(120, _thread.interrupt_main)
-    watchdog.start()
-    try:
-        for label, den, r, m, ends, sets in cases:
-            args = [list(row) for row in r], ends, sets
-            before = copy.deepcopy(args)
-            fast = _extract(den, args[0], m, ends, sets)
-            if args != before:
-                mutated.append(label)
-            slow = extract_reference(den, [list(row) for row in r], m, ends, plan_cells(m, ends, sets))
-            if fast != slow:
-                mismatches.append(label)
-            if _rescales(den, fast):
-                rescaled.append(label)
-            if any(q == den for row in r for q in row):
-                unit_input.append(label)
-            if _settles_at_one(den, r, fast):
-                settled.append(label)
-            if _settles_a_set(den, m, ends, sets, fast):
-                settled_sets.append(label)
-    finally:
-        watchdog.cancel()
+    for label, den, r, m, ends, sets in cases:
+        args = [list(row) for row in r], ends, sets
+        before = copy.deepcopy(args)
+        fast = _extract(den, args[0], m, ends, sets)
+        if args != before:
+            mutated.append(label)
+        slow = extract_reference(den, [list(row) for row in r], m, ends, plan_cells(m, ends, sets))
+        if fast != slow:
+            mismatches.append(label)
+        if _rescales(den, fast):
+            rescaled.append(label)
+        if any(q == den for row in r for q in row):
+            unit_input.append(label)
+        if _settles_at_one(den, r, fast):
+            settled.append(label)
+        if _settles_a_set(den, m, ends, sets, fast):
+            settled_sets.append(label)
     assert mismatches == []
     # the engine reads its r (a list of lists), ends and sets and changes none
     assert mutated == []
@@ -948,14 +939,7 @@ def test_max_flow_matches_full_search_oracle():
     recorded = _recorded_networks()
     assert len(recorded["decomp"]) > 150 and len(recorded["spend"]) > 50
     nets = general + recorded["decomp"] + recorded["spend"]
-    # a search that labels the sink can walk a cycle of parent arcs forever: after
-    # 120 s (about 1 s is normal) interrupt it, which stops the run with its traceback
-    watchdog = threading.Timer(120, _thread.interrupt_main)
-    watchdog.start()
-    try:
-        mismatches = [net for net in nets if _solved(_max_flow, *net) != _solved(_oracle_solve, *net)]
-    finally:
-        watchdog.cancel()
+    mismatches = [net for net in nets if _solved(_max_flow, *net) != _solved(_oracle_solve, *net)]
     assert mismatches == []
     # the general draw really holds the awkward cases
     assert any(any(u == t for u, _, _ in arcs) for _, arcs, _, t in general)
